@@ -1,20 +1,24 @@
 """Number fields Q(theta) presented by a monic integer polynomial.
 
 Elements are residue polynomials of degree < n; all arithmetic reduces
-modulo the defining polynomial and stays in exact rationals.  Trace and
-norm come from the companion matrix, discriminants from the trace form,
-field polynomials from multiplication matrices.  Numerical embeddings
-(mpmath, 60 significant digits by default) exist only for cross-checks
-and for ordering conjugates; they are never the source of an exact value.
+modulo the defining polynomial and stays in exact rationals.  Traces,
+discriminants, field polynomials and composed polynomials all come from
+Newton power sums s_k = theta_1^k + ... + theta_n^k of the roots (Cohen,
+GTM 138, section 4.3); norms are Bareiss determinants of multiplication
+matrices.  Numerical embeddings (mpmath, 60 significant digits by
+default) exist only for cross-checks and for ordering conjugates; they
+are never the source of an exact value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
 
-from .polynomial import Poly, poly_divmod, poly_gcd, poly_xgcd, squarefree_part, eisenstein_witness
+from .arith import factorize
+from .polynomial import Poly, poly_divmod, poly_gcd, poly_xgcd, squarefree_part
 
 EMBEDDING_DPS = 60
 
@@ -33,9 +37,7 @@ def mat_det(m) -> Fraction:
     a = []
     for row in m:
         row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = den * x.denominator // _igcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         scale *= den
         a.append([int(x * den) for x in row])
     sign = 1
@@ -57,20 +59,6 @@ def mat_det(m) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], 1) / scale
 
 
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
 def char_poly(m) -> Poly:
     """Monic characteristic polynomial det(xI - M), exactly.
 
@@ -87,51 +75,37 @@ def char_poly(m) -> Poly:
         if k < n:
             for i in range(n):
                 mk[i][i] += ck
-            mk = mat_mul(m, mk)
+            mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     return Poly(list(reversed(coeffs)))
 
 
-def companion_matrix(p: Poly):
-    """Companion matrix of a monic polynomial, integer entries if p is."""
-    if not p.is_monic():
-        raise ValueError("companion matrix needs a monic polynomial")
+# ---------------------------------------------------------------------------
+# Newton power sums
+# ---------------------------------------------------------------------------
+
+def power_sums(p: Poly, count: int) -> list[int]:
+    """[s_0, ..., s_{count-1}], s_k the sum of the k-th powers of the roots
+    of the monic integer polynomial p, by Newton's identities
+    s_k = -k*b_k - sum_{j=1}^{min(k-1, n)} b_j*s_{k-j}, b_j = coeff of x^(n-j)."""
     n = p.degree
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = Fraction(1)
-    for i in range(n):
-        m[i][n - 1] = -p.coeffs[i]
-    return m
+    b = [int(c) for c in reversed(p.coeffs)]
+    s = [n]
+    for k in range(1, count):
+        acc = k * b[k] if k <= n else 0
+        for j in range(1, min(k - 1, n) + 1):
+            acc += b[j] * s[k - j]
+        s.append(-acc)
+    return s
 
 
-def kronecker_sum(a, b):
-    na, nb = len(a), len(b)
-    n = na * nb
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            if a[i][j]:
-                for t in range(nb):
-                    out[i * nb + t][j * nb + t] += a[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            if b[i][j]:
-                for t in range(na):
-                    out[t * nb + i][t * nb + j] += b[i][j]
-    return out
-
-
-def kronecker_product(a, b):
-    na, nb = len(a), len(b)
-    n = na * nb
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            if a[i][j]:
-                for s in range(nb):
-                    for t in range(nb):
-                        out[i * nb + s][j * nb + t] = a[i][j] * b[s][t]
-    return out
+def from_power_sums(s) -> Poly:
+    """The monic polynomial of degree len(s) - 1 whose roots have power
+    sums s_1, s_2, ... (s[0] is ignored): Newton's identities solved for
+    b_k = -(s_k + sum_{j=1}^{k-1} b_j*s_{k-j}) / k, exact in Fractions."""
+    b = [Fraction(1)]
+    for k in range(1, len(s)):
+        b.append(-(s[k] + sum(b[j] * s[k - j] for j in range(1, k))) / Fraction(k))
+    return Poly(list(reversed(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +126,26 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._embeddings = None
+        self._power_sums = power_sums(minpoly, 2 * self.degree - 1)
 
     @staticmethod
     def _reject_integer_roots(p: Poly):
+        """A rational root of a monic integer polynomial is an integer
+        dividing a0; try every such divisor, built from factorize(a0)."""
         if p.degree == 1:
             return
         a0 = int(p.coeffs[0])
         if a0 == 0:
             raise ValueError("defining polynomial is divisible by x")
-        divisors = set()
-        d = 1
-        while d * d <= abs(a0):
-            if a0 % d == 0:
-                divisors.update((d, -d, a0 // d, -(a0 // d)))
-            d += 1
-        for r in divisors:
+        divisors = [1]
+        for q, e in factorize(a0):
+            divisors = [d * q**i for d in divisors for i in range(e + 1)]
+        # cofactor pairs (d, a0/d) enter in ascending d <= sqrt|a0|; that
+        # order fixes which root is reported when there are several
+        candidates = set()
+        for d in sorted(d for d in divisors if d * d <= abs(a0)):
+            candidates.update((d, -d, a0 // d, -(a0 // d)))
+        for r in candidates:
             if p(Fraction(r)) == 0:
                 raise ValueError(f"defining polynomial has rational root {r}")
 
@@ -310,44 +289,42 @@ class FieldElement:
     # -- invariants ----------------------------------------------------------
 
     def multiplication_matrix(self):
-        """Matrix of multiplication by self on the power basis, over Q."""
+        """Matrix of multiplication by self on the power basis, over Q:
+        column j holds the coordinates of self*theta^j."""
         n = self.field.degree
-        cols = []
-        power = Poly([1])
-        for _ in range(n):
-            prod = self.repr * power
-            _, prod = poly_divmod(prod, self.field.minpoly)
-            cols.append([prod[i] for i in range(n)])
-            power = power * Poly([0, 1])
-            _, power = poly_divmod(power, self.field.minpoly)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        f = self.field.minpoly.coeffs
+        col = [self.repr[i] for i in range(n)]
+        cols = [col]
+        for _ in range(n - 1):
+            # times theta: shift up, then replace theta^n by -(f - x^n)(theta)
+            top, col = col[-1], [Fraction(0)] + col[:-1]
+            if top:
+                col = [c - top * f[i] for i, c in enumerate(col)]
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
 
     def trace_and_norm(self) -> tuple[Fraction, Fraction]:
-        """(trace, norm) as trace and determinant of q(M), M the companion
-        matrix of the defining polynomial."""
-        n = self.field.degree
-        m = companion_matrix(self.field.minpoly)
-        qm = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            qm[i][i] = Fraction(1)
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for c in reversed(self.repr.coeffs if self.repr.coeffs else (Fraction(0),)):
-            acc = mat_mul(acc, m)
-            for i in range(n):
-                acc[i][i] += c
-        tr = sum(acc[i][i] for i in range(n))
-        return Fraction(tr), mat_det(acc)
+        """(trace, norm), computed independently."""
+        return self.trace(), self.norm()
 
     def trace(self) -> Fraction:
-        return self.trace_and_norm()[0]
+        """Tr(sum_k c_k theta^k) = sum_k c_k s_k, s_k the field's power sums."""
+        s = self.field._power_sums
+        return sum((c * s[k] for k, c in enumerate(self.repr.coeffs)), Fraction(0))
 
     def norm(self) -> Fraction:
-        return self.trace_and_norm()[1]
+        """Bareiss determinant of the multiplication matrix."""
+        return mat_det(self.multiplication_matrix())
 
     def field_polynomial(self) -> Poly:
-        """prod_i (x - q(theta_i)): the characteristic polynomial of the
-        multiplication-by-self matrix.  A power of the minimal polynomial."""
-        return char_poly(self.multiplication_matrix())
+        """prod_i (x - q(theta_i)), a power of the minimal polynomial: its
+        roots have power sums Tr(self^k), turned into coefficients by
+        Newton's identities."""
+        power, traces = self.field.one(), [self.field.degree]
+        for _ in range(self.field.degree):
+            power = power * self
+            traces.append(power.trace())
+        return from_power_sums(traces)
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial over Q: squarefree part of the field
@@ -355,7 +332,10 @@ class FieldElement:
         f = self.field_polynomial()
         p = squarefree_part(f)
         s, r = divmod(f.degree, p.degree)
-        assert r == 0 and p**s == f, "field polynomial is not a power of the minimal one"
+        if r or p**s != f:
+            raise ValueError(
+                "defining polynomial is reducible: field polynomial is not a power of the minimal one"
+            )
         return p
 
     def is_algebraic_integer(self) -> bool:
@@ -376,7 +356,10 @@ class FieldElement:
 def tuple_discriminant(elements) -> Fraction:
     """Discriminant det[T(a_i a_j)] of an n-tuple, n the field degree.
 
-    Nonzero exactly when the tuple is a Q-basis of the field.
+    Nonzero exactly when the tuple is a Q-basis of the field.  The trace
+    matrix is A*H*A^T, A the rows of power-basis coordinates and
+    H[k][l] = T(theta^(k+l)) = s_(k+l) the Hankel matrix of power sums,
+    so the discriminant is det(A)^2 * det(H): O(n^3).
     """
     elements = list(elements)
     if not elements:
@@ -388,45 +371,60 @@ def tuple_discriminant(elements) -> Fraction:
     for e in elements:
         if e.field != field:
             raise ValueError("elements live in different fields")
-    tm = [[(elements[i] * elements[j]).trace() for j in range(n)] for i in range(n)]
-    return mat_det(tm)
+    s = field._power_sums
+    hankel = [[s[k + l] for l in range(n)] for k in range(n)]
+    return mat_det([[e.repr[k] for k in range(n)] for e in elements]) ** 2 * mat_det(hankel)
 
 
 def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
-    """The smallest divisor n of the lcm of the minimal polynomial's
-    coefficient denominators with n*a an algebraic integer.  Deterministic,
-    and n = 1 exactly when a is already integral."""
+    """The smallest n >= 1 with n*a an algebraic integer; n = 1 exactly
+    when a is already integral.
+
+    With minimal polynomial sum_k c_(d-k) x^(d-k), n*a has coefficients
+    n^k c_(d-k), integral iff k*v_q(n) >= v_q(den c_(d-k)) for every prime
+    q and k.  So n = prod q^e_q with e_q = max_k ceil(v_q(den c_(d-k)) / k),
+    q over the primes of the lcm of the denominators.
+    """
     if a.is_zero():
         raise ValueError("denominator clearing of zero")
     p = a.minimal_polynomial()
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-    divisors = sorted(d for d in range(1, lcm + 1) if lcm % d == 0)
-    for n in divisors:
-        b = a.field.rational(n) * a
-        if b.is_algebraic_integer():
-            return n, b
-    raise AssertionError("lcm of minimal-polynomial denominators must clear")
+    d = p.degree
+    n = 1
+    for q, _ in factorize(math.lcm(*(c.denominator for c in p.coeffs))):
+        e = 0
+        for k in range(1, d + 1):
+            den, v = p.coeffs[d - k].denominator, 0
+            while den % q == 0:
+                den //= q
+                v += 1
+            e = max(e, -(-v // k))
+        n *= q**e
+    b = a.field.rational(n) * a
+    if not b.is_algebraic_integer():
+        raise ArithmeticError(f"{n} times the element is not an algebraic integer")
+    return n, b
 
 
 def composed_min_poly(op: str, p: Poly, q: Poly) -> Poly:
     """Monic integer polynomial whose roots are all alpha_i + beta_j (op
-    'sum') or alpha_i * beta_j (op 'product'), via the characteristic
-    polynomial of the Kronecker sum/product of the companion matrices.
-    Degree deg(p)*deg(q); not necessarily irreducible."""
+    'sum') or alpha_i * beta_j (op 'product'), from the power sums of those
+    roots: sum_i C(k,i) s_i(p) s_(k-i)(q) or s_k(p) s_k(q) (Bostan, Flajolet,
+    Salvy and Schost 2006).  Degree deg(p)*deg(q); not necessarily
+    irreducible."""
     for f in (p, q):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("composedMinPoly needs monic nonconstant integer polynomials")
-    cp, cq = companion_matrix(p), companion_matrix(q)
+    n = p.degree * q.degree
+    sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
     if op == "sum":
-        m = kronecker_sum(cp, cq)
+        s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
     elif op == "product":
-        m = kronecker_product(cp, cq)
+        s = [a * b for a, b in zip(sp, sq)]
     else:
         raise ValueError(f"unknown composition {op!r}")
-    out = char_poly(m)
-    assert out.is_integral(), "symmetric-function argument guarantees integer coefficients"
+    out = from_power_sums(s)
+    if not out.is_integral():
+        raise ArithmeticError("composed polynomial of monic integer polynomials must be integral")
     return out
 
 
@@ -445,7 +443,7 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     if q.degree == 1:
         return 0
     fp, fq = NumberField(p), NumberField(q)
-    c = 0
+    c = 1  # at c = 0, alpha + c*beta_j is the same for every j
     while True:
         if _composed_sum_squarefree(p, q, c):
             return c

@@ -13,6 +13,7 @@ Two text encodings round-trip:
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -245,17 +246,8 @@ def content_and_primitive_part(p: Poly) -> tuple[int, Poly]:
         raise ValueError("content of the zero polynomial is undefined")
     if not p.is_integral():
         raise ValueError("content requires integer coefficients")
-    g = 0
-    for c in p.coeffs:
-        g = _gcd(g, int(c))
+    g = math.gcd(*(int(c) for c in p.coeffs))
     return g, Poly([int(c) // g for c in p.coeffs])
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def eisenstein_witness(p: Poly):
@@ -297,5 +289,6 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("need a nonconstant polynomial")
     g = poly_gcd(p, p.derivative())
     q, r = poly_divmod(p, g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise ArithmeticError("gcd(p, p') does not divide p")
     return q.monic()

@@ -88,6 +88,46 @@ class TestFieldCommands:
         )
         assert data["n"] == "3"
 
+    def test_denominator_clearing_large_lcm(self, capsys):
+        # the lcm of the minimal polynomial's denominators is 10^12
+        data = run_json(
+            capsys,
+            "field",
+            "denominator-clearing",
+            "--minpoly",
+            "x^4 + 2",
+            "--element",
+            "0,1/1000,0,0",
+        )
+        assert data == {"n": "1000", "cleared_coords": ["0", "1", "0", "0"]}
+
+    def test_trace_norm_large_constant_term(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "field",
+            "trace-norm",
+            "--minpoly",
+            "x^2 + 100000000000000000000",
+            "--element",
+            "1,1",
+        )
+        assert code == 0
+        assert out == '{\n  "trace": "2",\n  "norm": "100000000000000000001"\n}\n'
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_minpoly_of_reducible_defining_polynomial(self, flags):
+        # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2) passes the integer-root check
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "quadrantal.cli", "field", "minpoly-of",
+             "--minpoly", "x^4 + 4", "--element", "0,2,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: defining polynomial is reducible")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestQuadCommands:
     def test_ring(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from quadrantal.arith import FactorBoundExceeded
 from quadrantal.numberfield import (
     NumberField,
     char_poly,
@@ -87,7 +88,7 @@ class TestTraceNorm:
                 assert (a + b).trace() == a.trace() + b.trace()
 
     def test_against_embeddings(self):
-        # companion-matrix values match numeric conjugates at 60 digits
+        # exact values match numeric conjugates at 60 digits
         rng = random.Random(4)
         for field in (SQRT2, SQRTM5, OMEGA5):
             for _ in range(34):
@@ -193,6 +194,15 @@ class TestAlgebraicIntegers:
         n, b = denominator_clearing(SQRT2.element([4, 7]))
         assert n == 1
 
+    def test_denominator_clearing_prime_powers(self):
+        # theta/12 has minimal polynomial x^2 - 1/72: 72 = 2^3 3^2 needs 2^2 3
+        n, b = denominator_clearing(SQRT2.element([0, Fraction(1, 12)]))
+        assert n == 12 and b == SQRT2.theta()
+        # theta/1000 in Q(2^(1/4)): the denominators' lcm is 2^11 5^12
+        field = NumberField(P(2, 0, 0, 0, 1))
+        n, b = denominator_clearing(field.element([0, Fraction(1, 1000)]))
+        assert n == 1000 and b == field.theta()
+
     def test_denominator_clearing_zero_rejected(self):
         with pytest.raises(ValueError):
             denominator_clearing(SQRT2.zero())
@@ -255,6 +265,15 @@ class TestFieldConstruction:
     def test_rational_root_rejected(self):
         with pytest.raises(ValueError):
             NumberField(P(-4, 0, 1))  # x^2 - 4 = (x-2)(x+2)
+
+    def test_large_rational_root_rejected(self):
+        with pytest.raises(ValueError, match="rational root"):
+            NumberField(P(-(10**20), 0, 1))
+
+    def test_unfactorable_constant_term_rejected(self):
+        # two primes above the trial-division bound
+        with pytest.raises(FactorBoundExceeded):
+            NumberField(P(1000003 * 1000033, 0, 1))
 
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):

@@ -145,19 +145,15 @@ def legendre_is_residue(a: int, q: int) -> bool:
 
 
 def sqrt_mod(a: int, q: int) -> int:
-    """A square root of a modulo an odd prime q; a must be a residue.
+    """A square root of a modulo a prime q; a must be a residue.
 
-    Brute force below 10**5, Tonelli-Shanks above; the result is the
-    smaller of the two roots, making callers deterministic.
+    Euler's x = a^((q+1)/4) when q = 3 mod 4, Tonelli-Shanks otherwise
+    (Cohen GTM 138, Alg. 1.5.1); the result is the smaller of the two roots,
+    making callers deterministic.
     """
     a %= q
-    if a == 0:
-        return 0
-    if q < 10**5:
-        for x in range(1, q):
-            if x * x % q == a:
-                return min(x, q - x)
-        raise ValueError(f"{a} is not a quadratic residue mod {q}")
+    if a == 0 or q == 2:
+        return a
     if not legendre_is_residue(a, q):
         raise ValueError(f"{a} is not a quadratic residue mod {q}")
     if q % 4 == 3:

@@ -108,6 +108,11 @@ def census_check(
     precision: int = 30,
 ) -> CensusResult:
     """Z(k) from the sieve against sigma*h, with optional per-class counts."""
+    return _census_with_counts(field, k, per_class, report, precision)[0]
+
+
+def _census_with_counts(field, k, per_class, report, precision):
+    """census_check's result together with the sieve it was computed from."""
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     counts = ideal_count_sieve(field, k)
@@ -123,7 +128,7 @@ def census_check(
         zk = mpmath.mpf(z_k) / k
         dev = abs(zk - sigma * h)
         norm_dev = dev * mpmath.sqrt(k)
-        return CensusResult(
+        result = CensusResult(
             field.m,
             k,
             z_k,
@@ -135,6 +140,7 @@ def census_check(
             mpmath.nstr(norm_dev, 10),
             per,
         )
+    return result, counts
 
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
@@ -204,7 +210,11 @@ def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
 
 def checkpoint_ratios(field: QuadraticField, k: int):
     """(k', Z(k')/k') at logarithmic checkpoints, for external plotting."""
-    counts = ideal_count_sieve(field, k)
+    return _checkpoints(ideal_count_sieve(field, k), k)
+
+
+def _checkpoints(counts: list[int], k: int):
+    """checkpoint_ratios from the sieve a[0..k]."""
     marks = []
     i = 4
     while True:

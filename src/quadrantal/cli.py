@@ -347,12 +347,12 @@ def cmd_cyclo(args) -> dict:
 
 def cmd_census(args) -> dict:
     field = make_field(args.m)
-    result = census_mod.census_check(
-        field, args.k, per_class=args.per_class, precision=decimal_precision(30)
+    result, counts = census_mod._census_with_counts(
+        field, args.k, args.per_class, None, decimal_precision(30)
     )
     out = result.to_json_dict()
     if args.csv:
-        rows = census_mod.checkpoint_ratios(field, args.k)
+        rows = census_mod._checkpoints(counts, args.k)
         with open(args.csv, "w") as fh:
             fh.write("k,z_over_k\n")
             for kp, ratio in rows:
@@ -478,6 +478,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # fundamental units and generators of large fields run to many thousand
+    # digits, beyond CPython's default int->str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         payload = _HANDLERS[args.command](args)

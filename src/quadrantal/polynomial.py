@@ -169,7 +169,8 @@ class Poly:
             term = term.replace(" ", "")
             if not term:
                 continue
-            m = re.fullmatch(r"(-?\d+(?:/\d+)?)?(?:\*?(x)(?:\^(\d+))?)?", term)
+            # a lone "-" is the coefficient -1 of an x term: "-x", "-x^3"
+            m = re.fullmatch(r"(-?\d+(?:/\d+)?|-(?=\*?x))?(?:\*?(x)(?:\^(\d+))?)?", term)
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise ValueError(f"cannot parse polynomial term {term!r}")
             c = Fraction(m.group(1)) if m.group(1) not in (None, "-") else (

@@ -19,6 +19,16 @@ Prime splitting follows the classical case law:
 
 Every splitting result is re-multiplied and checked against (q) before it
 is returned.
+
+Classes come from binary quadratic forms: the primitive ideal
+Z*a + Z*(b + w) has the norm form (a, B, C) of discriminant d, B = 2b (+1
+when m = 1 mod 4), C = N(b + w)/a.  One reduction operator, the rho-step
+J -> (conj(tau)/N(J)) * J with its exact relative generator, takes it to
+the Gauss-reduced form (imaginary; one per class) or onto the rho-cycle of
+reduced ideals (real; the least (a, b) on it stands for the class).
+Principality is "reduces to (1)"; class products are Dirichlet composition
+of forms.  No float decides any of it (Cohen, GTM 138, 5.3-5.6; Buchmann
+and Vollmer, Binary Quadratic Forms, ch. 6).
 """
 
 from __future__ import annotations
@@ -531,166 +541,183 @@ def factor_ideal(i: QuadIdeal):
 
 
 # ---------------------------------------------------------------------------
-# principality and reduction
+# ideals as binary quadratic forms: the reduction operator
 # ---------------------------------------------------------------------------
 
-def _norm_form_solutions(field: QuadraticField, target: int):
-    """All (x, y) coords of elements u = x + y*w with N(u) = target > 0,
-    y >= 0, for an imaginary field (positive definite form)."""
-    m = abs(field.m)
-    out = []
-    if field.half:
-        # (2x+y)^2 + m y^2 = 4*target
-        vmax = math.isqrt(4 * target // m)
-        for y in range(vmax + 1):
-            rest = 4 * target - m * y * y
-            u = math.isqrt(rest)
-            if u * u != rest:
-                continue
-            for uu in ({u, -u} if u else {0}):
-                if (uu - y) % 2 == 0:
-                    out.append(((uu - y) // 2, y))
-    else:
-        # x^2 + m y^2 = target
-        vmax = math.isqrt(target // m)
-        for y in range(vmax + 1):
-            rest = target - m * y * y
-            u = math.isqrt(rest)
-            if u * u != rest:
-                continue
-            for uu in ({u, -u} if u else {0}):
-                out.append((uu, y))
-    return out
+def _form(i: QuadIdeal) -> tuple[int, int]:
+    """(a, B) of the form (a, B, C) of I's primitive part Z*a + Z*(b + w):
+    B = 2b (+1 when d is odd), C = N(b + w)/a = (B^2 - d)/(4a)."""
+    return i.a, 2 * i.b + (i.field.d & 1)
 
 
-def _real_norm_candidates(field: QuadraticField, target: int, lam_sq_hi: float):
-    """(x, y) coords of u = x + y*w, u > 0, with |N(u)| = target and the
-    normalized embedding size sqrt(target) <= u < lam^2 * sqrt(target).
+def _form_b(field: QuadraticField, a: int, big_b: int) -> int:
+    """b of the standard form Z*a + Z*(b + w) = Z*a + Z*(B + sqrt(d))/2."""
+    return ((big_b - (field.d & 1)) // 2) % a
 
-    Every principal ideal of norm `target` has such a generator, by sliding
-    along powers of the fundamental unit.
+
+def _normalize(r: int, a: int, big_b: int) -> int:
+    """B moved by a multiple of 2a into (-a, a], or into (sqrt(d) - 2a, sqrt(d))
+    when d > 0 and a < sqrt(d); r = isqrt(d) for d > 0 and 0 for d < 0."""
+    lo = r + 1 - 2 * a if a <= r else 1 - a
+    return lo + (big_b - lo) % (2 * a)
+
+
+def _rho(field: QuadraticField, r: int, a: int, big_b: int, alpha):
+    """One rho-step.  J = Z*a + Z*tau, tau = (B + sqrt(d))/2, goes to the
+    equivalent (conj(tau)/a) * J = Z*|C| + Z*(-B + sqrt(d))/2, C = N(tau)/a;
+    a tracked alpha (J = (conj(alpha)/a0) * I0) becomes tau*alpha/a."""
+    c = (big_b * big_b - field.d) // (4 * a)
+    if alpha is not None:
+        alpha = _exact_div(field.integer((big_b - (field.d & 1)) // 2, 1) * alpha, a)
+    a = abs(c)
+    return a, _normalize(r, a, -big_b), alpha
+
+
+def _reduce(field: QuadraticField, a: int, big_b: int, alpha=None):
+    """(a, B, alpha) of a reduced form in the class of the ideal I0 of (a, B).
+
+    N(x*a + y*tau) = a*(a x^2 + B x y + C y^2), so the form is the norm form
+    of I0 = Z*a + Z*tau.  Imaginary fields stop at the Gauss-reduced form
+    |B| <= a <= C (B >= 0 when a = C), real fields at the first form with
+    |sqrt(d) - 2a| < B < sqrt(d).  Started at alpha = a, the tracked alpha in
+    I0 satisfies (result) = (conj(alpha)/a) * I0, so it generates I0 when
+    the result is (1).
     """
-    m = field.m
-    bound = (lam_sq_hi + 1.000001) * math.sqrt(target)
-    out = []
-    if field.half:
-        vmax = int(bound / math.sqrt(m)) + 2
-        for y in range(vmax + 1):
-            for sign in (1, -1):
-                rest = m * y * y + sign * 4 * target
-                if rest < 0:
-                    continue
-                u = math.isqrt(rest)
-                if u * u != rest:
-                    continue
-                cands = {u, -u} if u else {0}
-                for uu in cands:
-                    if (uu - y) % 2 != 0:
-                        continue
-                    x = (uu - y) // 2
-                    el = field.integer(x, y)
-                    if el.sign_real() > 0:
-                        out.append((x, y))
+    d = field.d
+    r = math.isqrt(d) if d > 0 else 0
+    big_b = _normalize(r, a, big_b)
+    while True:
+        if d < 0:
+            c = (big_b * big_b - d) // (4 * a)
+            if a < c or (a == c and big_b >= 0):
+                return a, big_b, alpha
+        elif max(r + 1 - 2 * a, 2 * a - r) <= big_b <= r:
+            return a, big_b, alpha
+        a, big_b, alpha = _rho(field, r, a, big_b, alpha)
+
+
+def _cycle(field: QuadraticField, a: int, big_b: int, alpha=None):
+    """The rho-cycle of the reduced real form (a, B): yields (a, B, alpha) for
+    every reduced ideal of the class, once."""
+    r = math.isqrt(field.d)
+    start = (a, big_b)
+    while True:
+        yield a, big_b, alpha
+        a, big_b, alpha = _rho(field, r, a, big_b, alpha)
+        if (a, big_b) == start:
+            return
+
+
+def _canonical(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
+    """(a, B) of the canonical reduced form of the class of (a, B).
+
+    Imaginary: the Gauss-reduced form, one per class.  Real: the least
+    (a, b) on the rho-cycle, which holds every primitive ideal of the class
+    below sqrt(d)/2, so the least norm of the class (at most the Minkowski
+    bound).
+    """
+    a, big_b, _ = _reduce(field, a, big_b)
+    if field.d > 0:
+        a, big_b, _ = min(_cycle(field, a, big_b), key=lambda s: (s[0], _form_b(field, *s[:2])))
+    return a, big_b
+
+
+def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]:
+    """(a3, B3, g) with (a1, B1) * (a2, B2) = g * (a3, B3) for the ideals of
+    forms of discriminant d (Dirichlet composition, Cohen GTM 138, Alg. 5.4.7)."""
+    if a1 > a2:
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, g = 0, a1
     else:
-        vmax = int(bound / (2 * math.sqrt(m))) + 2
-        for y in range(vmax + 1):
-            for sign in (1, -1):
-                rest = m * y * y + sign * target
-                if rest < 0:
-                    continue
-                u = math.isqrt(rest)
-                if u * u != rest:
-                    continue
-                for uu in ({u, -u} if u else {0}):
-                    el = field.integer(uu, y)
-                    if el.sign_real() > 0:
-                        out.append((uu, y))
-    return out
+        g, y1, _ = xgcd(a2, a1)
+    if s % g == 0:
+        x2, y2, g1 = 0, -1, g
+    else:
+        g1, x2, y2 = xgcd(s, g)
+        y2 = -y2
+    v1, v2 = a1 // g1, a2 // g1
+    c2 = (b2 * b2 - d) // (4 * a2)
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return v1 * v2, b2 + 2 * v2 * r, g1
 
 
-def _lam_sq_upper(field: QuadraticField) -> float:
-    from .units import fundamental_unit
+def _exact_div(x: QuadInt, n: int) -> QuadInt:
+    if x.a % n or x.b % n:
+        raise ArithmeticError(f"{x} is not divisible by {n}")
+    return QuadInt(x.field, x.a // n, x.b // n)
 
-    lam = fundamental_unit(field)
-    return float(lam.mp_value(30)) ** 2
+
+def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
+    """The canonical ideal of the class of I (see _canonical); the zero
+    ideal is returned unchanged."""
+    if i.is_zero():
+        return i
+    a, big_b = _canonical(i.field, *_form(i))
+    return QuadIdeal(i.field, a, _form_b(i.field, a, big_b), 1)
 
 
 def is_principal(i: QuadIdeal):
     """A generator of I when I is principal, else None.
 
-    Works on the primitive part (the scalar c splits off): a generator of
-    norm +-a is searched inside the positive definite norm form (imaginary)
-    or inside the fundamental-unit-reduced box (real); membership in I plus
-    the exact norm equality certifies (alpha) = I.
+    I = c*I0 is principal when I0 reduces to (1): the reduced form is
+    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real).  The
+    generator is c times the tracked alpha of that reduction.  Among its
+    associates the one returned has the least y >= 0 in x + y*w, a positive
+    norm before a negative one, then the larger x; real fields only take the
+    positive associates.  The certificate (gen) = I is checked.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
     field = i.field
-    a, b, c = i.a, i.b, i.c
-    if a == 1:
-        return field.integer(c, 0)
+    a0, big_b0 = _form(i)
+    if a0 == 1:
+        return field.integer(i.c, 0)
     if field.m < 0:
-        cands = _norm_form_solutions(field, a)
+        from .units import torsion_units
+
+        a, _, alpha = _reduce(field, a0, big_b0, field.integer(a0, 0))
+        if a != 1:
+            return None
+        cands = [alpha * z for z in torsion_units(field)]
     else:
-        cands = _real_norm_candidates(field, a, _lam_sq_upper(field))
-    for x, y in cands:
-        if (x - y * b) % a != 0:
-            continue
-        gen = field.integer(c * x, c * y)
-        assert abs(gen.norm()) == i.norm()
-        assert principal_ideal(field, gen) == i
-        return gen
-    return None
+        a, big_b, alpha = _reduce(field, a0, big_b0, field.integer(a0, 0))
+        gen = next((beta for a, _, beta in _cycle(field, a, big_b, alpha) if a == 1), None)
+        if gen is None:
+            return None
+        cands = _balanced_associates(gen, a0)
+    x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
+    gen = field.integer(i.c * x.a, i.c * x.b)
+    if principal_ideal(field, gen) != i:
+        raise ArithmeticError(f"{gen} does not generate {i}")
+    return gen
 
 
-def _shortest_element(i: QuadIdeal) -> QuadInt:
-    """Lagrange-Gauss shortest vector of an ideal lattice, imaginary case."""
-    u, v = i.basis()
+def _balanced_associates(gen: QuadInt, t: int) -> list[QuadInt]:
+    """The positive associates h/lam, h, h*lam of gen, lam > 1 the
+    fundamental unit and h the least one with h >= sqrt(t).
 
-    def n(x):
-        return x.norm()
-
-    def bdot(x, y):
-        return Fraction((x * y.conj() + y * x.conj()).trace(), 4)
-
-    if n(u) > n(v):
-        u, v = v, u
-    while True:
-        q = (bdot(u, v) / n(u) + Fraction(1, 2)).__floor__()
-        v = v - q * u
-        if n(v) >= n(u):
-            return u
-        u, v = v, u
-
-
-def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
-    """An ideal in the class of I with norm at or below the Minkowski floor.
-
-    Imaginary: conj((alpha)/I) for alpha a shortest element of I.
-    Real: search the unit-reduced box for alpha in I with |N(alpha)| = t*N(I),
-    t running up to the Minkowski floor (Minkowski guarantees a hit).
+    y is proportional to h - t/h (norm t), increasing in h and >= 0 from
+    sqrt(t) on, or to h + t/h (norm -t), least near sqrt(t); so every other
+    positive associate has a negative y or a larger one than one of these.
     """
-    if i.is_zero() or i.is_unit_ideal():
-        return i
-    field = i.field
-    if field.m < 0:
-        alpha = _shortest_element(i)
-        k = ideal_divides_and_quotient(i, principal_ideal(field, alpha))
-        return k.conj()
-    bound = minkowski_floor(field)
-    ni = i.norm()
-    lam_sq = _lam_sq_upper(field)
-    a, b, c = i.a, i.b, i.c
-    for t in range(1, bound + 1):
-        for x, y in _real_norm_candidates(field, t * ni, lam_sq):
-            # membership of x + y*w in I
-            if y % c != 0 or (x - (y // c) * c * b) % (c * a) != 0:
-                continue
-            alpha = field.integer(x, y)
-            k = ideal_divides_and_quotient(i, principal_ideal(field, alpha))
-            assert k is not None and k.norm() == t
-            return k.conj()
-    raise AssertionError("Minkowski bound guarantees a reduced representative")
+    from .units import fundamental_unit
+
+    field = gen.field
+    unit = fundamental_unit(field)
+    inv = unit_inverse(unit)
+    h = gen if gen.sign_real() > 0 else -gen
+
+    def below_root_t(x):
+        return (x * x - field.integer(t)).sign_real() < 0
+
+    while below_root_t(h):
+        h = h * unit
+    while not below_root_t(h * inv):
+        h = h * inv
+    return [h * inv, h, h * unit]
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +768,17 @@ class ClassGroupReport:
     table: tuple            # h x h composition table of class indices
     structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
 
+    def __post_init__(self):
+        # canonical ideal of each class -> its index
+        index = {reduced_equivalent(rep): k for k, rep in enumerate(self.representatives)}
+        object.__setattr__(self, "_index", index)
+
     def class_index(self, i: QuadIdeal) -> int:
         """Index of the class containing the given nonzero ideal."""
-        j = reduced_equivalent(i)
-        for idx, rep in enumerate(self.representatives):
-            if is_principal(ideal_product(j, rep.conj())) is not None:
-                return idx
-        raise AssertionError("every ideal class has a representative")
+        k = self._index.get(reduced_equivalent(i)) if i.field == self.field else None
+        if k is None:
+            raise ValueError(f"{i} is not a nonzero ideal of {self.field}")
+        return k
 
     def to_json_dict(self):
         return {
@@ -760,48 +791,30 @@ class ClassGroupReport:
         }
 
 
-def _order_counts(table) -> dict[int, int]:
+def _invariant_factors(table) -> tuple:
+    """Invariant factors d1 | d2 | ... of the group with this table.
+
+    |G[p^k]| = p^(sum_j min(e_j, k)) over the cyclic p-parts Z/p^(e_j), so
+    |G[p^k]| / |G[p^(k-1)]| = p^r counts the r parts of order >= p^k, and
+    each of the r largest invariant factors takes one more p.
+    """
     h = len(table)
-    counts: dict[int, int] = {}
+    orders = []
     for x in range(h):
         y, k = x, 1
         while y != 0:
             y = table[y][x]
             k += 1
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-def _divisor_chains(h: int, multiple_of: int = 1):
-    """All chains d1 | d2 | ... | dr with product h, each di >= 2."""
-    if h == 1:
-        yield ()
-        return
-    for d in range(2, h + 1):
-        if h % d == 0 and d % multiple_of == 0:
-            for rest in _divisor_chains(h // d, d):
-                yield (d,) + rest
-
-
-def _invariant_factors(table) -> tuple:
-    h = len(table)
-    if h == 1:
-        return ()
-    actual = _order_counts(table)
-    for chain in _divisor_chains(h):
-        trial: dict[int, int] = {}
-        # element orders of Z_{d1} x ... x Z_{dr} via lcm over coordinates
-        from itertools import product as iproduct
-
-        for tup in iproduct(*[range(d) for d in chain]):
-            o = 1
-            for d, x in zip(chain, tup):
-                od = d // math.gcd(d, x) if x else 1
-                o = o * od // math.gcd(o, od)
-            trial[o] = trial.get(o, 0) + 1
-        if trial == actual:
-            return chain
-    raise AssertionError("every finite abelian group matches an invariant-factor chain")
+        orders.append(k)
+    parts = [1] * h.bit_length()  # parts[j]: the (j+1)-th largest factor
+    for p, e in factorize(h) if h > 1 else ():
+        sizes = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
+        for k in range(1, e + 1):
+            j = 0
+            while sizes[k] >= sizes[k - 1] * p ** (j + 1):
+                parts[j] *= p
+                j += 1
+    return tuple(d for d in reversed(parts) if d > 1)
 
 
 def class_group(field: QuadraticField) -> ClassGroupReport:
@@ -809,8 +822,9 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
 
     Prime classes generate the group (every class holds an ideal of norm at
     or below the bound, and such an ideal factors into primes of small
-    norm); products are reduced back under the bound before classifying, so
-    all principality searches stay on small ideals.
+    norm).  A breadth-first search composes each new class with every prime
+    and looks the product up by its canonical form; the table then follows
+    from the prime that first reached each class.
     """
     bound = minkowski_floor(field)
     prime_ideals = []
@@ -819,27 +833,29 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
         if rep.kind == "inert":
             continue  # principal class, generates nothing
         prime_ideals.extend(p for p, _ in rep.factors)
-    reps = [unit_ideal(field)]
-
-    def locate(i: QuadIdeal):
-        j = reduced_equivalent(i)
-        for idx, rep in enumerate(reps):
-            if is_principal(ideal_product(j, rep.conj())) is not None:
-                return idx
-        return None
-
-    frontier = [unit_ideal(field)]
-    while frontier:
-        fresh = []
-        for i in frontier:
-            for p in prime_ideals:
-                j = reduced_equivalent(ideal_product(i, p))
-                if locate(j) is None:
-                    reps.append(j)
-                    fresh.append(j)
-        frontier = fresh
+    d = field.d
+    prime_forms = [_form(p) for p in prime_ideals]
+    reps = [_canonical(field, *_form(unit_ideal(field)))]
+    index = {reps[0]: 0}
+    origin = [None]  # (class, prime) whose product first reached each class
+    steps = []       # steps[k][j] = class of reps[k] * prime_ideals[j]
+    for k, (a, big_b) in enumerate(reps):  # reps grows while the loop runs
+        row = []
+        for j, (pa, pb) in enumerate(prime_forms):
+            key = _canonical(field, *_compose(d, a, big_b, pa, pb)[:2])
+            if key not in index:
+                index[key] = len(reps)
+                reps.append(key)
+                origin.append((k, j))
+            row.append(index[key])
+        steps.append(row)
     h = len(reps)
-    table = tuple(
-        tuple(locate(ideal_product(reps[i], reps[j])) for j in range(h)) for i in range(h)
-    )
-    return ClassGroupReport(field, h, tuple(reps), table, _invariant_factors(table))
+    table = []
+    for i in range(h):
+        row = [i]
+        for j in range(1, h):
+            parent, p = origin[j]
+            row.append(steps[row[parent]][p])
+        table.append(tuple(row))
+    reps = tuple(QuadIdeal(field, a, _form_b(field, a, big_b), 1) for a, big_b in reps)
+    return ClassGroupReport(field, h, reps, tuple(table), _invariant_factors(table))

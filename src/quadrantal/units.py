@@ -98,33 +98,29 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
     raise AssertionError("unreachable")
 
 
-def _convergents(field: QuadraticField):
-    """(p_k, q_k) stream for w's continued fraction."""
-    h0, h1 = 0, 1
-    k0, k1 = 1, 0
-    for a, _ in _cf_steps(field):
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        yield h1, k1
-
-
 @functools.lru_cache(maxsize=None)
 def fundamental_unit(field: QuadraticField) -> QuadInt:
     """The unit lam > 1 with U(R) = {+-lam^k}, from the first convergent
-    p/q of w making p - q*w a unit; lam is its large conjugate."""
+    p/q of w making p - q*w a unit; lam is its large conjugate.
+
+    N(p_(k-1) - q_(k-1)*w) = +-Q_k/Q_0 for the complete quotients
+    (P_k + sqrt(m))/Q_k of w, so the first unit is the convergent before
+    the first return of Q to Q_0; its norm is checked exactly.
+    """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    for steps, (p, q) in enumerate(_convergents(field)):
-        u = field.integer(p, -q)
-        if u.norm() in (1, -1):
-            lam = u.conj()
+    q0 = _cf_state(field)[1]
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    for steps, (a, (_, q)) in enumerate(_cf_steps(field)):
+        if steps and q == q0:
+            lam = field.integer(h1, -k1).conj()
             if lam.sign_real() < 0:
                 lam = -lam
-            assert lam.is_unit()
-            assert lam.mp_value(30) > 1
+            if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
+                raise ArithmeticError(f"{lam} is not a unit above 1")
             return lam
-        if steps > 10**7:
-            raise AssertionError("fundamental unit must appear within the period")
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
     raise AssertionError("unreachable")
 
 

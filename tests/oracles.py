@@ -64,3 +64,67 @@ def pell_least_solution(m: int, rhs: int, ymax: int = 200):
         if x * x == xx and x > 0:
             return x, y
     return None
+
+
+def class_number_by_forms(d: int) -> int:
+    """h(d) for d < 0: the number of primitive reduced forms (a, b, c) with
+    b^2 - 4ac = d, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            if (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if c < a or (c == a and b < 0) or math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            h += 1
+        a += 1
+    return h
+
+
+def kronecker(d: int, n: int) -> int:
+    """The Kronecker symbol (d/n) for n > 0."""
+    out = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            out = -out
+    # Jacobi symbol (d/n), n odd
+    a = d % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def log_fundamental_unit(d: int) -> float:
+    """log of the least unit (t + u sqrt(d))/2 > 1 of discriminant d > 0, from
+    the convergents p/q of w = (s + sqrt(d))/2 (s = d mod 2): the first with
+    N(p - q w) = +-1 exactly."""
+    s = d % 2
+    r = math.isqrt(d)
+    big_p, big_q = s, 2
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    while True:
+        a = (big_p + r) // big_q
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        big_p = a * big_q - big_p
+        big_q = (d - big_p * big_p) // big_q
+        if p1 * p1 - s * p1 * q1 + q1 * q1 * (s * s - d) // 4 in (1, -1):
+            # p - q*conj(w) = (2p - q s + q sqrt(d))/2
+            return math.log((2 * p1 - q1 * s + q1 * math.sqrt(d)) / 2)
+
+
+def real_class_number_analytic(d: int) -> float:
+    """h(d) for d > 0 from h log(eps) = -1/2 sum_{0<a<d} chi(a) log sin(pi a/d)."""
+    total = sum(kronecker(d, a) * math.log(math.sin(math.pi * a / d)) for a in range(1, d))
+    return -total / 2 / log_fundamental_unit(d)

@@ -1,14 +1,22 @@
+import random
 import time
+
+import pytest
 
 from quadrantal.quadring import (
     class_group,
     ideal_from_generators,
     ideal_product,
     is_principal,
+    minkowski_floor,
     principal_ideal,
     reduced_equivalent,
     ring_of_integers,
+    unit_inverse,
 )
+from quadrantal.units import fundamental_unit
+
+from oracles import class_number_by_forms, real_class_number_analytic
 
 
 class TestGoldenClassGroups:
@@ -126,3 +134,99 @@ class TestEquivalenceDefinitions:
         red = reduced_equivalent(ideal)
         assert red.norm() <= 3
         assert is_principal(ideal_product(ideal, red.conj())) is not None
+
+
+def squarefree_fields(lo, hi):
+    out = []
+    for m in range(lo, hi + 1):
+        try:
+            out.append(ring_of_integers(m))
+        except ValueError:
+            pass
+    return out
+
+
+class TestReductionOracles:
+    def test_imaginary_h_is_the_reduced_form_count(self):
+        # every imaginary field with |d| < 5000
+        checked = 0
+        for field in squarefree_fields(-4999, -1):
+            if -field.d < 5000:
+                assert class_group(field).h == class_number_by_forms(field.d), field.m
+                checked += 1
+        assert checked > 1500
+
+    def test_real_h_matches_the_analytic_class_number_formula(self):
+        # every real field with m <= 300, 265, 271 and 286 among them
+        for field in squarefree_fields(2, 300):
+            h = real_class_number_analytic(field.d)
+            assert abs(h - round(h)) < 1e-6
+            assert class_group(field).h == round(h), field.m
+
+    def test_h1299_and_h_minus_10007(self):
+        assert class_group(ring_of_integers(1299)).h == 8
+        assert class_group(ring_of_integers(-10007)).h == 77
+
+    @pytest.mark.parametrize("m", [265, 271, 286])
+    def test_is_principal_round_trips(self, m):
+        field = ring_of_integers(m)
+        rep = class_group(field)
+        lam = fundamental_unit(field)
+        lam_inv = unit_inverse(lam)
+        rng = random.Random(m)
+        seen = set()
+        for _ in range(40):
+            n = rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+            ideal = ideal_from_generators(
+                field, [field.integer(n), field.integer(rng.randint(-40, 40), rng.randint(0, 6))]
+            )
+            if ideal.is_unit_ideal():
+                continue
+            gen = is_principal(ideal)
+            assert (gen is not None) == (rep.class_index(ideal) == 0)
+            seen.add(gen is not None)
+            if gen is None:
+                assert rep.h > 1
+                continue
+            assert principal_ideal(field, gen) == ideal
+            assert abs(gen.norm()) == ideal.norm()
+            # the positive associate of least y >= 0
+            assert gen.sign_real() > 0 and gen.b >= 0
+            for other in (gen * lam, gen * lam_inv):
+                assert other.b < 0 or other.b >= gen.b
+        assert True in seen and (False in seen) == (rep.h > 1)
+
+
+class TestCanonicalReduction:
+    @pytest.mark.parametrize("m", [-23, -21, -5, -3, -1, 10, 79, 226])
+    def test_one_ideal_per_class(self, m):
+        field = ring_of_integers(m)
+        rep = class_group(field)
+        rng = random.Random(m)
+        for _ in range(30):
+            ideal = ideal_from_generators(
+                field,
+                [field.integer(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(2)],
+            )
+            if ideal.is_zero():
+                continue
+            red = reduced_equivalent(ideal)
+            assert red.c == 1 and red.norm() <= minkowski_floor(field) or red.is_unit_ideal()
+            assert reduced_equivalent(red) == red
+            assert red == rep.representatives[rep.class_index(ideal)]
+            assert is_principal(ideal_product(ideal, red.conj())) is not None
+
+
+def test_invariant_factors_from_p_power_torsion_counts():
+    from itertools import product
+
+    from quadrantal.quadring import _invariant_factors
+
+    for chain in ((), (2,), (6,), (2, 2), (2, 4), (3, 9), (2, 2, 6), (4, 4), (2, 12)):
+        elements = list(product(*[range(n) for n in chain]))
+        index = {e: k for k, e in enumerate(elements)}
+        table = [
+            [index[tuple((x + y) % n for x, y, n in zip(a, b, chain))] for b in elements]
+            for a in elements
+        ]
+        assert _invariant_factors(table) == chain

@@ -7,6 +7,14 @@ import pytest
 from quadrantal.cli import main
 
 
+@pytest.fixture(autouse=True)
+def restore_int_str_limit():
+    # main() lifts the int->str digit limit for the rest of its process
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -100,6 +108,12 @@ class TestFieldCommands:
             "0,1/1000,0,0",
         )
         assert data == {"n": "1000", "cleared_coords": ["0", "1", "0", "0"]}
+
+    def test_trace_norm_bare_minus_x(self, capsys):
+        data = run_json(
+            capsys, "field", "trace-norm", "--minpoly", "x^5 - x - 1", "--element", "0,1"
+        )
+        assert data == {"trace": "0", "norm": "1"}
 
     def test_trace_norm_large_constant_term(self, capsys):
         code, out = run_cli(
@@ -211,6 +225,19 @@ class TestUnitsAndPell:
         data = run_json(capsys, "units", "--m", "-3")
         assert data["w"] == 6 and data["rank"] == 0 and data["regulator"] == "1"
 
+    def test_large_m_without_traceback(self, capsys):
+        # the fundamental unit of m = 10^9 + 7 has over 6000 digits
+        m = "1000000007"
+        data = run_json(capsys, "units", "--m", m)
+        assert len(str(data["fundamental_unit"]["a"])) > 4300
+        assert data["regulator"].startswith("14693.62")
+        data = run_json(capsys, "pell", "--m", m, "--kind", "plusOne")
+        assert data["solvable"] is True and len(data["x"]) > 4300
+        data = run_json(capsys, "quad", "principal", "--m", m, "--ideal", "(2, 1+w)")
+        assert data["principal"] is True
+        gen = data["generator"]
+        assert gen["a"] ** 2 - int(m) * gen["b"] ** 2 in (2, -2)
+
     def test_pell(self, capsys):
         data = run_json(capsys, "pell", "--m", "2", "--kind", "minusOne")
         assert data["solvable"] and (data["x"], data["y"]) == ("1", "1")
@@ -244,6 +271,26 @@ class TestCensusCommand:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "k,z_over_k"
         assert lines[-1].startswith("500,")
+
+    @pytest.mark.parametrize("per_class", [[], ["--per-class"]])
+    def test_csv_sieves_once(self, capsys, tmp_path, monkeypatch, per_class):
+        from quadrantal import census
+        from quadrantal.quadring import ring_of_integers
+
+        calls = []
+        sieve = census.ideal_count_sieve
+
+        def counting_sieve(field, k):
+            calls.append(k)
+            return sieve(field, k)
+
+        monkeypatch.setattr(census, "ideal_count_sieve", counting_sieve)
+        csv = tmp_path / "ratios.csv"
+        run_json(capsys, "census", "--m", "-23", "--k", "3000", *per_class, "--csv", str(csv))
+        assert calls == [3000]
+        rows = census.checkpoint_ratios(ring_of_integers(-23), 3000)
+        expected = "k,z_over_k\n" + "".join(f"{kp},{ratio!r}\n" for kp, ratio in rows)
+        assert csv.read_text() == expected
 
 
 def sum_of_sieve(m, k):

@@ -177,3 +177,13 @@ def test_text_and_json_round_trips():
         assert Poly.from_json_array(p.to_json_array()) == p
     assert Poly.from_text("x^2 - 2") == P(-2, 0, 1)
     assert Poly.from_text("1 + x") == P(1, 1)
+
+
+def test_bare_minus_x_terms():
+    assert Poly.from_text("-x") == P(0, -1)
+    assert Poly.from_text("-x^3 + x") == P(0, 1, 0, -1)
+    assert Poly.from_text("x^5 - x - 1") == P(-1, -1, 0, 0, 0, 1)
+    assert Poly.from_text("2 - x^2") == P(2, 0, -1)
+    for bad in ("-", "x -", "--x", "-^2"):
+        with pytest.raises(ValueError):
+            Poly.from_text(bad)

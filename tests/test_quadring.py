@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadrantal.arith import NotSquareFree, SquareFreeUnverified, primes_up_to
+from quadrantal.arith import NotSquareFree, SquareFreeUnverified, primes_up_to, sqrt_mod
 from quadrantal.quadring import (
     QuadIdeal,
     factor_ideal,
@@ -71,6 +71,30 @@ class TestRingConstruction:
         assert not F2.integer(2, 0).is_unit()
         F3 = ring_of_integers(-3)
         assert F3.integer(0, 1).is_unit()       # (1 + sqrt(-3))/2
+
+
+class TestSqrtMod:
+    def test_smaller_root_of_every_residue(self):
+        # every odd prime below 3000 and every nonzero residue, against the
+        # least root found by squaring 1..(q-1)/2
+        for q in primes_up_to(3000)[1:]:
+            least = {}
+            for x in range((q - 1) // 2, 0, -1):
+                least[x * x % q] = x
+            for a in range(1, q):
+                if a in least:
+                    assert sqrt_mod(a, q) == least[a], (a, q)
+            non_residues = [a for a in range(1, q) if a not in least]
+            for a in non_residues[:3] + non_residues[-3:]:
+                with pytest.raises(ValueError):
+                    sqrt_mod(a, q)
+
+    def test_zero_and_large_primes(self):
+        assert sqrt_mod(0, 7) == 0 and sqrt_mod(14, 7) == 0
+        for q in (10**9 + 7, 10**9 + 9, 998244353):  # q = 3, 1, 1 mod 4
+            for a in (2, 3, 5, 10, 12345):
+                a2 = a * a % q
+                assert sqrt_mod(a2, q) == min(a, q - a)
 
 
 class TestIdealStandardForm:

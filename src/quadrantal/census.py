@@ -29,11 +29,19 @@ from .quadring import (
 )
 from .units import regulator_mp, torsion_order
 
+MAX_TABLE = 10**8  # entries; a list of this many ints is about 800 MB
+
+
+def _check_table_size(entries: int) -> None:
+    if entries > MAX_TABLE:
+        raise ValueError(f"cutoff needs a table of {entries} entries, over the cap {MAX_TABLE}")
+
 
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0)."""
     if k < 1:
         raise ValueError("cutoff must be at least 1")
+    _check_table_size(k + 1)
     a = [1] * (k + 1)
     a[0] = 0
     for q in primes_up_to(k):
@@ -65,7 +73,8 @@ def sigma_theoretical(field: QuadraticField, precision: int = 30):
             # cross-check the specialised real-quadratic forms 2 log(lam)/sqrt(m)
             # (m = 1 mod 4) and log(lam)/sqrt(m)
             alt = (2 if field.half else 1) * rho / mpmath.sqrt(field.m)
-            assert mpmath.almosteq(sigma, alt, rel_eps=mpmath.mpf(10) ** (-precision))
+            if not mpmath.almosteq(sigma, alt, rel_eps=mpmath.mpf(10) ** (-precision)):
+                raise ArithmeticError(f"sigma {sigma} disagrees with {alt}")
         return +sigma
 
 
@@ -121,8 +130,8 @@ def _census_with_counts(field, k, per_class, report, precision):
         report = class_group(field)
     h = report.h
     per = tuple(sum(row) for row in per_class_counts(field, k, report)) if per_class else None
-    if per is not None:
-        assert sum(per) == z_k
+    if per is not None and sum(per) != z_k:
+        raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
     with mpmath.workdps(precision + 15):
         sigma = sigma_theoretical(field, precision)
         zk = mpmath.mpf(z_k) / k
@@ -147,6 +156,7 @@ def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     """counts[c][n] = ideals of norm exactly n in class c, by a multiplicative
     knapsack over prime ideals keyed by class-group element."""
     h = report.h
+    _check_table_size(h * (k + 1))
     table = report.table
 
     def gpow(g: int, j: int) -> int:

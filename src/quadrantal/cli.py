@@ -140,10 +140,6 @@ def parse_ideal(field: QuadraticField, text: str) -> QuadIdeal:
     return ideal_from_generators(field, gens)
 
 
-def make_field(m: int) -> QuadraticField:
-    return QuadraticField(m)
-
-
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def cmd_field(args) -> dict:
 
 
 def cmd_quad(args) -> dict:
-    field = make_field(args.m)
+    field = QuadraticField(args.m)
     if args.action == "ring":
         return {
             "m": field.m,
@@ -321,7 +317,7 @@ def _verify_class_group(report) -> dict:
 
 
 def cmd_units(args) -> dict:
-    field = make_field(args.m)
+    field = QuadraticField(args.m)
     out = unit_group_report(field, precision=decimal_precision(50)).to_json_dict()
     if field.m > 0:
         quotients, period = continued_fraction_of_omega(field)
@@ -346,7 +342,7 @@ def cmd_cyclo(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    field = make_field(args.m)
+    field = QuadraticField(args.m)
     result, counts = census_mod._census_with_counts(
         field, args.k, args.per_class, None, decimal_precision(30)
     )

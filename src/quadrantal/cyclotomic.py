@@ -108,7 +108,8 @@ def split_prime_cyclotomic(m: int, q: int) -> CycloSplitting:
         f = multiplicative_order(q, n)
         g = euler_phi(n) // f
     phi_m = euler_phi(m)
-    assert e * f * g == phi_m
+    if e * f * g != phi_m:
+        raise ArithmeticError(f"e*f*g = {e * f * g} is not phi({m}) = {phi_m}")
     notes = None
     if k >= 1 and n == 1 and is_prime(m):
         notes = f"({q}) = (1 - w)^{m - 1}"

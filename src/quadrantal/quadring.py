@@ -7,8 +7,8 @@ standard form
     I = c * ( Z*a + Z*(b + w) ),   a, c > 0,  0 <= b < a,  a | N(b + w),
 
 whose two generators {c*a, c*(b+w)} realize the two-generator theorem
-constructively; equality of ideals is equality of triples.  All operations
-renormalize through a 2x2 integer Hermite reduction.
+constructively; equality of ideals is equality of triples.  Only ideals
+given by generators, and gcds, go through a 2x2 integer Hermite reduction.
 
 Prime splitting follows the classical case law:
 
@@ -17,8 +17,8 @@ Prime splitting follows the classical case law:
     q = 2, d odd         : split iff m = 1 mod 8, inert iff m = 5 mod 8
     q = 2, d even        : (2, sqrt(m))^2 or (2, 1+sqrt(m))^2 by m mod 4
 
-Every splitting result is re-multiplied and checked against (q) before it
-is returned.
+A prime over q is the form (q, B), B^2 = d mod 4q, or (q) when inert;
+factorizations are read off the standard form, both certified by products.
 
 Classes come from binary quadratic forms: the primitive ideal
 Z*a + Z*(b + w) has the norm form (a, B, C) of discriminant d, B = 2b (+1
@@ -26,9 +26,10 @@ when m = 1 mod 4), C = N(b + w)/a.  One reduction operator, the rho-step
 J -> (conj(tau)/N(J)) * J with its exact relative generator, takes it to
 the Gauss-reduced form (imaginary; one per class) or onto the rho-cycle of
 reduced ideals (real; the least (a, b) on it stands for the class).
-Principality is "reduces to (1)"; class products are Dirichlet composition
-of forms.  No float decides any of it (Cohen, GTM 138, 5.3-5.6; Buchmann
-and Vollmer, Binary Quadratic Forms, ch. 6).
+Principality is "reduces to (1)"; ideal (and class) products are Dirichlet
+composition of forms, conjugation is (a, B) -> (a, -B).  No float decides
+any of it (Cohen, GTM 138, 5.3-5.6; Buchmann and Vollmer, Binary Quadratic
+Forms, ch. 6).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .arith import (
     check_square_free,
     factorize,
     floor_of_root_quotient,
+    is_prime,
     legendre_is_residue,
     primes_up_to,
     sqrt_bounds,
@@ -87,10 +89,6 @@ class QuadraticField:
 
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
-
-    def sqrt_m(self) -> "QuadInt":
-        """sqrt(m) itself as a ring element (= 2w - 1 in the half-basis)."""
-        return QuadInt(self, -1, 2) if self.half else QuadInt(self, 0, 1)
 
     def omega_norm_poly(self, b: int) -> int:
         """N(b + w) as a rational integer."""
@@ -285,9 +283,6 @@ class QuadIdeal:
     def __hash__(self):
         return hash((self.field.m, self.a, self.b, self.c))
 
-    def sort_key(self):
-        return (self.norm(), self.a, self.b, self.c)
-
     def norm(self) -> int:
         """|R/I| = a * c**2."""
         if self.is_zero():
@@ -312,10 +307,11 @@ class QuadIdeal:
         return all(self.contains(g) for g in other.basis())
 
     def conj(self) -> "QuadIdeal":
+        """c * (a, -B): the conjugate of the primitive part's form."""
         if self.is_zero():
             return self
-        g1, g2 = self.basis()
-        return ideal_from_generators(self.field, [g1.conj(), g2.conj()])
+        a, big_b = _form(self)
+        return QuadIdeal(self.field, a, _form_b(self.field, a, -big_b), self.c)
 
     def __repr__(self):
         if self.is_zero():
@@ -363,14 +359,17 @@ def ideal_from_generators(field: QuadraticField, gens) -> QuadIdeal:
         if vy:
             g, s, t = xgcd(yc, vy)
             x0, yc = s * x0 + t * vx, g
-    assert yc > 0, "a nonzero ideal spans rank 2"
+    if yc <= 0:
+        raise ArithmeticError("a nonzero ideal spans rank 2")
     xs = [vx - (vy // yc) * x0 for vx, vy in vecs]
     big_a = 0
     for x in xs:
         big_a = math.gcd(big_a, x)
-    assert big_a > 0, "a nonzero ideal spans rank 2"
+    if big_a <= 0:
+        raise ArithmeticError("a nonzero ideal spans rank 2")
     big_b = x0 % big_a
-    assert big_a % yc == 0 and big_b % yc == 0, "omega-closure forces divisibility"
+    if big_a % yc or big_b % yc:
+        raise ArithmeticError("omega-closure forces divisibility")
     return QuadIdeal(field, big_a // yc, big_b // yc, yc)
 
 
@@ -379,13 +378,14 @@ def principal_ideal(field: QuadraticField, x: QuadInt) -> QuadIdeal:
 
 
 def ideal_product(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
-    """Standard form of I*J; zero absorbs."""
+    """Standard form of I*J = c_i*c_j*g*I3, the primitive parts composed as
+    forms (I3 and g from _compose); zero absorbs."""
     if i.field != j.field:
         raise ValueError("ideals of different fields")
     if i.is_zero() or j.is_zero():
         return zero_ideal(i.field)
-    gi, gj = i.basis(), j.basis()
-    return ideal_from_generators(i.field, [x * y for x in gi for y in gj])
+    a, big_b, g = _compose(i.field.d, *_form(i), *_form(j))
+    return QuadIdeal(i.field, a, _form_b(i.field, a, big_b), i.c * j.c * g)
 
 
 def ideal_gcd(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
@@ -413,9 +413,11 @@ def ideal_divides_and_quotient(i: QuadIdeal, j: QuadIdeal):
         return None
     ni = i.norm()
     p = ideal_product(j, i.conj())
-    assert p.c % ni == 0, "quotient must clear the rational norm factor"
+    if p.c % ni:
+        raise ArithmeticError("quotient must clear the rational norm factor")
     k = QuadIdeal(i.field, p.a, p.b, p.c // ni)
-    assert ideal_product(i, k) == j
+    if ideal_product(i, k) != j:
+        raise ArithmeticError(f"{i} * {k} is not {j}")
     return k
 
 
@@ -470,73 +472,58 @@ def splitting_kind(field: QuadraticField, q: int) -> str:
 
 
 def split_prime(field: QuadraticField, q: int) -> SplittingReport:
-    """Factor (q) per the quadratic splitting laws; the product of the
-    reported factors is re-multiplied and checked against (q)."""
-    from .arith import is_prime
-
+    """Factor (q) per the quadratic splitting laws: a split or ramified prime
+    is the form (q, B), B = d mod 2 and B^2 = d mod 4q, with its conjugate
+    (q, -B); an inert one is (q).  The factors are checked to be distinct
+    (split) and to multiply to (q)."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    m = field.m
     kind = splitting_kind(field, q)
     if kind == "inert":
-        factors = ((principal_ideal(field, field.integer(q, 0)), 1),)
-        e, f, g = 1, 2, 1
-    elif kind == "ramified":
-        if q == 2 and m % 4 == 3:
-            gen = field.integer(1, 0) + field.sqrt_m()  # 1 + sqrt(m)
-        else:
-            gen = field.sqrt_m()
-        p = ideal_from_generators(field, [field.integer(q, 0), gen])
-        factors = ((p, 2),)
-        e, f, g = 2, 1, 1
-    else:  # split
+        factors, efg = ((QuadIdeal(field, 1, 0, q), 1),), (1, 2, 1)
+    else:
+        d = field.d
         if q == 2:
-            # m = 1 mod 8: (2, (1 +- sqrt(m))/2) = (2, w), (2, 1 - w)
-            gens = [field.omega(), field.integer(1, 0) - field.omega()]
+            big_b = 1 if d % 2 else 2 * (field.m % 2)
         else:
-            a = sqrt_mod(m, q)
-            s = field.sqrt_m()
-            gens = [field.integer(a, 0) + s, field.integer(a, 0) - s]
-        q_el = field.integer(q, 0)
-        ps = sorted(
-            (ideal_from_generators(field, [q_el, g]) for g in gens),
-            key=lambda p: (p.a, p.b, p.c),
-        )
-        assert ps[0] != ps[1], "split factors must be distinct"
-        factors = ((ps[0], 1), (ps[1], 1))
-        e, f, g = 1, 1, 2
+            big_b = sqrt_mod(d, q)
+            big_b += q * ((big_b - d) % 2)
+        bs = sorted({_form_b(field, q, big_b), _form_b(field, q, -big_b)})
+        ps = [QuadIdeal(field, q, b, 1) for b in bs]
+        if kind == "ramified":
+            factors, efg = ((ps[0], 2),), (2, 1, 1)
+        elif len(ps) == 2:
+            factors, efg = ((ps[0], 1), (ps[1], 1)), (1, 1, 2)
+        else:
+            raise ArithmeticError(f"the split factors of {q} coincide")
     prod = unit_ideal(field)
     for p, mult in factors:
         for _ in range(mult):
             prod = ideal_product(prod, p)
-    assert prod == principal_ideal(field, field.integer(q, 0)), "factor product must be (q)"
-    return SplittingReport(field, q, kind, e, f, g, factors)
+    if prod != QuadIdeal(field, 1, 0, q):
+        raise ArithmeticError(f"the factors of {q} multiply to {prod}, not ({q})")
+    return SplittingReport(field, q, kind, *efg, factors)
 
 
 def factor_ideal(i: QuadIdeal):
     """Prime-ideal factorization as a list of (prime ideal, multiplicity),
-    primes ordered by (q, b); the re-multiplied product equals the input."""
+    primes ordered by (q, b).  For I = c * (Z*a + Z*(b + w)) a prime q
+    contributes (q)^v_q(c), and the primitive part is divisible by the prime
+    (q, b mod q) exactly v_q(a) times; the product is checked against I."""
     if i.is_zero() or i.is_unit_ideal():
         raise ValueError("factor a nonzero, proper ideal")
     field = i.field
-    rem = i
+    va, vc = dict(factorize(i.a)), dict(factorize(i.c))
     out = []
-    for q, _ in factorize(i.norm()):
-        for p, _ in split_prime(field, q).factors:
-            v = 0
-            while True:
-                k = ideal_divides_and_quotient(p, rem)
-                if k is None:
-                    break
-                rem = k
-                v += 1
+    prod = unit_ideal(field)
+    for q in sorted(va.keys() | vc.keys()):
+        for p, mult in split_prime(field, q).factors:
+            v = mult * vc.get(q, 0) + (va.get(q, 0) if (p.a, p.b) == (q, i.b % q) else 0)
             if v:
                 out.append((p, v))
-    assert rem.is_unit_ideal(), "norm primes must exhaust the factorization"
-    prod = unit_ideal(field)
-    for p, v in out:
-        prod = ideal_product(prod, ideal_pow(p, v))
-    assert prod == i
+                prod = ideal_product(prod, ideal_pow(p, v))
+    if prod != i:
+        raise ArithmeticError(f"the factors of {i} multiply to {prod}")
     return out
 
 

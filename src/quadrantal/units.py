@@ -73,9 +73,9 @@ def _cf_steps(field: QuadraticField):
         yield a, (p, q)
         p = a * q - p
         q2, r = divmod(m - p * p, q)
-        assert r == 0, "the (P, Q) recurrence preserves divisibility"
+        if r or q2 <= 0:
+            raise ArithmeticError("the (P, Q) recurrence preserves divisibility and Q > 0")
         q = q2
-        assert q > 0
 
 
 def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):

@@ -79,6 +79,13 @@ class TestCensusCheck:
         with pytest.raises(ValueError):
             census_check(F5, 50)
 
+    def test_table_above_cap_rejected_before_allocating(self):
+        k = 10**12
+        with pytest.raises(ValueError, match="over the cap"):
+            ideal_count_sieve(F5, k)
+        with pytest.raises(ValueError, match="over the cap"):
+            per_class_counts(F5, k, class_group(F5))
+
 
 class TestPerClass:
     def test_sum_identity(self):

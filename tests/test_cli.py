@@ -162,6 +162,16 @@ class TestQuadCommands:
         assert [f["norm"] for f in data["factors"]] == ["3", "3", "7", "7"]
         assert data["verification"] == {"product_equals_input": True}
 
+    def test_factor_large_inert_prime(self, capsys):
+        # (p) has norm p^2, beyond trial division; the standard form gives p
+        p = "1000000000039"
+        data = run_json(capsys, "quad", "factor", "--m", "-5", "--ideal", f"({p})", "--verify")
+        assert data["factors"] == [
+            {"prime": {"m": -5, "a": "1", "b": "0", "c": p}, "norm": str(int(p) ** 2),
+             "multiplicity": 1}
+        ]
+        assert data["verification"] == {"product_equals_input": True}
+
     def test_factor_generator_syntax(self, capsys):
         data = run_json(capsys, "quad", "factor", "--m", "-5", "--ideal", "(3, 1+2w)")
         assert len(data["factors"]) == 1 and data["factors"][0]["norm"] == "3"
@@ -291,6 +301,13 @@ class TestCensusCommand:
         rows = census.checkpoint_ratios(ring_of_integers(-23), 3000)
         expected = "k,z_over_k\n" + "".join(f"{kp},{ratio!r}\n" for kp, ratio in rows)
         assert csv.read_text() == expected
+
+    def test_cutoff_above_table_cap_exits_3(self, capsys):
+        code = main(["census", "--m", "-5", "--k", str(10**12)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: cutoff needs a table of")
+        assert captured.err.count("\n") == 1
 
 
 def sum_of_sieve(m, k):

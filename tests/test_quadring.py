@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +37,24 @@ def random_nonzero_ideal(field, rng, max_norm):
         ideal = ideal_from_generators(field, [g1, g2])
         if not ideal.is_zero() and not ideal.is_unit_ideal() and ideal.norm() <= max_norm:
             return ideal
+
+
+# m < 0 and m > 0, m = 1, 2, 3 mod 4
+REFERENCE_FIELDS = [ring_of_integers(m) for m in (-23, -5, -3, -1, 2, 3, 5, 10, 13)]
+
+
+def random_scaled_ideal(field, rng, max_norm):
+    """A random ideal, times a rational integer 2..5 (so c > 1) about a third
+    of the time."""
+    ideal = random_nonzero_ideal(field, rng, max_norm)
+    k = rng.choice((1, 1, rng.randint(2, 5)))
+    return ideal_from_generators(field, [g * k for g in ideal.basis()])
+
+
+def generator_product(i, j):
+    """I*J as the Hermite form of the four basis products: a reference
+    independent of the composition of forms."""
+    return ideal_from_generators(i.field, [x * y for x in i.basis() for y in j.basis()])
 
 
 class TestRingConstruction:
@@ -161,6 +181,14 @@ class TestIdealArithmetic:
                 a = random_nonzero_ideal(field, rng, 10**5)
                 b = random_nonzero_ideal(field, rng, 10**5)
                 assert ideal_product(a, b).norm() == a.norm() * b.norm()
+        scaled = 0
+        for field in REFERENCE_FIELDS:
+            for _ in range(40):
+                a = random_scaled_ideal(field, rng, 10**5)
+                b = random_scaled_ideal(field, rng, 10**5)
+                assert ideal_product(a, b) == generator_product(a, b)
+                scaled += a.c > 1
+        assert scaled > 40
 
     def test_principal_norm_is_element_norm(self):
         rng = random.Random(3)
@@ -221,6 +249,17 @@ class TestIdealArithmetic:
                 ideal = random_nonzero_ideal(field, rng, 10**5)
                 expected = principal_ideal(field, field.integer(ideal.norm(), 0))
                 assert ideal_product(ideal, ideal.conj()) == expected
+        scaled = 0
+        for field in REFERENCE_FIELDS:
+            for _ in range(40):
+                ideal = random_scaled_ideal(field, rng, 10**5)
+                conj = ideal_from_generators(field, [g.conj() for g in ideal.basis()])
+                assert ideal.conj() == conj
+                expected = principal_ideal(field, field.integer(ideal.norm(), 0))
+                assert ideal_product(ideal, conj) == expected
+                assert generator_product(ideal, conj) == expected
+                scaled += ideal.c > 1
+        assert scaled > 40
 
 
 class TestSplitPrime:
@@ -260,6 +299,11 @@ class TestSplitPrime:
                 for p, mult in rep.factors:
                     prod = ideal_product(prod, ideal_pow(p, mult))
                 assert prod == principal_ideal(field, field.integer(q, 0))
+                ref = unit_ideal(field)
+                for p, mult in rep.factors:
+                    for _ in range(mult):
+                        ref = generator_product(ref, p)
+                assert ref == prod
                 if rep.kind == "split":
                     assert rep.factors[0][0] != rep.factors[1][0]
                     # oracle: the splitting criterion is the square test mod q
@@ -302,6 +346,24 @@ class TestFactorIdeal:
                 assert prod == ideal
                 # uniqueness: refactoring the product gives the same multiset
                 assert factor_ideal(prod) == factors
+
+    def test_certificates_survive_optimize(self):
+        # with ideal_product broken, the product certificates must still raise
+        # when python -O strips asserts
+        code = (
+            "import quadrantal.quadring as qr\n"
+            "F = qr.QuadraticField(-5)\n"
+            "qr.ideal_product = lambda i, j: qr.unit_ideal(i.field)\n"
+            "for call in (lambda: qr.split_prime(F, 7),\n"
+            "             lambda: qr.factor_ideal(qr.principal_ideal(F, F.integer(21)))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ArithmeticError:\n"
+            "        continue\n"
+            "    raise SystemExit('certificate did not raise')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIsPrincipal:

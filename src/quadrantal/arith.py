@@ -8,6 +8,7 @@ instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -66,8 +67,8 @@ def primes_up_to(n: int) -> list[int]:
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(n) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(2, n + 1) if flags[i]]
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(itertools.compress(range(n + 1), flags))
 
 
 def factorize(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:

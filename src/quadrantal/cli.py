@@ -3,7 +3,8 @@
 Output is JSON (default) or plain text; identical invocations produce
 byte-identical output.  Arbitrary-precision quantities are rendered as
 decimal strings.  Exit codes: 0 success, 2 invalid input, 3 computational
-precondition failure (non-square-free m, unfactorable input, ...).
+precondition failure (non-square-free m, unfactorable input, an unwritable
+--csv file, ...).
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30).
 """
@@ -349,10 +350,13 @@ def cmd_census(args) -> dict:
     out = result.to_json_dict()
     if args.csv:
         rows = census_mod._checkpoints(counts, args.k)
-        with open(args.csv, "w") as fh:
-            fh.write("k,z_over_k\n")
-            for kp, ratio in rows:
-                fh.write(f"{kp},{ratio!r}\n")
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write("k,z_over_k\n")
+                for kp, ratio in rows:
+                    fh.write(f"{kp},{ratio!r}\n")
+        except OSError as e:
+            raise ValueError(f"cannot write {args.csv}: {e.strerror}") from e
         out["csv"] = args.csv
     return out
 

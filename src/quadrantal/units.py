@@ -98,7 +98,8 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
     raise AssertionError("unreachable")
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: a unit of a field with a long period runs to thousands of digits
+@functools.lru_cache(maxsize=1024)
 def fundamental_unit(field: QuadraticField) -> QuadInt:
     """The unit lam > 1 with U(R) = {+-lam^k}, from the first convergent
     p/q of w making p - q*w a unit; lam is its large conjugate.

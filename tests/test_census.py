@@ -2,6 +2,7 @@ import mpmath
 import pytest
 
 from quadrantal.census import (
+    BLOCK,
     census_check,
     checkpoint_ratios,
     ideal_count_sieve,
@@ -10,7 +11,8 @@ from quadrantal.census import (
 )
 from quadrantal.quadring import class_group, ring_of_integers
 
-from oracles import hnf_ideal_counts
+from oracles import hnf_ideal_counts, kronecker
+from test_classgroup import squarefree_fields
 
 F5 = ring_of_integers(-5)
 F2 = ring_of_integers(2)
@@ -37,6 +39,56 @@ class TestSieve:
             sieve = ideal_count_sieve(field, 300)
             oracle = hnf_ideal_counts(field.m, 300)
             assert sieve == oracle
+
+
+def divisor_sum_counts(d, k):
+    """b[n] = sum of kronecker(d, e) over the divisors e of n, for n <= k."""
+    b = [0] * (k + 1)
+    for e in range(1, k + 1):
+        chi = kronecker(d, e)
+        if chi:
+            for n in range(e, k + 1, e):
+                b[n] += chi
+    return b
+
+
+class TestSieveOracle:
+    """The sieve against a(n) = sum_{e | n} chi_d(e) at cutoffs around its
+    seams: the first primes, a square r^2 (where a prime moves from the
+    recurrence to the multiplier) and one block of the strided recurrence."""
+
+    SMALL = (1, 2, 3, 4, 30**2 - 1, 30**2, 30**2 + 1)
+    BLOCKS = (BLOCK - 1, BLOCK, BLOCK + 1)
+
+    def check(self, field, cutoffs):
+        oracle = divisor_sum_counts(field.d, max(cutoffs))
+        for k in cutoffs:
+            assert ideal_count_sieve(field, k) == oracle[: k + 1], (field.m, k)
+
+    def test_every_field_in_minus100_100(self):
+        fields = squarefree_fields(-100, 100)
+        # 2 ramified (m = 2, 3 mod 4), split (m = 1 mod 8) and inert (m = 5 mod 8)
+        assert {f.m % 8 for f in fields} >= {1, 2, 3, 5, 6, 7}
+        for field in fields:
+            self.check(field, self.SMALL)
+
+    def test_block_seams_for_every_class_of_m_mod_8(self):
+        for m in (17, -7, 2, -6, 3, -5, 5, -3, 6, -2, 7, -1):
+            self.check(ring_of_integers(m), self.SMALL + self.BLOCKS)
+
+    def test_discriminant_above_cutoff(self):
+        for m in (-10007, 1000003):
+            field = ring_of_integers(m)
+            assert abs(field.d) > 30**2 + 1
+            self.check(field, self.SMALL + self.BLOCKS)
+
+    def test_hyperbola_sum_at_2e5(self):
+        # Z(k) = sum_{e <= k} chi_d(e) floor(k/e)
+        k = 2 * 10**5
+        for m in (2, -23):
+            field = ring_of_integers(m)
+            z = sum(kronecker(field.d, e) * (k // e) for e in range(1, k + 1))
+            assert sum(ideal_count_sieve(field, k)) == z
 
 
 class TestSigma:

@@ -302,6 +302,14 @@ class TestCensusCommand:
         expected = "k,z_over_k\n" + "".join(f"{kp},{ratio!r}\n" for kp, ratio in rows)
         assert csv.read_text() == expected
 
+    def test_unwritable_csv_exits_3(self, capsys, tmp_path):
+        csv = tmp_path / "missing" / "x.csv"
+        code = main(["census", "--m", "-5", "--k", "1000", "--per-class", "--csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {csv}")
+        assert captured.err.count("\n") == 1
+
     def test_cutoff_above_table_cap_exits_3(self, capsys):
         code = main(["census", "--m", "-5", "--k", str(10**12)])
         captured = capsys.readouterr()

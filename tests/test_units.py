@@ -89,6 +89,10 @@ class TestFundamentalUnit:
         with pytest.raises(ValueError):
             fundamental_unit(ring_of_integers(-7))
 
+    def test_cache_is_bounded(self):
+        info = fundamental_unit.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
     def test_norm_and_minimality(self):
         for m in (2, 3, 5, 6, 7, 10, 13):
             field = ring_of_integers(m)

@@ -3,8 +3,8 @@
 Output is JSON (default) or plain text; identical invocations produce
 byte-identical output.  Arbitrary-precision quantities are rendered as
 decimal strings.  Exit codes: 0 success, 2 invalid input, 3 computational
-precondition failure (non-square-free m, unfactorable input, an unwritable
---csv file, ...).
+precondition failure (non-square-free m, unfactorable input, division by
+the zero polynomial, an unwritable --csv file, ...).
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30).
 """
@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     except PRECONDITION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     emit(payload, args.format)

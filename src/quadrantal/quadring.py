@@ -471,6 +471,20 @@ def splitting_kind(field: QuadraticField, q: int) -> str:
     return "split" if legendre_is_residue(m, q) else "inert"
 
 
+def prime_form(field: QuadraticField, q: int) -> tuple[int, int]:
+    """The form (q, B) of a prime ideal over a split or ramified prime q:
+    B = d mod 2 and B^2 = d mod 4q, checked; the conjugate prime is (q, -B)."""
+    d = field.d
+    if q == 2:
+        big_b = 1 if d % 2 else 2 * (field.m % 2)
+    else:
+        big_b = sqrt_mod(d, q)
+        big_b += q * ((big_b - d) % 2)
+    if (big_b * big_b - d) % (4 * q):
+        raise ArithmeticError(f"({q}, {big_b}) is not a form of discriminant {d}")
+    return q, big_b
+
+
 def split_prime(field: QuadraticField, q: int) -> SplittingReport:
     """Factor (q) per the quadratic splitting laws: a split or ramified prime
     is the form (q, B), B = d mod 2 and B^2 = d mod 4q, with its conjugate
@@ -482,12 +496,7 @@ def split_prime(field: QuadraticField, q: int) -> SplittingReport:
     if kind == "inert":
         factors, efg = ((QuadIdeal(field, 1, 0, q), 1),), (1, 2, 1)
     else:
-        d = field.d
-        if q == 2:
-            big_b = 1 if d % 2 else 2 * (field.m % 2)
-        else:
-            big_b = sqrt_mod(d, q)
-            big_b += q * ((big_b - d) % 2)
+        big_b = prime_form(field, q)[1]
         bs = sorted({_form_b(field, q, big_b), _form_b(field, q, -big_b)})
         ps = [QuadIdeal(field, q, b, 1) for b in bs]
         if kind == "ramified":
@@ -749,6 +758,16 @@ def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBoun
 
 @dataclass(frozen=True)
 class ClassGroupReport:
+    """The class group: h, one representative per class (the principal
+    class first), the composition table of class indices and the invariant
+    factors.
+
+    Every reduced form of discriminant d lies in exactly one class: an
+    imaginary class holds one (its Gauss-reduced form), a real class the
+    forms on one rho-cycle.  They are mapped to their class index once,
+    here, so locating an ideal or a form is one reduction and a lookup.
+    """
+
     field: QuadraticField
     h: int
     representatives: tuple  # QuadIdeal, principal class first
@@ -756,16 +775,31 @@ class ClassGroupReport:
     structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
 
     def __post_init__(self):
-        # canonical ideal of each class -> its index
-        index = {reduced_equivalent(rep): k for k, rep in enumerate(self.representatives)}
+        index = {}
+        for k in range(len(self.representatives)):
+            a, big_b, _ = self.reduced_form(k)
+            cycle = _cycle(self.field, a, big_b) if self.field.d > 0 else [(a, big_b, None)]
+            index.update(((a, big_b), k) for a, big_b, _ in cycle)
         object.__setattr__(self, "_index", index)
+
+    def reduced_form(self, k: int) -> tuple[int, int, int]:
+        """(a, B, C): a reduced form of the primitive ideal of class k's
+        representative."""
+        a, big_b, _ = _reduce(self.field, *_form(self.representatives[k]))
+        return a, big_b, (big_b * big_b - self.field.d) // (4 * a)
+
+    def form_class(self, a: int, big_b: int) -> int:
+        """Index of the class of the primitive ideal with form (a, B)."""
+        k = self._index.get(_reduce(self.field, a, big_b)[:2])
+        if k is None:
+            raise ArithmeticError(f"the form ({a}, {big_b}) reduces outside every class")
+        return k
 
     def class_index(self, i: QuadIdeal) -> int:
         """Index of the class containing the given nonzero ideal."""
-        k = self._index.get(reduced_equivalent(i)) if i.field == self.field else None
-        if k is None:
+        if i.field != self.field or i.is_zero():
             raise ValueError(f"{i} is not a nonzero ideal of {self.field}")
-        return k
+        return self.form_class(*_form(i))
 
     def to_json_dict(self):
         return {

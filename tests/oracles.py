@@ -9,22 +9,25 @@ from __future__ import annotations
 import math
 
 
-def hnf_ideal_counts(m: int, kmax: int) -> list[int]:
-    """counts[n] = number of ideals of norm exactly n, by direct enumeration
-    of admissible standard-form triples (a, b, c): a*c^2 = n, 0 <= b < a,
+def standard_triples(m: int, kmax: int):
+    """Every ideal of norm at most kmax as its standard-form triple
+    (a, b, c), by direct enumeration: a*c^2 <= kmax, 0 <= b < a,
     a | N(b + w)."""
     half = m % 4 == 1
-
-    def norm_b_plus_omega(b: int) -> int:
-        if half:
-            return b * b + b + (1 - m) // 4
-        return b * b - m
-
-    counts = [0] * (kmax + 1)
+    e = (1 - m) // 4 if half else -m  # N(b + w) = b^2 + b*half + e
     for c in range(1, math.isqrt(kmax) + 1):
         for a in range(1, kmax // (c * c) + 1):
-            n = a * c * c
-            counts[n] += sum(1 for b in range(a) if norm_b_plus_omega(b) % a == 0)
+            for b in range(a):
+                if (b * b + (b if half else 0) + e) % a == 0:
+                    yield a, b, c
+
+
+def hnf_ideal_counts(m: int, kmax: int) -> list[int]:
+    """counts[n] = number of ideals of norm exactly n, by direct enumeration
+    of admissible standard-form triples (see standard_triples)."""
+    counts = [0] * (kmax + 1)
+    for a, _, c in standard_triples(m, kmax):
+        counts[a * c * c] += 1
     return counts
 
 

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 
@@ -9,9 +11,9 @@ from quadrantal.census import (
     per_class_counts,
     sigma_theoretical,
 )
-from quadrantal.quadring import class_group, ring_of_integers
+from quadrantal.quadring import QuadIdeal, class_group, ring_of_integers
 
-from oracles import hnf_ideal_counts, kronecker
+from oracles import hnf_ideal_counts, kronecker, standard_triples
 from test_classgroup import squarefree_fields
 
 F5 = ring_of_integers(-5)
@@ -91,6 +93,29 @@ class TestSieveOracle:
             assert sum(ideal_count_sieve(field, k)) == z
 
 
+def divisor_sum(d, n):
+    """sum of kronecker(d, e) over the divisors e of n."""
+    small = [e for e in range(1, math.isqrt(n) + 1) if n % e == 0]
+    return sum(kronecker(d, e) for e in set(small) | {n // e for e in small})
+
+
+class TestLaneWidth:
+    """a(n) <= d(n) must fit a lane: at N = 2^3 3^3 5 7 11 13 = 1081080, with
+    2, 3, 5, 7, 11 and 13 all split, a(N) = d(N) = 256, which wraps a byte;
+    a borrow out of a lane would corrupt the entries near it."""
+
+    N = 1081080
+
+    def test_256_ideals_of_one_norm(self):
+        for m in (120121, -120119):
+            field = ring_of_integers(m)
+            assert [kronecker(field.d, q) for q in (2, 3, 5, 7, 11, 13)] == [1] * 6
+            a = ideal_count_sieve(field, self.N)
+            assert a[self.N] == 256
+            for n in range(self.N - 100, self.N + 1):
+                assert a[n] == divisor_sum(field.d, n), (m, n)
+
+
 class TestSigma:
     def test_sqrt2(self):
         # 2^2 log(1+sqrt2) / (2 sqrt 8) = log(1+sqrt2)/sqrt2
@@ -168,6 +193,43 @@ class TestPerClass:
         sigma = float(sigma_theoretical(F5))
         devs = [abs(sum(z[c]) / k - sigma) for c in range(report.h)]
         assert max(devs) < 0.02
+
+
+def per_class_oracle(field, k, report):
+    """z[c][n] from the ideals of norm n <= k, enumerated as standard
+    triples and located by class_index."""
+    z = [[0] * (k + 1) for _ in range(report.h)]
+    for a, b, c in standard_triples(field.m, k):
+        z[report.class_index(QuadIdeal(field, a, b, c))][a * c * c] += 1
+    return z
+
+
+class TestPerClassOracle:
+    def check(self, field, k):
+        report = class_group(field)
+        assert per_class_counts(field, k, report) == per_class_oracle(field, k, report), field.m
+
+    def test_every_small_field_at_200(self):
+        for field in squarefree_fields(-300, -1) + squarefree_fields(2, 100):
+            self.check(field, 200)
+
+    def test_chosen_fields_at_1000(self):
+        # w = 4 and 6, h = 2, 4, 3, 77 (imaginary), h = 2, 3, 3 (real)
+        for m in (-1, -3, -5, -14, -23, -10007, 10, 79, 223):
+            self.check(ring_of_integers(m), 1000)
+
+
+@pytest.mark.parametrize("k", [100, 101, 178, 10**4, 10**4 + 1])
+def test_checkpoints_match_running_sum(k):
+    marks = {round(10 ** (i / 4)) for i in range(4, 40)} | {k}
+    for field in (F2, F23):
+        a = ideal_count_sieve(field, k)
+        expected, z = [], 0
+        for n in range(1, k + 1):
+            z += a[n]
+            if n in marks:
+                expected.append((n, z / n))
+        assert checkpoint_ratios(field, k) == expected
 
 
 def test_checkpoint_ratios():

@@ -343,6 +343,12 @@ class TestFormatsAndExitCodes:
         code, _ = run_cli(capsys, "poly", "cyclotomic", "--p", "6")
         assert code == 3
 
+    def test_division_by_zero_polynomial_exits_3(self, capsys):
+        code = main(["poly", "divrem", "--dividend", "x", "--divisor", "0"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: polynomial division by zero polynomial\n"
+
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "quadrantal.cli", "frobnicate"],

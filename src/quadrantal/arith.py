@@ -15,6 +15,10 @@ from fractions import Fraction
 # Trial-division bound shared by every factorization in the package.
 FACTOR_BOUND = 10**6
 
+# Cap on the entries of any table sized by an input (a list of this many
+# ints is about 800 MB); larger requests raise before allocating.
+MAX_TABLE = 10**8
+
 # Certified rational bounds 3.14159265358 < pi < 3.14159265359 are enough
 # to pin integer floors of desk-scale Minkowski constants; refine() widens
 # the precision when a floor lands too close to an integer.
@@ -60,9 +64,11 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by a plain sieve."""
+    """Primes <= n by a plain sieve of n + 1 flags, at most MAX_TABLE."""
     if n < 2:
         return []
+    if n + 1 > MAX_TABLE:
+        raise ValueError(f"a sieve up to {n} needs {n + 1} entries, over the cap {MAX_TABLE}")
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(n) + 1):

@@ -46,7 +46,7 @@ from itertools import accumulate
 
 import mpmath
 
-from .arith import primes_up_to
+from .arith import MAX_TABLE, primes_up_to
 from .quadring import (
     ClassGroupReport,
     QuadraticField,
@@ -56,7 +56,6 @@ from .quadring import (
 )
 from .units import regulator_mp, torsion_order
 
-MAX_TABLE = 10**8  # entries; a list of this many ints is about 800 MB
 BLOCK = 1 << 14  # entries per block of the strided recurrence
 _CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
 _ORDER = sys.byteorder  # of the lanes in an array("H")

@@ -4,7 +4,8 @@ Output is JSON (default) or plain text; identical invocations produce
 byte-identical output.  Arbitrary-precision quantities are rendered as
 decimal strings.  Exit codes: 0 success, 2 invalid input, 3 computational
 precondition failure (non-square-free m, unfactorable input, division by
-the zero polynomial, an unwritable --csv file, ...).
+the zero polynomial, an unwritable --csv file, a table, prime sieve or
+cyclotomic polynomial over 10^8 entries, ...).
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30).
 """

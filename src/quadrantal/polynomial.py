@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-from .arith import factorize
+from .arith import MAX_TABLE, factorize, is_prime
 
 
 def _coerce(c) -> Fraction:
@@ -276,11 +276,12 @@ def eisenstein_witness(p: Poly):
 
 
 def cyclotomic_poly_prime(p: int) -> Poly:
-    """The p-th cyclotomic polynomial 1 + x + ... + x^(p-1) for prime p."""
-    from .arith import is_prime
-
+    """The p-th cyclotomic polynomial 1 + x + ... + x^(p-1) for prime p; its
+    p coefficients are capped at MAX_TABLE."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p > MAX_TABLE:
+        raise ValueError(f"Phi_{p} has {p} coefficients, over the cap {MAX_TABLE}")
     return Poly([1] * p)
 
 

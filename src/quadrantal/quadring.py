@@ -34,6 +34,7 @@ Forms, ch. 6).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -604,18 +605,13 @@ def _cycle(field: QuadraticField, a: int, big_b: int, alpha=None):
             return
 
 
-def _canonical(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
-    """(a, B) of the canonical reduced form of the class of (a, B).
-
-    Imaginary: the Gauss-reduced form, one per class.  Real: the least
-    (a, b) on the rho-cycle, which holds every primitive ideal of the class
-    below sqrt(d)/2, so the least norm of the class (at most the Minkowski
-    bound).
-    """
-    a, big_b, _ = _reduce(field, a, big_b)
-    if field.d > 0:
-        a, big_b, _ = min(_cycle(field, a, big_b), key=lambda s: (s[0], _form_b(field, *s[:2])))
-    return a, big_b
+def _class_forms(field: QuadraticField, a: int, big_b: int):
+    """(least, forms): the reduced forms of the class of the reduced form
+    (a, B), itself (imaginary) or its rho-cycle (real), and the least (a, b)
+    among them, which stands for the class (a real cycle holds every
+    primitive ideal of the class below sqrt(d)/2, so its least norm)."""
+    forms = [(a, big_b)] if field.d < 0 else [s[:2] for s in _cycle(field, a, big_b)]
+    return min(forms, key=lambda s: (s[0], _form_b(field, *s))), forms
 
 
 def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]:
@@ -647,11 +643,12 @@ def _exact_div(x: QuadInt, n: int) -> QuadInt:
 
 
 def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
-    """The canonical ideal of the class of I (see _canonical); the zero
-    ideal is returned unchanged."""
+    """The canonical ideal of the class of I: the Gauss-reduced form
+    (imaginary) or the least (a, b) on the rho-cycle (real); the zero ideal
+    is returned unchanged."""
     if i.is_zero():
         return i
-    a, big_b = _canonical(i.field, *_form(i))
+    a, big_b = _class_forms(i.field, *_reduce(i.field, *_form(i))[:2])[0]
     return QuadIdeal(i.field, a, _form_b(i.field, a, big_b), 1)
 
 
@@ -762,10 +759,10 @@ class ClassGroupReport:
     class first), the composition table of class indices and the invariant
     factors.
 
-    Every reduced form of discriminant d lies in exactly one class: an
-    imaginary class holds one (its Gauss-reduced form), a real class the
-    forms on one rho-cycle.  They are mapped to their class index once,
-    here, so locating an ideal or a form is one reduction and a lookup.
+    `forms` maps every reduced form (a, B) of discriminant d to the index of
+    its class: an imaginary class holds one (its Gauss-reduced form), a real
+    class the forms on one rho-cycle.  class_group fills it as it meets each
+    class, so locating an ideal or a form is one reduction and a lookup.
     """
 
     field: QuadraticField
@@ -773,14 +770,7 @@ class ClassGroupReport:
     representatives: tuple  # QuadIdeal, principal class first
     table: tuple            # h x h composition table of class indices
     structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
-
-    def __post_init__(self):
-        index = {}
-        for k in range(len(self.representatives)):
-            a, big_b, _ = self.reduced_form(k)
-            cycle = _cycle(self.field, a, big_b) if self.field.d > 0 else [(a, big_b, None)]
-            index.update(((a, big_b), k) for a, big_b, _ in cycle)
-        object.__setattr__(self, "_index", index)
+    forms: dict = dataclasses.field(repr=False, compare=False)  # (a, B) -> class
 
     def reduced_form(self, k: int) -> tuple[int, int, int]:
         """(a, B, C): a reduced form of the primitive ideal of class k's
@@ -790,7 +780,7 @@ class ClassGroupReport:
 
     def form_class(self, a: int, big_b: int) -> int:
         """Index of the class of the primitive ideal with form (a, B)."""
-        k = self._index.get(_reduce(self.field, a, big_b)[:2])
+        k = self.forms.get(_reduce(self.field, a, big_b)[:2])
         if k is None:
             raise ArithmeticError(f"the form ({a}, {big_b}) reduces outside every class")
         return k
@@ -844,32 +834,37 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     Prime classes generate the group (every class holds an ideal of norm at
     or below the bound, and such an ideal factors into primes of small
     norm).  A breadth-first search composes each new class with every prime
-    and looks the product up by its canonical form; the table then follows
-    from the prime that first reached each class.
+    and looks the reduced product up in one form -> class dict; a miss is a
+    new class, whose rho-cycle is walked once into the dict and whose least
+    (a, b) is its representative.  The table then follows from the prime
+    that first reached each class.
     """
     bound = minkowski_floor(field)
-    prime_ideals = []
+    prime_forms = []
     for q in primes_up_to(bound):
         rep = split_prime(field, q)
         if rep.kind == "inert":
             continue  # principal class, generates nothing
-        prime_ideals.extend(p for p, _ in rep.factors)
+        prime_forms.extend(_form(p) for p, _ in rep.factors)
     d = field.d
-    prime_forms = [_form(p) for p in prime_ideals]
-    reps = [_canonical(field, *_form(unit_ideal(field)))]
-    index = {reps[0]: 0}
-    origin = [None]  # (class, prime) whose product first reached each class
-    steps = []       # steps[k][j] = class of reps[k] * prime_ideals[j]
+    forms = {}   # every reduced form met so far -> its class
+    reps = []    # (a, B) of each class's representative
+    origin = []  # (class, prime) whose product first reached each class
+
+    def locate(a: int, big_b: int, via) -> int:
+        key = _reduce(field, a, big_b)[:2]
+        if key not in forms:
+            least, cycle = _class_forms(field, *key)
+            forms.update(dict.fromkeys(cycle, len(reps)))
+            reps.append(least)
+            origin.append(via)
+        return forms[key]
+
+    locate(*_form(unit_ideal(field)), None)
+    steps = []  # steps[k][j] = class of reps[k] * (prime j)
     for k, (a, big_b) in enumerate(reps):  # reps grows while the loop runs
-        row = []
-        for j, (pa, pb) in enumerate(prime_forms):
-            key = _canonical(field, *_compose(d, a, big_b, pa, pb)[:2])
-            if key not in index:
-                index[key] = len(reps)
-                reps.append(key)
-                origin.append((k, j))
-            row.append(index[key])
-        steps.append(row)
+        products = (_compose(d, a, big_b, *p)[:2] for p in prime_forms)
+        steps.append([locate(*f, (k, j)) for j, f in enumerate(products)])
     h = len(reps)
     table = []
     for i in range(h):
@@ -879,4 +874,4 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
             row.append(steps[row[parent]][p])
         table.append(tuple(row))
     reps = tuple(QuadIdeal(field, a, _form_b(field, a, big_b), 1) for a, big_b in reps)
-    return ClassGroupReport(field, h, reps, tuple(table), _invariant_factors(table))
+    return ClassGroupReport(field, h, reps, tuple(table), _invariant_factors(table), forms)

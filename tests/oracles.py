@@ -86,6 +86,30 @@ def class_number_by_forms(d: int) -> int:
     return h
 
 
+def reduced_forms(d: int) -> set[tuple[int, int]]:
+    """Every reduced form (a, B) of fundamental discriminant d, by direct
+    enumeration.  Imaginary: a > 0, -a < B <= a, 4a | B^2 - d, and a < C or
+    (a = C and B >= 0) for C = (B^2 - d)/(4a).  Real: r = isqrt(d),
+    1 <= a <= r, max(r + 1 - 2a, 2a - r) <= B <= r, 4a | B^2 - d."""
+    out = set()
+    if d < 0:
+        a = 1
+        while 3 * a * a <= -d:
+            for b in range(-a + 1, a + 1):
+                if (b * b - d) % (4 * a) == 0:
+                    c = (b * b - d) // (4 * a)
+                    if a < c or (a == c and b >= 0):
+                        out.add((a, b))
+            a += 1
+        return out
+    r = math.isqrt(d)
+    for a in range(1, r + 1):
+        for b in range(max(r + 1 - 2 * a, 2 * a - r), r + 1):
+            if (b * b - d) % (4 * a) == 0:
+                out.add((a, b))
+    return out
+
+
 def kronecker(d: int, n: int) -> int:
     """The Kronecker symbol (d/n) for n > 0."""
     out = 1

@@ -16,7 +16,7 @@ from quadrantal.quadring import (
 )
 from quadrantal.units import fundamental_unit
 
-from oracles import class_number_by_forms, real_class_number_analytic
+from oracles import class_number_by_forms, real_class_number_analytic, reduced_forms
 
 
 class TestGoldenClassGroups:
@@ -162,6 +162,36 @@ class TestReductionOracles:
             h = real_class_number_analytic(field.d)
             assert abs(h - round(h)) < 1e-6
             assert class_group(field).h == round(h), field.m
+
+    def test_form_map_holds_every_reduced_form_once(self):
+        # every square-free m in [-500, -2] and [2, 1000]
+        fields = squarefree_fields(-500, -2) + squarefree_fields(2, 1000)
+        assert len(fields) == 912
+        for field in fields:
+            rep = class_group(field)
+            d = field.d
+            assert set(rep.forms) == reduced_forms(d), field.m
+            members = [[] for _ in range(rep.h)]  # (a, b) of each class's forms
+            for (a, big_b), k in rep.forms.items():
+                members[k].append((a, (big_b - d % 2) // 2 % a))
+            for k, ideal in enumerate(rep.representatives):
+                assert (ideal.a, ideal.b) == min(members[k]), (field.m, k)
+                assert rep.class_index(ideal) == k, (field.m, k)
+
+    def test_each_cycle_walked_once(self, monkeypatch):
+        # one rho-cycle walk per class, none per (class x prime) product
+        from quadrantal import quadring
+
+        calls = []
+        walk = quadring._cycle
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return walk(*args)
+
+        monkeypatch.setattr(quadring, "_cycle", counted)
+        rep = class_group(ring_of_integers(10000019))
+        assert rep.h == 7 and len(calls) == 7
 
     def test_h1299_and_h_minus_10007(self):
         assert class_group(ring_of_integers(1299)).h == 8

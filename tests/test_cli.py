@@ -51,6 +51,13 @@ class TestPolyCommands:
         data = run_json(capsys, "poly", "cyclotomic", "--p", "3")
         assert data["poly"] == ["1", "1", "1"]
 
+    def test_cyclotomic_above_table_cap_exits_3(self, capsys):
+        code = main(["poly", "cyclotomic", "--p", "1000000007"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: Phi_1000000007 has 1000000007 coefficients")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestFieldCommands:
     def test_trace_norm(self, capsys):
@@ -247,6 +254,19 @@ class TestUnitsAndPell:
         assert data["principal"] is True
         gen = data["generator"]
         assert gen["a"] ** 2 - int(m) * gen["b"] ** 2 in (2, -2)
+        # continued-fraction period 12,352: each rho-cycle is walked once
+        data = run_json(capsys, "quad", "classgroup", "--m", m, "--verify")
+        assert data["h"] == 1 and all(data["verification"].values())
+        data = run_json(capsys, "census", "--m", m, "--k", "1000")
+        assert data["h"] == 1
+
+    def test_minkowski_bound_above_table_cap_exits_3(self, capsys):
+        # Minkowski floor 1,273,239,544: the prime sieve refuses before allocating
+        code = main(["quad", "classgroup", "--m", "-1000000000000000037"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: a sieve up to 1273239544 needs")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_pell(self, capsys):
         data = run_json(capsys, "pell", "--m", "2", "--kind", "minusOne")

@@ -38,6 +38,10 @@ class SquareFreeUnverified(ValueError):
     """Square-freeness could not be certified within the trial-division bound."""
 
 
+class PeriodOverflow(ValueError):
+    """A continued-fraction period exceeded the requested cap."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit (and far larger) inputs."""
     if n < 2:

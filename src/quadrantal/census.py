@@ -44,8 +44,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-import mpmath
-
 from .arith import MAX_TABLE, primes_up_to
 from .quadring import (
     ClassGroupReport,
@@ -121,6 +119,8 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
 def sigma_theoretical(field: QuadraticField, precision: int = 30):
     """The per-class ideal density 2^(r+1) pi^s rho / (w sqrt|d|) as an
     mpmath value at the requested precision."""
+    import mpmath
+
     r = 1 if field.m > 0 else 0
     s = 0 if field.m > 0 else 1
     w = torsion_order(field)
@@ -180,6 +180,8 @@ def census_check(
 
 def _census_with_counts(field, k, per_class, report, precision):
     """census_check's result together with the sieve it was computed from."""
+    import mpmath
+
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     counts = ideal_count_sieve(field, k)

@@ -2,10 +2,15 @@
 
 Output is JSON (default) or plain text; identical invocations produce
 byte-identical output.  Arbitrary-precision quantities are rendered as
-decimal strings.  Exit codes: 0 success, 2 invalid input, 3 computational
-precondition failure (non-square-free m, unfactorable input, division by
-the zero polynomial, an unwritable --csv file, a table, prime sieve or
-cyclotomic polynomial over 10^8 entries, ...).
+decimal strings.  Exit codes: 0 success, 1 standard output closed before
+the result was written (piped into `head`, say), 2 invalid input, 3
+computational precondition failure (non-square-free m, unfactorable input,
+division by the zero polynomial, an unwritable --csv file, a table, prime
+sieve or cyclotomic polynomial over 10^8 entries, ...).
+
+Each subcommand imports only the layer it uses when it runs; `mpmath` is
+loaded only where a float is printed (census, units, quad minkowski) or a
+number-field embedding is computed.
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30).
 """
@@ -17,41 +22,17 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import census as census_mod
-from . import cyclotomic as cyclo_mod
-from .arith import FactorBoundExceeded, NotSquareFree, SquareFreeUnverified
-from .numberfield import (
-    NumberField,
-    composed_min_poly,
-    denominator_clearing,
-    primitive_element_shift,
-    tuple_discriminant,
-)
-from .polynomial import (
-    Poly,
-    content_and_primitive_part,
-    cyclotomic_poly_prime,
-    eisenstein_witness,
-    poly_divmod,
-    poly_gcd,
-)
-from .quadring import (
-    QuadIdeal,
-    QuadraticField,
-    class_group,
-    factor_ideal,
-    ideal_from_generators,
-    ideal_gcd,
-    ideal_divides_and_quotient,
-    ideal_pow,
-    ideal_product,
-    is_principal,
-    minkowski_bound,
-    split_prime,
-    unit_ideal,
-)
-from .units import PeriodOverflow, continued_fraction_of_omega, pell_solve, unit_group_report
+from .arith import FactorBoundExceeded, NotSquareFree, PeriodOverflow, SquareFreeUnverified
+
+# Each handler imports the layer it uses when it runs, so a request loads
+# only that layer; these names are for annotations.
+if TYPE_CHECKING:
+    from .numberfield import NumberField
+    from .polynomial import Poly
+    from .quadring import QuadIdeal, QuadraticField
 
 
 class InputError(ValueError):
@@ -75,8 +56,15 @@ def decimal_precision(default: int = 50) -> int:
 # parsing helpers
 # ---------------------------------------------------------------------------
 
+# what a malformed literal raises: Fraction("abc"), Fraction("1/0"),
+# json.loads, a missing JSON key, or a JSON value of the wrong type
+_PARSE_ERRORS = (ValueError, ZeroDivisionError, KeyError, TypeError)
+
+
 def parse_poly(text: str) -> Poly:
     """Polynomial text, a JSON coefficient array, or {'minpoly': [...]}."""
+    from .polynomial import Poly
+
     text = text.strip()
     try:
         if text.startswith("{"):
@@ -84,19 +72,20 @@ def parse_poly(text: str) -> Poly:
         if text.startswith("["):
             return Poly.from_json_array(json.loads(text))
         return Poly.from_text(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except _PARSE_ERRORS as e:
         raise InputError(f"cannot parse polynomial {text!r}: {e}")
 
 
-def parse_element_coords(text: str):
+def parse_element_coords(text: str) -> list[Fraction]:
     """Element coordinates: 'a,b,...' or {'coords': [...]} JSON."""
     text = text.strip()
     try:
         if text.startswith("{"):
-            data = json.loads(text)
-            return [str(c) for c in data["coords"]]
-        return [part.strip() for part in text.split(",")]
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+            coords = [str(c) for c in json.loads(text)["coords"]]
+        else:
+            coords = text.split(",")
+        return [Fraction(c.strip()) for c in coords]
+    except _PARSE_ERRORS as e:
         raise InputError(f"cannot parse element {text!r}: {e}")
 
 
@@ -124,12 +113,14 @@ def parse_quad_int(field: QuadraticField, text: str):
 
 def parse_ideal(field: QuadraticField, text: str) -> QuadIdeal:
     """'(g1, g2, ...)' generator syntax or the {'m','a','b','c'} JSON triple."""
+    from .quadring import QuadIdeal, ideal_from_generators
+
     text = text.strip()
     if text.startswith("{"):
         try:
             data = json.loads(text)
             ideal = QuadIdeal.from_json_dict(data)
-        except (ValueError, KeyError, json.JSONDecodeError) as e:
+        except _PARSE_ERRORS as e:
             raise InputError(f"cannot parse ideal JSON {text!r}: {e}")
         if ideal.field != field:
             raise InputError(f"ideal JSON is for m={ideal.field.m}, expected m={field.m}")
@@ -177,6 +168,14 @@ def _text_lines(value, prefix: str):
 # ---------------------------------------------------------------------------
 
 def cmd_poly(args) -> dict:
+    from .polynomial import (
+        content_and_primitive_part,
+        cyclotomic_poly_prime,
+        eisenstein_witness,
+        poly_divmod,
+        poly_gcd,
+    )
+
     if args.action == "divrem":
         q, r = poly_divmod(parse_poly(args.dividend), parse_poly(args.divisor))
         return {"quotient": q.to_json_array(), "remainder": r.to_json_array(),
@@ -197,10 +196,19 @@ def cmd_poly(args) -> dict:
 
 
 def _field_from_args(args) -> NumberField:
+    from .numberfield import NumberField
+
     return NumberField(parse_poly(args.minpoly))
 
 
 def cmd_field(args) -> dict:
+    from .numberfield import (
+        composed_min_poly,
+        denominator_clearing,
+        primitive_element_shift,
+        tuple_discriminant,
+    )
+
     if args.action == "trace-norm":
         f = _field_from_args(args)
         el = f.element(parse_element_coords(args.element))
@@ -234,6 +242,20 @@ def cmd_field(args) -> dict:
 
 
 def cmd_quad(args) -> dict:
+    from .quadring import (
+        QuadraticField,
+        class_group,
+        factor_ideal,
+        ideal_divides_and_quotient,
+        ideal_gcd,
+        ideal_pow,
+        ideal_product,
+        is_principal,
+        minkowski_bound,
+        split_prime,
+        unit_ideal,
+    )
+
     field = QuadraticField(args.m)
     if args.action == "ring":
         return {
@@ -295,6 +317,8 @@ def cmd_quad(args) -> dict:
 
 
 def _verify_class_group(report) -> dict:
+    from .quadring import ideal_product, is_principal
+
     h = report.h
     t = report.table
     ok_identity = all(t[0][j] == j for j in range(h))
@@ -319,6 +343,9 @@ def _verify_class_group(report) -> dict:
 
 
 def cmd_units(args) -> dict:
+    from .quadring import QuadraticField
+    from .units import continued_fraction_of_omega, unit_group_report
+
     field = QuadraticField(args.m)
     out = unit_group_report(field, precision=decimal_precision(50)).to_json_dict()
     if field.m > 0:
@@ -328,6 +355,8 @@ def cmd_units(args) -> dict:
 
 
 def cmd_pell(args) -> dict:
+    from .units import pell_solve
+
     sol = pell_solve(args.m, args.kind)
     if sol is None:
         return {"m": args.m, "kind": args.kind, "solvable": False}
@@ -335,6 +364,8 @@ def cmd_pell(args) -> dict:
 
 
 def cmd_cyclo(args) -> dict:
+    from . import cyclotomic as cyclo_mod
+
     if args.action == "split":
         return cyclo_mod.split_prime_cyclotomic(args.m, args.q).to_json_dict()
     if args.action == "lists":
@@ -344,6 +375,9 @@ def cmd_cyclo(args) -> dict:
 
 
 def cmd_census(args) -> dict:
+    from . import census as census_mod
+    from .quadring import QuadraticField
+
     field = QuadraticField(args.m)
     result, counts = census_mod._census_with_counts(
         field, args.k, args.per_class, None, decimal_precision(30)
@@ -495,7 +529,15 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    emit(payload, args.format)
+    try:
+        emit(payload, args.format)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away (`... | head -1`): send what is left to
+        # os.devnull so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .arith import factorize
 from .polynomial import Poly, poly_divmod, poly_gcd, poly_xgcd, squarefree_part
 
@@ -163,6 +161,8 @@ class NumberField:
     def embeddings(self, dps: int = EMBEDDING_DPS):
         """Conjugates of theta at `dps` digits, ordered: real roots ascending,
         then complex roots by (Re, positive Im before negative)."""
+        import mpmath
+
         if self._embeddings is None or self._embeddings[0] < dps:
             with mpmath.workdps(dps + 10):
                 coeffs = [mpmath.mpf(int(c)) for c in reversed(self.minpoly.coeffs)]
@@ -182,6 +182,8 @@ class NumberField:
 
     def signature(self) -> tuple[int, int]:
         """(number of real embeddings, pairs of complex embeddings)."""
+        import mpmath
+
         emb = self.embeddings()
         eps = mpmath.mpf(10) ** (-EMBEDDING_DPS // 2)
         r1 = sum(1 for e in emb if abs(e.imag) < eps)
@@ -343,6 +345,8 @@ class FieldElement:
 
     def conjugate_values(self, dps: int = EMBEDDING_DPS):
         """Numerical conjugates q(theta_i), for cross-checks only."""
+        import mpmath
+
         vals = []
         with mpmath.workdps(dps + 10):
             for th in self.field.embeddings(dps):
@@ -437,9 +441,13 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     are certified either exactly, through squarefreeness of the composed
     sum polynomial, or numerically at escalating precision.
     """
-    for f in (p, q):
+    for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("need monic integer polynomials")
+        # an irreducible polynomial is squarefree; a repeated root stalls the
+        # numeric root finder, and a repeated beta defeats every shift c
+        if poly_gcd(f, f.derivative()).degree > 0:
+            raise ValueError(f"{name} has a repeated root")
     if q.degree == 1:
         return 0
     fp, fq = NumberField(p), NumberField(q)
@@ -463,6 +471,8 @@ def _composed_sum_squarefree(p: Poly, q: Poly, c: int) -> bool:
 
 
 def _separation_certified(fp: NumberField, fq: NumberField, c: int) -> bool:
+    import mpmath
+
     dps = EMBEDDING_DPS
     while dps <= 4 * EMBEDDING_DPS:
         alphas = fp.embeddings(dps)

@@ -179,6 +179,8 @@ class Poly:
             k = 0 if m.group(2) is None else (1 if m.group(3) is None else int(m.group(3)))
             coeffs[k] = coeffs.get(k, Fraction(0)) + c
         n = max(coeffs) + 1
+        if n > MAX_TABLE:
+            raise ValueError(f"degree {n - 1} is over the cap of {MAX_TABLE} coefficients")
         return cls([coeffs.get(i, Fraction(0)) for i in range(n)])
 
     def __repr__(self):

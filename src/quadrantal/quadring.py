@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-import mpmath
-
 from .arith import (
     PI_HI,
     PI_LO,
@@ -212,6 +210,8 @@ class QuadInt:
     def mp_value(self, dps: int = 50):
         """Numerical value (real embedding with sqrt(m) > 0, or the upper
         complex embedding for m < 0); cross-check use only."""
+        import mpmath
+
         u, v = self.double_coords()
         with mpmath.workdps(dps):
             s = mpmath.sqrt(abs(self.field.m))
@@ -741,6 +741,8 @@ def minkowski_floor(field: QuadraticField) -> int:
 def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBound:
     """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
     (imaginary).  The integer floor is certified with exact pi bounds."""
+    import mpmath
+
     ad = abs(field.d)
     _, hi = sqrt_bounds(ad, 40)
     if field.m > 0:

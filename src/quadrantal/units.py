@@ -14,13 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
-
+from .arith import PeriodOverflow
 from .quadring import QuadInt, QuadraticField, unit_inverse
-
-
-class PeriodOverflow(ValueError):
-    """The continued-fraction period exceeded the requested cap."""
 
 
 def torsion_order(field: QuadraticField) -> int:
@@ -95,7 +90,7 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
         quotients.append(a)
         if i > max_period:
             raise PeriodOverflow(f"period exceeds cap {max_period}")
-    raise AssertionError("unreachable")
+    raise ArithmeticError("unreachable")
 
 
 # bounded: a unit of a field with a long period runs to thousands of digits
@@ -122,7 +117,7 @@ def fundamental_unit(field: QuadraticField) -> QuadInt:
             return lam
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
-    raise AssertionError("unreachable")
+    raise ArithmeticError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,7 @@ def pell_solve(m: int, kind: str):
             return PellSolution(u, v, kind)
         if u % 2 == 0 and v % 2 == 0:
             return PellSolution(u // 2, v // 2, kind)
-    raise AssertionError("a qualifying unit power must exist within 12 steps")
+    raise ArithmeticError("a qualifying unit power must exist within 12 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +195,8 @@ class UnitGroupReport:
 
 def regulator_mp(field: QuadraticField, dps: int = 50):
     """log(lam) as an mpmath value (1 when the rank is 0)."""
+    import mpmath
+
     if field.m < 0:
         return mpmath.mpf(1)
     lam = fundamental_unit(field)
@@ -208,6 +205,8 @@ def regulator_mp(field: QuadraticField, dps: int = 50):
 
 
 def unit_group_report(field: QuadraticField, precision: int = 50) -> UnitGroupReport:
+    import mpmath
+
     rank = 1 if field.m > 0 else 0
     lam = fundamental_unit(field) if rank else None
     if rank:
@@ -226,6 +225,8 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     a is forced to 0 when the rank is 0; the decomposition is located by
     logarithms and then confirmed by exact recomposition.
     """
+    import mpmath
+
     if not u.is_unit():
         raise ValueError(f"{u} is not a unit")
     if field.m < 0:
@@ -235,7 +236,7 @@ def unit_membership(field: QuadraticField, u: QuadInt):
             if acc == u:
                 return k, 0
             acc = acc * g
-        raise AssertionError("units of an imaginary field are torsion")
+        raise ArithmeticError("units of an imaginary field are torsion")
     sign = u.sign_real()
     v = u if sign > 0 else -u
     k = 0 if sign > 0 else 1
@@ -245,7 +246,7 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     for cand in (a, a - 1, a + 1):
         if _unit_power(field, lam, cand) == v:
             return k, cand
-    raise AssertionError("log-rounded exponent must be exact within +-1")
+    raise ArithmeticError("log-rounded exponent must be exact within +-1")
 
 
 def _unit_power(field: QuadraticField, lam: QuadInt, a: int) -> QuadInt:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrantal.cli import main
 
@@ -395,3 +400,241 @@ class TestFormatsAndExitCodes:
         monkeypatch.setenv("QUADRANTAL_PRECISION", "10")  # clamped to the minimum
         data = run_json(capsys, "units", "--m", "2")
         assert data["precision_digits"] == 30
+
+
+def imported_modules(*argv):
+    """The modules a fresh `python -m quadrantal.cli` process imports, as
+    -X importtime lists them on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quadrantal.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+class TestStartup:
+    HEAVY = {"mpmath", "quadrantal.quadring", "quadrantal.numberfield", "quadrantal.census"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "divrem", "--dividend", "x^2 - 2", "--divisor", "x - 1"],
+            ["cyclo", "lists"],
+            ["frobnicate"],
+        ],
+    )
+    def test_light_requests_load_no_heavy_layer(self, argv):
+        loaded = imported_modules(*argv)
+        assert "quadrantal.arith" in loaded
+        assert not loaded & self.HEAVY
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["quad", "classgroup", "--m", "-23", "--verify"], ["pell", "--m", "2", "--kind", "plusOne"]],
+    )
+    def test_exact_requests_skip_mpmath(self, argv):
+        loaded = imported_modules(*argv)
+        assert "quadrantal.quadring" in loaded
+        assert "mpmath" not in loaded
+
+    def test_printed_float_loads_mpmath(self):
+        # the probe above does see mpmath where a request uses it
+        assert "mpmath" in imported_modules("units", "--m", "2")
+
+    def test_star_import_binds_the_six_names(self):
+        code = (
+            "import json, sys\n"
+            "import quadrantal\n"
+            "layers = sorted(m for m in sys.modules if m.startswith('quadrantal.'))\n"
+            "ns = {}\n"
+            "exec('from quadrantal import *', ns)\n"
+            "del ns['__builtins__']\n"
+            "print(json.dumps([layers, {k: v.__module__ for k, v in ns.items()}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        layers, names = json.loads(proc.stdout)
+        assert layers == []
+        assert names == {
+            "Poly": "quadrantal.polynomial",
+            "NumberField": "quadrantal.numberfield",
+            "FieldElement": "quadrantal.numberfield",
+            "QuadraticField": "quadrantal.quadring",
+            "QuadInt": "quadrantal.quadring",
+            "QuadIdeal": "quadrantal.quadring",
+        }
+
+    def test_unknown_package_attribute_raises(self):
+        import quadrantal
+
+        with pytest.raises(AttributeError):
+            quadrantal.NoSuchName
+
+    def test_period_overflow_lives_in_arith(self):
+        from quadrantal import arith, cli, units
+
+        assert units.PeriodOverflow is arith.PeriodOverflow
+        assert arith.PeriodOverflow in cli.PRECONDITION_ERRORS
+
+
+class TestCleanFailures:
+    @pytest.mark.parametrize("element", ["abc,1", "1/0,1", ","])
+    def test_malformed_element_exits_2(self, capsys, element):
+        code = main(["field", "trace-norm", "--minpoly", "x^2+1", "--element", element])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot parse element {element!r}")
+        assert captured.err.count("\n") == 1
+
+    def test_polynomial_degree_over_table_cap_exits_2(self, capsys):
+        code = main(["poly", "divrem", "--dividend", "x^1000000000", "--divisor", "x"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot parse polynomial 'x^1000000000': degree")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "p, q, name",
+        [
+            # a repeated root of q: no shift c up to 1000 separates the roots
+            ("x^2 - 2", "x^4 + 2*x^2 + 1", "q"),
+            # (x^2 - x + 1)^2: the numeric root finder does not converge
+            ("x^4 - 2*x^3 + 3*x^2 - 2*x + 1", "x^2 - x + 3", "p"),
+        ],
+    )
+    def test_primitive_element_of_repeated_root_exits_3(self, capsys, p, q, name):
+        code = main(["field", "primitive-element", "--p", p, "--q", q])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {name} has a repeated root\n"
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the class table of m = -10007 (h = 77) is far larger than a pipe buffer,
+        # so the process is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadrantal.cli", "quad", "classgroup", "--m", "-10007",
+             "--verify"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every request ends in exit 0, 2 or 3 with no exception escaping
+# ---------------------------------------------------------------------------
+
+JUNK = st.one_of(
+    st.text(alphabet="0123456789-+*/^,;(){}[]:\"wxabc ", max_size=10),
+    st.sampled_from(["abc,1", "1/0,1", ",", "{}", "[]", "{\"coords\": 5}", "{\"m\": []}",
+                     "{\"minpoly\": 7}", "(1/0)", "1,,2"]),
+)
+M = st.integers(-200, 200).map(str)
+FMT = st.sampled_from([[], ["--format", "text"]])
+
+
+@st.composite
+def poly_texts(draw, monic=False):
+    """A polynomial of degree at most 4, as text or as a JSON array."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4 if monic else 5))
+    if monic:
+        coeffs.append(1)
+    if draw(st.booleans()):
+        return json.dumps([str(c) for c in coeffs])
+    return " + ".join(f"{c}*x^{i}" for i, c in enumerate(coeffs))
+
+
+ELEMENTS = st.one_of(
+    st.lists(st.fractions(-20, 20, max_denominator=9), min_size=1, max_size=4).map(
+        lambda cs: ",".join(str(c) for c in cs)
+    ),
+    JUNK,
+)
+QUAD_INTS = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(lambda t: f"{t[0]}+{t[1]}w")
+IDEALS = st.one_of(
+    st.lists(QUAD_INTS, min_size=1, max_size=3).map(lambda gs: "(" + ", ".join(gs) + ")"),
+    st.fixed_dictionaries(
+        {k: st.integers(-20, 20).map(str) for k in "mabc"}
+    ).map(json.dumps),
+    JUNK,
+)
+
+
+@st.composite
+def argvs(draw):
+    poly, monic, ideal = poly_texts(), poly_texts(monic=True), IDEALS
+    command = draw(st.sampled_from([
+        lambda: ["poly", "divrem", "--dividend", draw(poly), "--divisor", draw(poly)],
+        lambda: ["poly", "gcd", "--a", draw(poly), "--b", draw(poly)],
+        lambda: ["poly", draw(st.sampled_from(["content", "eisenstein"])), "--poly", draw(poly)],
+        lambda: ["poly", "cyclotomic", "--p", str(draw(st.integers(-5, 2000)))],
+        lambda: ["field", draw(st.sampled_from(["trace-norm", "minpoly-of", "denominator-clearing"])),
+                 "--minpoly", draw(monic), "--element", draw(ELEMENTS)],
+        lambda: ["field", "discriminant", "--minpoly", draw(monic),
+                 "--tuple", ";".join(draw(st.lists(ELEMENTS, min_size=1, max_size=4)))],
+        lambda: ["field", "compose", "--op", draw(st.sampled_from(["sum", "product"])),
+                 "--p", draw(monic), "--q", draw(monic)],
+        lambda: ["field", "primitive-element", "--p", draw(monic), "--q", draw(monic)],
+        lambda: ["quad", draw(st.sampled_from(["ring", "minkowski"])), "--m", draw(M)],
+        lambda: ["quad", "split", "--m", draw(M), "--q", str(draw(st.integers(-5, 2000)))],
+        lambda: ["quad", "factor", "--m", draw(M), "--ideal", draw(ideal),
+                 *draw(st.sampled_from([[], ["--verify"]]))],
+        lambda: ["quad", draw(st.sampled_from(["product", "gcd", "quotient"])), "--m", draw(M),
+                 "--ideal-a", draw(ideal), "--ideal-b", draw(ideal)],
+        lambda: ["quad", "principal", "--m", draw(M), "--ideal", draw(ideal)],
+        lambda: ["quad", "classgroup", "--m", draw(M), *draw(st.sampled_from([[], ["--verify"]]))],
+        lambda: ["units", "--m", draw(M)],
+        lambda: ["pell", "--m", draw(M), "--kind",
+                 draw(st.sampled_from(["plusOne", "minusOne", "plusFour", "minusFour"]))],
+        lambda: ["cyclo", "split", "--m", draw(M), "--q", str(draw(st.integers(-5, 2000)))],
+        lambda: ["cyclo", "lists"],
+        lambda: ["census", "--m", draw(M), "--k", str(draw(st.integers(0, 2000))),
+                 *draw(st.sampled_from([[], ["--per-class"]])),
+                 *draw(st.sampled_from([[], ["--csv", os.devnull]]))],
+        lambda: draw(st.lists(st.one_of(JUNK, st.sampled_from(["quad", "poly", "--m", "--k"])),
+                              max_size=4)),
+    ]))
+    return command() + draw(FMT)
+
+
+# a valid field, and an element with one coordinate that is no rational number
+EISENSTEIN = st.tuples(st.integers(1, 4), st.sampled_from([2, 3, 5, 7])).map(
+    lambda t: f"x^{t[0]} - {t[1]}"
+)
+BAD_COORDS = st.sampled_from(["abc", "1/0", "", "x", "--1", "1/2/3", "nan"])
+
+
+@st.composite
+def malformed_element_argvs(draw):
+    coords = draw(st.lists(st.integers(-9, 9).map(str), max_size=3))
+    coords.insert(draw(st.integers(0, len(coords))), draw(BAD_COORDS))
+    action = draw(st.sampled_from(["trace-norm", "minpoly-of", "denominator-clearing"]))
+    return ["field", action, "--minpoly", draw(EISENSTEIN), "--element", ",".join(coords)]
+
+
+@given(st.one_of(
+    argvs().map(lambda argv: (argv, {0, 2, 3})),
+    malformed_element_argvs().map(lambda argv: (argv, {2})),
+))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_0_2_or_3(request):
+    argv, codes = request
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the arguments
+            code = e.code
+    assert code in codes, (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 or code == 2, (argv, err.getvalue())

@@ -1,34 +1,40 @@
 """Counting ideals of a quadratic ring by norm.
 
-The count of ideals of norm exactly n is multiplicative, with local factors
-read off the splitting type of each prime:
+Ideals factor uniquely into prime ideals, so the count of ideals of norm
+exactly n is multiplicative, with local factors read off the splitting type
+of each prime:
 
     split q    : j + 1 ideals of norm q^j
     inert q    : 1 if j is even, else 0
     ramified q : exactly 1 for every j
 
-These are the coefficients of the Euler product zeta(s) * L(s, chi_d),
-chi_d the Kronecker character of the field discriminant (1 split, -1 inert,
-0 ramified), so a(n) = sum of chi_d(e) over e | n (Cohen GTM 138, 5.3 and
-5.10).  The sieve builds them one prime at a time: from the all-ones
-coefficients of zeta, a prime q <= sqrt(k) contributes the recurrence
-a[q t] += chi_d(q) a[t] (t ascending).  Since d is fundamental, chi_d is
-periodic mod |d|, and each residue class of primes is classified only once.
+Their series is the Euler product over the prime ideals p, prod
+1/(1 - N(p)^-s) = zeta(s) L(s, chi_d), chi_d the Kronecker character of d
+(1 split, -1 inert, 0 ramified; Cohen GTM 138, 5.3 and 5.10).  In the group
+ring of the class group, prod 1/(1 - [p] N(p)^-s) counts the ideals of norm
+n in class c as its coefficient of [c] n^-s.
 
-The coefficients are packed in 16-bit lanes, and a block of the recurrence
-is one big-integer add or subtract of two runs of lanes.  No lane carries
-or borrows: after any set of primes, a partial coefficient is a product of
-local sums (1, j + 1, or 0 and 1 alternating), so it lies in [0, d(n)],
-d(n) <= 768 for n <= 10^8, before and after each step.  A prime q > sqrt(k)
-divides n <= k at most once, and a[t q] = (1 + chi_d(q)) a[t] for
-t <= sqrt(k), where the prefix is already final: its multiples get a copy of
-the doubled prefix (split) or of zeros (inert).
+One kernel multiplies it out on h rows, one per class (h = 1 for the plain
+count), from 1 at n = 1 in the principal class.  A prime ideal of class g
+and norm Q runs rows[c][Q t] += rows[c g^-1][t] for t ascending: a split q
+has two (classes g and g^-1), a ramified q one, and an inert q is the ideal
+(q) of norm q^2 in the principal class.
+
+The coefficients are packed in 16-bit lanes, and a block of a pass is one
+big-integer add of two runs of lanes.  The kernel only ever adds, so each
+partial coefficient counts a subset of the ideals of norm n: it lies in
+[0, d(n)], d(n) <= 768 for n <= 10^8, and no lane carries.  A prime
+q > sqrt(k) divides n <= k at most once, so once the primes up to sqrt(k)
+are done its multiples, still 0, get a copy of the final prefix: the sum of
+rows[c g^-1] and rows[c g] for a split q, rows[c g] for a ramified one.  An
+inert q > sqrt(k) has no ideal of norm up to k and is skipped.
 
 Per-class counts: in an imaginary field the ideals of norm n in the class
 of I^-1 correspond, w to one, to the representations of n by the reduced
 form f of I, so the class counts are r_f(n)/w, lattice points of the
 ellipse f(x, y) <= k (Cohen GTM 138, 5.2; Buell, Binary Quadratic Forms).
-Real fields multiply out each prime's local factor in the class group.
+A real field runs the kernel on h rows, each split or ramified prime
+located by its form (q, B) and the class group's form -> class dict.
 
 The cumulative count Z(k) is compared against the asymptotic density
 sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
@@ -41,22 +47,22 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 
 from .arith import MAX_TABLE, primes_up_to
-from .quadring import (
-    ClassGroupReport,
-    QuadraticField,
-    class_group,
-    prime_form,
-    splitting_kind,
-)
+from .quadring import ClassGroupReport, QuadraticField, class_group, prime_form, splitting_kind
 from .units import regulator_mp, torsion_order
 
-BLOCK = 1 << 14  # entries per block of the strided recurrence
+BLOCK = 1 << 14  # entries per block of a strided pass
 _CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
 _ORDER = sys.byteorder  # of the lanes in an array("H")
+
+
+def _check_report(field: QuadraticField, report: ClassGroupReport) -> None:
+    if report.field != field:
+        raise ValueError(f"the class group of {report.field} does not belong to {field}")
 
 
 def _check_table_size(entries: int) -> None:
@@ -67,53 +73,104 @@ def _check_table_size(entries: int) -> None:
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0).
 
-    The coefficients live in 16-bit lanes of an array("H").  A prime
-    q <= sqrt(k) runs its recurrence in strided blocks [lo, hi] with
-    hi < q lo, so every a[t] read is already final, and fewer than BLOCK
-    entries; each block is one big-integer add or subtract of the packed
-    lanes a[lo..hi] into the packed lanes a[q lo..q hi].  Once those primes
-    are done the prefix a[1..sqrt(k)] is final and a[t q] = (1 + chi_d(q))
-    a[t] for a prime q > sqrt(k), so a split q copies the doubled prefix
-    into its multiples and an inert q copies zeros.
+    The Euler product on one row, every prime ideal in the one class: a
+    prime q <= sqrt(k) runs its pass twice when split, once when ramified
+    and once at q^2 when inert, additions only; a larger split q copies the
+    doubled prefix into its multiples, a ramified one the prefix itself,
+    and an inert one is skipped.
     """
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
-    a = array("H", [1]) * (k + 1)
-    a[0] = 0
-    root = math.isqrt(k)
+    return _euler_product(field, k)[0].tolist()
+
+
+def _prime_classes(field: QuadraticField, k: int, report: ClassGroupReport | None):
+    """The primes the Euler product uses, grouped by (chi_d(q), class of a
+    prime ideal over q), each group ascending: every split or ramified
+    q <= k, and the inert q <= sqrt(k).  The class is 0 for an inert q and,
+    with no report, for every q."""
     primes = primes_up_to(k)
-    doubled = zeros = None
-    # d is fundamental, so chi_d is a character mod |d|: each residue class
-    # of q mod |d| is decided once (a prime dividing d is alone in its
-    # class); no two primes up to k share a class when |d| > k
-    modulus, chars = abs(field.d), {}
-    for q in primes:
-        chi = chars.get(q % modulus)
-        if chi is None:
-            chi = _CHI[splitting_kind(field, q)]
-            if modulus <= k:
-                chars[q % modulus] = chi
-        if chi == 0:
+    # d is fundamental, so chi_d is a character mod |d|: it is decided once
+    # per residue class of the primes (a prime dividing d is alone in its
+    # class, and when |d| > k every prime is)
+    modulus = abs(field.d)
+    if modulus <= k:
+        residues = list(map(modulus.__rmod__, primes))
+        chars = {r: _CHI[splitting_kind(field, q)] + 1 for r, q in dict(zip(residues, primes)).items()}
+        chis = bytes(map(chars.__getitem__, residues))  # chi_d(q) + 1, a byte per prime
+        del residues
+    else:
+        chis = bytes(_CHI[splitting_kind(field, q)] + 1 for q in primes)
+    # the ramified primes divide d, the inert ones the product uses are small
+    upto = {1: k, 0: modulus, -1: math.isqrt(k)}
+    split, ramified, inert = (
+        list(compress(islice(primes, bisect_right(primes, upto[chi])), map((chi + 1).__eq__, chis)))
+        for chi in (1, 0, -1)
+    )
+    if report is None:
+        return {(1, 0): split, (0, 0): ramified, (-1, 0): inert}
+    groups = {(-1, 0): inert}
+    for chi, qs in ((1, split), (0, ramified)):
+        for q in qs:
+            groups.setdefault((chi, report.form_class(*prime_form(field, q))), []).append(q)
+    return groups
+
+
+def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | None = None):
+    """rows[c][n] = ideals of norm n <= k in class c, as h arrays("H"), by
+    the group-ring Euler product (the module docstring); one row when there
+    is no report.
+
+    A pass of a prime ideal of norm Q runs in strided blocks [lo, hi] with
+    hi < Q lo, so every entry it reads is final, and fewer than BLOCK
+    entries.  The passes commute, so they run group by group.
+    """
+    table = report.table if report is not None else ((0,),)
+    h = len(table)
+    inverse = [row.index(0) for row in table]
+    groups = _prime_classes(field, k, report)  # first: its temporaries are freed before the rows
+    rows = [array("H", bytes(2 * (k + 1))) for _ in range(h)]
+    rows[0][1] = 1
+    root = math.isqrt(k)
+    # the pass of a prime ideal of class g adds class c g^-1 into row c
+    sources = [[table[c][inverse[g]] for c in range(h)] for g in range(h)]
+    for (chi, g), qs in groups.items():
+        for q in qs[: bisect_right(qs, root)]:
+            if chi == -1:
+                _multiply(rows, q * q, k, sources[0])
+            else:
+                _multiply(rows, q, k, sources[g])
+                if chi == 1:
+                    _multiply(rows, q, k, sources[inverse[g]])
+    for (chi, g), qs in groups.items():
+        if chi == -1:
             continue
-        top = k // q
-        if q <= root:
-            lo = 1
-            while lo <= top:
-                hi = min(top, q * lo - 1, lo + BLOCK - 1)
-                lanes = slice(q * lo, q * hi + 1, q)
-                src = int.from_bytes(a[lo : hi + 1], _ORDER)
-                dst = int.from_bytes(a[lanes], _ORDER)
-                dst = dst + src if chi == 1 else dst - src
-                a[lanes] = array("H", dst.to_bytes(2 * (hi - lo + 1), _ORDER))
-                lo = hi + 1
-        else:
-            if doubled is None:
-                doubled = array("H", map((2).__mul__, a[: root + 1]))
-                zeros = array("H", bytes(2 * (root + 1)))
-            a[q : q * top + 1 : q] = (doubled if chi == 1 else zeros)[1 : top + 1]
-    del primes
-    return a.tolist()
+        ideals = (g, inverse[g]) if chi == 1 else (g,)
+        views = []
+        for c in range(h):
+            pre = sum(int.from_bytes(rows[sources[i][c]][: root + 1], _ORDER) for i in ideals)
+            pre = array("H", pre.to_bytes(2 * (root + 1), _ORDER))
+            views.append((memoryview(rows[c]), memoryview(pre)))
+        for q in qs[bisect_right(qs, root) :]:
+            top = k // q
+            for row, pre in views:
+                row[q : q * top + 1 : q] = pre[1 : top + 1]
+    return rows
+
+
+def _multiply(rows: list, q: int, k: int, sources) -> None:
+    """rows[c][q t] += rows[sources[c]][t] for t = 1 .. k // q, ascending."""
+    top = k // q
+    lo = 1
+    while lo <= top:
+        hi = min(top, q * lo - 1, lo + BLOCK - 1)
+        lanes = slice(q * lo, q * hi + 1, q)
+        blocks = [int.from_bytes(row[lo : hi + 1], _ORDER) for row in rows]
+        for row, s in zip(rows, sources):
+            dst = int.from_bytes(row[lanes], _ORDER) + blocks[s]
+            row[lanes] = array("H", dst.to_bytes(2 * (hi - lo + 1), _ORDER))
+        lo = hi + 1
 
 
 def sigma_theoretical(field: QuadraticField, precision: int = 30):
@@ -174,7 +231,8 @@ def census_check(
     report: ClassGroupReport | None = None,
     precision: int = 30,
 ) -> CensusResult:
-    """Z(k) from the sieve against sigma*h, with optional per-class counts."""
+    """Z(k) from the sieve against sigma*h, with optional per-class counts;
+    a report passed in must be the class group of this field."""
     return _census_with_counts(field, k, per_class, report, precision)[0]
 
 
@@ -184,8 +242,12 @@ def _census_with_counts(field, k, per_class, report, precision):
 
     if k < 100:
         raise ValueError("cutoff must be at least 100")
+    if report is not None:
+        _check_report(field, report)
     counts = ideal_count_sieve(field, k)
     z_k = sum(counts)
+    # before the class group: the fundamental unit's period cap trips first
+    sigma = sigma_theoretical(field, precision)
     if report is None:
         report = class_group(field)
     h = report.h
@@ -193,7 +255,6 @@ def _census_with_counts(field, k, per_class, report, precision):
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
     with mpmath.workdps(precision + 15):
-        sigma = sigma_theoretical(field, precision)
         zk = mpmath.mpf(z_k) / k
         dev = abs(zk - sigma * h)
         norm_dev = dev * mpmath.sqrt(k)
@@ -214,12 +275,13 @@ def _census_with_counts(field, k, per_class, report, precision):
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     """counts[c][n] = ideals of norm exactly n in class c: from the reduced
-    forms in an imaginary field, by a multiplicative knapsack over prime
-    ideals keyed by class-group element in a real one."""
+    forms in an imaginary field, by the group-ring Euler product on h rows
+    (additions only; large inert primes skipped) in a real one."""
+    _check_report(field, report)
     _check_table_size(report.h * (k + 1))
     if field.m < 0:
         return _form_counts(field, k, report)
-    return _knapsack_counts(field, k, report)
+    return [row.tolist() for row in _euler_product(field, k, report)]
 
 
 def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
@@ -257,69 +319,6 @@ def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
                 raise ArithmeticError(f"point counts of {(a, big_b, big_c)} are not multiples of w/2")
             row = [n // pairs for n in row]
         z.append(row)
-    return z
-
-
-def _knapsack_counts(field: QuadraticField, k: int, report: ClassGroupReport):
-    """Per-class counts of a real field: each prime's local factor, with the
-    class of a split or ramified prime located from its form (q, B)."""
-    h = report.h
-    table = report.table
-    inverse = [row.index(0) for row in table]
-
-    def gpow(g: int, j: int) -> int:
-        out = 0
-        for _ in range(j):
-            out = table[out][g]
-        return out
-
-    z = [[0] * (k + 1) for _ in range(h)]
-    z[0][1] = 1
-    for q in primes_up_to(k):
-        kind = splitting_kind(field, q)
-        # local factors: list of (prime power, [classes with multiplicity])
-        local: list[tuple[int, list[int]]] = []
-        if kind == "inert":
-            qq = q * q
-            pw = qq
-            while pw <= k:
-                local.append((pw, [0]))
-                pw *= qq
-        else:
-            g = report.form_class(*prime_form(field, q))
-            if kind == "ramified":
-                pw, j = q, 1
-                while pw <= k:
-                    local.append((pw, [gpow(g, j)]))
-                    pw *= q
-                    j += 1
-            else:  # split: classes g and g^{-1}
-                ginv = inverse[g]
-                pw, j = q, 1
-                while pw <= k:
-                    cls = []
-                    for i in range(j + 1):
-                        cls.append(table[gpow(g, i)][gpow(ginv, j - i)])
-                    local.append((pw, cls))
-                    pw *= q
-                    j += 1
-        if not local:
-            continue
-        for n in range(1, k // q + 1):
-            if n % q == 0:
-                continue
-            row = [z[c][n] for c in range(h)]
-            if not any(row):
-                continue
-            for pw, classes in local:
-                t = n * pw
-                if t > k:
-                    break
-                for c in range(h):
-                    v = row[c]
-                    if v:
-                        for cl in classes:
-                            z[table[c][cl]][t] += v
     return z
 
 

@@ -95,13 +95,15 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
 
 # bounded: a unit of a field with a long period runs to thousands of digits
 @functools.lru_cache(maxsize=1024)
-def fundamental_unit(field: QuadraticField) -> QuadInt:
+def fundamental_unit(field: QuadraticField, max_period: int = 10**5) -> QuadInt:
     """The unit lam > 1 with U(R) = {+-lam^k}, from the first convergent
     p/q of w making p - q*w a unit; lam is its large conjugate.
 
     N(p_(k-1) - q_(k-1)*w) = +-Q_k/Q_0 for the complete quotients
     (P_k + sqrt(m))/Q_k of w, so the first unit is the convergent before
-    the first return of Q to Q_0; its norm is checked exactly.
+    the first return of Q to Q_0; its norm is checked exactly.  lam has
+    O(period) digits and building it costs O(period^2), so a period over
+    max_period raises PeriodOverflow (10^5 steps give 57,000 digits in 1-2 s).
     """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
@@ -115,6 +117,8 @@ def fundamental_unit(field: QuadraticField) -> QuadInt:
             if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
                 raise ArithmeticError(f"{lam} is not a unit above 1")
             return lam
+        if steps >= max_period:
+            raise PeriodOverflow(f"period exceeds cap {max_period}")
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
     raise ArithmeticError("unreachable")

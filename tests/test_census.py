@@ -210,13 +210,48 @@ class TestPerClassOracle:
         assert per_class_counts(field, k, report) == per_class_oracle(field, k, report), field.m
 
     def test_every_small_field_at_200(self):
-        for field in squarefree_fields(-300, -1) + squarefree_fields(2, 100):
+        for field in squarefree_fields(-300, -1) + squarefree_fields(2, 300):
             self.check(field, 200)
 
     def test_chosen_fields_at_1000(self):
         # w = 4 and 6, h = 2, 4, 3, 77 (imaginary), h = 2, 3, 3 (real)
         for m in (-1, -3, -5, -14, -23, -10007, 10, 79, 223):
             self.check(ring_of_integers(m), 1000)
+
+    def test_real_fields_of_class_number_4_and_8_at_1000(self):
+        for m, h in ((82, 4), (145, 4), (226, 8), (399, 8), (1299, 8)):
+            field = ring_of_integers(m)
+            assert class_group(field).h == h
+            self.check(field, 1000)
+
+    def test_real_class_number_one_row_is_the_sieve(self):
+        # k = 100^2 + 1 = 73 * 137, one past a square; large primes reach k / 2
+        k = 10**4 + 1
+        fields = [f for f in squarefree_fields(2, 300) if class_group(f).h == 1]
+        assert len(fields) == 92
+        for field in fields:
+            (row,) = per_class_counts(field, k, class_group(field))
+            assert row == ideal_count_sieve(field, k), field.m
+
+
+class TestReportOfAnotherField:
+    """A class group passed in must be the field's own: another field's h,
+    table and form dict would give a wrong census or a misleading error."""
+
+    @pytest.mark.parametrize("m, other", [(-5, -23), (-5, 10), (10, 79), (10, -5)])
+    def test_rejected(self, m, other):
+        field, report = ring_of_integers(m), class_group(ring_of_integers(other))
+        for per_class in (False, True):
+            with pytest.raises(ValueError, match="does not belong"):
+                census_check(field, 100, per_class=per_class, report=report)
+        with pytest.raises(ValueError, match="does not belong"):
+            per_class_counts(field, 100, report)
+
+    def test_own_report_accepted(self):
+        for m in (-5, 10):
+            field = ring_of_integers(m)
+            result = census_check(field, 100, per_class=True, report=class_group(field))
+            assert sum(result.per_class) == result.z_k
 
 
 @pytest.mark.parametrize("k", [100, 101, 178, 10**4, 10**4 + 1])

@@ -265,6 +265,17 @@ class TestUnitsAndPell:
         data = run_json(capsys, "census", "--m", m, "--k", "1000")
         assert data["h"] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["units"], ["pell", "--kind", "plusOne"], ["census", "--k", "1000"]],
+    )
+    def test_period_over_cap_exits_3(self, capsys, argv):
+        # the fundamental unit of m = 10^12 + 39 has a period over 10^5
+        code = main([argv[0], "--m", "1000000000039", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: period exceeds cap 100000\n"
+
     def test_minkowski_bound_above_table_cap_exits_3(self, capsys):
         # Minkowski floor 1,273,239,544: the prime sieve refuses before allocating
         code = main(["quad", "classgroup", "--m", "-1000000000000000037"])

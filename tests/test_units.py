@@ -89,6 +89,15 @@ class TestFundamentalUnit:
         with pytest.raises(ValueError):
             fundamental_unit(ring_of_integers(-7))
 
+    def test_period_cap(self):
+        # the cap admits a period equal to it and refuses one step more
+        for m in (2, 3, 13, 94, 4729):
+            field = ring_of_integers(m)
+            period = continued_fraction_of_omega(field)[1]
+            assert fundamental_unit(field, period) == fundamental_unit(field)
+            with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}"):
+                fundamental_unit(field, period - 1)
+
     def test_cache_is_bounded(self):
         info = fundamental_unit.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize

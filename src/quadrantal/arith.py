@@ -39,7 +39,12 @@ class SquareFreeUnverified(ValueError):
 
 
 class PeriodOverflow(ValueError):
-    """A continued-fraction period exceeded the requested cap."""
+    """A continued-fraction period or rho-cycle exceeded the requested cap."""
+
+
+# Cap on the steps of a continued-fraction period or rho-cycle walk: the
+# fundamental unit of such a period has about 57,000 digits (1-2 s).
+MAX_PERIOD = 10**5
 
 
 def is_prime(n: int) -> bool:

@@ -6,8 +6,8 @@ decimal strings.  Exit codes: 0 success, 1 standard output closed before
 the result was written (piped into `head`, say), 2 invalid input, 3
 computational precondition failure (non-square-free m, unfactorable input,
 division by the zero polynomial, an unwritable --csv file, a table, prime
-sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit of
-period over 10^5, ...).
+sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit or
+rho-cycle of period over 10^5, a number field of degree over 400, ...).
 
 Each subcommand imports only the layer it uses when it runs; `mpmath` is
 loaded only where a float is printed (census, units, quad minkowski) or a

@@ -1,43 +1,61 @@
 """Number fields Q(theta) presented by a monic integer polynomial.
 
 Elements are residue polynomials of degree < n; all arithmetic reduces
-modulo the defining polynomial and stays in exact rationals.  Traces,
+modulo the defining polynomial and stays exact.  Coefficients, traces,
+norms and discriminants are ints when integral and Fractions otherwise
+(`polynomial.coefficient`), so an algebraic integer's products, power
+sums and determinants run on ints, and every quotient goes through
+`polynomial.exact_div`.  The degree is capped at MAX_DEGREE.  Traces,
 discriminants, field polynomials and composed polynomials all come from
 Newton power sums s_k = theta_1^k + ... + theta_n^k of the roots (Cohen,
 GTM 138, section 4.3); norms are Bareiss determinants of multiplication
-matrices.  Numerical embeddings (mpmath, 60 significant digits by
-default) exist only for cross-checks and for ordering conjugates; they
-are never the source of an exact value.
+matrices; the signature comes from a Sturm sequence.  Numerical
+embeddings (mpmath, 60 significant digits by default) exist only for
+cross-checks and for ordering conjugates; they are never the source of
+an exact value.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import factorize
-from .polynomial import Poly, poly_divmod, poly_gcd, poly_xgcd, squarefree_part
+from .polynomial import (
+    Poly,
+    coefficient,
+    content_and_primitive_part,
+    exact_div,
+    is_squarefree,
+    poly_divmod,
+    poly_xgcd,
+    squarefree_part,
+)
 
 EMBEDDING_DPS = 60
+# power sums cost O(n^2) and norms are n x n determinants
+MAX_DEGREE = 400
 
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers (lists of lists of Fractions / ints)
 # ---------------------------------------------------------------------------
 
-def mat_det(m) -> Fraction:
-    """Exact determinant.  Rows are scaled to integers, then fraction-free
-    Bareiss elimination keeps every intermediate an integer."""
+def mat_det(m):
+    """Exact determinant (int or Fraction).  Rows with a fractional entry
+    are scaled to integers, then fraction-free Bareiss elimination keeps
+    every intermediate an integer."""
     n = len(m)
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
+        return 1
+    scale = 1
     a = []
     for row in m:
-        row = [Fraction(x) for x in row]
+        row = [coefficient(x) for x in row]
         den = math.lcm(*(x.denominator for x in row))
-        scale *= den
-        a.append([int(x * den) for x in row])
+        if den != 1:
+            scale *= den
+            row = [int(x * den) for x in row]
+        a.append(row)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -48,27 +66,28 @@ def mat_det(m) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], 1) / scale
+                return 0
+        pivot, top = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1:], top)]
+            row[k] = 0
+        prev = pivot
+    return exact_div(sign * a[n - 1][n - 1], scale)
 
 
 def char_poly(m) -> Poly:
     """Monic characteristic polynomial det(xI - M), exactly.
 
     Faddeev-LeVerrier: M_1 = M, c_k = -tr(M M_{k-1})/k, M_k = M(M_{k-1} + c I).
-    Divisions are by rational integers, so Fractions stay exact.
+    Divisions are by rational integers, exact through exact_div.
     """
     n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
+    m = [[coefficient(x) for x in row] for row in m]
+    coeffs = [1]  # leading coefficient of x^n
     mk = [row[:] for row in m]
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck = exact_div(-sum(mk[i][i] for i in range(n)), k)
         coeffs.append(ck)
         if k < n:
             for i in range(n):
@@ -99,10 +118,11 @@ def power_sums(p: Poly, count: int) -> list[int]:
 def from_power_sums(s) -> Poly:
     """The monic polynomial of degree len(s) - 1 whose roots have power
     sums s_1, s_2, ... (s[0] is ignored): Newton's identities solved for
-    b_k = -(s_k + sum_{j=1}^{k-1} b_j*s_{k-j}) / k, exact in Fractions."""
-    b = [Fraction(1)]
+    b_k = -(s_k + sum_{j=1}^{k-1} b_j*s_{k-j}) / k, ints while the
+    quotients are integers."""
+    b = [1]
     for k in range(1, len(s)):
-        b.append(-(s[k] + sum(b[j] * s[k - j] for j in range(1, k))) / Fraction(k))
+        b.append(exact_div(-(s[k] + sum(b[j] * s[k - j] for j in range(1, k))), k))
     return Poly(list(reversed(b)))
 
 
@@ -114,12 +134,15 @@ class NumberField:
     """Q(theta) for theta a root of a monic irreducible integer polynomial.
 
     Irreducibility is an assumed precondition, checked heuristically only:
-    no integer roots, plus an Eisenstein certificate when one exists.
+    no integer roots, plus an Eisenstein certificate when one exists.  The
+    degree is at most MAX_DEGREE (ValueError above it).
     """
 
     def __init__(self, minpoly: Poly):
         if not (minpoly.is_monic() and minpoly.is_integral() and minpoly.degree >= 1):
             raise ValueError("defining polynomial must be monic, integral, nonconstant")
+        if minpoly.degree > MAX_DEGREE:
+            raise ValueError(f"degree {minpoly.degree} is over the cap {MAX_DEGREE}")
         self._reject_integer_roots(minpoly)
         self.minpoly = minpoly
         self.degree = minpoly.degree
@@ -132,7 +155,7 @@ class NumberField:
         dividing a0; try every such divisor, built from factorize(a0)."""
         if p.degree == 1:
             return
-        a0 = int(p.coeffs[0])
+        a0 = p.coeffs[0]
         if a0 == 0:
             raise ValueError("defining polynomial is divisible by x")
         divisors = [1]
@@ -144,7 +167,7 @@ class NumberField:
         for d in sorted(d for d in divisors if d * d <= abs(a0)):
             candidates.update((d, -d, a0 // d, -(a0 // d)))
         for r in candidates:
-            if p(Fraction(r)) == 0:
+            if p(r) == 0:
                 raise ValueError(f"defining polynomial has rational root {r}")
 
     def __eq__(self, other):
@@ -181,12 +204,24 @@ class NumberField:
         return self._embeddings[1]
 
     def signature(self) -> tuple[int, int]:
-        """(number of real embeddings, pairs of complex embeddings)."""
-        import mpmath
+        """(r1, r2): real embeddings and pairs of complex ones.
 
-        emb = self.embeddings()
-        eps = mpmath.mpf(10) ** (-EMBEDDING_DPS // 2)
-        r1 = sum(1 for e in emb if abs(e.imag) < eps)
+        Sturm's theorem: r1 = V(-inf) - V(+inf), V the sign changes of the
+        sequence f, f', -rem(f, f'), ... (Basu, Pollack and Roy,
+        Algorithms in Real Algebraic Geometry, ch. 2).  Only the leading
+        coefficients' signs matter, so each remainder is replaced by its
+        positive multiple with coprime integer coefficients.
+        """
+        seq = [self.minpoly, self.minpoly.derivative()]
+        while seq[-1].degree > 0:
+            r = poly_divmod(seq[-2], seq[-1])[1]
+            if r.is_zero():
+                break
+            den = math.lcm(*(c.denominator for c in r.coeffs))
+            seq.append(content_and_primitive_part(r.scale(-den))[1])
+        plus = [1 if p.coeffs[-1] > 0 else -1 for p in seq]
+        minus = [s if p.degree % 2 == 0 else -s for s, p in zip(plus, seq)]
+        r1 = _sign_changes(minus) - _sign_changes(plus)
         return r1, (self.degree - r1) // 2
 
     # -- element constructors ------------------------------------------------
@@ -299,22 +334,22 @@ class FieldElement:
         cols = [col]
         for _ in range(n - 1):
             # times theta: shift up, then replace theta^n by -(f - x^n)(theta)
-            top, col = col[-1], [Fraction(0)] + col[:-1]
+            top, col = col[-1], [0] + col[:-1]
             if top:
                 col = [c - top * f[i] for i, c in enumerate(col)]
             cols.append(col)
         return [list(row) for row in zip(*cols)]
 
-    def trace_and_norm(self) -> tuple[Fraction, Fraction]:
+    def trace_and_norm(self):
         """(trace, norm), computed independently."""
         return self.trace(), self.norm()
 
-    def trace(self) -> Fraction:
+    def trace(self):
         """Tr(sum_k c_k theta^k) = sum_k c_k s_k, s_k the field's power sums."""
         s = self.field._power_sums
-        return sum((c * s[k] for k, c in enumerate(self.repr.coeffs)), Fraction(0))
+        return coefficient(sum(c * s[k] for k, c in enumerate(self.repr.coeffs)))
 
-    def norm(self) -> Fraction:
+    def norm(self):
         """Bareiss determinant of the multiplication matrix."""
         return mat_det(self.multiplication_matrix())
 
@@ -357,7 +392,7 @@ class FieldElement:
         return vals
 
 
-def tuple_discriminant(elements) -> Fraction:
+def tuple_discriminant(elements):
     """Discriminant det[T(a_i a_j)] of an n-tuple, n the field degree.
 
     Nonzero exactly when the tuple is a Q-basis of the field.  The trace
@@ -377,7 +412,8 @@ def tuple_discriminant(elements) -> Fraction:
             raise ValueError("elements live in different fields")
     s = field._power_sums
     hankel = [[s[k + l] for l in range(n)] for k in range(n)]
-    return mat_det([[e.repr[k] for k in range(n)] for e in elements]) ** 2 * mat_det(hankel)
+    coords = mat_det([[e.repr[k] for k in range(n)] for e in elements])
+    return coefficient(coords**2 * mat_det(hankel))
 
 
 def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
@@ -446,7 +482,7 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
             raise ValueError("need monic integer polynomials")
         # an irreducible polynomial is squarefree; a repeated root stalls the
         # numeric root finder, and a repeated beta defeats every shift c
-        if poly_gcd(f, f.derivative()).degree > 0:
+        if not is_squarefree(f):
             raise ValueError(f"{name} has a repeated root")
     if q.degree == 1:
         return 0
@@ -465,9 +501,12 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
 def _composed_sum_squarefree(p: Poly, q: Poly, c: int) -> bool:
     # roots of qq are c * (roots of q): c^n q(x/c), still monic and integral
     n = q.degree
-    qq = Poly([q.coeffs[i] * Fraction(c) ** (n - i) for i in range(n + 1)])
-    s = composed_min_poly("sum", p, qq)
-    return poly_gcd(s, s.derivative()).degree == 0
+    qq = Poly([q.coeffs[i] * c ** (n - i) for i in range(n + 1)])
+    return is_squarefree(composed_min_poly("sum", p, qq))
+
+
+def _sign_changes(signs) -> int:
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _separation_certified(fp: NumberField, fq: NumberField, c: int) -> bool:

@@ -1,9 +1,17 @@
 """Exact univariate polynomials over Q (and over Z as a special case).
 
-A polynomial is an immutable tuple of Fractions indexed by degree, with the
-zero polynomial stored as the empty tuple and no trailing zeros ever kept,
-so structural equality is mathematical equality.  Arithmetic is exact; no
-floats enter anywhere.
+A polynomial is an immutable tuple of coefficients indexed by degree, with
+the zero polynomial stored as the empty tuple and no trailing zeros ever
+kept.  A coefficient is an `int` when its value is an integer and a
+`fractions.Fraction` otherwise, never a float, so structural equality is
+mathematical equality and integer polynomials run on machine-speed ints.
+Every quotient goes through `exact_div`, which stays an `int` when the
+division is exact.
+
+Squarefreeness has a modular certificate: gcd(f, f') = 1 modulo the prime
+2^61 - 1, with both degrees kept, makes the resultant Res(f, f') nonzero
+(Cohen, GTM 138, section 3.3; von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 6); only an uncertified f takes the Euclidean gcd over Q.
 
 Two text encodings round-trip:
 
@@ -20,23 +28,40 @@ from fractions import Fraction
 from .arith import MAX_TABLE, factorize, is_prime
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+# the prime of the modular squarefree certificate
+SQUAREFREE_PRIME = 2**61 - 1
+
+
+def coefficient(c):
+    """c as a coefficient: an int when its value is an integer, else a
+    Fraction.  Accepts int, Fraction and decimal or num/den strings; a
+    float is refused."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, (int, str)):
+        return coefficient(Fraction(c))
     raise TypeError(f"bad coefficient {c!r}")
 
 
+def exact_div(a, b):
+    """a / b for int or Fraction a and b: an int when the quotient is an
+    integer, else a Fraction.  Two ints never meet in a float division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return coefficient(a / b)  # a Fraction on at least one side
+
+
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial over Q: each coefficient is an int when
+    integral, else a Fraction (see `coefficient`)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -55,13 +80,13 @@ class Poly:
         return not self.coeffs
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -88,7 +113,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -96,12 +121,12 @@ class Poly:
         return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = _coerce(c)
+        c = coefficient(c)
         return Poly([c * a for a in self.coeffs])
 
     def shift_compose(self, c) -> "Poly":
         """p(x + c), by Horner on the shifted variable."""
-        c = _coerce(c)
+        c = coefficient(c)
         out = Poly()
         xc = Poly([c, 1])
         for a in reversed(self.coeffs):
@@ -133,7 +158,7 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no monic form")
         lead = self.coeffs[-1]
-        return self if lead == 1 else Poly([c / lead for c in self.coeffs])
+        return self if lead == 1 else Poly([exact_div(c, lead) for c in self.coeffs])
 
     # -- encodings ---------------------------------------------------------
 
@@ -155,7 +180,7 @@ class Poly:
 
     @classmethod
     def from_json_array(cls, arr) -> "Poly":
-        return cls([Fraction(str(c)) for c in arr])
+        return cls([str(c) for c in arr])
 
     @classmethod
     def from_text(cls, s: str) -> "Poly":
@@ -164,7 +189,7 @@ class Poly:
             return cls()
         # normalize "a - b" to "a + -b" so splitting on '+' is safe
         s = re.sub(r"(?<=[0-9x)])\s*-\s*", " + -", s)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         for term in s.split("+"):
             term = term.replace(" ", "")
             if not term:
@@ -173,15 +198,15 @@ class Poly:
             m = re.fullmatch(r"(-?\d+(?:/\d+)?|-(?=\*?x))?(?:\*?(x)(?:\^(\d+))?)?", term)
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise ValueError(f"cannot parse polynomial term {term!r}")
-            c = Fraction(m.group(1)) if m.group(1) not in (None, "-") else (
-                Fraction(-1) if m.group(1) == "-" else Fraction(1)
+            c = coefficient(m.group(1)) if m.group(1) not in (None, "-") else (
+                -1 if m.group(1) == "-" else 1
             )
             k = 0 if m.group(2) is None else (1 if m.group(3) is None else int(m.group(3)))
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
+            coeffs[k] = coeffs.get(k, 0) + c
         n = max(coeffs) + 1
         if n > MAX_TABLE:
             raise ValueError(f"degree {n - 1} is over the cap of {MAX_TABLE} coefficients")
-        return cls([coeffs.get(i, Fraction(0)) for i in range(n)])
+        return cls([coeffs.get(i, 0) for i in range(n)])
 
     def __repr__(self):
         return f"Poly({self.to_text()})"
@@ -197,18 +222,17 @@ def poly_divmod(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     """
     if divisor.is_zero():
         raise ZeroDivisionError("polynomial division by zero polynomial")
-    q = [Fraction(0)] * max(0, dividend.degree - divisor.degree + 1)
-    rem = list(dividend.coeffs)
     d = divisor.degree
-    lead = divisor.coeffs[-1]
+    q = [0] * max(0, dividend.degree - d + 1)
+    rem = list(dividend.coeffs)
+    lead, low = divisor.coeffs[-1], divisor.coeffs[:-1]
     for i in range(len(rem) - 1 - d, -1, -1):
-        f = rem[i + d] / lead
+        f = exact_div(rem[i + d], lead)
         if f:
             q[i] = f
-            for j, b in enumerate(divisor.coeffs):
+            for j, b in enumerate(low):
                 rem[i + j] -= f * b
-        rem[i + d] = Fraction(0)
-    return Poly(q), Poly(rem)
+    return Poly(q), Poly(rem[:d])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -234,8 +258,7 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    lead = r0.coeffs[-1]
-    inv = 1 / lead
+    inv = exact_div(1, r0.coeffs[-1])
     return r0.monic(), s0.scale(inv), t0.scale(inv)
 
 
@@ -287,10 +310,53 @@ def cyclotomic_poly_prime(p: int) -> Poly:
     return Poly([1] * p)
 
 
+def _certified_squarefree(f: Poly) -> bool:
+    """True when the modular certificate proves f squarefree.
+
+    F = f times the lcm of its denominators is an integer polynomial.  If
+    the prime P = SQUAREFREE_PRIME divides neither the leading coefficient
+    of F nor that of F', both keep their degrees mod P, so Res(F, F') mod P
+    is the resultant of the reductions; a gcd of degree 0 mod P makes it
+    nonzero, and then F has no repeated root.  False means "not certified"
+    (P divides a leading coefficient or the resultant), not "repeated root".
+    """
+    if f.degree < 1:
+        return False
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    big_p = SQUAREFREE_PRIME
+    a = [int(c * den) % big_p for c in f.coeffs]
+    b = [i * c % big_p for i, c in enumerate(a)][1:]
+    if not (a[-1] and b[-1]):
+        return False
+    # Euclid over GF(P) on coefficient lists, constant term first
+    while b:
+        inv, db = pow(b[-1], -1, big_p), len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            t = a[i + db] * inv % big_p
+            if t:
+                for j in range(db):
+                    a[i + j] = (a[i + j] - t * b[j]) % big_p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def is_squarefree(f: Poly) -> bool:
+    """Whether f has no repeated root, i.e. gcd(f, f') = 1 in Q[x]: by the
+    modular certificate when it applies, else by `poly_gcd` over Q.
+    Constants are squarefree; the zero polynomial raises ValueError."""
+    return _certified_squarefree(f) or poly_gcd(f, f.derivative()).degree == 0
+
+
 def squarefree_part(p: Poly) -> Poly:
-    """p with repeated factors removed: p / gcd(p, p'), made monic."""
+    """p with repeated factors removed: p / gcd(p, p'), made monic; p itself,
+    made monic, when the modular certificate proves it squarefree."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
+    if _certified_squarefree(p):
+        return p.monic()
     g = poly_gcd(p, p.derivative())
     q, r = poly_divmod(p, g)
     if not r.is_zero():

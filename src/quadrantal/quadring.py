@@ -35,13 +35,16 @@ Forms, ch. 6).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 import math
 
 from .arith import (
+    MAX_PERIOD,
     PI_HI,
     PI_LO,
+    PeriodOverflow,
     check_square_free,
     factorize,
     floor_of_root_quotient,
@@ -595,14 +598,16 @@ def _reduce(field: QuadraticField, a: int, big_b: int, alpha=None):
 
 def _cycle(field: QuadraticField, a: int, big_b: int, alpha=None):
     """The rho-cycle of the reduced real form (a, B): yields (a, B, alpha) for
-    every reduced ideal of the class, once."""
+    every reduced ideal of the class, once.  A cycle of more than MAX_PERIOD
+    forms raises PeriodOverflow once that many have been yielded."""
     r = math.isqrt(field.d)
     start = (a, big_b)
-    while True:
+    for _ in range(MAX_PERIOD):
         yield a, big_b, alpha
         a, big_b, alpha = _rho(field, r, a, big_b, alpha)
         if (a, big_b) == start:
             return
+    raise PeriodOverflow(f"period exceeds cap {MAX_PERIOD}")
 
 
 def _class_forms(field: QuadraticField, a: int, big_b: int):
@@ -644,8 +649,8 @@ def _exact_div(x: QuadInt, n: int) -> QuadInt:
 
 def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
     """The canonical ideal of the class of I: the Gauss-reduced form
-    (imaginary) or the least (a, b) on the rho-cycle (real); the zero ideal
-    is returned unchanged."""
+    (imaginary) or the least (a, b) on the rho-cycle (real, PeriodOverflow
+    above MAX_PERIOD forms); the zero ideal is returned unchanged."""
     if i.is_zero():
         return i
     a, big_b = _class_forms(i.field, *_reduce(i.field, *_form(i))[:2])[0]
@@ -660,7 +665,8 @@ def is_principal(i: QuadIdeal):
     generator is c times the tracked alpha of that reduction.  Among its
     associates the one returned has the least y >= 0 in x + y*w, a positive
     norm before a negative one, then the larger x; real fields only take the
-    positive associates.  The certificate (gen) = I is checked.
+    positive associates.  The certificate (gen) = I is checked.  A real
+    rho-cycle of more than MAX_PERIOD forms raises PeriodOverflow.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
@@ -677,9 +683,11 @@ def is_principal(i: QuadIdeal):
         cands = [alpha * z for z in torsion_units(field)]
     else:
         a, big_b, alpha = _reduce(field, a0, big_b0, field.integer(a0, 0))
-        gen = next((beta for a, _, beta in _cycle(field, a, big_b, alpha) if a == 1), None)
-        if gen is None:
+        # find (1) on the cycle without alpha, then carry alpha that far
+        k = next((k for k, form in enumerate(_cycle(field, a, big_b)) if form[0] == 1), None)
+        if k is None:
             return None
+        gen = next(itertools.islice(_cycle(field, a, big_b, alpha), k, None))[2]
         cands = _balanced_associates(gen, a0)
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     gen = field.integer(i.c * x.a, i.c * x.b)
@@ -839,15 +847,9 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     and looks the reduced product up in one form -> class dict; a miss is a
     new class, whose rho-cycle is walked once into the dict and whose least
     (a, b) is its representative.  The table then follows from the prime
-    that first reached each class.
+    that first reached each class.  A rho-cycle of more than MAX_PERIOD
+    forms raises PeriodOverflow; the principal cycle is walked first.
     """
-    bound = minkowski_floor(field)
-    prime_forms = []
-    for q in primes_up_to(bound):
-        rep = split_prime(field, q)
-        if rep.kind == "inert":
-            continue  # principal class, generates nothing
-        prime_forms.extend(_form(p) for p, _ in rep.factors)
     d = field.d
     forms = {}   # every reduced form met so far -> its class
     reps = []    # (a, B) of each class's representative
@@ -862,7 +864,15 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
             origin.append(via)
         return forms[key]
 
+    # the principal cycle first: a period over MAX_PERIOD fails before the
+    # prime ideals below the Minkowski bound are split
     locate(*_form(unit_ideal(field)), None)
+    prime_forms = []
+    for q in primes_up_to(minkowski_floor(field)):
+        rep = split_prime(field, q)
+        if rep.kind == "inert":
+            continue  # principal class, generates nothing
+        prime_forms.extend(_form(p) for p, _ in rep.factors)
     steps = []  # steps[k][j] = class of reps[k] * (prime j)
     for k, (a, big_b) in enumerate(reps):  # reps grows while the loop runs
         products = (_compose(d, a, big_b, *p)[:2] for p in prime_forms)

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .arith import PeriodOverflow
+from .arith import MAX_PERIOD, PeriodOverflow
 from .quadring import QuadInt, QuadraticField, unit_inverse
 
 
@@ -95,7 +95,7 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
 
 # bounded: a unit of a field with a long period runs to thousands of digits
 @functools.lru_cache(maxsize=1024)
-def fundamental_unit(field: QuadraticField, max_period: int = 10**5) -> QuadInt:
+def fundamental_unit(field: QuadraticField, max_period: int = MAX_PERIOD) -> QuadInt:
     """The unit lam > 1 with U(R) = {+-lam^k}, from the first convergent
     p/q of w making p - q*w a unit; lam is its large conjugate.
 

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from quadrantal import quadring
+from quadrantal.arith import PeriodOverflow
 from quadrantal.quadring import (
     class_group,
     ideal_from_generators,
@@ -245,6 +247,32 @@ class TestCanonicalReduction:
             assert reduced_equivalent(red) == red
             assert red == rep.representatives[rep.class_index(ideal)]
             assert is_principal(ideal_product(ideal, red.conj())) is not None
+
+
+class TestCyclePeriodCap:
+    def principal_cycle(self, field):
+        return quadring._reduce(field, *quadring._form(quadring.unit_ideal(field)))[:2]
+
+    def test_cap_admits_its_own_period(self, monkeypatch):
+        field = ring_of_integers(94)  # principal rho-cycle of 16 reduced forms
+        key = self.principal_cycle(field)
+        monkeypatch.setattr(quadring, "MAX_PERIOD", 16)
+        assert len(list(quadring._cycle(field, *key))) == 16
+        monkeypatch.setattr(quadring, "MAX_PERIOD", 15)
+        with pytest.raises(PeriodOverflow, match="period exceeds cap 15"):
+            list(quadring._cycle(field, *key))
+
+    def test_every_walk_is_capped(self, monkeypatch):
+        monkeypatch.setattr(quadring, "MAX_PERIOD", 15)
+        field = ring_of_integers(94)
+        with pytest.raises(PeriodOverflow):
+            class_group(field)
+        with pytest.raises(PeriodOverflow):
+            reduced_equivalent(principal_ideal(field, field.integer(3, 1)))
+        monkeypatch.setattr(quadring, "MAX_PERIOD", 2)
+        field = ring_of_integers(10)  # (2, w) is not principal; its cycle has 3 forms
+        with pytest.raises(PeriodOverflow):
+            is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)]))
 
 
 def test_invariant_factors_from_p_power_torsion_counts():

@@ -276,6 +276,17 @@ class TestUnitsAndPell:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: period exceeds cap 100000\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classgroup"], ["principal", "--ideal", "(2, 1+w)"]],
+    )
+    def test_cycle_over_cap_exits_3(self, capsys, argv):
+        # the rho-cycle of (1) at m = 10^12 + 39 is longer than 10^5 forms
+        code = main(["quad", argv[0], "--m", "1000000000039", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: period exceeds cap 100000\n"
+
     def test_minkowski_bound_above_table_cap_exits_3(self, capsys):
         # Minkowski floor 1,273,239,544: the prime sieve refuses before allocating
         code = main(["quad", "classgroup", "--m", "-1000000000000000037"])
@@ -500,6 +511,12 @@ class TestCleanFailures:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot parse element {element!r}")
         assert captured.err.count("\n") == 1
+
+    def test_field_degree_over_cap_exits_3(self, capsys):
+        code = main(["field", "trace-norm", "--minpoly", "x^40000+1", "--element", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: degree 40000 is over the cap 400\n"
 
     def test_polynomial_degree_over_table_cap_exits_2(self, capsys):
         code = main(["poly", "divrem", "--dividend", "x^1000000000", "--divisor", "x"])

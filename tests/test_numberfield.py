@@ -6,6 +6,7 @@ import pytest
 
 from quadrantal.arith import FactorBoundExceeded
 from quadrantal.numberfield import (
+    MAX_DEGREE,
     NumberField,
     char_poly,
     composed_min_poly,
@@ -278,6 +279,21 @@ class TestFieldConstruction:
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):
             NumberField(P(1, 0, 2))
+
+    def test_degree_cap(self):
+        cap = Poly([2] + [0] * (MAX_DEGREE - 1) + [1])  # x^400 + 2
+        assert NumberField(cap).degree == MAX_DEGREE
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is over the cap"):
+            NumberField(Poly([2] + [0] * MAX_DEGREE + [1]))
+
+    def test_integral_invariants_are_ints(self):
+        el = OMEGA5.element([1, 2, 0, -1])
+        for v in (*el.trace_and_norm(), *el.minimal_polynomial().coeffs, *(el * el).repr.coeffs):
+            assert type(v) is int
+        half = OMEGA5.element([Fraction(1, 2), 1])
+        t, n = half.trace_and_norm()
+        assert type(t) is int and t == 1  # 4 * 1/2 - 1, a Fraction sum that is integral
+        assert n == Fraction(11, 16)
 
     def test_conjugate_ordering(self):
         emb = CBRT3.embeddings()

@@ -2,7 +2,8 @@
 
 On seeded random irreducible monic polynomials of degree <= 6 (irreducible
 by sympy's own test), discriminants, minimal polynomials and composed
-polynomials are checked against sympy discriminants and resultants.
+polynomials are checked against sympy discriminants and resultants, and
+signatures against sympy's real-root count.
 """
 
 import random
@@ -71,3 +72,16 @@ def test_composed_sum_and_product_are_resultants():
         res_product = sp.resultant(py, sp.expand(Y**m * qx.subs(X, X / Y)), Y)
         assert composed_min_poly("sum", p, q) == from_sympy(res_sum)
         assert composed_min_poly("product", p, q) == from_sympy(res_product)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_signature_counts_real_roots(seed):
+    _, polys = random_fields(seed, 25)
+    for f in polys:
+        r1 = sp.Poly(to_sympy(f, X), X).count_roots()
+        assert NumberField(f).signature() == (r1, (f.degree - r1) // 2)
+
+
+def test_signature_of_named_fields():
+    assert NumberField(Poly([1, 1, 1, 1, 1])).signature() == (0, 2)  # Phi_5
+    assert NumberField(Poly([-2, 0, 0, 1])).signature() == (1, 1)  # x^3 - 2

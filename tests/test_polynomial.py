@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from quadrantal.arith import primes_up_to
 from quadrantal.polynomial import (
+    SQUAREFREE_PRIME,
     Poly,
+    _certified_squarefree,
     content_and_primitive_part,
     cyclotomic_poly_prime,
     eisenstein_witness,
+    exact_div,
+    is_squarefree,
     poly_divmod,
     poly_gcd,
     poly_xgcd,
+    squarefree_part,
 )
 
 
@@ -187,3 +192,108 @@ def test_bare_minus_x_terms():
     for bad in ("-", "x -", "--x", "-^2"):
         with pytest.raises(ValueError):
             Poly.from_text(bad)
+
+
+# -- coefficient types and the modular squarefree certificate ---------------
+
+small_int = st.integers(min_value=-50, max_value=50)
+int_poly = st.lists(small_int, min_size=1, max_size=8).map(Poly)
+rational_poly = st.lists(small_rational, min_size=1, max_size=8).map(Poly)
+any_poly = st.one_of(int_poly, rational_poly)
+
+
+def gcd_says_squarefree(f):
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def assert_canonical(p):
+    """int when integral, else a Fraction with a denominator above 1."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@given(any_poly)
+@settings(max_examples=200, deadline=None)
+def test_is_squarefree_matches_gcd(f):
+    if f.is_zero():
+        return
+    assert is_squarefree(f) == gcd_says_squarefree(f)
+
+
+@given(any_poly, st.one_of(int_poly, rational_poly))
+@settings(max_examples=150, deadline=None)
+def test_square_factor_is_never_squarefree(f, g):
+    if f.is_zero() or g.degree < 1:
+        return
+    h = f * g * g
+    assert not _certified_squarefree(h)
+    assert not is_squarefree(h)
+    assert squarefree_part(h) == squarefree_part(f * g)
+
+
+@given(st.lists(small_int, min_size=1, max_size=6), st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_leading_coefficient_divisible_by_the_prime_skips_the_certificate(low, k):
+    # the certificate needs deg f mod P = deg f; the answer falls back to Q
+    f = Poly(low + [k * SQUAREFREE_PRIME])
+    assert not _certified_squarefree(f)
+    assert is_squarefree(f) == gcd_says_squarefree(f)
+    assert not is_squarefree(f * Poly([1, 1]) ** 2)
+
+
+def test_squarefree_constants_and_zero():
+    assert is_squarefree(P(7)) and is_squarefree(P(Fraction(1, 3)))
+    with pytest.raises(ValueError):
+        is_squarefree(Poly())
+
+
+def test_squarefree_part_of_certified_input_is_monic_self():
+    f = P(Fraction(-3, 2), 0, 3)  # 3x^2 - 3/2
+    assert _certified_squarefree(f)
+    assert squarefree_part(f) == P(Fraction(-1, 2), 0, 1)
+
+
+@given(any_poly, any_poly)
+@settings(max_examples=150, deadline=None)
+def test_results_keep_canonical_coefficients(a, b):
+    for p in (a + b, a - b, a * b, -a, a.derivative()):
+        assert_canonical(p)
+    if not b.is_zero():
+        for p in poly_divmod(a, b):
+            assert_canonical(p)
+        assert_canonical(b.monic())
+    if not (a.is_zero() and b.is_zero()):
+        assert_canonical(poly_gcd(a, b))
+        for p in poly_xgcd(a, b):
+            assert_canonical(p)
+    assert_canonical(Poly.from_text(a.to_text()))
+
+
+def test_integral_results_are_ints():
+    q, r = poly_divmod(P(-2, 0, 1), P(-1, 1))
+    assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    assert all(type(c) is int for c in Poly.from_text("3/3 + 4/2*x").coeffs)
+    assert Poly.from_text("1/2*x").coeffs == (0, Fraction(1, 2))
+
+
+def test_equal_values_equal_polys():
+    assert Poly([Fraction(6, 2)]) == Poly([3])
+    assert hash(Poly([Fraction(6, 2)])) == hash(Poly([3]))
+    assert type(Poly([Fraction(6, 2)])[0]) is int
+    assert Poly(["4/2", "1/2"]).coeffs == (2, Fraction(1, 2))
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Poly([1.5])
+    with pytest.raises(TypeError):
+        P(1).scale(0.5)
+
+
+def test_exact_div():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-7, 2) == Fraction(-7, 2)
+    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)

@@ -1,0 +1,29 @@
+"""Properties of the package source itself.
+
+The checks call pytest.fail rather than assert, so they still bite when the
+suite runs under python -O.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import quadrantal
+
+MODULES = sorted(Path(quadrantal.__file__).parent.glob("*.py"))
+
+
+def test_modules_found():
+    names = {p.name for p in MODULES}
+    if not names >= {"arith.py", "numberfield.py", "polynomial.py", "quadring.py"}:
+        pytest.fail(f"package modules not found: {sorted(names)}")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so no check of the package may be one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    if lines:
+        pytest.fail(f"{path.name} has assert statements on lines {lines}")

@@ -42,6 +42,11 @@ class PeriodOverflow(ValueError):
     """A continued-fraction period or rho-cycle exceeded the requested cap."""
 
 
+class CertificateNotFound(ValueError):
+    """A bounded search (a shift, a working precision) ended before it could
+    certify its answer."""
+
+
 # Cap on the steps of a continued-fraction period or rho-cycle walk: the
 # fundamental unit of such a period has about 57,000 digits (1-2 s).
 MAX_PERIOD = 10**5
@@ -72,21 +77,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by a sieve of the odd numbers only, n up to MAX_TABLE."""
-    if n < 2:
-        return []
-    if n + 1 > MAX_TABLE:
-        raise ValueError(f"a sieve up to {n} needs {n + 1} entries, over the cap {MAX_TABLE}")
+def odd_sieve(n: int) -> bytearray:
+    """flags[i] = 0xFF when 2 i + 1 <= n is prime, else 0: a sieve of the odd
+    numbers only.  A flag of all ones masks a byte by AND."""
     size = (n + 1) // 2  # flags[i] stands for 2 i + 1
-    flags = bytearray([1]) * size
-    flags[0] = 0
+    flags = bytearray([255]) * size
+    if size:
+        flags[0] = 0
     for i in range(1, (math.isqrt(n) + 1) // 2):
         if flags[i]:
             # the odd multiples of p = 2 i + 1 from p^2 = 2 (2 i^2 + 2 i) + 1
             start = 2 * i * (i + 1)
             flags[start :: 2 * i + 1] = bytes(len(range(start, size, 2 * i + 1)))
-    return [2, *itertools.compress(range(1, n + 1, 2), flags)]
+    return flags
+
+
+def primes_up_to(n: int) -> list[int]:
+    """Primes <= n by the odd sieve, n up to MAX_TABLE."""
+    if n < 2:
+        return []
+    if n + 1 > MAX_TABLE:
+        raise ValueError(f"a sieve up to {n} needs {n + 1} entries, over the cap {MAX_TABLE}")
+    return [2, *itertools.compress(range(1, n + 1, 2), odd_sieve(n))]
 
 
 def factorize(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:
@@ -226,4 +238,4 @@ def floor_of_root_quotient(mult: int, n: int, den_lo: Fraction, den_hi: Fraction
             return f_lo
         digits *= 2
         if digits > 1000:
-            raise RuntimeError("floor could not be pinned; quotient suspiciously integral")
+            raise CertificateNotFound("floor could not be pinned; quotient suspiciously integral")

@@ -15,19 +15,34 @@ ring of the class group, prod 1/(1 - [p] N(p)^-s) counts the ideals of norm
 n in class c as its coefficient of [c] n^-s.
 
 One kernel multiplies it out on h rows, one per class (h = 1 for the plain
-count), from 1 at n = 1 in the principal class.  A prime ideal of class g
-and norm Q runs rows[c][Q t] += rows[c g^-1][t] for t ascending: a split q
-has two (classes g and g^-1), a ramified q one, and an inert q is the ideal
-(q) of norm q^2 in the principal class.
+count), from 1 at n = 1 in the principal class.  The rows hold the odd n
+only, lane i for n = 2 i + 1.  A prime ideal of class g and odd norm Q runs
+rows[c][Q t] += rows[c g^-1][t] for odd t ascending, lane j of t into lane
+Q j + (Q - 1)/2: a split q has two (classes g and g^-1), a ramified q one,
+and an inert q is the ideal (q) of norm q^2 in the principal class.  The
+prime 2 enters last, as the spread a(2^v m) = a(2^v) a(m) over odd m; in
+the group ring, rows[c][2^v m] sums the odd rows c a^-1 at m over the
+ideals of norm 2^v, a their classes.
+
+The splitting of each odd prime q <= k is one byte, chi_d(q) + 1, on the
+lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|,
+and when |d| <= k one period of it on the odd lanes (|d| lanes for odd d,
+|d|/2 for even d) is built by complete multiplicativity from one symbol per
+prime below |d|, repeated, and ANDed with the sieve flags (0xFF at a prime).
+A larger |d| takes one symbol per odd prime up to k.
 
 The coefficients are packed in 16-bit lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
 partial coefficient counts a subset of the ideals of norm n: it lies in
 [0, d(n)], d(n) <= 768 for n <= 10^8, and no lane carries.  A prime
 q > sqrt(k) divides n <= k at most once, so once the primes up to sqrt(k)
-are done its multiples, still 0, get a copy of the final prefix: the sum of
-rows[c g^-1] and rows[c g] for a split q, rows[c g] for a ramified one.  An
-inert q > sqrt(k) has no ideal of norm up to k and is skipped.
+are done its odd multiples, still 0, get a copy of the final prefix: the
+sum of rows[c g^-1] and rows[c g] for a split q, rows[c g] for a ramified
+one.  An inert q > sqrt(k) has no ideal of norm up to k and is skipped.  On
+one row the weight of q is chi_d(q) + 1, so these primes come in by bands
+instead: for each odd cofactor t, the bytes of the primes in
+(sqrt(k), k / t], times the count at t, are added along the lanes of t q in
+one strided add per block (a composite q adds 0).
 
 Per-class counts: in an imaginary field the ideals of norm n in the class
 of I^-1 correspond, w to one, to the representations of n by the reduced
@@ -47,17 +62,18 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress
 
-from .arith import MAX_TABLE, primes_up_to
+from .arith import MAX_TABLE, odd_sieve
 from .quadring import ClassGroupReport, QuadraticField, class_group, prime_form, splitting_kind
 from .units import regulator_mp, torsion_order
 
-BLOCK = 1 << 14  # entries per block of a strided pass
+BLOCK = 1 << 14  # lanes per block of a strided pass
 _CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
 _ORDER = sys.byteorder  # of the lanes in an array("H")
+_LOW = 0 if _ORDER == "little" else 1  # the low byte of a lane
+_NEGATE = bytes.maketrans(b"\0\2", b"\2\0")  # chi + 1 -> -chi + 1
 
 
 def _check_report(field: QuadraticField, report: ClassGroupReport) -> None:
@@ -73,11 +89,11 @@ def _check_table_size(entries: int) -> None:
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0).
 
-    The Euler product on one row, every prime ideal in the one class: a
-    prime q <= sqrt(k) runs its pass twice when split, once when ramified
-    and once at q^2 when inert, additions only; a larger split q copies the
-    doubled prefix into its multiples, a ramified one the prefix itself,
-    and an inert one is skipped.
+    The Euler product on one row, every prime ideal in the one class: on
+    the odd lanes an odd q <= sqrt(k) runs its pass twice when split, once
+    when ramified and once at q^2 when inert, additions only; a larger q
+    adds chi_d(q) + 1 times the final prefix, and 2 spreads the odd lanes
+    last.
     """
     if k < 1:
         raise ValueError("cutoff must be at least 1")
@@ -85,36 +101,36 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     return _euler_product(field, k)[0].tolist()
 
 
-def _prime_classes(field: QuadraticField, k: int, report: ClassGroupReport | None):
-    """The primes the Euler product uses, grouped by (chi_d(q), class of a
-    prime ideal over q), each group ascending: every split or ramified
-    q <= k, and the inert q <= sqrt(k).  The class is 0 for an inert q and,
-    with no report, for every q."""
-    primes = primes_up_to(k)
-    # d is fundamental, so chi_d is a character mod |d|: it is decided once
-    # per residue class of the primes (a prime dividing d is alone in its
-    # class, and when |d| > k every prime is)
-    modulus = abs(field.d)
-    if modulus <= k:
-        residues = list(map(modulus.__rmod__, primes))
-        chars = {r: _CHI[splitting_kind(field, q)] + 1 for r, q in dict(zip(residues, primes)).items()}
-        chis = bytes(map(chars.__getitem__, residues))  # chi_d(q) + 1, a byte per prime
-        del residues
-    else:
-        chis = bytes(_CHI[splitting_kind(field, q)] + 1 for q in primes)
-    # the ramified primes divide d, the inert ones the product uses are small
-    upto = {1: k, 0: modulus, -1: math.isqrt(k)}
-    split, ramified, inert = (
-        list(compress(islice(primes, bisect_right(primes, upto[chi])), map((chi + 1).__eq__, chis)))
-        for chi in (1, 0, -1)
-    )
-    if report is None:
-        return {(1, 0): split, (0, 0): ramified, (-1, 0): inert}
-    groups = {(-1, 0): inert}
-    for chi, qs in ((1, split), (0, ramified)):
-        for q in qs:
-            groups.setdefault((chi, report.form_class(*prime_form(field, q))), []).append(q)
-    return groups
+def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
+    """chi_d(q) + 1 at the lane (q - 1) / 2 of every odd prime q <= k, and 0
+    at the other lanes, from the odd sieve flags up to k: a tile of one
+    period of chi_d when |d| <= k, else one symbol per prime (the module
+    docstring)."""
+    d = field.d
+    modulus = abs(d)
+    if modulus > k:
+        lanes = bytearray(len(flags))
+        for q in compress(range(1, k + 1, 2), flags):
+            # Euler's criterion: d^((q-1)/2) is 1, -1 or 0 mod q
+            r = pow(d, q >> 1, q)
+            lanes[q >> 1] = 2 if r == 1 else r == 0
+        return lanes
+    tile = bytearray([2]) * modulus  # chi_d(n) + 1 for n = 0 .. |d| - 1
+    tile[0] = 1
+    for q in chain((2,), compress(range(1, modulus, 2), flags)):
+        if d % q == 0:
+            tile[::q] = b"\1" * len(range(0, modulus, q))
+        elif (d % 8 != 1) if q == 2 else pow(d, q >> 1, q) != 1:
+            power = q
+            while power < modulus:
+                tile[power::power] = tile[power::power].translate(_NEGATE)
+                power *= q
+    # lane i is n = 2 i + 1: odd n below |d|, then (|d| odd) the even ones
+    period = tile[1::2] + tile[::2] if modulus % 2 else tile[1::2]
+    del tile
+    half = len(flags)
+    tiled = int.from_bytes((period * (half // len(period) + 1))[:half], "little")
+    return (tiled & int.from_bytes(flags, "little")).to_bytes(half, "little")
 
 
 def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | None = None):
@@ -122,50 +138,116 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
     the group-ring Euler product (the module docstring); one row when there
     is no report.
 
-    A pass of a prime ideal of norm Q runs in strided blocks [lo, hi] with
-    hi < Q lo, so every entry it reads is final, and fewer than BLOCK
-    entries.  The passes commute, so they run group by group.
+    The odd primes run on odd lanes, lane i holding n = 2 i + 1.  A pass of
+    a prime ideal of odd norm Q runs in strided blocks of fewer than BLOCK
+    lanes whose every read is final.  The passes commute, and 2 enters last.
     """
     table = report.table if report is not None else ((0,),)
     h = len(table)
     inverse = [row.index(0) for row in table]
-    groups = _prime_classes(field, k, report)  # first: its temporaries are freed before the rows
-    rows = [array("H", bytes(2 * (k + 1))) for _ in range(h)]
-    rows[0][1] = 1
-    root = math.isqrt(k)
-    # the pass of a prime ideal of class g adds class c g^-1 into row c
+    # sources[g][c] = c g^-1: a prime ideal of class g adds that row into row c
     sources = [[table[c][inverse[g]] for c in range(h)] for g in range(h)]
-    for (chi, g), qs in groups.items():
-        for q in qs[: bisect_right(qs, root)]:
-            if chi == -1:
-                _multiply(rows, q * q, k, sources[0])
-            else:
-                _multiply(rows, q, k, sources[g])
-                if chi == 1:
-                    _multiply(rows, q, k, sources[inverse[g]])
-    for (chi, g), qs in groups.items():
+
+    def ideals(q, chi):
+        """(norm, class) of each prime ideal over q."""
         if chi == -1:
+            return ((q * q, 0),)
+        g = 0 if report is None else report.form_class(*prime_form(field, q))
+        return ((q, g), (q, inverse[g])) if chi == 1 else ((q, g),)
+
+    root = math.isqrt(k)
+    flags = odd_sieve(k)
+    chis = _chi_lanes(field, k, flags)
+    half = len(chis)
+    rows = [array("H", [0]) * half for _ in range(h)]
+    rows[0][0] = 1
+    for q in compress(range(1, root + 1, 2), flags):
+        for norm, g in ideals(q, chis[q >> 1] - 1):
+            _multiply(rows, norm, k, sources[g])
+    del flags
+    if report is None:
+        _bands(rows[0], k, chis)
+    else:
+        _large_primes(rows, k, chis, ideals, sources)
+    del chis
+    # 2 last: loc[v][a] counts the ideals of norm 2^v in class a
+    loc = [[0] * h for _ in range(k.bit_length())]
+    loc[0][0] = 1
+    for norm, g in ideals(2, _CHI[splitting_kind(field, 2)]):
+        e = norm.bit_length() - 1
+        for v in range(e, len(loc)):
+            for c in range(h):
+                loc[v][c] += loc[v - e][sources[g][c]]
+    return _spread(rows, k, loc, sources)
+
+
+def _spread(rows: list, k: int, loc: list, sources) -> list:
+    """The rows over every n <= k from the odd rows and the local factor of
+    2: rows[c][2^v m] = sum over a of loc[v][a] rows[c a^-1][m], m odd."""
+    full = [array("H", [0]) * (k + 1) for _ in rows]
+    odd = [memoryview(row) for row in rows]
+    for v, counts in enumerate(loc):
+        count = ((k >> v) + 1) // 2
+        terms = [(sources[a], n) for a, n in enumerate(counts) if n]
+        for c, row in enumerate(full):
+            lanes = memoryview(row)[1 << v :: 2 << v]
+            if len(terms) == 1 and terms[0][1] == 1:  # one ideal: a copy
+                lanes[:] = odd[terms[0][0][c]][:count]
+            elif terms:
+                total = sum(n * int.from_bytes(odd[src[c]][:count], _ORDER) for src, n in terms)
+                lanes[:] = memoryview(total.to_bytes(2 * count, _ORDER)).cast("H")
+    return full
+
+
+def _large_primes(rows: list, k: int, chis: bytes, ideals, sources) -> None:
+    """Add the ideals over the odd primes q > sqrt(k) into the odd lanes: the
+    lanes of q t, t odd, get the prefix rows[c g^-1][t] summed over the
+    prime ideals of q (class g)."""
+    prefix = (math.isqrt(k) + 1) // 2  # lanes of the odd t <= sqrt(k)
+    views = {}
+    for i in compress(range(prefix, len(chis)), chis[prefix:]):
+        q = 2 * i + 1
+        key = tuple(g for _, g in ideals(q, chis[i] - 1))
+        if key not in views:
+            views[key] = []
+            for c, row in enumerate(rows):
+                pre = sum(int.from_bytes(rows[sources[g][c]][:prefix], _ORDER) for g in key)
+                pre = array("H", pre.to_bytes(2 * prefix, _ORDER))
+                views[key].append((memoryview(row), memoryview(pre)))
+        count = (k // q + 1) // 2
+        for row, pre in views[key]:
+            row[i : q * count : q] = pre[:count]
+
+
+def _bands(row: array, k: int, chis: bytes) -> None:
+    """_large_primes on one row, the weight of q being chi_d(q) + 1: for each
+    odd t, row[t] times chis over the lanes of the odd q in (sqrt(k), k / t]
+    is added into the lanes of t q."""
+    first = (math.isqrt(k) + 1) // 2  # the lane of the first odd q > sqrt(k)
+    for t in range(1, k // (2 * first + 1) + 1, 2):
+        b = row[t >> 1]
+        if not b:
             continue
-        ideals = (g, inverse[g]) if chi == 1 else (g,)
-        views = []
-        for c in range(h):
-            pre = sum(int.from_bytes(rows[sources[i][c]][: root + 1], _ORDER) for i in ideals)
-            pre = array("H", pre.to_bytes(2 * (root + 1), _ORDER))
-            views.append((memoryview(rows[c]), memoryview(pre)))
-        for q in qs[bisect_right(qs, root) :]:
-            top = k // q
-            for row, pre in views:
-                row[q : q * top + 1 : q] = pre[1 : top + 1]
-    return rows
+        stop = (k // t + 1) // 2
+        for lo in range(first, stop, BLOCK):
+            hi = min(stop, lo + BLOCK)
+            # lane t i + (t - 1) / 2 holds n = t (2 i + 1)
+            lanes = slice(t * lo + (t >> 1), t * hi, t)
+            wide = bytearray(2 * (hi - lo))
+            wide[_LOW::2] = chis[lo:hi]
+            total = int.from_bytes(row[lanes], _ORDER) + b * int.from_bytes(wide, _ORDER)
+            row[lanes] = array("H", total.to_bytes(2 * (hi - lo), _ORDER))
 
 
 def _multiply(rows: list, q: int, k: int, sources) -> None:
-    """rows[c][q t] += rows[sources[c]][t] for t = 1 .. k // q, ascending."""
-    top = k // q
-    lo = 1
-    while lo <= top:
-        hi = min(top, q * lo - 1, lo + BLOCK - 1)
-        lanes = slice(q * lo, q * hi + 1, q)
+    """rows[c][q t] += rows[sources[c]][t] for the odd t <= k // q, ascending,
+    on odd lanes (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
+    top = (k // q + 1) // 2  # odd t <= k // q
+    shift = q >> 1
+    lo = 0
+    while lo < top:
+        hi = min(top - 1, q * lo + shift - 1, lo + BLOCK - 1)
+        lanes = slice(q * lo + shift, q * hi + shift + 1, q)
         blocks = [int.from_bytes(row[lo : hi + 1], _ORDER) for row in rows]
         for row, s in zip(rows, sources):
             dst = int.from_bytes(row[lanes], _ORDER) + blocks[s]

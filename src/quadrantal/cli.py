@@ -7,7 +7,8 @@ the result was written (piped into `head`, say), 2 invalid input, 3
 computational precondition failure (non-square-free m, unfactorable input,
 division by the zero polynomial, an unwritable --csv file, a table, prime
 sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit or
-rho-cycle of period over 10^5, a number field of degree over 400, ...).
+rho-cycle of period over 10^5, a number field or composed polynomial of
+degree over 400, a shift or precision search that ends uncertified, ...).
 
 Each subcommand imports only the layer it uses when it runs; `mpmath` is
 loaded only where a float is printed (census, units, quad minkowski) or a

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import factorize
+from .arith import CertificateNotFound, factorize
 from .polynomial import (
     Poly,
     coefficient,
@@ -34,6 +34,8 @@ from .polynomial import (
 EMBEDDING_DPS = 60
 # power sums cost O(n^2) and norms are n x n determinants
 MAX_DEGREE = 400
+# the shifts c tried by primitive_element_shift
+MAX_SHIFT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +451,12 @@ def composed_min_poly(op: str, p: Poly, q: Poly) -> Poly:
     """Monic integer polynomial whose roots are all alpha_i + beta_j (op
     'sum') or alpha_i * beta_j (op 'product'), from the power sums of those
     roots: sum_i C(k,i) s_i(p) s_(k-i)(q) or s_k(p) s_k(q) (Bostan, Flajolet,
-    Salvy and Schost 2006).  Degree deg(p)*deg(q); not necessarily
-    irreducible."""
+    Salvy and Schost 2006).  Degree deg(p)*deg(q), at most MAX_DEGREE; not
+    necessarily irreducible."""
     for f in (p, q):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("composedMinPoly needs monic nonconstant integer polynomials")
-    n = p.degree * q.degree
+    n = _composed_degree(p, q)
     sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
     if op == "sum":
         s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
@@ -475,7 +477,8 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
     are certified either exactly, through squarefreeness of the composed
-    sum polynomial, or numerically at escalating precision.
+    sum polynomial, or numerically at escalating precision.  deg(p)*deg(q)
+    is at most MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
     for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
@@ -484,18 +487,23 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
         # numeric root finder, and a repeated beta defeats every shift c
         if not is_squarefree(f):
             raise ValueError(f"{name} has a repeated root")
+    _composed_degree(p, q)
     if q.degree == 1:
         return 0
     fp, fq = NumberField(p), NumberField(q)
-    c = 1  # at c = 0, alpha + c*beta_j is the same for every j
-    while True:
-        if _composed_sum_squarefree(p, q, c):
+    # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
+    for c in range(1, MAX_SHIFT + 1):
+        if _composed_sum_squarefree(p, q, c) or _separation_certified(fp, fq, c):
             return c
-        if _separation_certified(fp, fq, c):
-            return c
-        c += 1
-        if c > 1000:
-            raise RuntimeError("no admissible shift found below 1000; inputs degenerate?")
+    raise CertificateNotFound(f"no admissible shift found up to {MAX_SHIFT}; inputs degenerate?")
+
+
+def _composed_degree(p: Poly, q: Poly) -> int:
+    """deg p * deg q, the degree of a composed polynomial, at most MAX_DEGREE."""
+    n = p.degree * q.degree
+    if n > MAX_DEGREE:
+        raise ValueError(f"composed degree {p.degree} * {q.degree} = {n} is over the cap {MAX_DEGREE}")
+    return n
 
 
 def _composed_sum_squarefree(p: Poly, q: Poly, c: int) -> bool:
@@ -530,4 +538,4 @@ def _separation_certified(fp: NumberField, fq: NumberField, c: int) -> bool:
         if worst < reject:
             return False
         dps *= 2
-    raise RuntimeError("could not certify root separation; raise precision")
+    raise CertificateNotFound("could not certify root separation; raise precision")

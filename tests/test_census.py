@@ -3,6 +3,7 @@ import math
 import mpmath
 import pytest
 
+from quadrantal import arith, census
 from quadrantal.census import (
     BLOCK,
     census_check,
@@ -91,6 +92,55 @@ class TestSieveOracle:
             field = ring_of_integers(m)
             z = sum(kronecker(field.d, e) * (k // e) for e in range(1, k + 1))
             assert sum(ideal_count_sieve(field, k)) == z
+
+
+class TestOddLaneSeams:
+    """The odd-lane kernel against a(n) = sum_{e | n} chi_d(e).  Lane i holds
+    n = 2 i + 1, 2 enters last through its local factor, a pass runs in
+    blocks of BLOCK lanes and a field whose |d| <= k tiles chi_d with period
+    |d| (odd d) or |d|/2: the seams are the small cutoffs, the powers of 2,
+    2 BLOCK and |d| itself."""
+
+    CUTOFFS = (
+        tuple(range(1, 10))
+        + tuple(2**v + e for v in range(4, 18) for e in (-1, 0, 1))
+        + (2 * BLOCK - 1, 2 * BLOCK + 1)
+    )
+
+    def check(self, field, cutoffs):
+        oracle = divisor_sum_counts(field.d, max(cutoffs))
+        for k in cutoffs:
+            assert ideal_count_sieve(field, k) == oracle[: k + 1], (field.m, k)
+
+    @pytest.mark.parametrize("m", [17, -7, 5, -3, 2, -2, 3, -1])
+    def test_every_class_of_m_mod_8(self, m):
+        # 2 split (m = 1 mod 8), inert (m = 5 mod 8), ramified (m = 2, 3 mod 4)
+        field = ring_of_integers(m)
+        self.check(field, self.CUTOFFS + tuple(abs(field.d) + e for e in (-1, 0, 1)))
+
+    @pytest.mark.parametrize("m", [-1000003, 1000003, 10, -10007])
+    def test_discriminant_above_and_near_cutoff(self, m):
+        # |d| odd and even; the last two cross |d| <= k inside the cutoffs
+        field = ring_of_integers(m)
+        around = tuple(abs(field.d) + e for e in (-1, 0, 1) if abs(field.d) + e <= 2**17)
+        self.check(field, self.CUTOFFS + around)
+
+    def test_one_row_lists_no_prime_above_root(self, monkeypatch):
+        # the one-row count reads chi_d off a tile of the odd sieve; a list of
+        # the primes up to k costs more than the rest of the sieve
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        real = arith.primes_up_to
+        monkeypatch.setattr(arith, "primes_up_to", spy)
+        monkeypatch.setattr(census, "primes_up_to", spy, raising=False)
+        for m, k in ((-23, 10**5), (2, 10**5 + 1), (1000003, 10**4), (-7, 99)):
+            assert sum(ideal_count_sieve(ring_of_integers(m), k)) > 0
+            assert all(n <= math.isqrt(k) for n in calls), (m, k, calls)
+            calls.clear()
 
 
 def divisor_sum(d, n):
@@ -232,6 +282,23 @@ class TestPerClassOracle:
         for field in fields:
             (row,) = per_class_counts(field, k, class_group(field))
             assert row == ideal_count_sieve(field, k), field.m
+
+
+class TestRealPerClassSeams:
+    """Real per-class rows with h > 1 at the seams of the odd-lane kernel:
+    the small cutoffs and the powers of 2, where the local factor of 2 (split
+    in m = 145, 1 mod 8; ramified in the others) spreads each odd row."""
+
+    CUTOFFS = tuple(range(1, 10)) + tuple(2**v + e for v in range(4, 10) for e in (-1, 0, 1))
+
+    @pytest.mark.parametrize("m", [10, 79, 145, 226])
+    def test_against_hnf_enumeration(self, m):
+        field = ring_of_integers(m)
+        report = class_group(field)
+        assert report.h > 1
+        oracle = per_class_oracle(field, max(self.CUTOFFS), report)
+        for k in self.CUTOFFS:
+            assert per_class_counts(field, k, report) == [row[: k + 1] for row in oracle], (m, k)
 
 
 class TestReportOfAnotherField:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +540,33 @@ class TestCleanFailures:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {name} has a repeated root\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "compose", "--op", "sum", "--p", "x^300+2", "--q", "x^300+3"],
+            ["field", "compose", "--op", "product", "--p", "x^21+2", "--q", "x^20+3"],
+            ["field", "primitive-element", "--p", "x^60+2", "--q", "x^60+3"],
+        ],
+    )
+    def test_composed_degree_over_cap_exits_3_at_once(self, capsys, argv):
+        # degree 90,000 would cost hours of power sums; the cap is checked first
+        start = time.perf_counter()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: composed degree ")
+        assert captured.err.endswith(" is over the cap 400\n")
+        assert time.perf_counter() - start < 5
+
+    def test_shift_search_exhausted_exits_3(self, capsys, monkeypatch):
+        from quadrantal import numberfield
+
+        monkeypatch.setattr(numberfield, "MAX_SHIFT", 0)
+        code = main(["field", "primitive-element", "--p", "x^2 - 2", "--q", "x^3 - 3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: no admissible shift found up to 0; inputs degenerate?\n"
 
     def test_closed_stdout_exits_1_without_traceback(self):
         # the class table of m = -10007 (h = 77) is far larger than a pipe buffer,

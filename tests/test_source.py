@@ -27,3 +27,22 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     if lines:
         pytest.fail(f"{path.name} has assert statements on lines {lines}")
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_runtime_error(path):
+    # the CLI turns ValueError into exit 3; a RuntimeError would escape it
+    # as a traceback, so a failed search raises a documented ValueError
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None and _raised_name(node) == "RuntimeError"
+    ]
+    if lines:
+        pytest.fail(f"{path.name} raises RuntimeError on lines {lines}")

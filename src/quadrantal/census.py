@@ -31,16 +31,20 @@ and when |d| <= k one period of it on the odd lanes (|d| lanes for odd d,
 prime below |d|, repeated, and ANDed with the sieve flags (0xFF at a prime).
 A larger |d| takes one symbol per odd prime up to k.
 
-The coefficients are packed in 16-bit lanes, and a block of a pass is one
+The coefficients are packed in lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
 partial coefficient counts a subset of the ideals of norm n: it lies in
-[0, d(n)], d(n) <= 768 for n <= 10^8, and no lane carries.  A prime
-q > sqrt(k) divides n <= k at most once, so once the primes up to sqrt(k)
-are done its odd multiples, still 0, get a copy of the final prefix: the
-sum of rows[c g^-1] and rows[c g] for a split q, rows[c g] for a ramified
-one.  An inert q > sqrt(k) has no ideal of norm up to k and is skipped.  On
-one row the weight of q is chi_d(q) + 1, so these primes come in by bands
-instead: for each odd cofactor t, the bytes of the primes in
+[0, d(n)], and no lane carries.  The lanes are bytes when k is below
+BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below it
+d(n) <= 240, reached at 720720), and 16 bits wide above (d(n) <= 768 for
+n <= 10^8).
+
+A prime q > sqrt(k) divides n <= k at most once, so once the primes up to
+sqrt(k) are done its odd multiples, still 0, get a copy of the final
+prefix: the sum of rows[c g^-1] and rows[c g] for a split q, rows[c g] for
+a ramified one.  An inert q > sqrt(k) has no ideal of norm up to k and is
+skipped.  On one row the weight of q is chi_d(q) + 1, so these primes come
+in by bands instead: for each odd cofactor t, the bytes of the primes in
 (sqrt(k), k / t], times the count at t, are added along the lanes of t q in
 one strided add per block (a composite q adds 0).
 
@@ -51,10 +55,14 @@ ellipse f(x, y) <= k (Cohen GTM 138, 5.2; Buell, Binary Quadratic Forms).
 A real field runs the kernel on h rows, each split or ramified prime
 located by its form (q, B) and the class group's form -> class dict.
 
-The cumulative count Z(k) is compared against the asymptotic density
-sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
-normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2)
-error law without pretending to know its constant.
+The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
+Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
+Theory, 3.17) in O(sqrt(k) + |d|) when |d| <= k, with the partial sums of
+chi_d read off one period, and from the sum of the table otherwise.  It is
+compared against the asymptotic density sigma * h with
+sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported normalized deviation
+|Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2) error law without
+pretending to know its constant.
 """
 
 from __future__ import annotations
@@ -70,9 +78,10 @@ from .quadring import ClassGroupReport, QuadraticField, class_group, prime_form,
 from .units import regulator_mp, torsion_order
 
 BLOCK = 1 << 14  # lanes per block of a strided pass
+BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
 _CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
-_ORDER = sys.byteorder  # of the lanes in an array("H")
-_LOW = 0 if _ORDER == "little" else 1  # the low byte of a lane
+_ORDER = sys.byteorder  # of the lanes of an array row
+_LOW = 0 if _ORDER == "little" else 1  # the low byte of a 16-bit lane
 _NEGATE = bytes.maketrans(b"\0\2", b"\2\0")  # chi + 1 -> -chi + 1
 
 
@@ -101,6 +110,23 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     return _euler_product(field, k)[0].tolist()
 
 
+def _chi_period(d: int, flags: bytearray) -> bytearray:
+    """chi_d(n) + 1 for n = 0 .. |d| - 1, by complete multiplicativity from
+    one symbol per prime below |d|, given the odd sieve flags up to |d|."""
+    modulus = abs(d)
+    tile = bytearray([2]) * modulus
+    tile[0] = 1
+    for q in chain((2,), compress(range(1, modulus, 2), flags)):
+        if d % q == 0:
+            tile[::q] = b"\1" * len(range(0, modulus, q))
+        elif (d % 8 != 1) if q == 2 else pow(d, q >> 1, q) != 1:
+            power = q
+            while power < modulus:
+                tile[power::power] = tile[power::power].translate(_NEGATE)
+                power *= q
+    return tile
+
+
 def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
     """chi_d(q) + 1 at the lane (q - 1) / 2 of every odd prime q <= k, and 0
     at the other lanes, from the odd sieve flags up to k: a tile of one
@@ -115,16 +141,7 @@ def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
             r = pow(d, q >> 1, q)
             lanes[q >> 1] = 2 if r == 1 else r == 0
         return lanes
-    tile = bytearray([2]) * modulus  # chi_d(n) + 1 for n = 0 .. |d| - 1
-    tile[0] = 1
-    for q in chain((2,), compress(range(1, modulus, 2), flags)):
-        if d % q == 0:
-            tile[::q] = b"\1" * len(range(0, modulus, q))
-        elif (d % 8 != 1) if q == 2 else pow(d, q >> 1, q) != 1:
-            power = q
-            while power < modulus:
-                tile[power::power] = tile[power::power].translate(_NEGATE)
-                power *= q
+    tile = _chi_period(d, flags)
     # lane i is n = 2 i + 1: odd n below |d|, then (|d| odd) the even ones
     period = tile[1::2] + tile[::2] if modulus % 2 else tile[1::2]
     del tile
@@ -133,10 +150,35 @@ def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
     return (tiled & int.from_bytes(flags, "little")).to_bytes(half, "little")
 
 
+def _ideal_total(field: QuadraticField, k: int) -> int:
+    """Z(k) = sum of chi_d(e) floor(k / e) over e <= k, by Dirichlet's
+    hyperbola method in O(sqrt(k) + |d|): with u = isqrt(k) and
+    S(x) = chi_d(1) + ... + chi_d(x),
+
+        Z(k) = sum_{e <= u} chi_d(e) floor(k / e) + sum_{f <= u} S(floor(k / f)) - u S(u).
+
+    chi_d is a nonprincipal character mod |d|, so S(|d|) = 0 and S(x) is
+    read off the prefix sums of one period at x mod |d|."""
+    modulus = abs(field.d)
+    tile = _chi_period(field.d, odd_sieve(modulus))
+    u = math.isqrt(k)
+    quotients = [k // f for f in range(1, u + 1)]
+    # S(r) for every residue needed, in one ascending sweep of the period
+    partial = {}
+    s = lo = 0
+    for r in sorted({x % modulus for x in quotients} | {u % modulus}):
+        s += tile.count(2, lo, r + 1) - tile.count(0, lo, r + 1)
+        partial[r] = s
+        lo = r + 1
+    head = sum((tile[e % modulus] - 1) * x for e, x in enumerate(quotients, 1))
+    return head + sum(partial[x % modulus] for x in quotients) - u * partial[u % modulus]
+
+
 def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | None = None):
-    """rows[c][n] = ideals of norm n <= k in class c, as h arrays("H"), by
-    the group-ring Euler product (the module docstring); one row when there
-    is no report.
+    """rows[c][n] = ideals of norm n <= k in class c, as h arrays, by the
+    group-ring Euler product (the module docstring); one row when there is
+    no report.  The lanes are bytes ("B") when k < BYTE_LANES_BELOW, where
+    every count is at most d(n) <= 240, else 16 bits ("H").
 
     The odd primes run on odd lanes, lane i holding n = 2 i + 1.  A pass of
     a prime ideal of odd norm Q runs in strided blocks of fewer than BLOCK
@@ -159,7 +201,8 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
     flags = odd_sieve(k)
     chis = _chi_lanes(field, k, flags)
     half = len(chis)
-    rows = [array("H", [0]) * half for _ in range(h)]
+    code = "B" if k < BYTE_LANES_BELOW else "H"
+    rows = [array(code, [0]) * half for _ in range(h)]
     rows[0][0] = 1
     for q in compress(range(1, root + 1, 2), flags):
         for norm, g in ideals(q, chis[q >> 1] - 1):
@@ -184,18 +227,18 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
 def _spread(rows: list, k: int, loc: list, sources) -> list:
     """The rows over every n <= k from the odd rows and the local factor of
     2: rows[c][2^v m] = sum over a of loc[v][a] rows[c a^-1][m], m odd."""
-    full = [array("H", [0]) * (k + 1) for _ in rows]
-    odd = [memoryview(row) for row in rows]
+    code, size = rows[0].typecode, rows[0].itemsize
+    full = [array(code, [0]) * (k + 1) for _ in rows]
     for v, counts in enumerate(loc):
         count = ((k >> v) + 1) // 2
         terms = [(sources[a], n) for a, n in enumerate(counts) if n]
         for c, row in enumerate(full):
-            lanes = memoryview(row)[1 << v :: 2 << v]
+            lanes = slice(1 << v, None, 2 << v)
             if len(terms) == 1 and terms[0][1] == 1:  # one ideal: a copy
-                lanes[:] = odd[terms[0][0][c]][:count]
+                row[lanes] = rows[terms[0][0][c]][:count]
             elif terms:
-                total = sum(n * int.from_bytes(odd[src[c]][:count], _ORDER) for src, n in terms)
-                lanes[:] = memoryview(total.to_bytes(2 * count, _ORDER)).cast("H")
+                total = sum(n * int.from_bytes(rows[src[c]][:count], _ORDER) for src, n in terms)
+                row[lanes] = array(code, total.to_bytes(size * count, _ORDER))
     return full
 
 
@@ -203,6 +246,7 @@ def _large_primes(rows: list, k: int, chis: bytes, ideals, sources) -> None:
     """Add the ideals over the odd primes q > sqrt(k) into the odd lanes: the
     lanes of q t, t odd, get the prefix rows[c g^-1][t] summed over the
     prime ideals of q (class g)."""
+    code, size = rows[0].typecode, rows[0].itemsize
     prefix = (math.isqrt(k) + 1) // 2  # lanes of the odd t <= sqrt(k)
     views = {}
     for i in compress(range(prefix, len(chis)), chis[prefix:]):
@@ -212,7 +256,7 @@ def _large_primes(rows: list, k: int, chis: bytes, ideals, sources) -> None:
             views[key] = []
             for c, row in enumerate(rows):
                 pre = sum(int.from_bytes(rows[sources[g][c]][:prefix], _ORDER) for g in key)
-                pre = array("H", pre.to_bytes(2 * prefix, _ORDER))
+                pre = array(code, pre.to_bytes(size * prefix, _ORDER))
                 views[key].append((memoryview(row), memoryview(pre)))
         count = (k // q + 1) // 2
         for row, pre in views[key]:
@@ -223,6 +267,7 @@ def _bands(row: array, k: int, chis: bytes) -> None:
     """_large_primes on one row, the weight of q being chi_d(q) + 1: for each
     odd t, row[t] times chis over the lanes of the odd q in (sqrt(k), k / t]
     is added into the lanes of t q."""
+    code, size = row.typecode, row.itemsize
     first = (math.isqrt(k) + 1) // 2  # the lane of the first odd q > sqrt(k)
     for t in range(1, k // (2 * first + 1) + 1, 2):
         b = row[t >> 1]
@@ -233,15 +278,18 @@ def _bands(row: array, k: int, chis: bytes) -> None:
             hi = min(stop, lo + BLOCK)
             # lane t i + (t - 1) / 2 holds n = t (2 i + 1)
             lanes = slice(t * lo + (t >> 1), t * hi, t)
-            wide = bytearray(2 * (hi - lo))
-            wide[_LOW::2] = chis[lo:hi]
-            total = int.from_bytes(row[lanes], _ORDER) + b * int.from_bytes(wide, _ORDER)
-            row[lanes] = array("H", total.to_bytes(2 * (hi - lo), _ORDER))
+            band = chis[lo:hi]
+            if size > 1:  # widen the bytes to lanes
+                band, wide = bytearray(size * (hi - lo)), band
+                band[_LOW::size] = wide
+            total = int.from_bytes(row[lanes], _ORDER) + b * int.from_bytes(band, _ORDER)
+            row[lanes] = array(code, total.to_bytes(size * (hi - lo), _ORDER))
 
 
 def _multiply(rows: list, q: int, k: int, sources) -> None:
     """rows[c][q t] += rows[sources[c]][t] for the odd t <= k // q, ascending,
     on odd lanes (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
+    code, size = rows[0].typecode, rows[0].itemsize
     top = (k // q + 1) // 2  # odd t <= k // q
     shift = q >> 1
     lo = 0
@@ -251,7 +299,7 @@ def _multiply(rows: list, q: int, k: int, sources) -> None:
         blocks = [int.from_bytes(row[lo : hi + 1], _ORDER) for row in rows]
         for row, s in zip(rows, sources):
             dst = int.from_bytes(row[lanes], _ORDER) + blocks[s]
-            row[lanes] = array("H", dst.to_bytes(2 * (hi - lo + 1), _ORDER))
+            row[lanes] = array(code, dst.to_bytes(size * (hi - lo + 1), _ORDER))
         lo = hi + 1
 
 
@@ -313,8 +361,10 @@ def census_check(
     report: ClassGroupReport | None = None,
     precision: int = 30,
 ) -> CensusResult:
-    """Z(k) from the sieve against sigma*h, with optional per-class counts;
-    a report passed in must be the class group of this field."""
+    """Z(k) against sigma*h, with optional per-class counts; a report passed
+    in must be the class group of this field.  Z(k) is the hyperbola sum
+    (_ideal_total) when |d| <= k, else the sum of the sieve, which is built
+    either way; per-class counts must sum to it."""
     return _census_with_counts(field, k, per_class, report, precision)[0]
 
 
@@ -327,7 +377,9 @@ def _census_with_counts(field, k, per_class, report, precision):
     if report is not None:
         _check_report(field, report)
     counts = ideal_count_sieve(field, k)
-    z_k = sum(counts)
+    # the hyperbola sum where chi_d tiles the sieve (|d| <= k), so the
+    # per-class check below compares two independent computations
+    z_k = _ideal_total(field, k) if abs(field.d) <= k else sum(counts)
     # before the class group: the fundamental unit's period cap trips first
     sigma = sigma_theoretical(field, precision)
     if report is None:

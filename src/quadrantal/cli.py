@@ -8,7 +8,11 @@ computational precondition failure (non-square-free m, unfactorable input,
 division by the zero polynomial, an unwritable --csv file, a table, prime
 sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit or
 rho-cycle of period over 10^5, a number field or composed polynomial of
-degree over 400, a shift or precision search that ends uncertified, ...).
+degree over 400, a shift or precision search that ends uncertified, an
+arithmetic overflow or a recursion too deep, ...), 4 a failed certificate
+(an exact check of a computed result that does not hold: factors that do
+not multiply back, per-class counts that do not sum to Z(k), ...; a bug,
+not a property of the input).
 
 Each subcommand imports only the layer it uses when it runs; `mpmath` is
 loaded only where a float is printed (census, units, quad minkowski) or a
@@ -528,9 +532,12 @@ def main(argv=None) -> int:
     except PRECONDITION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except ArithmeticError as e:  # every certificate check raises one
+        print(f"error: certificate failed: {e}", file=sys.stderr)
+        return 4
     try:
         emit(payload, args.format)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

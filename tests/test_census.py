@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -164,6 +165,56 @@ class TestLaneWidth:
             assert a[self.N] == 256
             for n in range(self.N - 100, self.N + 1):
                 assert a[n] == divisor_sum(field.d, n), (m, n)
+
+    def test_byte_lanes_end_at_the_first_256(self):
+        # below N the lanes are bytes: d(n) <= 240, reached at 720720 =
+        # 2^4 3^2 5 7 11 13; from N on they are 16 bits wide
+        assert census.BYTE_LANES_BELOW == self.N
+        six = (2, 3, 5, 7, 11, 13)
+        fields = squarefree_fields(-1559, 1558)
+        splitting = [f.m for f in fields if all(kronecker(f.d, q) == 1 for q in six)]
+        assert splitting == [-1559]  # the least |m| at which all six split
+        field = fields[0]
+        rng = random.Random(1559)
+        for k in (self.N - 1, self.N, self.N + 1):
+            a = ideal_count_sieve(field, k)
+            assert len(a) == k + 1
+            assert a[720720] == 240
+            if k >= self.N:
+                assert a[self.N] == 256
+            spots = rng.sample(range(1, k + 1), 300) + list(range(k - 50, k + 1))
+            for n in spots:
+                assert a[n] == divisor_sum(field.d, n), (k, n)
+
+
+class TestIdealTotal:
+    """Z(k) by Dirichlet's hyperbola method against the sum of the sieve,
+    both from census._ideal_total and as census_check reports it (the
+    hyperbola when |d| <= k, the sum of the table above that)."""
+
+    def check(self, field, k, report=None):
+        z = sum(ideal_count_sieve(field, k))
+        assert census._ideal_total(field, k) == z, (field.m, k)
+        assert census_check(field, k, report=report).z_k == z, (field.m, k)
+
+    def test_every_field_in_minus200_200(self):
+        for field in squarefree_fields(-200, 200):
+            report = class_group(field)
+            n = abs(field.d)
+            for k in (100, 101, 10**4, n - 1, n, n + 1):
+                if k >= 100:
+                    self.check(field, k, report)
+
+    @pytest.mark.parametrize("m", [1000003, -10007])
+    def test_discriminant_above_cutoff(self, m):
+        field = ring_of_integers(m)
+        assert abs(field.d) > 1000
+        self.check(field, 1000)
+
+    def test_one_field_at_1e6(self):
+        field = ring_of_integers(-23)
+        k = 10**6
+        assert census._ideal_total(field, k) == sum(ideal_count_sieve(field, k))
 
 
 class TestSigma:

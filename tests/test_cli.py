@@ -358,6 +358,18 @@ class TestCensusCommand:
         assert captured.err.startswith(f"error: cannot write {csv}")
         assert captured.err.count("\n") == 1
 
+    def test_failed_certificate_exits_4(self, capsys, monkeypatch):
+        # Z(k) by the hyperbola is checked against the per-class counts
+        from quadrantal import census
+
+        total = census._ideal_total
+        monkeypatch.setattr(census, "_ideal_total", lambda field, k: total(field, k) + 1)
+        code = main(["census", "--m", "-5", "--k", "1000", "--per-class"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: certificate failed: per-class counts sum to")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_cutoff_above_table_cap_exits_3(self, capsys):
         code = main(["census", "--m", "-5", "--k", str(10**12)])
         captured = capsys.readouterr()
@@ -396,6 +408,28 @@ class TestFormatsAndExitCodes:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: polynomial division by zero polynomial\n"
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (OverflowError("int too large to convert to float"), 3),
+            (RecursionError("maximum recursion depth exceeded"), 3),
+            (ZeroDivisionError("division by zero"), 3),
+            (ArithmeticError("the factors of 7 multiply to (49)"), 4),
+        ],
+    )
+    def test_error_types_map_to_exit_codes(self, capsys, monkeypatch, error, expected):
+        from quadrantal import cli
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setitem(cli._HANDLERS, "cyclo", fail)
+        code = main(["cyclo", "lists"])
+        captured = capsys.readouterr()
+        assert code == expected and captured.out == ""
+        assert captured.err.startswith("error: ") and str(error) in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

@@ -23,19 +23,20 @@ factorizations are read off the standard form, both certified by products.
 Classes come from binary quadratic forms: the primitive ideal
 Z*a + Z*(b + w) has the norm form (a, B, C) of discriminant d, B = 2b (+1
 when m = 1 mod 4), C = N(b + w)/a.  One reduction operator, the rho-step
-J -> (conj(tau)/N(J)) * J with its exact relative generator, takes it to
-the Gauss-reduced form (imaginary; one per class) or onto the rho-cycle of
-reduced ideals (real; the least (a, b) on it stands for the class).
-Principality is "reduces to (1)"; ideal (and class) products are Dirichlet
-composition of forms, conjugation is (a, B) -> (a, -B).  No float decides
-any of it (Cohen, GTM 138, 5.3-5.6; Buchmann and Vollmer, Binary Quadratic
-Forms, ch. 6).
+J -> (conj(tau)/N(J)) * J, takes it to the Gauss-reduced form (imaginary;
+one per class) or onto the rho-cycle of reduced ideals (real; the least
+(a, b) on it stands for the class).  Principality is "reduces to (1)"; the
+quotients of the steps fold into a pair of integer convergents that gives
+the generator, and units reads the fundamental unit off the cycle of (1)
+the same way.  Ideal (and class) products are Dirichlet composition of
+forms, conjugation is (a, B) -> (a, -B).  No float decides any of it
+(Cohen, GTM 138, 5.3-5.7; Buchmann and Vollmer, Binary Quadratic Forms,
+ch. 6).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -562,26 +563,26 @@ def _normalize(r: int, a: int, big_b: int) -> int:
     return lo + (big_b - lo) % (2 * a)
 
 
-def _rho(field: QuadraticField, r: int, a: int, big_b: int, alpha):
+def _rho(field: QuadraticField, r: int, a: int, big_b: int) -> tuple[int, int, int, int]:
     """One rho-step.  J = Z*a + Z*tau, tau = (B + sqrt(d))/2, goes to the
-    equivalent (conj(tau)/a) * J = Z*|C| + Z*(-B + sqrt(d))/2, C = N(tau)/a;
-    a tracked alpha (J = (conj(alpha)/a0) * I0) becomes tau*alpha/a."""
+    equivalent (conj(tau)/a) * J = Z*a' + Z*(B' + sqrt(d))/2, with a' = |C|
+    for C = N(tau)/a, and B' = -B normalized mod 2a'.  Returns (a', B', t, s)
+    with the quotient t = (B + B')/(2a') and s = sign C: psi = tau/a steps
+    to psi' = t - s/psi (see _generator)."""
     c = (big_b * big_b - field.d) // (4 * a)
-    if alpha is not None:
-        alpha = _exact_div(field.integer((big_b - (field.d & 1)) // 2, 1) * alpha, a)
     a = abs(c)
-    return a, _normalize(r, a, -big_b), alpha
+    b = _normalize(r, a, -big_b)
+    return a, b, (big_b + b) // (2 * a), 1 if c > 0 else -1
 
 
-def _reduce(field: QuadraticField, a: int, big_b: int, alpha=None):
-    """(a, B, alpha) of a reduced form in the class of the ideal I0 of (a, B).
+def _reduce(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
+    """(a, B) of a reduced form in the class of the ideal I0 of (a, B).
 
     N(x*a + y*tau) = a*(a x^2 + B x y + C y^2), so the form is the norm form
     of I0 = Z*a + Z*tau.  Imaginary fields stop at the Gauss-reduced form
     |B| <= a <= C (B >= 0 when a = C), real fields at the first form with
-    |sqrt(d) - 2a| < B < sqrt(d).  Started at alpha = a, the tracked alpha in
-    I0 satisfies (result) = (conj(alpha)/a) * I0, so it generates I0 when
-    the result is (1).
+    |sqrt(d) - 2a| < B < sqrt(d).  It moves forms only; is_principal
+    retraces its rho-steps to fold their quotients into a generator.
     """
     d = field.d
     r = math.isqrt(d) if d > 0 else 0
@@ -590,24 +591,45 @@ def _reduce(field: QuadraticField, a: int, big_b: int, alpha=None):
         if d < 0:
             c = (big_b * big_b - d) // (4 * a)
             if a < c or (a == c and big_b >= 0):
-                return a, big_b, alpha
+                return a, big_b
         elif max(r + 1 - 2 * a, 2 * a - r) <= big_b <= r:
-            return a, big_b, alpha
-        a, big_b, alpha = _rho(field, r, a, big_b, alpha)
+            return a, big_b
+        a, big_b, _, _ = _rho(field, r, a, big_b)
 
 
-def _cycle(field: QuadraticField, a: int, big_b: int, alpha=None):
-    """The rho-cycle of the reduced real form (a, B): yields (a, B, alpha) for
-    every reduced ideal of the class, once.  A cycle of more than MAX_PERIOD
-    forms raises PeriodOverflow once that many have been yielded."""
+def _cycle(field: QuadraticField, a: int, big_b: int, cap: int | None = None):
+    """The rho-cycle of the reduced real form (a, B): yields (a, B, t, s) for
+    every reduced ideal of the class, once, with the quotient t and sign
+    s = -1 of the rho-step leaving it.  A cycle of more than cap forms
+    (MAX_PERIOD if None) raises PeriodOverflow once cap have been yielded."""
     r = math.isqrt(field.d)
+    cap = MAX_PERIOD if cap is None else cap
     start = (a, big_b)
-    for _ in range(MAX_PERIOD):
-        yield a, big_b, alpha
-        a, big_b, alpha = _rho(field, r, a, big_b, alpha)
-        if (a, big_b) == start:
+    for _ in range(cap):
+        a2, b2, t, s = _rho(field, r, a, big_b)
+        yield a, big_b, t, s
+        if (a2, b2) == start:
             return
-    raise PeriodOverflow(f"period exceeds cap {MAX_PERIOD}")
+        a, big_b = a2, b2
+    raise PeriodOverflow(f"period exceeds cap {cap}")
+
+
+def _generator(field: QuadraticField, a: int, big_b: int, steps) -> QuadInt:
+    """alpha = a * psi_0 * ... * psi_(k-1), psi_i = (B_i + sqrt(d))/(2 a_i),
+    for the k rho-steps (., ., t_i, s_i) of `steps` from the normalized form
+    (a, B) = (a_0, B_0) of I0: the form reached is (conj(alpha)/a) * I0.
+
+    psi_(i+1) = t_i - s_i/psi_i, so P_k = psi_0 ... psi_(k-1) obeys
+    P_(i+2) = t_i P_(i+1) - s_i P_i from P_0 = 1, P_1 = psi_0, and each P_k
+    is u*psi_0 + v with integer convergents u, v.  alpha = u*tau + v*a for
+    tau = (B + sqrt(d))/2 is then one QuadInt, with no division left.
+    """
+    u0, v0, u1, v1 = 0, 1, 1, 0  # P_0 = 1, P_1 = psi_0
+    for _, _, t, s in steps:
+        if s > 0:  # C > 0: imaginary fields, and some steps of a real reduction
+            u0, v0 = -u0, -v0
+        u0, v0, u1, v1 = u1, v1, t * u1 + u0, t * v1 + v0
+    return field.integer(u0 * ((big_b - (field.d & 1)) // 2) + v0 * a, u0)
 
 
 def _class_forms(field: QuadraticField, a: int, big_b: int):
@@ -641,19 +663,13 @@ def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]
     return v1 * v2, b2 + 2 * v2 * r, g1
 
 
-def _exact_div(x: QuadInt, n: int) -> QuadInt:
-    if x.a % n or x.b % n:
-        raise ArithmeticError(f"{x} is not divisible by {n}")
-    return QuadInt(x.field, x.a // n, x.b // n)
-
-
 def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
     """The canonical ideal of the class of I: the Gauss-reduced form
     (imaginary) or the least (a, b) on the rho-cycle (real, PeriodOverflow
     above MAX_PERIOD forms); the zero ideal is returned unchanged."""
     if i.is_zero():
         return i
-    a, big_b = _class_forms(i.field, *_reduce(i.field, *_form(i))[:2])[0]
+    a, big_b = _class_forms(i.field, *_reduce(i.field, *_form(i)))[0]
     return QuadIdeal(i.field, a, _form_b(i.field, a, big_b), 1)
 
 
@@ -661,8 +677,9 @@ def is_principal(i: QuadIdeal):
     """A generator of I when I is principal, else None.
 
     I = c*I0 is principal when I0 reduces to (1): the reduced form is
-    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real).  The
-    generator is c times the tracked alpha of that reduction.  Among its
+    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once,
+    up to (1)).  The quotients of the rho-steps from I0 to (1) fold into the
+    integer pair of one generator of I0 (_generator), times c.  Among its
     associates the one returned has the least y >= 0 in x + y*w, a positive
     norm before a negative one, then the larger x; real fields only take the
     positive associates.  The certificate (gen) = I is checked.  A real
@@ -671,24 +688,33 @@ def is_principal(i: QuadIdeal):
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
     field = i.field
+    d = field.d
     a0, big_b0 = _form(i)
     if a0 == 1:
         return field.integer(i.c, 0)
-    if field.m < 0:
+    # retrace the reduction's rho-steps for their quotients
+    r = math.isqrt(d) if d > 0 else 0
+    big_b0 = _normalize(r, a0, big_b0)
+    reduced = _reduce(field, a0, big_b0)
+    a, big_b, steps = a0, big_b0, []
+    while (a, big_b) != reduced:
+        steps.append(_rho(field, r, a, big_b))
+        a, big_b = steps[-1][:2]
+    if d < 0:
         from .units import torsion_units
 
-        a, _, alpha = _reduce(field, a0, big_b0, field.integer(a0, 0))
         if a != 1:
             return None
+        alpha = _generator(field, a0, big_b0, steps)
         cands = [alpha * z for z in torsion_units(field)]
     else:
-        a, big_b, alpha = _reduce(field, a0, big_b0, field.integer(a0, 0))
-        # find (1) on the cycle without alpha, then carry alpha that far
-        k = next((k for k, form in enumerate(_cycle(field, a, big_b)) if form[0] == 1), None)
-        if k is None:
+        for step in _cycle(field, a, big_b):
+            if step[0] == 1:
+                break
+            steps.append(step)
+        else:
             return None
-        gen = next(itertools.islice(_cycle(field, a, big_b, alpha), k, None))[2]
-        cands = _balanced_associates(gen, a0)
+        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0)
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     gen = field.integer(i.c * x.a, i.c * x.b)
     if principal_ideal(field, gen) != i:
@@ -785,12 +811,12 @@ class ClassGroupReport:
     def reduced_form(self, k: int) -> tuple[int, int, int]:
         """(a, B, C): a reduced form of the primitive ideal of class k's
         representative."""
-        a, big_b, _ = _reduce(self.field, *_form(self.representatives[k]))
+        a, big_b = _reduce(self.field, *_form(self.representatives[k]))
         return a, big_b, (big_b * big_b - self.field.d) // (4 * a)
 
     def form_class(self, a: int, big_b: int) -> int:
         """Index of the class of the primitive ideal with form (a, B)."""
-        k = self.forms.get(_reduce(self.field, a, big_b)[:2])
+        k = self.forms.get(_reduce(self.field, a, big_b))
         if k is None:
             raise ArithmeticError(f"the form ({a}, {big_b}) reduces outside every class")
         return k
@@ -856,7 +882,7 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     origin = []  # (class, prime) whose product first reached each class
 
     def locate(a: int, big_b: int, via) -> int:
-        key = _reduce(field, a, big_b)[:2]
+        key = _reduce(field, a, big_b)
         if key not in forms:
             least, cycle = _class_forms(field, *key)
             forms.update(dict.fromkeys(cycle, len(reps)))

@@ -1,21 +1,22 @@
 """Unit groups of quadratic rings.
 
 Imaginary fields carry only roots of unity (4 of them for m = -1, 6 for
-m = -3, otherwise just +-1).  Real fields have the rank-1 group {+-lam^k}
-with the fundamental unit lam > 1 extracted from the continued fraction of
-w itself, so that half-integer units like (1+sqrt(5))/2 appear directly in
-the integral basis.  Pell's four equations x^2 - m y^2 = +-1, +-4 are
-solved from the same unit stream.
+m = -3, otherwise just +-1).  Real fields have the rank-1 group {+-lam^k}.
+The fundamental unit lam > 1 and the continued fraction of w both come
+from the principal rho-cycle of quadring, the cycle of reduced forms
+through (1): its quotients are the period of w, and the generator carried
+once round it, as a pair of integer convergents, is lam.  So half-integer
+units like (1+sqrt(5))/2 appear directly in the integral basis.  Pell's
+four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
-from .arith import MAX_PERIOD, PeriodOverflow
-from .quadring import QuadInt, QuadraticField, unit_inverse
+from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
+from .quadring import QuadInt, QuadraticField, _cycle, _generator, _reduce, unit_inverse
 
 
 def torsion_order(field: QuadraticField) -> int:
@@ -50,78 +51,47 @@ def torsion_units(field: QuadraticField) -> list[QuadInt]:
 
 
 # ---------------------------------------------------------------------------
-# continued fractions and the fundamental unit
+# the principal rho-cycle: the continued fraction of w and the fundamental unit
 # ---------------------------------------------------------------------------
-
-def _cf_state(field: QuadraticField) -> tuple[int, int]:
-    # w = (P + sqrt(m))/Q with Q | m - P^2
-    return (1, 2) if field.half else (0, 1)
-
-
-def _cf_steps(field: QuadraticField):
-    """Exact partial-quotient stream of w via the (P, Q) recurrence."""
-    m = field.m
-    s = math.isqrt(m)
-    p, q = _cf_state(field)
-    while True:
-        a = (p + s) // q
-        yield a, (p, q)
-        p = a * q - p
-        q2, r = divmod(m - p * p, q)
-        if r or q2 <= 0:
-            raise ArithmeticError("the (P, Q) recurrence preserves divisibility and Q > 0")
-        q = q2
-
 
 def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
     """Partial quotients of w through one full period, plus the period length.
 
-    Periodicity is detected by repetition of the exact (P, Q) state.
+    The period is read off the principal rho-cycle of forms from (1, B),
+    whose quotients obey psi_(i+1) = t_i + 1/psi_i: so the expansion of
+    tau = psi_0 = w + (B - d mod 2)/2 is [t_(p-1); t_(p-2), ..., t_0, ...].
+    The first p - 1 entries of a period of w form a palindrome, so
+    w = [a0; t_0, ..., t_(p-1)] with a0 = floor(w) = (B + d mod 2)/2, except
+    for m = 5, where w = tau is reduced and no a0 comes before the period.
+    A period of more than max_period forms (default 10^6) raises
+    PeriodOverflow.
     """
     if field.m < 0:
         raise ValueError("continued fraction of w needs a real field")
-    seen: dict[tuple[int, int], int] = {}
-    quotients: list[int] = []
-    for i, (a, state) in enumerate(_cf_steps(field)):
-        if state in seen:
-            start = seen[state]
-            return quotients[: i], i - start
-        seen[state] = i
-        quotients.append(a)
-        if i > max_period:
-            raise PeriodOverflow(f"period exceeds cap {max_period}")
-    raise ArithmeticError("unreachable")
+    odd = field.d & 1
+    a, big_b = _reduce(field, 1, odd)
+    period = [t for _, _, t, _ in _cycle(field, a, big_b, max_period)]
+    return ([] if big_b == odd else [(big_b + odd) // 2]) + period, len(period)
 
 
 # bounded: a unit of a field with a long period runs to thousands of digits
 @functools.lru_cache(maxsize=1024)
 def fundamental_unit(field: QuadraticField, max_period: int = MAX_PERIOD) -> QuadInt:
-    """The unit lam > 1 with U(R) = {+-lam^k}, from the first convergent
-    p/q of w making p - q*w a unit; lam is its large conjugate.
-
-    N(p_(k-1) - q_(k-1)*w) = +-Q_k/Q_0 for the complete quotients
-    (P_k + sqrt(m))/Q_k of w, so the first unit is the convergent before
-    the first return of Q to Q_0; its norm is checked exactly.  lam has
-    O(period) digits and building it costs O(period^2), so a period over
-    max_period raises PeriodOverflow (10^5 steps give 57,000 digits in 1-2 s).
+    """The unit lam > 1 with U(R) = {+-lam^k}: the generator carried once
+    round the principal rho-cycle from (1) back to (1), the product of its
+    p complete quotients psi_i = (B_i + sqrt(d))/(2 a_i) > 1, built from the
+    quotients' integer convergents; it is checked to be a unit above 1.
+    lam has O(period) digits and building it costs O(period^2), so a period
+    of more than max_period forms raises PeriodOverflow (10^5 steps give
+    57,000 digits in 1-2 s).
     """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    q0 = _cf_state(field)[1]
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    for steps, (a, (_, q)) in enumerate(_cf_steps(field)):
-        if steps and q == q0:
-            lam = field.integer(h1, -k1).conj()
-            if lam.sign_real() < 0:
-                lam = -lam
-            if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
-                raise ArithmeticError(f"{lam} is not a unit above 1")
-            return lam
-        if steps >= max_period:
-            raise PeriodOverflow(f"period exceeds cap {max_period}")
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    raise ArithmeticError("unreachable")
+    a, big_b = _reduce(field, 1, field.d & 1)
+    lam = _generator(field, a, big_b, _cycle(field, a, big_b, max_period))
+    if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
+        raise ArithmeticError(f"{lam} is not a unit above 1")
+    return lam
 
 
 @dataclass(frozen=True)

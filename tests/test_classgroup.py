@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from quadrantal import quadring
 from quadrantal.arith import PeriodOverflow
 from quadrantal.quadring import (
+    QuadInt,
     class_group,
     ideal_from_generators,
     ideal_product,
@@ -16,7 +18,7 @@ from quadrantal.quadring import (
     ring_of_integers,
     unit_inverse,
 )
-from quadrantal.units import fundamental_unit
+from quadrantal.units import fundamental_unit, torsion_units
 
 from oracles import class_number_by_forms, real_class_number_analytic, reduced_forms
 
@@ -195,6 +197,26 @@ class TestReductionOracles:
         rep = class_group(ring_of_integers(10000019))
         assert rep.h == 7 and len(calls) == 7
 
+    def test_real_is_principal_walks_the_cycle_once(self, monkeypatch):
+        calls = []
+        walk = quadring._cycle
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return walk(*args)
+
+        monkeypatch.setattr(quadring, "_cycle", counted)
+        field = ring_of_integers(94)  # h = 1, a principal rho-cycle of 16 forms
+        for x in (field.integer(3, 1), field.integer(5, 2), field.integer(0, 1)):
+            calls.clear()
+            ideal = principal_ideal(field, x)
+            assert principal_ideal(field, is_principal(ideal)) == ideal
+            assert len(calls) == 1, x
+        field = ring_of_integers(10)  # (2, w) is not principal
+        calls.clear()
+        assert is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)])) is None
+        assert len(calls) == 1
+
     def test_h1299_and_h_minus_10007(self):
         assert class_group(ring_of_integers(1299)).h == 8
         assert class_group(ring_of_integers(-10007)).h == 77
@@ -247,6 +269,63 @@ class TestCanonicalReduction:
             assert reduced_equivalent(red) == red
             assert red == rep.representatives[rep.class_index(ideal)]
             assert is_principal(ideal_product(ideal, red.conj())) is not None
+
+
+def reference_generator(i):
+    """is_principal's generator with alpha carried through every rho-step as
+    a QuadInt: J = (conj(alpha)/a0) * I0 goes to alpha * tau/a, one product
+    and one exact division per step, from alpha = a0."""
+    field, d = i.field, i.field.d
+    r = math.isqrt(d) if d > 0 else 0
+    a, big_b = quadring._form(i)
+    if a == 1:
+        return field.integer(i.c, 0)
+    a0, big_b, alpha = a, quadring._normalize(r, a, big_b), field.integer(a, 0)
+
+    def rho(a, big_b, alpha):
+        tau = field.integer((big_b - (d & 1)) // 2, 1)
+        x = tau * alpha
+        assert x.a % a == 0 and x.b % a == 0
+        c = abs((big_b * big_b - d) // (4 * a))
+        return c, quadring._normalize(r, c, -big_b), QuadInt(field, x.a // a, x.b // a)
+
+    while quadring._reduce(field, a, big_b) != (a, big_b):
+        a, big_b, alpha = rho(a, big_b, alpha)
+    if d < 0:
+        if a != 1:
+            return None
+        cands = [alpha * z for z in torsion_units(field)]
+    else:
+        start = (a, big_b)
+        while a != 1:
+            a, big_b, alpha = rho(a, big_b, alpha)
+            if (a, big_b) == start:
+                return None
+        cands = quadring._balanced_associates(alpha, a0)
+    x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
+    return field.integer(i.c * x.a, i.c * x.b)
+
+
+class TestGeneratorReference:
+    def test_seeded_ideals(self):
+        fields = squarefree_fields(-300, -2) + squarefree_fields(2, 300)
+        principal = 0
+        for field in fields:
+            rng = random.Random(field.m)
+            for _ in range(8):
+                n = rng.choice((2, 3, 5, 6, 7, 10, 11, 13, 30))
+                x = field.integer(rng.randint(-40, 40), rng.randint(0, 6))
+                ideal = ideal_from_generators(field, [field.integer(n), x])
+                gen = is_principal(ideal)
+                assert gen == reference_generator(ideal), (field.m, ideal)
+                principal += gen is not None
+        assert principal > 1000
+
+    def test_large_field(self):
+        field = ring_of_integers(1000000007)
+        ideal = ideal_from_generators(field, [field.integer(2), field.integer(1, 1)])
+        gen = is_principal(ideal)
+        assert gen is not None and gen == reference_generator(ideal)
 
 
 class TestCyclePeriodCap:

@@ -77,6 +77,16 @@ class TestContinuedFraction:
         with pytest.raises(PeriodOverflow):
             continued_fraction_of_omega(ring_of_integers(94), max_period=1)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 94, 4729])
+    def test_period_cap_counts_cycle_forms(self, m):
+        # the cap admits a period equal to it and refuses one form more; at
+        # m = 5 the expansion has no pre-period, so no index is miscounted
+        field = ring_of_integers(m)
+        quotients, period = continued_fraction_of_omega(field)
+        assert continued_fraction_of_omega(field, max_period=period) == (quotients, period)
+        with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}$"):
+            continued_fraction_of_omega(field, max_period=period - 1)
+
 
 class TestFundamentalUnit:
     def test_golden_values(self):
@@ -206,3 +216,99 @@ def test_regulator_matches_mpmath_log():
     with mpmath.workdps(60):
         expected = mpmath.log(1 + mpmath.sqrt(2))
         assert abs(mpmath.mpf(rep.regulator) - expected) < mpmath.mpf(10) ** -48
+
+
+# ---------------------------------------------------------------------------
+# reference: the (P, Q) recurrence of a continued fraction
+# ---------------------------------------------------------------------------
+
+
+def reference_cf(m: int, p: int, q: int):
+    """The continued fraction of (p + sqrt(m))/q, q | m - p^2: yields each
+    partial quotient a_i with the state (P_i, Q_i) of its complete quotient
+    (P_i + sqrt(m))/Q_i and the convergent h/k of a_0, ..., a_(i-1) (1/0
+    first)."""
+    s = math.isqrt(m)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = (p + s) // q
+        yield a, (p, q), h1, k1
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        p = a * q - p
+        q, r = divmod(m - p * p, q)
+        assert r == 0 and q > 0
+
+
+def omega_state(m: int) -> tuple[int, int]:
+    # w = (P + sqrt(m))/Q: (1 + sqrt(m))/2 when m = 1 mod 4, else sqrt(m)
+    return (1, 2) if m % 4 == 1 else (0, 1)
+
+
+def reference_continued_fraction(m: int):
+    """Quotients of w through the first repeated state, and the period."""
+    seen, quotients = {}, []
+    for i, (a, state, _, _) in enumerate(reference_cf(m, *omega_state(m))):
+        if state in seen:
+            return quotients, i - seen[state]
+        seen[state] = i
+        quotients.append(a)
+
+
+def reference_unit(m: int) -> tuple[int, int]:
+    """(a, b) of lam = a + b*w > 1: N(h - k*w) = +-Q_i/Q_0 for the convergent
+    h/k before the i-th quotient, so the first return of Q to Q_0 gives the
+    least unit h - k*w in (0, 1), and lam is its conjugate."""
+    q0 = omega_state(m)[1]
+    for i, (_, (_, q), h, k) in enumerate(reference_cf(m, *omega_state(m))):
+        if i and q == q0:
+            # conj(w) = -w for w = sqrt(m) and 1 - w for w = (1 + sqrt(m))/2
+            return (h - k, k) if q0 == 2 else (h, k)
+
+
+def reference_pell(m: int, kind: str):
+    """Least positive (x, y) with x^2 - m*y^2 = +-1 or +-4, from the
+    convergents of sqrt(m) and (1 + sqrt(m))/2.  Every solution with y >= 1
+    is a convergent (Legendre), found where Q returns to Q_0, and the second
+    return closes the search."""
+    target = {"plusOne": 1, "minusOne": -1, "plusFour": 4, "minusFour": -4}[kind]
+    if abs(target) == 4 and m % 4 != 1:
+        # x^2 - m*y^2 = 0 mod 4 forces x, y even when m = 2, 3 mod 4
+        half = reference_pell(m, kind.replace("Four", "One"))
+        return None if half is None else (2 * half[0], 2 * half[1])
+    p0, q0 = (1, 2) if abs(target) == 4 else (0, 1)
+    returns = 0
+    for i, (_, (_, q), h, k) in enumerate(reference_cf(m, p0, q0)):
+        if not i or q != q0:
+            continue
+        x, y = (2 * h - k, k) if q0 == 2 else (h, k)  # h - k*w = (x - y*sqrt(m))/q0
+        if x * x - m * y * y == target:
+            return x, y
+        returns += 1
+        if returns == 2:
+            return None
+
+
+def squarefree_real(lo: int, hi: int) -> list[int]:
+    out = []
+    for m in range(lo, hi + 1):
+        try:
+            check_square_free(m)
+        except NotSquareFree:
+            continue
+        out.append(m)
+    return out
+
+
+def test_principal_cycle_matches_the_pq_recurrence():
+    # quotients, periods, units and all four Pell kinds of 1,823 fields
+    fields = squarefree_real(2, 3000)
+    assert len(fields) == 1823
+    for m in fields:
+        field = ring_of_integers(m)
+        assert continued_fraction_of_omega(field) == reference_continued_fraction(m), m
+        lam = fundamental_unit(field)
+        assert (lam.a, lam.b) == reference_unit(m), m
+        for kind in ("plusOne", "minusOne", "plusFour", "minusFour"):
+            sol = pell_solve(m, kind)
+            got = None if sol is None else (sol.x, sol.y)
+            assert got == reference_pell(m, kind), (m, kind)

@@ -34,10 +34,10 @@ A larger |d| takes one symbol per odd prime up to k.
 The coefficients are packed in lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
 partial coefficient counts a subset of the ideals of norm n: it lies in
-[0, d(n)], and no lane carries.  The lanes are bytes when k is below
-BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below it
-d(n) <= 240, reached at 720720), and 16 bits wide above (d(n) <= 768 for
-n <= 10^8).
+[0, d(n)], and no lane carries.  A row is a bytearray of byte lanes when
+k is below BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below
+it d(n) <= 240, reached at 720720), and an array of 16-bit lanes above
+(d(n) <= 768 for n <= 10^8).
 
 A prime q > sqrt(k) divides n <= k at most once, so once the primes up to
 sqrt(k) are done its odd multiples, still 0, get a copy of the final
@@ -80,7 +80,7 @@ from .units import regulator_mp, torsion_order
 BLOCK = 1 << 14  # lanes per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
 _CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
-_ORDER = sys.byteorder  # of the lanes of an array row
+_ORDER = sys.byteorder  # of the lanes of a 16-bit row
 _LOW = 0 if _ORDER == "little" else 1  # the low byte of a 16-bit lane
 _NEGATE = bytes.maketrans(b"\0\2", b"\2\0")  # chi + 1 -> -chi + 1
 
@@ -107,7 +107,7 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
-    return _euler_product(field, k)[0].tolist()
+    return list(_euler_product(field, k)[0])
 
 
 def _chi_period(d: int, flags: bytearray) -> bytearray:
@@ -174,11 +174,17 @@ def _ideal_total(field: QuadraticField, k: int) -> int:
     return head + sum(partial[x % modulus] for x in quotients) - u * partial[u % modulus]
 
 
+def _as_row(size: int, data):
+    """data, lanes of size bytes, as a row or a slice value for one: as it is
+    for a bytearray (which has no itemsize), in an array("H") for 16 bits."""
+    return data if size == 1 else array("H", data)
+
+
 def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | None = None):
-    """rows[c][n] = ideals of norm n <= k in class c, as h arrays, by the
+    """rows[c][n] = ideals of norm n <= k in class c, as h rows, by the
     group-ring Euler product (the module docstring); one row when there is
-    no report.  The lanes are bytes ("B") when k < BYTE_LANES_BELOW, where
-    every count is at most d(n) <= 240, else 16 bits ("H").
+    no report.  The rows are bytearrays when k < BYTE_LANES_BELOW, where
+    every count is at most d(n) <= 240, else 16-bit arrays ("H").
 
     The odd primes run on odd lanes, lane i holding n = 2 i + 1.  A pass of
     a prime ideal of odd norm Q runs in strided blocks of fewer than BLOCK
@@ -201,8 +207,8 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
     flags = odd_sieve(k)
     chis = _chi_lanes(field, k, flags)
     half = len(chis)
-    code = "B" if k < BYTE_LANES_BELOW else "H"
-    rows = [array(code, [0]) * half for _ in range(h)]
+    size = 1 if k < BYTE_LANES_BELOW else 2
+    rows = [_as_row(size, bytearray(size)) * half for _ in range(h)]
     rows[0][0] = 1
     for q in compress(range(1, root + 1, 2), flags):
         for norm, g in ideals(q, chis[q >> 1] - 1):
@@ -227,8 +233,8 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
 def _spread(rows: list, k: int, loc: list, sources) -> list:
     """The rows over every n <= k from the odd rows and the local factor of
     2: rows[c][2^v m] = sum over a of loc[v][a] rows[c a^-1][m], m odd."""
-    code, size = rows[0].typecode, rows[0].itemsize
-    full = [array(code, [0]) * (k + 1) for _ in rows]
+    size = getattr(rows[0], "itemsize", 1)
+    full = [_as_row(size, bytearray(size)) * (k + 1) for _ in rows]
     for v, counts in enumerate(loc):
         count = ((k >> v) + 1) // 2
         terms = [(sources[a], n) for a, n in enumerate(counts) if n]
@@ -238,7 +244,7 @@ def _spread(rows: list, k: int, loc: list, sources) -> list:
                 row[lanes] = rows[terms[0][0][c]][:count]
             elif terms:
                 total = sum(n * int.from_bytes(rows[src[c]][:count], _ORDER) for src, n in terms)
-                row[lanes] = array(code, total.to_bytes(size * count, _ORDER))
+                row[lanes] = _as_row(size, total.to_bytes(size * count, _ORDER))
     return full
 
 
@@ -246,28 +252,26 @@ def _large_primes(rows: list, k: int, chis: bytes, ideals, sources) -> None:
     """Add the ideals over the odd primes q > sqrt(k) into the odd lanes: the
     lanes of q t, t odd, get the prefix rows[c g^-1][t] summed over the
     prime ideals of q (class g)."""
-    code, size = rows[0].typecode, rows[0].itemsize
+    size = getattr(rows[0], "itemsize", 1)
     prefix = (math.isqrt(k) + 1) // 2  # lanes of the odd t <= sqrt(k)
-    views = {}
+    heads = [int.from_bytes(row[:prefix], _ORDER) for row in rows]  # final: q t > sqrt(k) >= t
+    prefixes = {}
     for i in compress(range(prefix, len(chis)), chis[prefix:]):
         q = 2 * i + 1
         key = tuple(g for _, g in ideals(q, chis[i] - 1))
-        if key not in views:
-            views[key] = []
-            for c, row in enumerate(rows):
-                pre = sum(int.from_bytes(rows[sources[g][c]][:prefix], _ORDER) for g in key)
-                pre = array(code, pre.to_bytes(size * prefix, _ORDER))
-                views[key].append((memoryview(row), memoryview(pre)))
+        if key not in prefixes:
+            sums = [sum(heads[sources[g][c]] for g in key) for c in range(len(rows))]
+            prefixes[key] = [_as_row(size, s.to_bytes(size * prefix, _ORDER)) for s in sums]
         count = (k // q + 1) // 2
-        for row, pre in views[key]:
+        for row, pre in zip(rows, prefixes[key]):
             row[i : q * count : q] = pre[:count]
 
 
-def _bands(row: array, k: int, chis: bytes) -> None:
+def _bands(row, k: int, chis: bytes) -> None:
     """_large_primes on one row, the weight of q being chi_d(q) + 1: for each
     odd t, row[t] times chis over the lanes of the odd q in (sqrt(k), k / t]
     is added into the lanes of t q."""
-    code, size = row.typecode, row.itemsize
+    size = getattr(row, "itemsize", 1)
     first = (math.isqrt(k) + 1) // 2  # the lane of the first odd q > sqrt(k)
     for t in range(1, k // (2 * first + 1) + 1, 2):
         b = row[t >> 1]
@@ -283,13 +287,13 @@ def _bands(row: array, k: int, chis: bytes) -> None:
                 band, wide = bytearray(size * (hi - lo)), band
                 band[_LOW::size] = wide
             total = int.from_bytes(row[lanes], _ORDER) + b * int.from_bytes(band, _ORDER)
-            row[lanes] = array(code, total.to_bytes(size * (hi - lo), _ORDER))
+            row[lanes] = _as_row(size, total.to_bytes(size * (hi - lo), _ORDER))
 
 
 def _multiply(rows: list, q: int, k: int, sources) -> None:
     """rows[c][q t] += rows[sources[c]][t] for the odd t <= k // q, ascending,
     on odd lanes (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
-    code, size = rows[0].typecode, rows[0].itemsize
+    size = getattr(rows[0], "itemsize", 1)
     top = (k // q + 1) // 2  # odd t <= k // q
     shift = q >> 1
     lo = 0
@@ -299,7 +303,7 @@ def _multiply(rows: list, q: int, k: int, sources) -> None:
         blocks = [int.from_bytes(row[lo : hi + 1], _ORDER) for row in rows]
         for row, s in zip(rows, sources):
             dst = int.from_bytes(row[lanes], _ORDER) + blocks[s]
-            row[lanes] = array(code, dst.to_bytes(size * (hi - lo + 1), _ORDER))
+            row[lanes] = _as_row(size, dst.to_bytes(size * (hi - lo + 1), _ORDER))
         lo = hi + 1
 
 
@@ -376,15 +380,18 @@ def _census_with_counts(field, k, per_class, report, precision):
         raise ValueError("cutoff must be at least 100")
     if report is not None:
         _check_report(field, report)
-    counts = ideal_count_sieve(field, k)
-    # the hyperbola sum where chi_d tiles the sieve (|d| <= k), so the
-    # per-class check below compares two independent computations
-    z_k = _ideal_total(field, k) if abs(field.d) <= k else sum(counts)
+    _check_table_size(k + 1)  # the sieve's cap, before sigma and the class group
     # before the class group: the fundamental unit's period cap trips first
     sigma = sigma_theoretical(field, precision)
     if report is None:
         report = class_group(field)
     h = report.h
+    if per_class:  # per_class_counts' cap, before the sieve is built
+        _check_table_size(h * (k + 1))
+    counts = ideal_count_sieve(field, k)
+    # the hyperbola sum where chi_d tiles the sieve (|d| <= k), so the
+    # per-class check below compares two independent computations
+    z_k = _ideal_total(field, k) if abs(field.d) <= k else sum(counts)
     per = tuple(sum(row) for row in per_class_counts(field, k, report)) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
@@ -415,7 +422,7 @@ def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     _check_table_size(report.h * (k + 1))
     if field.m < 0:
         return _form_counts(field, k, report)
-    return [row.tolist() for row in _euler_product(field, k, report)]
+    return [list(row) for row in _euler_product(field, k, report)]
 
 
 def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
@@ -463,20 +470,11 @@ def checkpoint_ratios(field: QuadraticField, k: int):
 
 def _checkpoints(counts: list[int], k: int):
     """checkpoint_ratios from the sieve a[0..k]."""
-    marks = []
-    i = 4
-    while True:
-        kp = round(10 ** (i / 4))
-        if kp > k:
-            break
-        if not marks or kp > marks[-1]:
-            marks.append(kp)
-        i += 1
-    if not marks or marks[-1] != k:
-        marks.append(k)
+    # round(10^(i/4)) <= k needs i <= 4 log10(k) < 4 k.bit_length()
+    marks = {kp for i in range(4, 4 * k.bit_length()) if (kp := round(10 ** (i / 4))) <= k}
     out = []
     z = prev = 0
-    for mark in marks:
+    for mark in sorted(marks | {k}):
         z += sum(counts[prev + 1 : mark + 1])
         out.append((mark, z / mark))
         prev = mark

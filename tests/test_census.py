@@ -264,6 +264,16 @@ class TestCensusCheck:
         with pytest.raises(ValueError, match="over the cap"):
             per_class_counts(F5, k, class_group(F5))
 
+    def test_per_class_cap_before_the_sieve(self, monkeypatch):
+        # k + 1 = 10^8 is within the cap, h (k + 1) = 3 10^8 is not: the
+        # request fails before the plain table is built
+        def sieve(field, k):
+            pytest.fail(f"the sieve was built at k = {k}")
+
+        monkeypatch.setattr(census, "ideal_count_sieve", sieve)
+        with pytest.raises(ValueError, match="table of 300000000 entries, over the cap"):
+            census_check(F23, 10**8 - 1, per_class=True)
+
 
 class TestPerClass:
     def test_sum_identity(self):
@@ -350,6 +360,50 @@ class TestRealPerClassSeams:
         oracle = per_class_oracle(field, max(self.CUTOFFS), report)
         for k in self.CUTOFFS:
             assert per_class_counts(field, k, report) == [row[: k + 1] for row in oracle], (m, k)
+
+
+@pytest.fixture(scope="module")
+def wide_real_rows():
+    """The per-class rows of m = 10 (h = 2) at k = 1,081,081, in 16-bit lanes."""
+    field, k = ring_of_integers(10), census.BYTE_LANES_BELOW + 1
+    report = class_group(field)
+    return field, k, report, per_class_counts(field, k, report)
+
+
+class TestRealPerClassWideLanes:
+    """Real per-class rows with h > 1 past BYTE_LANES_BELOW, where the
+    kernel's rows hold 16-bit lanes."""
+
+    def test_rows_sum_to_the_sieve_and_the_oracle(self, wide_real_rows):
+        field, k, report, rows = wide_real_rows
+        assert report.h == 2 and k >= census.BYTE_LANES_BELOW
+        total = [sum(column) for column in zip(*rows)]
+        assert total == ideal_count_sieve(field, k)
+        for n in random.Random(10).sample(range(1, k + 1), 300):
+            assert total[n] == divisor_sum(field.d, n), n
+
+    def test_totals_are_z_k(self, wide_real_rows):
+        field, k, report, rows = wide_real_rows
+        assert sum(map(sum, rows)) == census_check(field, k, report=report).z_k
+
+
+class TestTableTypes:
+    """Every table is a list of ints, whatever rows the kernel packs it in."""
+
+    def check(self, table):
+        assert type(table) is list
+        assert {type(a) for a in table} == {int}
+
+    def test_sieve_in_byte_and_16_bit_lanes(self):
+        for k in (1000, census.BYTE_LANES_BELOW):
+            self.check(ideal_count_sieve(F2, k))
+
+    def test_per_class_rows(self, wide_real_rows):
+        tables = [per_class_counts(f, 1000, class_group(f)) for f in (F5, F23, ring_of_integers(10))]
+        for rows in tables + [wide_real_rows[3]]:
+            assert type(rows) is list and len(rows) > 1
+            for row in rows:
+                self.check(row)
 
 
 class TestReportOfAnotherField:

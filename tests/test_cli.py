@@ -370,6 +370,18 @@ class TestCensusCommand:
         assert captured.err.startswith("error: certificate failed: per-class counts sum to")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_per_class_cap_exits_3_before_the_sieve(self, capsys, monkeypatch):
+        from quadrantal import census
+
+        def sieve(field, k):
+            pytest.fail(f"the sieve was built at k = {k}")
+
+        monkeypatch.setattr(census, "ideal_count_sieve", sieve)
+        code = main(["census", "--m", "-23", "--k", "99999999", "--per-class"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: cutoff needs a table of 300000000 entries, over the cap 100000000\n"
+
     def test_cutoff_above_table_cap_exits_3(self, capsys):
         code = main(["census", "--m", "-5", "--k", str(10**12)])
         captured = capsys.readouterr()

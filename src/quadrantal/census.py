@@ -39,14 +39,14 @@ k is below BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below
 it d(n) <= 240, reached at 720720), and an array of 16-bit lanes above
 (d(n) <= 768 for n <= 10^8).
 
-A prime q > sqrt(k) divides n <= k at most once, so once the primes up to
-sqrt(k) are done its odd multiples, still 0, get a copy of the final
-prefix: the sum of rows[c g^-1] and rows[c g] for a split q, rows[c g] for
-a ramified one.  An inert q > sqrt(k) has no ideal of norm up to k and is
-skipped.  On one row the weight of q is chi_d(q) + 1, so these primes come
-in by bands instead: for each odd cofactor t, the bytes of the primes in
-(sqrt(k), k / t], times the count at t, are added along the lanes of t q in
-one strided add per block (a composite q adds 0).
+A prime q > sqrt(k) divides n <= k at most once, and a product of two
+such primes exceeds k.  The passes commute, so these primes run first, on
+the series 1, where their passes only set lane (q - 1) / 2 of row g to the
+number of prime ideals of class g over q.  So the rows start as these
+masks, one per class, and the primes up to sqrt(k) multiply them out.  On
+one row the mask is chi_d(q) + 1 itself, so the plain count lists no prime
+above sqrt(k); on h rows each split or ramified q > sqrt(k) is located by
+its form, and an inert q has no ideal of norm up to k.
 
 Per-class counts: in an imaginary field the ideals of norm n in the class
 of I^-1 correspond, w to one, to the representations of n by the reduced
@@ -99,9 +99,9 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0).
 
     The Euler product on one row, every prime ideal in the one class: on
-    the odd lanes an odd q <= sqrt(k) runs its pass twice when split, once
-    when ramified and once at q^2 when inert, additions only; a larger q
-    adds chi_d(q) + 1 times the final prefix, and 2 spreads the odd lanes
+    the odd lanes the row starts as chi_d(q) + 1 at each odd q > sqrt(k),
+    an odd q <= sqrt(k) runs its pass twice when split, once when ramified
+    and once at q^2 when inert, additions only, and 2 spreads the odd lanes
     last.
     """
     if k < 1:
@@ -186,9 +186,11 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
     no report.  The rows are bytearrays when k < BYTE_LANES_BELOW, where
     every count is at most d(n) <= 240, else 16-bit arrays ("H").
 
-    The odd primes run on odd lanes, lane i holding n = 2 i + 1.  A pass of
-    a prime ideal of odd norm Q runs in strided blocks of fewer than BLOCK
-    lanes whose every read is final.  The passes commute, and 2 enters last.
+    The odd primes run on odd lanes, lane i holding n = 2 i + 1.  The
+    passes commute: the primes above sqrt(k) come first, as one mask per
+    class that the rows start from, and 2 enters last.  A pass of a prime
+    ideal of odd norm Q <= k runs in strided blocks of fewer than BLOCK
+    lanes whose every read is final.
     """
     table = report.table if report is not None else ((0,),)
     h = len(table)
@@ -206,19 +208,23 @@ def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | Non
     root = math.isqrt(k)
     flags = odd_sieve(k)
     chis = _chi_lanes(field, k, flags)
-    half = len(chis)
     size = 1 if k < BYTE_LANES_BELOW else 2
-    rows = [_as_row(size, bytearray(size)) * half for _ in range(h)]
+    first = (root + 1) // 2  # the lane of the first odd q > sqrt(k)
+    # the rows start as the masks of the primes q > sqrt(k): lane i of row g
+    # counts the prime ideals of class g over q = 2 i + 1
+    rows = [bytearray(size * len(chis)) for _ in range(h)]
+    if report is None:
+        rows[0][size * first + _LOW :: size] = chis[first:]
+    else:
+        for i in compress(range(first, len(chis)), chis[first:]):
+            for _, g in ideals(2 * i + 1, chis[i] - 1):
+                rows[g][size * i + _LOW] += 1
+    rows = [_as_row(size, row) for row in rows]
     rows[0][0] = 1
     for q in compress(range(1, root + 1, 2), flags):
         for norm, g in ideals(q, chis[q >> 1] - 1):
             _multiply(rows, norm, k, sources[g])
-    del flags
-    if report is None:
-        _bands(rows[0], k, chis)
-    else:
-        _large_primes(rows, k, chis, ideals, sources)
-    del chis
+    del flags, chis
     # 2 last: loc[v][a] counts the ideals of norm 2^v in class a
     loc = [[0] * h for _ in range(k.bit_length())]
     loc[0][0] = 1
@@ -246,48 +252,6 @@ def _spread(rows: list, k: int, loc: list, sources) -> list:
                 total = sum(n * int.from_bytes(rows[src[c]][:count], _ORDER) for src, n in terms)
                 row[lanes] = _as_row(size, total.to_bytes(size * count, _ORDER))
     return full
-
-
-def _large_primes(rows: list, k: int, chis: bytes, ideals, sources) -> None:
-    """Add the ideals over the odd primes q > sqrt(k) into the odd lanes: the
-    lanes of q t, t odd, get the prefix rows[c g^-1][t] summed over the
-    prime ideals of q (class g)."""
-    size = getattr(rows[0], "itemsize", 1)
-    prefix = (math.isqrt(k) + 1) // 2  # lanes of the odd t <= sqrt(k)
-    heads = [int.from_bytes(row[:prefix], _ORDER) for row in rows]  # final: q t > sqrt(k) >= t
-    prefixes = {}
-    for i in compress(range(prefix, len(chis)), chis[prefix:]):
-        q = 2 * i + 1
-        key = tuple(g for _, g in ideals(q, chis[i] - 1))
-        if key not in prefixes:
-            sums = [sum(heads[sources[g][c]] for g in key) for c in range(len(rows))]
-            prefixes[key] = [_as_row(size, s.to_bytes(size * prefix, _ORDER)) for s in sums]
-        count = (k // q + 1) // 2
-        for row, pre in zip(rows, prefixes[key]):
-            row[i : q * count : q] = pre[:count]
-
-
-def _bands(row, k: int, chis: bytes) -> None:
-    """_large_primes on one row, the weight of q being chi_d(q) + 1: for each
-    odd t, row[t] times chis over the lanes of the odd q in (sqrt(k), k / t]
-    is added into the lanes of t q."""
-    size = getattr(row, "itemsize", 1)
-    first = (math.isqrt(k) + 1) // 2  # the lane of the first odd q > sqrt(k)
-    for t in range(1, k // (2 * first + 1) + 1, 2):
-        b = row[t >> 1]
-        if not b:
-            continue
-        stop = (k // t + 1) // 2
-        for lo in range(first, stop, BLOCK):
-            hi = min(stop, lo + BLOCK)
-            # lane t i + (t - 1) / 2 holds n = t (2 i + 1)
-            lanes = slice(t * lo + (t >> 1), t * hi, t)
-            band = chis[lo:hi]
-            if size > 1:  # widen the bytes to lanes
-                band, wide = bytearray(size * (hi - lo)), band
-                band[_LOW::size] = wide
-            total = int.from_bytes(row[lanes], _ORDER) + b * int.from_bytes(band, _ORDER)
-            row[lanes] = _as_row(size, total.to_bytes(size * (hi - lo), _ORDER))
 
 
 def _multiply(rows: list, q: int, k: int, sources) -> None:

@@ -113,29 +113,19 @@ def split_prime_cyclotomic(m: int, q: int) -> CycloSplitting:
     notes = None
     if k >= 1 and n == 1 and is_prime(m):
         notes = f"({q}) = (1 - w)^{m - 1}"
-    return CycloSplitting(m, q, e, f, g, phi_m, classify(m, q), notes)
+    if e > 1:
+        label = "completelyRamified" if g == 1 else "ramified"
+    else:
+        label = "split" if f == 1 else "inert" if g == 1 else "mixed"
+    return CycloSplitting(m, q, e, f, g, phi_m, label, notes)
 
 
 def classify(m: int, q: int) -> str:
-    """Label per the classical case split; 'mixed' covers what it leaves
-    unnamed (q unramified with 1 < f < phi(m), or e > 1 with g > 1)."""
-    if m < 3:
-        raise ValueError("cyclotomic modulus must be at least 3")
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    phi_m = euler_phi(m)
-    if m % q == 0:
-        n = m
-        while n % q == 0:
-            n //= q
-        if n == 1 or multiplicative_order(q, n) == euler_phi(n):
-            return "completelyRamified"
-        return "ramified"
-    if (q - 1) % m == 0:
-        return "split"
-    if multiplicative_order(q, m) == phi_m:
-        return "inert"
-    return "mixed"
+    """Label of q in Q(w_m) from its (e, f, g): ramified (e > 1) is
+    'completelyRamified' when g = 1, else 'ramified'; unramified is 'split'
+    when f = 1, 'inert' when g = 1, else 'mixed' (1 < f < phi(m), which the
+    classical case split leaves unnamed)."""
+    return split_prime_cyclotomic(m, q).classification
 
 
 # Reference class-number-1 lists, used as golden fixtures.

@@ -13,7 +13,14 @@ from quadrantal.census import (
     per_class_counts,
     sigma_theoretical,
 )
-from quadrantal.quadring import QuadIdeal, class_group, ring_of_integers
+from quadrantal.quadring import (
+    QuadIdeal,
+    class_group,
+    ideal_pow,
+    ideal_product,
+    ring_of_integers,
+    split_prime,
+)
 
 from oracles import hnf_ideal_counts, kronecker, standard_triples
 from test_classgroup import squarefree_fields
@@ -360,6 +367,64 @@ class TestRealPerClassSeams:
         oracle = per_class_oracle(field, max(self.CUTOFFS), report)
         for k in self.CUTOFFS:
             assert per_class_counts(field, k, report) == [row[: k + 1] for row in oracle], (m, k)
+
+
+def group_ring_oracle(field, k, report):
+    """z[c][n] from the factorization of each n <= k by a smallest-prime-factor
+    table: the class vector of n is the group-ring product, over p^j || n,
+    of the classes of the ideals of norm p^j, each built from the factors
+    of split_prime and located by class_index."""
+    h, table = report.h, report.table
+    spf = list(range(k + 1))
+    for p in range(2, math.isqrt(k) + 1):
+        if spf[p] == p:
+            for n in range(p * p, k + 1, p):
+                if spf[n] == n:
+                    spf[n] = p
+
+    def local(p, j):
+        """{class: ideals of norm p^j in it}"""
+        factors = split_prime(field, p).factors
+        if len(factors) == 2:  # split: P^a P'^(j - a)
+            ideals = [ideal_product(ideal_pow(factors[0][0], a), ideal_pow(factors[1][0], j - a))
+                      for a in range(j + 1)]
+        elif factors[0][0].norm() == p:  # ramified: P^j
+            ideals = [ideal_pow(factors[0][0], j)]
+        else:  # inert: (p)^(j/2)
+            ideals = [ideal_pow(factors[0][0], j // 2)] if j % 2 == 0 else []
+        out = {}
+        for ideal in ideals:
+            c = report.class_index(ideal)
+            out[c] = out.get(c, 0) + 1
+        return out
+
+    local_classes = {}
+    vectors = [[0] * h, [1] + [0] * (h - 1)]
+    for n in range(2, k + 1):
+        p, rest, j = spf[n], n, 0
+        while rest % p == 0:
+            rest, j = rest // p, j + 1
+        if (p, j) not in local_classes:
+            local_classes[p, j] = local(p, j)
+        vector, source = [0] * h, vectors[rest]
+        for a, count in local_classes[p, j].items():
+            for b, value in enumerate(source):
+                vector[table[a][b]] += count * value
+        vectors.append(vector)
+    return [list(row) for row in zip(*vectors)]
+
+
+class TestRealPerClassBlocks:
+    """Real per-class rows with h > 1 at k = 4 BLOCK + 1, where each pass
+    of a small prime runs over several blocks, class by class: a count put
+    in the wrong class would leave the sums over the classes right."""
+
+    @pytest.mark.parametrize("m", [10, 79, 1299])
+    def test_against_the_group_ring_oracle(self, m):
+        field, k = ring_of_integers(m), 4 * BLOCK + 1
+        report = class_group(field)
+        assert report.h > 1
+        assert per_class_counts(field, k, report) == group_ring_oracle(field, k, report)
 
 
 @pytest.fixture(scope="module")

@@ -222,6 +222,29 @@ class TestQuadCommands:
         assert data["h"] == 3 and data["structure"] == [3]
         assert all(data["verification"].values())
 
+    def test_verify_catches_a_nonassociative_loop(self):
+        # a commutative loop of order 6 with an identity and inverses, in
+        # which (2 2) 4 = 4 4 = 3 but 2 (2 4) = 2 0 = 2
+        import dataclasses
+
+        from quadrantal.cli import _verify_class_group
+        from quadrantal.quadring import class_group, ring_of_integers
+
+        loop = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1),
+                (3, 2, 5, 4, 1, 0), (4, 5, 0, 1, 3, 2), (5, 4, 1, 0, 2, 3))
+        report = class_group(ring_of_integers(-87))
+        assert report.h == 6
+        checks = _verify_class_group(dataclasses.replace(report, table=loop))
+        assert checks["associative"] is False
+        assert checks["identity"] and checks["commutative"] and checks["inverses"]
+        assert _verify_class_group(report)["associative"] is True
+
+    def test_classgroup_verify_h_1275(self, capsys):
+        # O(h^2) work per generator for associativity: seconds, where a
+        # check of every triple would take minutes
+        data = run_json(capsys, "quad", "classgroup", "--m", "-10000019", "--verify")
+        assert data["h"] == 1275 and all(data["verification"].values())
+
     def test_ideal_json_triple_input(self, capsys):
         data = run_json(
             capsys,
@@ -499,7 +522,7 @@ class TestStartup:
     )
     def test_light_requests_load_no_heavy_layer(self, argv):
         loaded = imported_modules(*argv)
-        assert "quadrantal.arith" in loaded
+        assert "quadrantal" in loaded  # the probe sees the package's imports
         assert not loaded & self.HEAVY
 
     @pytest.mark.parametrize(
@@ -543,11 +566,18 @@ class TestStartup:
         with pytest.raises(AttributeError):
             quadrantal.NoSuchName
 
-    def test_period_overflow_lives_in_arith(self):
+    def test_period_overflow_lives_in_arith(self, capsys, monkeypatch):
         from quadrantal import arith, cli, units
 
         assert units.PeriodOverflow is arith.PeriodOverflow
-        assert arith.PeriodOverflow in cli.PRECONDITION_ERRORS
+
+        def overflow(args):
+            raise arith.PeriodOverflow("period exceeds cap 5")
+
+        monkeypatch.setitem(cli._HANDLERS, "units", overflow)
+        assert main(["units", "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: period exceeds cap 5\n"
 
 
 class TestCleanFailures:

@@ -99,6 +99,16 @@ class TestClassification:
                 assert (label == "split") == ((q - 1) % p == 0)
                 assert (label == "inert") == (f == p - 1)
 
+    def test_twice_an_odd_modulus_is_the_same_field(self):
+        # Q(w_2n) = Q(w_n) for odd n: the same (e, f, g) and label for every
+        # q, 2 included (unramified, as e = phi(2) = 1)
+        assert classify(6, 2) == "inert" and classify(14, 2) == "mixed"
+        for m in range(6, 301, 4):
+            for q in primes_up_to(100):
+                s, t = split_prime_cyclotomic(m, q), split_prime_cyclotomic(m // 2, q)
+                assert (s.e, s.f, s.g, s.classification) == (t.e, t.f, t.g, t.classification), (m, q)
+                assert classify(m, q) == t.classification
+
 
 class TestClassNumberOneLists:
     def test_lengths_and_members(self):

@@ -10,19 +10,14 @@ of each prime:
 
 Their series is the Euler product over the prime ideals p, prod
 1/(1 - N(p)^-s) = zeta(s) L(s, chi_d), chi_d the Kronecker character of d
-(1 split, -1 inert, 0 ramified; Cohen GTM 138, 5.3 and 5.10).  In the group
-ring of the class group, prod 1/(1 - [p] N(p)^-s) counts the ideals of norm
-n in class c as its coefficient of [c] n^-s.
+(1 split, -1 inert, 0 ramified; Cohen GTM 138, 5.3 and 5.10).
 
-One kernel multiplies it out on h rows, one per class (h = 1 for the plain
-count), from 1 at n = 1 in the principal class.  The rows hold the odd n
-only, lane i for n = 2 i + 1.  A prime ideal of class g and odd norm Q runs
-rows[c][Q t] += rows[c g^-1][t] for odd t ascending, lane j of t into lane
-Q j + (Q - 1)/2: a split q has two (classes g and g^-1), a ramified q one,
-and an inert q is the ideal (q) of norm q^2 in the principal class.  The
-prime 2 enters last, as the spread a(2^v m) = a(2^v) a(m) over odd m; in
-the group ring, rows[c][2^v m] sums the odd rows c a^-1 at m over the
-ideals of norm 2^v, a their classes.
+One kernel multiplies it out on one row, from 1 at n = 1.  The row holds
+the odd n only, lane i for n = 2 i + 1.  A prime ideal of odd norm Q runs
+row[Q t] += row[t] for odd t ascending, lane j of t into lane
+Q j + (Q - 1)/2: a split q runs twice, a ramified q once, and an inert q
+once at q^2, the norm of the ideal (q).  The prime 2 enters last, as the
+spread a(2^v m) = a(2^v) a(m) over odd m.
 
 The splitting of each odd prime q <= k is one byte, chi_d(q) + 1, on the
 lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|,
@@ -34,26 +29,26 @@ A larger |d| takes one symbol per odd prime up to k.
 The coefficients are packed in lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
 partial coefficient counts a subset of the ideals of norm n: it lies in
-[0, d(n)], and no lane carries.  A row is a bytearray of byte lanes when
+[0, d(n)], and no lane carries.  The row is a bytearray of byte lanes when
 k is below BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below
 it d(n) <= 240, reached at 720720), and an array of 16-bit lanes above
 (d(n) <= 768 for n <= 10^8).
 
 A prime q > sqrt(k) divides n <= k at most once, and a product of two
 such primes exceeds k.  The passes commute, so these primes run first, on
-the series 1, where their passes only set lane (q - 1) / 2 of row g to the
-number of prime ideals of class g over q.  So the rows start as these
-masks, one per class, and the primes up to sqrt(k) multiply them out.  On
-one row the mask is chi_d(q) + 1 itself, so the plain count lists no prime
-above sqrt(k); on h rows each split or ramified q > sqrt(k) is located by
-its form, and an inert q has no ideal of norm up to k.
+the series 1, where their passes only set lane (q - 1) / 2 to
+chi_d(q) + 1, the number of prime ideals over q.  So the row starts as
+that mask, which lists no prime above sqrt(k), and the primes up to
+sqrt(k) multiply it out.
 
-Per-class counts: in an imaginary field the ideals of norm n in the class
-of I^-1 correspond, w to one, to the representations of n by the reduced
-form f of I, so the class counts are r_f(n)/w, lattice points of the
-ellipse f(x, y) <= k (Cohen GTM 138, 5.2; Buell, Binary Quadratic Forms).
-A real field runs the kernel on h rows, each split or ramified prime
-located by its form (q, B) and the class group's form -> class dict.
+Per-class counts are lattice points: ideal classes are reduced forms, and
+the ideals of norm n in the class of I^-1 correspond to the alpha in I of
+norm +-n N(I) up to units (Cohen GTM 138, 5.2 and 5.6; Buchmann and
+Vollmer, Binary Quadratic Forms).  In an imaginary field the class counts
+are r_f(n)/w for the reduced form f of I, points of the ellipse
+f(x, y) <= k.  In a real field they are the points of the sectors between
+successive minima of I, one sector per form of the rho-cycle of f, which
+tile alpha > 0 over one period.
 
 The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
 Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
@@ -74,7 +69,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from .arith import MAX_TABLE, odd_sieve
-from .quadring import ClassGroupReport, QuadraticField, class_group, prime_form, splitting_kind
+from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group, splitting_kind
 from .units import regulator_mp, torsion_order
 
 BLOCK = 1 << 14  # lanes per block of a strided pass
@@ -96,18 +91,12 @@ def _check_table_size(entries: int) -> None:
 
 
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
-    """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0).
-
-    The Euler product on one row, every prime ideal in the one class: on
-    the odd lanes the row starts as chi_d(q) + 1 at each odd q > sqrt(k),
-    an odd q <= sqrt(k) runs its pass twice when split, once when ramified
-    and once at q^2 when inert, additions only, and 2 spreads the odd lanes
-    last.
-    """
+    """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0),
+    by the Euler product on one row (_euler_product)."""
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
-    return list(_euler_product(field, k)[0])
+    return list(_euler_product(field, k))
 
 
 def _chi_period(d: int, flags: bytearray) -> bytearray:
@@ -180,94 +169,58 @@ def _as_row(size: int, data):
     return data if size == 1 else array("H", data)
 
 
-def _euler_product(field: QuadraticField, k: int, report: ClassGroupReport | None = None):
-    """rows[c][n] = ideals of norm n <= k in class c, as h rows, by the
-    group-ring Euler product (the module docstring); one row when there is
-    no report.  The rows are bytearrays when k < BYTE_LANES_BELOW, where
-    every count is at most d(n) <= 240, else 16-bit arrays ("H").
-
-    The odd primes run on odd lanes, lane i holding n = 2 i + 1.  The
-    passes commute: the primes above sqrt(k) come first, as one mask per
-    class that the rows start from, and 2 enters last.  A pass of a prime
-    ideal of odd norm Q <= k runs in strided blocks of fewer than BLOCK
-    lanes whose every read is final.
-    """
-    table = report.table if report is not None else ((0,),)
-    h = len(table)
-    inverse = [row.index(0) for row in table]
-    # sources[g][c] = c g^-1: a prime ideal of class g adds that row into row c
-    sources = [[table[c][inverse[g]] for c in range(h)] for g in range(h)]
-
-    def ideals(q, chi):
-        """(norm, class) of each prime ideal over q."""
-        if chi == -1:
-            return ((q * q, 0),)
-        g = 0 if report is None else report.form_class(*prime_form(field, q))
-        return ((q, g), (q, inverse[g])) if chi == 1 else ((q, g),)
-
+def _euler_product(field: QuadraticField, k: int):
+    """row[n] = ideals of norm n <= k by the Euler product of the module
+    docstring, its passes in strided blocks of fewer than BLOCK lanes whose
+    every read is final: a bytearray when k < BYTE_LANES_BELOW, where every
+    count is at most d(n) <= 240, else a 16-bit array ("H")."""
     root = math.isqrt(k)
     flags = odd_sieve(k)
     chis = _chi_lanes(field, k, flags)
     size = 1 if k < BYTE_LANES_BELOW else 2
     first = (root + 1) // 2  # the lane of the first odd q > sqrt(k)
-    # the rows start as the masks of the primes q > sqrt(k): lane i of row g
-    # counts the prime ideals of class g over q = 2 i + 1
-    rows = [bytearray(size * len(chis)) for _ in range(h)]
-    if report is None:
-        rows[0][size * first + _LOW :: size] = chis[first:]
-    else:
-        for i in compress(range(first, len(chis)), chis[first:]):
-            for _, g in ideals(2 * i + 1, chis[i] - 1):
-                rows[g][size * i + _LOW] += 1
-    rows = [_as_row(size, row) for row in rows]
-    rows[0][0] = 1
+    # lane i counts the chi_d(q) + 1 prime ideals over q = 2 i + 1 > sqrt(k)
+    row = bytearray(size * len(chis))
+    row[size * first + _LOW :: size] = chis[first:]
+    row = _as_row(size, row)
+    row[0] = 1
     for q in compress(range(1, root + 1, 2), flags):
-        for norm, g in ideals(q, chis[q >> 1] - 1):
-            _multiply(rows, norm, k, sources[g])
+        chi = chis[q >> 1] - 1  # a pass per prime ideal: of norm q, or q^2 inert
+        for norm in (q,) * (chi + 1) if chi >= 0 else (q * q,):
+            _multiply(row, norm, k)
     del flags, chis
-    # 2 last: loc[v][a] counts the ideals of norm 2^v in class a
-    loc = [[0] * h for _ in range(k.bit_length())]
-    loc[0][0] = 1
-    for norm, g in ideals(2, _CHI[splitting_kind(field, 2)]):
-        e = norm.bit_length() - 1
-        for v in range(e, len(loc)):
-            for c in range(h):
-                loc[v][c] += loc[v - e][sources[g][c]]
-    return _spread(rows, k, loc, sources)
+    return _spread(row, k, _CHI[splitting_kind(field, 2)])
 
 
-def _spread(rows: list, k: int, loc: list, sources) -> list:
-    """The rows over every n <= k from the odd rows and the local factor of
-    2: rows[c][2^v m] = sum over a of loc[v][a] rows[c a^-1][m], m odd."""
-    size = getattr(rows[0], "itemsize", 1)
-    full = [_as_row(size, bytearray(size)) * (k + 1) for _ in rows]
-    for v, counts in enumerate(loc):
-        count = ((k >> v) + 1) // 2
-        terms = [(sources[a], n) for a, n in enumerate(counts) if n]
-        for c, row in enumerate(full):
-            lanes = slice(1 << v, None, 2 << v)
-            if len(terms) == 1 and terms[0][1] == 1:  # one ideal: a copy
-                row[lanes] = rows[terms[0][0][c]][:count]
-            elif terms:
-                total = sum(n * int.from_bytes(rows[src[c]][:count], _ORDER) for src, n in terms)
-                row[lanes] = _as_row(size, total.to_bytes(size * count, _ORDER))
+def _spread(row, k: int, chi: int):
+    """The row over every n <= k from the odd lanes and the local factor of
+    2, chi = chi_d(2): row[2^v m] = a(2^v) row[m] for odd m, with a(2^v) =
+    v + 1 if 2 splits, 1 - v mod 2 if it is inert and 1 if it ramifies."""
+    size = getattr(row, "itemsize", 1)
+    full = _as_row(size, bytearray(size)) * (k + 1)
+    for v in range(k.bit_length()):
+        count = v + 1 if chi == 1 else (v + 1) % 2 if chi else 1
+        if count:
+            odd = row[: ((k >> v) + 1) // 2]
+            if count > 1:
+                odd = (count * int.from_bytes(odd, _ORDER)).to_bytes(size * len(odd), _ORDER)
+                odd = _as_row(size, odd)
+            full[1 << v :: 2 << v] = odd
     return full
 
 
-def _multiply(rows: list, q: int, k: int, sources) -> None:
-    """rows[c][q t] += rows[sources[c]][t] for the odd t <= k // q, ascending,
-    on odd lanes (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
-    size = getattr(rows[0], "itemsize", 1)
+def _multiply(row, q: int, k: int) -> None:
+    """row[q t] += row[t] for the odd t <= k // q, ascending, on odd lanes
+    (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
+    size = getattr(row, "itemsize", 1)
     top = (k // q + 1) // 2  # odd t <= k // q
     shift = q >> 1
     lo = 0
     while lo < top:
         hi = min(top - 1, q * lo + shift - 1, lo + BLOCK - 1)
         lanes = slice(q * lo + shift, q * hi + shift + 1, q)
-        blocks = [int.from_bytes(row[lo : hi + 1], _ORDER) for row in rows]
-        for row, s in zip(rows, sources):
-            dst = int.from_bytes(row[lanes], _ORDER) + blocks[s]
-            row[lanes] = _as_row(size, dst.to_bytes(size * (hi - lo + 1), _ORDER))
+        dst = int.from_bytes(row[lanes], _ORDER) + int.from_bytes(row[lo : hi + 1], _ORDER)
+        row[lanes] = _as_row(size, dst.to_bytes(size * (hi - lo + 1), _ORDER))
         lo = hi + 1
 
 
@@ -379,25 +332,25 @@ def _census_with_counts(field, k, per_class, report, precision):
 
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
-    """counts[c][n] = ideals of norm exactly n in class c: from the reduced
-    forms in an imaginary field, by the group-ring Euler product on h rows
-    (additions only; large inert primes skipped) in a real one."""
+    """counts[c][n] = ideals of norm exactly n in class c, as lattice points
+    of the reduced forms of each class (_form_counts)."""
     _check_report(field, report)
+    if k < 1:
+        raise ValueError("cutoff must be at least 1")
     _check_table_size(report.h * (k + 1))
-    if field.m < 0:
-        return _form_counts(field, k, report)
-    return [list(row) for row in _euler_product(field, k, report)]
+    return _form_counts(field, k, report)
 
 
 def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
-    """Per-class counts of an imaginary field as r_f(n)/w.
+    """Per-class counts as lattice points of the reduced forms of each class.
 
-    An ideal of norm n in the class of I^-1 is (alpha) I^-1 for w associates
-    alpha in I of norm n N(I), and N(x a + y tau) = a f(x, y) for
-    I = Z a + Z tau of form f = (a, B, C).  The inverse class has the form
-    (a, -B, C), f(x, -y), with the same counts, so the row of class c counts
-    the points of f(x, y) <= k for the reduced form f of c: one of each pair
-    (x, y), (-x, -y) (y > 0, or y = 0 < x), divided by w/2.
+    An ideal of norm n in the class of I^-1 is (alpha) I^-1 for the alpha in
+    I of norm +-n N(I), one per class of associates, and N(x a + y tau) =
+    a f(x, y) for I = Z a + Z tau of form f = (a, B, C).  The conjugate
+    class of I^-1 is the class of I, with the same counts, so the row of
+    class c counts these points for the reduced form f of c: those of the
+    ellipse f(x, y) <= k divided by w/2, or the sectors of the rho-cycle of
+    f in a real field.
     """
     d = field.d
     pairs = torsion_order(field) // 2
@@ -405,26 +358,68 @@ def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     for c in range(report.h):
         a, big_b, big_c = report.reduced_form(c)
         row = [0] * (k + 1)
-        for x in range(1, math.isqrt(k // a) + 1):
-            row[a * x * x] += 1
-        y = 1
-        while (disc := 4 * a * k + d * y * y) >= 0:
-            # f(x, y) <= k  iff  |2 a x + B y| <= isqrt(4 a k + d y^2)
-            s = math.isqrt(disc)
-            x, x_hi = -((big_b * y + s) // (2 * a)), (s - big_b * y) // (2 * a)
-            if x <= x_hi:
+        if d > 0:
+            cycle = list(_cycle(field, a, big_b))
+            for i, (a_i, b_i, t, _) in enumerate(cycle):
+                far = cycle[(i + 2) % len(cycle)][0]
+                if min(a_i, far) <= k:  # else every point of the sector is above k
+                    _sector(row, k, d, a_i, b_i, t, far)
+        else:  # one of each pair (x, y), (-x, -y): y > 0, or y = 0 < x
+            for x in range(1, math.isqrt(k // a) + 1):
+                row[a * x * x] += 1
+            y = 1
+            while (disc := 4 * a * k + d * y * y) >= 0:
+                # f(x, y) <= k  iff  |2 a x + B y| <= isqrt(4 a k + d y^2)
+                s = math.isqrt(disc)
+                x, x_hi = -((big_b * y + s) // (2 * a)), (s - big_b * y) // (2 * a)
                 # f(x + 1, y) - f(x, y) = a (2 x + 1) + B y grows by 2 a
-                step = a * (2 * x + 1) + big_b * y
-                diffs = range(step, step + 2 * a * (x_hi - x), 2 * a)
-                for n in accumulate(diffs, initial=a * x * x + big_b * x * y + big_c * y * y):
-                    row[n] += 1
-            y += 1
+                n = a * x * x + big_b * x * y + big_c * y * y
+                _run(row, n, a * (2 * x + 1) + big_b * y, 2 * a, x_hi - x + 1)
+                y += 1
         if pairs > 1:
             if any(n % pairs for n in row):
                 raise ArithmeticError(f"point counts of {(a, big_b, big_c)} are not multiples of w/2")
             row = [n // pairs for n in row]
         z.append(row)
     return z
+
+
+def _sector(row: list, k: int, d: int, a: int, big_b: int, t: int, far: int) -> None:
+    """Count each point x >= 1, 0 <= y < t x with f(x, y) <= k into row[f],
+    for the form f = (a, B, C) of a rho-step of quotient t, far = f(1, t).
+
+    f is the norm form of I in the basis of its successive minima mu, mu',
+    and mu + t mu' is the minimum two steps on (_generator), so over one
+    period the sectors tile alpha > 0 modulo the fundamental unit, with
+    f > 0 on each.  f is concave in y (C < 0), so f(x, y) <= k off the open
+    interval from (B x - s) / (2|C|) to (B x + s) / (2|C|), s the root of
+    d x^2 + 4 C k rounded up, and for every y if that is <= 0.  On the
+    sector f(x, y) >= min(a, far) x^2, which bounds x.
+    """
+    big_c = (big_b * big_b - d) // (4 * a)
+    width = -2 * big_c  # 2|C|
+    for x in range(1, math.isqrt(k // min(a, far)) + 1):
+        top = t * x
+        disc = d * x * x + 4 * big_c * k
+        if disc <= 0:
+            runs = ((0, top),)
+        else:
+            s = math.isqrt(disc)
+            s += s * s < disc
+            lo, hi = (big_b * x - s) // width + 1, -(-(big_b * x + s) // width)
+            runs = ((0, min(lo, top)), (hi, top))
+        for y, end in runs:
+            # f(x, y + 1) - f(x, y) = B x + C (2 y + 1) falls by 2|C|
+            n = a * x * x + big_b * x * y + big_c * y * y
+            _run(row, n, big_b * x + big_c * (2 * y + 1), -width, end - y)
+
+
+def _run(row: list, n: int, step: int, second: int, count: int) -> None:
+    """row[f] += 1 for the count values f of a quadratic from n, with first
+    difference step and second difference second (none if count <= 0)."""
+    if count > 0:
+        for f in accumulate(range(step, step + second * (count - 1), second), initial=n):
+            row[f] += 1
 
 
 def checkpoint_ratios(field: QuadraticField, k: int):

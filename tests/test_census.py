@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from quadrantal import arith, census
+from quadrantal import arith, census, quadring
 from quadrantal.census import (
     BLOCK,
     census_check,
@@ -14,6 +14,7 @@ from quadrantal.census import (
     sigma_theoretical,
 )
 from quadrantal.quadring import (
+    ClassGroupReport,
     QuadIdeal,
     class_group,
     ideal_pow,
@@ -298,6 +299,14 @@ class TestPerClass:
         z0, z1 = sum(z[0]), sum(z[1])
         assert abs(z0 - z1) / k < 0.01
 
+    @pytest.mark.parametrize("m", [10, -14])
+    def test_cutoff_below_one_rejected(self, m):
+        field = ring_of_integers(m)
+        report = class_group(field)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="cutoff must be at least 1"):
+                per_class_counts(field, k, report)
+
     def test_census_per_class_flag(self):
         result = census_check(F5, 2000, per_class=True)
         assert result.per_class is not None and len(result.per_class) == 2
@@ -353,9 +362,10 @@ class TestPerClassOracle:
 
 
 class TestRealPerClassSeams:
-    """Real per-class rows with h > 1 at the seams of the odd-lane kernel:
-    the small cutoffs and the powers of 2, where the local factor of 2 (split
-    in m = 145, 1 mod 8; ramified in the others) spreads each odd row."""
+    """Real per-class lattice rows with h > 1 at the small cutoffs, where the
+    first sectors of each rho-cycle begin to count, and around the powers of
+    2, where 2 (split in m = 145, 1 mod 8; ramified in the others) gives each
+    class its ideals of a new norm 2^v."""
 
     CUTOFFS = tuple(range(1, 10)) + tuple(2**v + e for v in range(4, 10) for e in (-1, 0, 1))
 
@@ -415,9 +425,9 @@ def group_ring_oracle(field, k, report):
 
 
 class TestRealPerClassBlocks:
-    """Real per-class rows with h > 1 at k = 4 BLOCK + 1, where each pass
-    of a small prime runs over several blocks, class by class: a count put
-    in the wrong class would leave the sums over the classes right."""
+    """Real per-class lattice rows with h > 1 at k = 4 BLOCK + 1, class by
+    class: a point counted in the sectors of the wrong class would leave the
+    sums over the classes right."""
 
     @pytest.mark.parametrize("m", [10, 79, 1299])
     def test_against_the_group_ring_oracle(self, m):
@@ -427,17 +437,63 @@ class TestRealPerClassBlocks:
         assert per_class_counts(field, k, report) == group_ring_oracle(field, k, report)
 
 
+class TestRealPerClassSectors:
+    """Real per-class rows from the sectors of the rho-cycle of each class,
+    class by class against the group-ring oracle, and at a long period with
+    large step quotients."""
+
+    def test_every_real_field_below_120(self):
+        k = 3001
+        for field in squarefree_fields(2, 119):
+            report = class_group(field)
+            assert per_class_counts(field, k, report) == group_ring_oracle(field, k, report), field.m
+
+    def test_three_classes_of_a_discriminant_above_the_cutoff(self):
+        field, k = ring_of_integers(1000003), 10**4
+        report = class_group(field)
+        assert report.h == 3 and field.d > k
+        assert per_class_counts(field, k, report) == group_ring_oracle(field, k, report)
+
+    def test_long_period_row_is_the_sieve(self):
+        field, k = ring_of_integers(1000000007), 10**4
+        report = class_group(field)
+        cycle = list(quadring._cycle(field, *report.reduced_form(0)[:2]))
+        assert report.h == 1 and len(cycle) == 12352 and max(t for *_, t, _ in cycle) == 63244
+        (row,) = per_class_counts(field, k, report)
+        assert row == ideal_count_sieve(field, k)
+
+
+class TestRealPerClassLocatesNoPrime:
+    """Real per-class rows need no class of any prime ideal: with prime_form
+    and ClassGroupReport.form_class both failing, they still match the
+    group-ring oracle, which runs first."""
+
+    @pytest.mark.parametrize("m", [10, 79, 1299])
+    def test_without_prime_location(self, m, monkeypatch):
+        field, k = ring_of_integers(m), 30011
+        report = class_group(field)
+        expected = group_ring_oracle(field, k, report)
+
+        def locate(*args):
+            pytest.fail("a prime ideal was located by its form")
+
+        monkeypatch.setattr(quadring, "prime_form", locate)
+        monkeypatch.setattr(census, "prime_form", locate, raising=False)
+        monkeypatch.setattr(ClassGroupReport, "form_class", locate)
+        assert per_class_counts(field, k, report) == expected
+
+
 @pytest.fixture(scope="module")
 def wide_real_rows():
-    """The per-class rows of m = 10 (h = 2) at k = 1,081,081, in 16-bit lanes."""
+    """The per-class rows of m = 10 (h = 2) at k = 1,081,081, past BYTE_LANES_BELOW."""
     field, k = ring_of_integers(10), census.BYTE_LANES_BELOW + 1
     report = class_group(field)
     return field, k, report, per_class_counts(field, k, report)
 
 
 class TestRealPerClassWideLanes:
-    """Real per-class rows with h > 1 past BYTE_LANES_BELOW, where the
-    kernel's rows hold 16-bit lanes."""
+    """Real per-class lattice rows with h > 1 past BYTE_LANES_BELOW, where
+    a(n) can exceed 255 and the plain sieve they sum to holds 16-bit lanes."""
 
     def test_rows_sum_to_the_sieve_and_the_oracle(self, wide_real_rows):
         field, k, report, rows = wide_real_rows

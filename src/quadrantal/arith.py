@@ -3,13 +3,17 @@
 Everything here is exact: Python ints throughout, Fractions where a value
 is genuinely rational.  Factorization is honest trial division up to a
 fixed bound; inputs that cannot be certified within the bound raise
-instead of guessing.
+instead of guessing.  `power` is the one square-and-multiply of the
+package, for elements, polynomials and ideals alike, and
+`floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
+root at each rational bound of x.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 # Trial-division bound shared by every factorization in the package.
@@ -19,11 +23,12 @@ FACTOR_BOUND = 10**6
 # ints is about 800 MB); larger requests raise before allocating.
 MAX_TABLE = 10**8
 
-# Certified rational bounds 3.14159265358 < pi < 3.14159265359 are enough
-# to pin integer floors of desk-scale Minkowski constants; refine() widens
-# the precision when a floor lands too close to an integer.
-PI_LO = Fraction(314159265358, 10**11)
-PI_HI = Fraction(314159265359, 10**11)
+# pi to 100 decimals, truncated.  PI_BOUNDS pin the Minkowski floor of
+# 2 sqrt|d| / pi unless the quotient is within a relative 10**-100 of an
+# integer; PI_LO, the 11-decimal truncation, divides the printed upper bound.
+PI_DIGITS = 31415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679
+PI_BOUNDS = (Fraction(PI_DIGITS, 10**100), Fraction(PI_DIGITS + 1, 10**100))
+PI_LO = Fraction(PI_DIGITS // 10**89, 10**11)
 
 
 class FactorBoundExceeded(ValueError):
@@ -43,8 +48,8 @@ class PeriodOverflow(ValueError):
 
 
 class CertificateNotFound(ValueError):
-    """A bounded search (a shift, a working precision) ended before it could
-    certify its answer."""
+    """A bounded search (a shift, a working precision) or a pair of rational
+    bounds ended before it could certify its answer."""
 
 
 # Cap on the steps of a continued-fraction period or rho-cycle walk: the
@@ -215,27 +220,30 @@ def sqrt_mod(a: int, q: int) -> int:
     return min(x, q - x)
 
 
-def sqrt_bounds(n: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(n) <= hi with hi - lo = 10**-digits."""
-    scale = 10**digits
-    r = math.isqrt(n * scale * scale)
-    return Fraction(r, scale), Fraction(r + 1, scale)
+def power(x, k: int, one, mul=operator.mul):
+    """x**k for k >= 0 by square-and-multiply from `one`, squaring only while
+    bits of k remain: at most 2 k.bit_length() calls of mul."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
 
 
 def floor_of_root_quotient(mult: int, n: int, den_lo: Fraction, den_hi: Fraction) -> int:
-    """Exact floor(mult*sqrt(n)/x) for an irrational quotient, given
-    certified rational bounds den_lo < x < den_hi.
+    """Exact floor(mult*sqrt(n)/x) for mult, n >= 0, given rational bounds
+    0 < den_lo < x < den_hi.
 
-    Widens the sqrt precision until the floor is pinned; the quotient is
-    transcendental for x = pi and n nonsquare, so this terminates.
+    floor(mult*sqrt(n)/(p/q)) = isqrt(mult^2 q^2 n) // p exactly, so the
+    floors at the two bounds pin the answer when they agree; otherwise
+    CertificateNotFound is raised.
     """
-    digits = 15
-    while True:
-        lo, hi = sqrt_bounds(n, digits)
-        f_lo = (mult * lo / den_hi).__floor__()
-        f_hi = (mult * hi / den_lo).__floor__()
-        if f_lo == f_hi:
-            return f_lo
-        digits *= 2
-        if digits > 1000:
-            raise CertificateNotFound("floor could not be pinned; quotient suspiciously integral")
+    lo, hi = (math.isqrt(mult * mult * b.denominator**2 * n) // b.numerator
+              for b in (den_hi, den_lo))
+    if lo != hi:
+        raise CertificateNotFound(
+            f"floor of {mult}*sqrt({n})/x is {lo} at x = {den_hi} but {hi} at x = {den_lo}")
+    return lo

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import CertificateNotFound, factorize
+from .arith import CertificateNotFound, factorize, power
 from .polynomial import (
     Poly,
     coefficient,
@@ -313,14 +313,7 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one())
 
     def __repr__(self):
         return f"<{self.repr.to_text()} in {self.field!r}>"

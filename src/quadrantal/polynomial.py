@@ -25,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 
-from .arith import MAX_TABLE, factorize, is_prime
+from .arith import MAX_TABLE, factorize, is_prime, power
 
 
 # the prime of the modular squarefree certificate
@@ -136,14 +136,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        out = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Poly([1]))
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -43,7 +43,7 @@ import math
 
 from .arith import (
     MAX_PERIOD,
-    PI_HI,
+    PI_BOUNDS,
     PI_LO,
     PeriodOverflow,
     check_square_free,
@@ -51,8 +51,8 @@ from .arith import (
     floor_of_root_quotient,
     is_prime,
     legendre_is_residue,
+    power,
     primes_up_to,
-    sqrt_bounds,
     sqrt_mod,
     xgcd,
 )
@@ -165,14 +165,7 @@ class QuadInt:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers only for units; use unit_inverse")
-        out = QuadInt(self.field, 1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, QuadInt(self.field, 1, 0))
 
     def conj(self) -> "QuadInt":
         """The nontrivial automorphism, sqrt(m) -> -sqrt(m)."""
@@ -429,10 +422,7 @@ def ideal_divides_and_quotient(i: QuadIdeal, j: QuadIdeal):
 def ideal_pow(i: QuadIdeal, k: int) -> QuadIdeal:
     if k < 0:
         raise ValueError("negative ideal power")
-    out = unit_ideal(i.field)
-    for _ in range(k):
-        out = ideal_product(out, i)
-    return out
+    return power(i, k, unit_ideal(i.field), ideal_product)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +759,7 @@ def minkowski_floor(field: QuadraticField) -> int:
     ad = abs(field.d)
     if field.m > 0:
         return math.isqrt(ad) // 2
-    return floor_of_root_quotient(2, ad, PI_LO, PI_HI)
+    return floor_of_root_quotient(2, ad, *PI_BOUNDS)
 
 
 def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBound:
@@ -778,7 +768,7 @@ def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBoun
     import mpmath
 
     ad = abs(field.d)
-    _, hi = sqrt_bounds(ad, 40)
+    hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
     if field.m > 0:
         upper = hi / 2
     else:

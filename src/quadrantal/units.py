@@ -88,7 +88,8 @@ def fundamental_unit(field: QuadraticField, max_period: int = MAX_PERIOD) -> Qua
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
     a, big_b = _reduce(field, 1, field.d & 1)
-    lam = _generator(field, a, big_b, _cycle(field, a, big_b, max_period))
+    # walk the whole cycle before folding, so an over-cap period fails fast
+    lam = _generator(field, a, big_b, list(_cycle(field, a, big_b, max_period)))
     if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
         raise ArithmeticError(f"{lam} is not a unit above 1")
     return lam

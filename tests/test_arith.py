@@ -1,6 +1,26 @@
+import functools
+import operator
+import random
+from fractions import Fraction
+
+import mpmath
 import pytest
 
-from quadrantal.arith import primes_up_to
+from quadrantal import quadring
+from quadrantal.arith import (
+    PI_BOUNDS,
+    PI_DIGITS,
+    PI_LO,
+    CertificateNotFound,
+    NotSquareFree,
+    check_square_free,
+    floor_of_root_quotient,
+    power,
+    primes_up_to,
+)
+from quadrantal.numberfield import NumberField
+from quadrantal.polynomial import Poly
+from quadrantal.quadring import ideal_pow, ideal_product, ring_of_integers, split_prime, unit_ideal
 
 
 def test_primes_up_to_matches_trial_division():
@@ -22,3 +42,111 @@ def test_prime_count_at_a_million():
 )
 def test_edges_of_the_odd_sieve(n, expected):
     assert primes_up_to(n) == expected
+
+
+# -- power: the one square-and-multiply ---------------------------------------
+
+CBRT2 = NumberField(Poly([-2, 0, 0, 1]))
+F5, FM3 = ring_of_integers(5), ring_of_integers(-3)
+
+
+@pytest.mark.parametrize("x, one", [
+    pytest.param(F5.integer(2, -1), F5.integer(1), id="QuadInt m=5"),
+    pytest.param(FM3.integer(-1, 2), FM3.integer(1), id="QuadInt m=-3"),
+    pytest.param(Poly([Fraction(1, 2), -3, 1]), Poly([1]), id="Poly"),
+    pytest.param(CBRT2.element([1, Fraction(-1, 3), 2]), CBRT2.one(), id="FieldElement cbrt2"),
+])
+def test_power_is_repeated_multiplication(x, one):
+    for k in range(21):
+        expected = functools.reduce(operator.mul, [x] * k, one)
+        assert power(x, k, one) == expected, k
+        assert x**k == expected, k
+
+
+def test_power_squares_only_while_bits_remain():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for k in range(1, 300):
+        calls.clear()
+        assert power(3, k, 1, mul) == 3**k
+        # k.bit_length() - 1 squarings and one product per set bit
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
+
+
+def _primes_over(m):
+    field = ring_of_integers(m)
+    return [p for q in (2, 3, 5, 7, 11, 13) for p, _ in split_prime(field, q).factors]
+
+
+@pytest.mark.parametrize("m", [-5, 10])
+def test_ideal_pow_is_the_repeated_product(m):
+    for p in _primes_over(m):
+        expected = unit_ideal(p.field)
+        for k in range(21):
+            assert ideal_pow(p, k) == expected, (m, p, k)
+            expected = ideal_product(expected, p)
+
+
+@pytest.mark.parametrize("m", [-5, 10])
+def test_ideal_pow_makes_logarithmically_many_products(m, monkeypatch):
+    calls = []
+    product = quadring.ideal_product
+
+    def counted(i, j):
+        calls.append(1)
+        return product(i, j)
+
+    monkeypatch.setattr(quadring, "ideal_product", counted)
+    for p in _primes_over(m):
+        for k in range(21):
+            calls.clear()
+            ideal_pow(p, k)
+            assert len(calls) <= 2 * k.bit_length(), (m, p, k, len(calls))
+
+
+# -- exact floors of sqrt quotients ---------------------------------------------
+
+def test_stored_pi_digits_bracket_pi():
+    lo, hi = PI_BOUNDS
+    assert len(str(PI_DIGITS)) == 101 and hi - lo == Fraction(1, 10**100)
+    with mpmath.workdps(100):
+        assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.pi
+        assert mpmath.pi < mpmath.mpf(hi.numerator) / hi.denominator
+    assert PI_LO == Fraction(314159265358, 10**11)
+
+
+def _disc(m):
+    return m if m % 4 == 1 else 4 * m
+
+
+def _mp_minkowski_floor(n):
+    with mpmath.workdps(80):
+        return int(mpmath.floor(2 * mpmath.sqrt(n) / mpmath.pi))
+
+
+def test_minkowski_floors_match_mpmath_on_small_fields():
+    for m in range(-3000, -1):
+        try:
+            check_square_free(m)
+        except NotSquareFree:
+            continue
+        n = -_disc(m)
+        assert floor_of_root_quotient(2, n, *PI_BOUNDS) == _mp_minkowski_floor(n), m
+
+
+def test_minkowski_floors_match_mpmath_on_large_fields():
+    rng = random.Random(17)
+    for _ in range(50):
+        m = -rng.randrange(10**6, 10**23)
+        n = -_disc(m)
+        assert floor_of_root_quotient(2, n, *PI_BOUNDS) == _mp_minkowski_floor(n), m
+
+
+def test_unpinned_floor_names_its_bounds():
+    # floor(2/x) is 0 at x = 3 but 2 at x = 1
+    with pytest.raises(CertificateNotFound, match="is 0 at x = 3 but 2 at x = 1"):
+        floor_of_root_quotient(1, 4, Fraction(1), Fraction(3))

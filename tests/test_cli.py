@@ -217,6 +217,13 @@ class TestQuadCommands:
         data = run_json(capsys, "quad", "minkowski", "--m", "-23")
         assert data["floor"] == "3"
 
+    def test_minkowski_floor_past_eleven_digits_of_pi(self, capsys):
+        # 2 sqrt|d| / pi = 9083536680.98...: the bounds 3.14159265358 < pi <
+        # 3.14159265359 put it on both sides of 9083536681
+        data = run_json(capsys, "quad", "minkowski", "--m", "-50896710137885200098")
+        assert data["floor"] == "9083536680"
+        assert data["decimal"].startswith("9083536680.98")
+
     def test_classgroup_with_verify(self, capsys):
         data = run_json(capsys, "quad", "classgroup", "--m", "-23", "--verify")
         assert data["h"] == 3 and data["structure"] == [3]

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from quadrantal.arith import check_square_free, NotSquareFree
+from quadrantal import units
 from quadrantal.quadring import ring_of_integers, unit_inverse
 from quadrantal.units import (
     PeriodOverflow,
@@ -107,6 +108,15 @@ class TestFundamentalUnit:
             assert fundamental_unit(field, period) == fundamental_unit(field)
             with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}"):
                 fundamental_unit(field, period - 1)
+
+    def test_over_cap_period_fails_before_folding(self, monkeypatch):
+        # the cycle is walked whole before its quotients are folded into lam
+        def fold(*args):
+            raise AssertionError("the convergents were folded")
+
+        monkeypatch.setattr(units, "_generator", fold)
+        with pytest.raises(PeriodOverflow, match="period exceeds cap 100000"):
+            fundamental_unit(ring_of_integers(1000000000039))
 
     def test_cache_is_bounded(self):
         info = fundamental_unit.cache_info()

@@ -7,6 +7,12 @@ instead of guessing.  `power` is the one square-and-multiply of the
 package, for elements, polynomials and ideals alike, and
 `floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
 root at each rational bound of x.
+
+The printed decimals of the package come from one small core on the
+standard `decimal` module (which `fractions` loads anyway): `pi_decimal`
+from Machin's formula in integers, `ln_unit` for the logarithm of a real
+quadratic unit, and `nstr`, which writes a Decimal as mpmath.nstr writes
+a float.  `record` makes the frozen report classes.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
 # Trial-division bound shared by every factorization in the package.
@@ -22,6 +29,10 @@ FACTOR_BOUND = 10**6
 # Cap on the entries of any table sized by an input (a list of this many
 # ints is about 800 MB); larger requests raise before allocating.
 MAX_TABLE = 10**8
+
+# Cap on the decimal digits QUADRANTAL_PRECISION may ask of a printed value:
+# a logarithm at 1,015 digits takes about 20 ms, at 5,000 digits almost 2 s.
+MAX_PRECISION = 1000
 
 # pi to 100 decimals, truncated.  PI_BOUNDS pin the Minkowski floor of
 # 2 sqrt|d| / pi unless the quotient is within a relative 10**-100 of an
@@ -247,3 +258,103 @@ def floor_of_root_quotient(mult: int, n: int, den_lo: Fraction, den_hi: Fraction
         raise CertificateNotFound(
             f"floor of {mult}*sqrt({n})/x is {lo} at x = {den_hi} but {hi} at x = {den_lo}")
     return lo
+
+
+# ---------------------------------------------------------------------------
+# decimals and records
+# ---------------------------------------------------------------------------
+
+def _arctan_inverse(x: int, one: int) -> int:
+    """atan(1/x) in fixed point with unit `one`, each term truncated."""
+    term = total = one // x
+    x2, n = x * x, 1
+    while term:
+        term //= x2
+        n += 2
+        total += -(term // n) if n % 4 == 3 else term // n
+    return total
+
+
+def pi_decimal(digits: int) -> Decimal:
+    """pi to `digits` significant digits, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integers with ten guard digits."""
+    one = 10 ** (digits + 10)
+    scaled = 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
+    return Decimal(scaled).scaleb(-(digits + 10), Context(prec=digits))
+
+
+def ln_unit(u: int, v: int, m: int, digits: int) -> Decimal:
+    """ln((u + v sqrt(m))/2) to `digits` significant digits, for u, v >= 0
+    and m > 0 with (u + v sqrt(m))/2 >= 1.
+
+    Decimal(int) is quadratic in the digits of the int, so u and v are
+    shifted right by the same s bits, keeping about 4 (digits + 10) + 64
+    of them, and s ln 2 is added back."""
+    s = max(0, max(u.bit_length(), v.bit_length()) - 4 * (digits + 10) - 64)
+    with localcontext(Context(prec=digits + 5)):
+        x = (Decimal(u >> s) + Decimal(v >> s) * Decimal(m).sqrt()) / 2
+        out = x.ln() + s * Decimal(2).ln() if s else x.ln()
+    return Context(prec=digits).plus(out)
+
+
+def nstr(x: Decimal, n: int) -> str:
+    """x to n significant digits as mpmath.nstr(x, n) writes it: rounded
+    half up, in fixed point when min(-(n // 3), -5) < exponent < n, with
+    trailing zeros stripped but one kept after the point, and otherwise
+    with an exponent e+N or e-N."""
+    if not x:
+        return "0.0"
+    y = Context(prec=n, rounding=ROUND_HALF_UP).plus(x.copy_abs())
+    digits = "".join(map(str, y.as_tuple().digits)).ljust(n, "0")
+    exponent, point = y.adjusted(), 1
+    if min(-(n // 3), -5) < exponent < n:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            point = exponent + 1
+        exponent = 0
+    text = ("-" if x < 0 else "") + (digits[:point] + "." + digits[point:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text + (f"e{exponent:+d}" if exponent else "")
+
+
+def record(cls=None, *, hidden=()):
+    """Class decorator for a frozen record of the annotated fields, in order.
+
+    It adds an __init__ that takes the fields by position or keyword (a
+    class attribute is a field's default), and __eq__, __hash__ and
+    __repr__ field by field over the fields not `hidden`.  Setting or
+    deleting an attribute raises AttributeError.
+    """
+    if cls is None:
+        return lambda c: record(c, hidden=hidden)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    shown = tuple(n for n in names if n not in hidden)
+    key = operator.attrgetter(*shown)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(values) < len(names):
+            missing = [n for n in names if n not in values]
+            raise TypeError(f"{cls.__name__}() is missing {', '.join(missing)}")
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot set or delete {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls

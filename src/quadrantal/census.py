@@ -65,12 +65,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from itertools import accumulate, chain, compress
 
-from .arith import MAX_TABLE, odd_sieve
+from .arith import MAX_TABLE, nstr, odd_sieve, pi_decimal, record
 from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group, splitting_kind
-from .units import regulator_mp, torsion_order
+from .units import regulator_decimal, torsion_order
 
 BLOCK = 1 << 14  # lanes per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
@@ -224,27 +224,33 @@ def _multiply(row, q: int, k: int) -> None:
         lo = hi + 1
 
 
+def sigma_decimal(field: QuadraticField, precision: int = 30) -> Decimal:
+    """The per-class ideal density 2^(r+1) pi^s rho / (w sqrt|d|) to
+    precision + 15 digits.  A real field cross-checks it against
+    2 log(lam)/sqrt(m) (m = 1 mod 4) or log(lam)/sqrt(m) to a relative
+    10^-precision, raising ArithmeticError if they disagree."""
+    digits = precision + 15
+    rho = regulator_decimal(field, digits + 10)
+    with localcontext(Context(prec=digits)):
+        root = Decimal(abs(field.d)).sqrt()
+        if field.m < 0:
+            return 2 * pi_decimal(digits) * rho / (torsion_order(field) * root)
+        sigma = 4 * rho / (torsion_order(field) * root)
+        alt = (2 if field.half else 1) * rho / Decimal(field.m).sqrt()
+        if abs(sigma - alt) > Decimal(10) ** -precision * max(sigma, alt, 1):
+            raise ArithmeticError(f"sigma {sigma} disagrees with {alt}")
+        return sigma
+
+
 def sigma_theoretical(field: QuadraticField, precision: int = 30):
-    """The per-class ideal density 2^(r+1) pi^s rho / (w sqrt|d|) as an
-    mpmath value at the requested precision."""
+    """sigma_decimal as an mpmath value at precision + 15 digits."""
     import mpmath
 
-    r = 1 if field.m > 0 else 0
-    s = 0 if field.m > 0 else 1
-    w = torsion_order(field)
     with mpmath.workdps(precision + 15):
-        rho = regulator_mp(field, precision + 15)
-        sigma = 2 ** (r + 1) * mpmath.pi**s * rho / (w * mpmath.sqrt(abs(field.d)))
-        if field.m > 0:
-            # cross-check the specialised real-quadratic forms 2 log(lam)/sqrt(m)
-            # (m = 1 mod 4) and log(lam)/sqrt(m)
-            alt = (2 if field.half else 1) * rho / mpmath.sqrt(field.m)
-            if not mpmath.almosteq(sigma, alt, rel_eps=mpmath.mpf(10) ** (-precision)):
-                raise ArithmeticError(f"sigma {sigma} disagrees with {alt}")
-        return +sigma
+        return mpmath.mpf(str(sigma_decimal(field, precision)))
 
 
-@dataclass(frozen=True)
+@record
 class CensusResult:
     m: int
     k: int
@@ -291,15 +297,13 @@ def census_check(
 
 def _census_with_counts(field, k, per_class, report, precision):
     """census_check's result together with the sieve it was computed from."""
-    import mpmath
-
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     if report is not None:
         _check_report(field, report)
     _check_table_size(k + 1)  # the sieve's cap, before sigma and the class group
     # before the class group: the fundamental unit's period cap trips first
-    sigma = sigma_theoretical(field, precision)
+    sigma = sigma_decimal(field, precision)
     if report is None:
         report = class_group(field)
     h = report.h
@@ -312,22 +316,17 @@ def _census_with_counts(field, k, per_class, report, precision):
     per = tuple(sum(row) for row in per_class_counts(field, k, report)) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
-    with mpmath.workdps(precision + 15):
-        zk = mpmath.mpf(z_k) / k
-        dev = abs(zk - sigma * h)
-        norm_dev = dev * mpmath.sqrt(k)
-        result = CensusResult(
-            field.m,
-            k,
-            z_k,
-            h,
-            mpmath.nstr(sigma, precision),
-            mpmath.nstr(zk, precision),
-            mpmath.nstr(+(sigma * h), precision),
-            mpmath.nstr(dev, 10),
-            mpmath.nstr(norm_dev, 10),
-            per,
-        )
+    with localcontext(Context(prec=precision + 15)):
+        zk = Decimal(z_k) / k
+        sigma_h = sigma * h
+        dev = abs(zk - sigma_h)
+        norm_dev = dev * Decimal(k).sqrt()
+    result = CensusResult(
+        field.m, k, z_k, h,
+        nstr(sigma, precision), nstr(zk, precision), nstr(sigma_h, precision),
+        nstr(dev, 10), nstr(norm_dev, 10),
+        per,
+    )
     return result, counts
 
 

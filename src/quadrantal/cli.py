@@ -8,17 +8,19 @@ computational precondition failure (non-square-free m, unfactorable input,
 division by the zero polynomial, an unwritable --csv file, a table, prime
 sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit or
 rho-cycle of period over 10^5, a number field or composed polynomial of
-degree over 400, a shift or precision search that ends uncertified, an
-arithmetic overflow or a recursion too deep, ...), 4 a failed certificate
-(an exact check of a computed result that does not hold: factors that do
-not multiply back, per-class counts that do not sum to Z(k), ...; a bug,
-not a property of the input).
+degree over 400, a QUADRANTAL_PRECISION over 1000 digits, a shift or
+precision search that ends uncertified, an arithmetic overflow or a
+recursion too deep, ...), 4 a failed certificate (an exact check of a
+computed result that does not hold: factors that do not multiply back,
+per-class counts that do not sum to Z(k), ...; a bug, not a property of
+the input).
 
-Each subcommand imports only the layer it uses when it runs; `mpmath` is
-loaded only where a float is printed (census, units, quad minkowski) or a
-number-field embedding is computed.
+Each subcommand imports only the layer it uses when it runs.  The decimals
+of census, units and quad minkowski come from the standard decimal module;
+`mpmath` is loaded only where a number-field embedding is computed.
 
-QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30).
+QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30,
+maximum 1000).
 """
 
 from __future__ import annotations
@@ -44,13 +46,18 @@ class InputError(ValueError):
 
 
 def decimal_precision(default: int = 50) -> int:
+    from .arith import MAX_PRECISION
+
     env = os.environ.get("QUADRANTAL_PRECISION")
     if env is None:
         return default
     try:
-        return max(30, int(env))
+        digits = max(30, int(env))
     except ValueError:
         raise InputError(f"QUADRANTAL_PRECISION must be an integer, got {env!r}")
+    if digits > MAX_PRECISION:
+        raise ValueError(f"QUADRANTAL_PRECISION {digits} is over the cap {MAX_PRECISION}")
+    return digits
 
 
 # ---------------------------------------------------------------------------

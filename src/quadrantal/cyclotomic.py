@@ -12,9 +12,7 @@ impure combinations the classical definitions do not name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, record
 
 
 def euler_phi(m: int) -> int:
@@ -42,7 +40,7 @@ def multiplicative_order(a: int, n: int) -> int:
     return f
 
 
-@dataclass(frozen=True)
+@record
 class CyclotomicDescriptor:
     m: int
     degree: int                      # phi(m)
@@ -64,7 +62,7 @@ def descriptor(m: int) -> CyclotomicDescriptor:
     return CyclotomicDescriptor(m, euler_phi(m), disc)
 
 
-@dataclass(frozen=True)
+@record
 class CycloSplitting:
     m: int
     q: int

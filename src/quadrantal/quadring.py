@@ -36,8 +36,7 @@ ch. 6).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 import math
 
@@ -51,8 +50,11 @@ from .arith import (
     floor_of_root_quotient,
     is_prime,
     legendre_is_residue,
+    nstr,
+    pi_decimal,
     power,
     primes_up_to,
+    record,
     sqrt_mod,
     xgcd,
 )
@@ -429,7 +431,7 @@ def ideal_pow(i: QuadIdeal, k: int) -> QuadIdeal:
 # prime splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SplittingReport:
     field: QuadraticField
     q: int
@@ -741,7 +743,7 @@ def _balanced_associates(gen: QuadInt, t: int) -> list[QuadInt]:
 # Minkowski bound and the class group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MinkowskiBound:
     floor: int          # largest integer norm the bound admits
     upper: Fraction     # certified rational upper bound for the constant
@@ -765,21 +767,20 @@ def minkowski_floor(field: QuadraticField) -> int:
 def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBound:
     """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
     (imaginary).  The integer floor is certified with exact pi bounds."""
-    import mpmath
-
     ad = abs(field.d)
     hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
     if field.m > 0:
         upper = hi / 2
     else:
         upper = 2 * hi / PI_LO
-    with mpmath.workdps(precision + 10):
-        val = mpmath.sqrt(ad) / 2 if field.m > 0 else 2 * mpmath.sqrt(ad) / mpmath.pi
-        dec = mpmath.nstr(val, precision)
-    return MinkowskiBound(minkowski_floor(field), upper, dec)
+    digits = precision + 10
+    with localcontext(Context(prec=digits)):
+        root = Decimal(ad).sqrt()
+        val = root / 2 if field.m > 0 else 2 * root / pi_decimal(digits)
+    return MinkowskiBound(minkowski_floor(field), upper, nstr(val, precision))
 
 
-@dataclass(frozen=True)
+@record(hidden=("forms",))
 class ClassGroupReport:
     """The class group: h, one representative per class (the principal
     class first), the composition table of class indices and the invariant
@@ -796,7 +797,7 @@ class ClassGroupReport:
     representatives: tuple  # QuadIdeal, principal class first
     table: tuple            # h x h composition table of class indices
     structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
-    forms: dict = dataclasses.field(repr=False, compare=False)  # (a, B) -> class
+    forms: dict             # (a, B) -> class; not compared, hashed or shown
 
     def reduced_form(self, k: int) -> tuple[int, int, int]:
         """(a, B, C): a reduced form of the primitive ideal of class k's

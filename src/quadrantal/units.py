@@ -13,9 +13,10 @@ four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
+from .arith import ln_unit, nstr, record
 from .quadring import QuadInt, QuadraticField, _cycle, _generator, _reduce, unit_inverse
 
 
@@ -95,7 +96,7 @@ def fundamental_unit(field: QuadraticField, max_period: int = MAX_PERIOD) -> Qua
     return lam
 
 
-@dataclass(frozen=True)
+@record
 class PellSolution:
     x: int
     y: int
@@ -143,7 +144,7 @@ def pell_solve(m: int, kind: str):
 # the assembled report and membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class UnitGroupReport:
     field: QuadraticField
     torsion_order: int
@@ -168,27 +169,25 @@ class UnitGroupReport:
         return out
 
 
+def regulator_decimal(field: QuadraticField, digits: int = 50) -> Decimal:
+    """log(lam) to `digits` significant digits (1 when the rank is 0)."""
+    if field.m < 0:
+        return Decimal(1)
+    return ln_unit(*fundamental_unit(field).double_coords(), field.m, digits)
+
+
 def regulator_mp(field: QuadraticField, dps: int = 50):
-    """log(lam) as an mpmath value (1 when the rank is 0)."""
+    """regulator_decimal at dps + 10 digits as an mpmath value."""
     import mpmath
 
-    if field.m < 0:
-        return mpmath.mpf(1)
-    lam = fundamental_unit(field)
     with mpmath.workdps(dps + 10):
-        return mpmath.log(lam.mp_value(dps + 10))
+        return mpmath.mpf(str(regulator_decimal(field, dps + 10)))
 
 
 def unit_group_report(field: QuadraticField, precision: int = 50) -> UnitGroupReport:
-    import mpmath
-
     rank = 1 if field.m > 0 else 0
     lam = fundamental_unit(field) if rank else None
-    if rank:
-        with mpmath.workdps(precision + 10):
-            reg = mpmath.nstr(regulator_mp(field, precision), precision)
-    else:
-        reg = "1"
+    reg = nstr(regulator_decimal(field, precision + 10), precision) if rank else "1"
     return UnitGroupReport(
         field, torsion_order(field), torsion_generator(field), rank, lam, reg, precision
     )
@@ -200,8 +199,6 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     a is forced to 0 when the rank is 0; the decomposition is located by
     logarithms and then confirmed by exact recomposition.
     """
-    import mpmath
-
     if not u.is_unit():
         raise ValueError(f"{u} is not a unit")
     if field.m < 0:
@@ -215,9 +212,14 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     sign = u.sign_real()
     v = u if sign > 0 else -u
     k = 0 if sign > 0 else 1
+    # |v v'| = 1, so ln v is +-ln of the larger of v and |v'|, which is
+    # (|x| + |y| sqrt(m))/2 with no cancellation; it is v when x, y >= 0
+    x, y = v.double_coords()
+    ln_v = ln_unit(abs(x), abs(y), field.m, 60)
+    with localcontext(Context(prec=60)):
+        ratio = (ln_v if x >= 0 and y >= 0 else -ln_v) / regulator_decimal(field, 60)
+        a = int(ratio.to_integral_value())
     lam = fundamental_unit(field)
-    with mpmath.workdps(60):
-        a = int(mpmath.nint(mpmath.log(abs(v.mp_value(60))) / mpmath.log(lam.mp_value(60))))
     for cand in (a, a - 1, a + 1):
         if _unit_power(field, lam, cand) == v:
             return k, cand

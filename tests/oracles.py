@@ -155,3 +155,56 @@ def real_class_number_analytic(d: int) -> float:
     """h(d) for d > 0 from h log(eps) = -1/2 sum_{0<a<d} chi(a) log sin(pi a/d)."""
     total = sum(kronecker(d, a) * math.log(math.sin(math.pi * a / d)) for a in range(1, d))
     return -total / 2 / log_fundamental_unit(d)
+
+
+# The decimals the library printed through mpmath, computed as it did: the
+# decimal core must reproduce them byte for byte.
+
+def mpmath_minkowski_decimal(d: int, precision: int = 30) -> str:
+    """sqrt|d|/2 (d > 0) or 2 sqrt|d|/pi (d < 0) at precision + 10 digits,
+    printed to precision digits."""
+    import mpmath
+
+    with mpmath.workdps(precision + 10):
+        root = mpmath.sqrt(abs(d))
+        return mpmath.nstr(root / 2 if d > 0 else 2 * root / mpmath.pi, precision)
+
+
+def mpmath_log_unit(u: int, v: int, m: int, dps: int):
+    """log((u + v sqrt(m))/2) at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.log((u + v * mpmath.sqrt(m)) / 2)
+
+
+def mpmath_regulator(u: int, v: int, m: int, precision: int = 50) -> str:
+    """The regulator log((u + v sqrt(m))/2) printed to precision digits."""
+    import mpmath
+
+    with mpmath.workdps(precision + 10):
+        return mpmath.nstr(mpmath_log_unit(u, v, m, precision + 10), precision)
+
+
+def mpmath_census_strings(m, d, w, unit, z_k, h, k, precision=30):
+    """sigma, Z(k)/k, sigma h, |Z(k)/k - sigma h| and that times sqrt(k),
+    printed as census_check printed them; unit is the (u, v) of the
+    fundamental unit of a real field, None for an imaginary one."""
+    import mpmath
+
+    with mpmath.workdps(precision + 15):
+        if m > 0:
+            rho = mpmath_log_unit(*unit, m, precision + 25)
+            sigma = 4 * rho / (w * mpmath.sqrt(d))
+        else:
+            sigma = 2 * mpmath.pi / (w * mpmath.sqrt(-d))
+        sigma = +sigma
+        zk = mpmath.mpf(z_k) / k
+        dev = abs(zk - sigma * h)
+        return (
+            mpmath.nstr(sigma, precision),
+            mpmath.nstr(zk, precision),
+            mpmath.nstr(+(sigma * h), precision),
+            mpmath.nstr(dev, 10),
+            mpmath.nstr(dev * mpmath.sqrt(k), 10),
+        )

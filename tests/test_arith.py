@@ -1,6 +1,7 @@
 import functools
 import operator
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +16,12 @@ from quadrantal.arith import (
     NotSquareFree,
     check_square_free,
     floor_of_root_quotient,
+    ln_unit,
+    nstr,
+    pi_decimal,
     power,
     primes_up_to,
+    record,
 )
 from quadrantal.numberfield import NumberField
 from quadrantal.polynomial import Poly
@@ -150,3 +155,77 @@ def test_unpinned_floor_names_its_bounds():
     # floor(2/x) is 0 at x = 3 but 2 at x = 1
     with pytest.raises(CertificateNotFound, match="is 0 at x = 3 but 2 at x = 1"):
         floor_of_root_quotient(1, 4, Fraction(1), Fraction(3))
+
+
+# -- the decimal core -------------------------------------------------------------
+
+def test_pi_decimal_pins_the_stored_digits():
+    assert int(pi_decimal(110).scaleb(100, Context(prec=120))) == PI_DIGITS
+    with mpmath.workdps(1100):
+        assert nstr(pi_decimal(1010), 1000) == mpmath.nstr(mpmath.pi, 1000)
+
+
+def test_nstr_matches_mpmath():
+    # random values with more digits than n + 3, so no value is a tie,
+    # across the fixed-point window and both exponent forms
+    rng = random.Random(18)
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3, 5, 10, 30, 50))
+        digits = rng.randrange(10 ** (n + 4), 10 ** (n + 30))
+        text = f"{rng.choice('+-')}{digits}e{rng.randint(-n - 40, 30)}"
+        with mpmath.workdps(n + 40):
+            expected = mpmath.nstr(mpmath.mpf(text), n)
+        assert nstr(Decimal(text), n) == expected, (text, n)
+    for value, n, expected in (("0", 30, "0.0"), ("1", 30, "1.0"), ("9.99999", 3, "10.0"),
+                               ("999.99", 3, "1.0e+3"), ("0.0000123456", 10, "1.23456e-5")):
+        assert nstr(Decimal(value), n) == expected
+        with mpmath.workdps(50):
+            assert mpmath.nstr(mpmath.mpf(value), n) == expected
+
+
+def test_ln_unit_at_one_the_golden_ratio_and_a_shifted_power():
+    # u and v of (1 + sqrt 2)^5000 have about 7,650 bits, shifted down by
+    # about 7,300 before they become Decimals
+    assert ln_unit(2, 0, 5, 30) == 0
+    u, v = (ring_of_integers(2).integer(1, 1) ** 5000).double_coords()
+    with mpmath.workdps(60):
+        assert str(ln_unit(1, 1, 5, 40)) == mpmath.nstr(mpmath.log(mpmath.phi), 40)
+        assert str(ln_unit(u, v, 2, 40)) == mpmath.nstr(5000 * mpmath.log(1 + mpmath.sqrt(2)), 40)
+
+
+@record
+class _Point:
+    x: int
+    y: int = 0
+
+
+@record(hidden=("cache",))
+class _Cached:
+    key: int
+    cache: dict
+
+
+def test_record_init_eq_hash_repr():
+    assert _Point(1, 2) == _Point(x=1, y=2) == _Point(1, y=2)
+    assert _Point(3) == _Point(3, 0) and _Point(3).y == 0
+    assert _Point(1, 2) != _Point(2, 1) and _Point(1, 2) != (1, 2)
+    assert hash(_Point(1, 2)) == hash(_Point(1, 2))
+    assert repr(_Point(1, 2)) == "_Point(x=1, y=2)"
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((), {"z": 1})):
+        with pytest.raises(TypeError):
+            _Point(*args, **kwargs)
+
+
+def test_record_is_frozen():
+    p = _Point(1, 2)
+    with pytest.raises(AttributeError, match="frozen"):
+        p.x = 5
+    with pytest.raises(AttributeError, match="frozen"):
+        del p.y
+    assert (p.x, p.y) == (1, 2)
+
+
+def test_record_hidden_field_stays_out_of_eq_hash_repr():
+    a, b = _Cached(1, {"a": 1}), _Cached(1, {})
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "_Cached(key=1)" and a.cache == {"a": 1}

@@ -22,8 +22,9 @@ from quadrantal.quadring import (
     ring_of_integers,
     split_prime,
 )
+from quadrantal.units import fundamental_unit, torsion_order
 
-from oracles import hnf_ideal_counts, kronecker, standard_triples
+from oracles import hnf_ideal_counts, kronecker, mpmath_census_strings, standard_triples
 from test_classgroup import squarefree_fields
 
 F5 = ring_of_integers(-5)
@@ -245,6 +246,36 @@ class TestSigma:
         sigma = sigma_theoretical(ring_of_integers(-1))
         with mpmath.workdps(40):
             assert abs(sigma - mpmath.pi / 4) < mpmath.mpf(10) ** -25
+
+
+def _census_strings(result):
+    return (result.sigma, result.z_over_k, result.sigma_h, result.deviation,
+            result.normalized_deviation)
+
+
+def _mpmath_strings(field, result, precision=30):
+    unit = fundamental_unit(field).double_coords() if field.m > 0 else None
+    return mpmath_census_strings(field.m, field.d, torsion_order(field), unit,
+                                 result.z_k, result.h, result.k, precision)
+
+
+class TestCensusStringsMatchMpmath:
+    def test_every_field_to_400_at_three_cutoffs(self):
+        # 485 fields at k = 100 and two seeded cutoffs: 1,455 results
+        rng = random.Random(18)
+        cutoffs = (100, rng.randrange(101, 5000), rng.randrange(5000, 50000))
+        fields = squarefree_fields(-400, 400)
+        assert len(fields) == 485
+        for field in fields:
+            for k in cutoffs:
+                result = census_check(field, k)
+                assert _census_strings(result) == _mpmath_strings(field, result), (field.m, k)
+
+    @pytest.mark.parametrize("m", [-5, 13, 1000000007])
+    def test_at_200_digits(self, m):
+        field = ring_of_integers(m)
+        result = census_check(field, 1000, precision=200)
+        assert _census_strings(result) == _mpmath_strings(field, result, 200)
 
 
 class TestCensusCheck:

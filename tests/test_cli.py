@@ -232,16 +232,16 @@ class TestQuadCommands:
     def test_verify_catches_a_nonassociative_loop(self):
         # a commutative loop of order 6 with an identity and inverses, in
         # which (2 2) 4 = 4 4 = 3 but 2 (2 4) = 2 0 = 2
-        import dataclasses
-
         from quadrantal.cli import _verify_class_group
-        from quadrantal.quadring import class_group, ring_of_integers
+        from quadrantal.quadring import ClassGroupReport, class_group, ring_of_integers
 
         loop = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1),
                 (3, 2, 5, 4, 1, 0), (4, 5, 0, 1, 3, 2), (5, 4, 1, 0, 2, 3))
         report = class_group(ring_of_integers(-87))
         assert report.h == 6
-        checks = _verify_class_group(dataclasses.replace(report, table=loop))
+        altered = ClassGroupReport(report.field, report.h, report.representatives, loop,
+                                   report.structure, report.forms)
+        checks = _verify_class_group(altered)
         assert checks["associative"] is False
         assert checks["identity"] and checks["commutative"] and checks["inverses"]
         assert _verify_class_group(report)["associative"] is True
@@ -500,6 +500,26 @@ class TestFormatsAndExitCodes:
         data = run_json(capsys, "units", "--m", "2")
         assert data["precision_digits"] == 30
 
+    def test_decimals_at_200_digits_match_mpmath(self, capsys, monkeypatch):
+        from oracles import mpmath_census_strings, mpmath_regulator
+
+        monkeypatch.setenv("QUADRANTAL_PRECISION", "200")
+        unit = run_json(capsys, "units", "--m", "7")
+        assert unit["regulator"] == mpmath_regulator(16, 6, 7, 200)  # lam = 8 + 3 sqrt(7)
+        for m, d, u in ((7, 28, (16, 6)), (-5, -20, None)):
+            data = run_json(capsys, "census", "--m", str(m), "--k", "300")
+            got = tuple(data[key] for key in ("sigma_theoretical", "z_over_k", "sigma_h",
+                                              "deviation", "normalized_deviation"))
+            assert got == mpmath_census_strings(m, d, 2, u, int(data["Z_k"]), data["h"], 300, 200)
+
+    @pytest.mark.parametrize("argv", [["units", "--m", "7"], ["census", "--m", "-5", "--k", "300"]])
+    def test_precision_over_cap_exits_3(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QUADRANTAL_PRECISION", "3000000")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QUADRANTAL_PRECISION 3000000 is over the cap 1000\n"
+
 
 def imported_modules(*argv):
     """The modules a fresh `python -m quadrantal.cli` process imports, as
@@ -534,16 +554,25 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv",
-        [["quad", "classgroup", "--m", "-23", "--verify"], ["pell", "--m", "2", "--kind", "plusOne"]],
+        [
+            ["quad", "classgroup", "--m", "-23", "--verify"],
+            ["pell", "--m", "2", "--kind", "plusOne"],
+            ["units", "--m", "2"],
+            ["census", "--m", "-5", "--k", "300"],
+            ["census", "--m", "10", "--k", "300", "--per-class", "--csv", "{tmp}/census.csv"],
+            ["quad", "minkowski", "--m", "-23"],
+        ],
     )
-    def test_exact_requests_skip_mpmath(self, argv):
-        loaded = imported_modules(*argv)
+    def test_exact_requests_skip_mpmath(self, argv, tmp_path):
+        # printed decimals come from the decimal module, and reports are
+        # records: dataclasses would pull in inspect, ast, dis and tokenize
+        loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
         assert "quadrantal.quadring" in loaded
-        assert "mpmath" not in loaded
+        assert not loaded & {"mpmath", "dataclasses", "inspect"}
 
-    def test_printed_float_loads_mpmath(self):
-        # the probe above does see mpmath where a request uses it
-        assert "mpmath" in imported_modules("units", "--m", "2")
+    def test_printed_decimal_loads_decimal(self):
+        # the probe above does see the modules a printed decimal uses
+        assert {"decimal", "quadrantal.units"} <= imported_modules("units", "--m", "2")
 
     def test_star_import_binds_the_six_names(self):
         code = (

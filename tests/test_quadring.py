@@ -22,7 +22,8 @@ from quadrantal.quadring import (
     zero_ideal,
 )
 
-from oracles import squares_mod
+from oracles import mpmath_minkowski_decimal, squares_mod
+from test_classgroup import squarefree_fields
 
 F5 = ring_of_integers(-5)
 F23 = ring_of_integers(-23)
@@ -417,3 +418,13 @@ class TestMinkowski:
 
     def test_decimal_rendering(self):
         assert minkowski_bound(F5).decimal.startswith("2.8470")
+
+    def test_decimals_match_mpmath(self):
+        # every square-free m in [-3000, 3000] but 1: 3,647 fields
+        fields = squarefree_fields(-3000, 3000)
+        assert len(fields) == 3647
+        for field in fields:
+            assert minkowski_bound(field).decimal == mpmath_minkowski_decimal(field.d), field.m
+        for m in (-1000003, 1000000007, -10**17 - 3):
+            field = ring_of_integers(m)
+            assert minkowski_bound(field, 200).decimal == mpmath_minkowski_decimal(field.d, 200)

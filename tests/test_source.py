@@ -46,3 +46,42 @@ def test_no_bare_runtime_error(path):
     ]
     if lines:
         pytest.fail(f"{path.name} raises RuntimeError on lines {lines}")
+
+
+# mpmath is imported only inside these functions: number-field embeddings
+# and the three adapters that hand the decimal core's values to mpmath
+MPMATH_FUNCTIONS = {
+    "census.py": {"sigma_theoretical"},
+    "units.py": {"regulator_mp"},
+    "quadring.py": {"mp_value"},
+}
+
+
+def _imports(tree):
+    """(imported module, innermost enclosing function or None) for each
+    import statement of the tree."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield from ((alias.name, function) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                yield (child.module or ""), function
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from walk(child, inner)
+
+    return walk(tree, None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_and_mpmath_only_in_its_functions(path):
+    # a quadratic-field request starts without mpmath or dataclasses, which
+    # cost more start-up than the work of most requests
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(name.split(".")[0], fn) for name, fn in _imports(tree)]
+    if any(name == "dataclasses" for name, _ in found):
+        pytest.fail(f"{path.name} imports dataclasses")
+    allowed = MPMATH_FUNCTIONS.get(path.name, set())
+    bad = [fn for name, fn in found if name == "mpmath"
+           and (fn is None or (path.name != "numberfield.py" and fn not in allowed))]
+    if bad:
+        pytest.fail(f"{path.name} imports mpmath outside its functions: {bad}")

@@ -12,12 +12,20 @@ from quadrantal.units import (
     continued_fraction_of_omega,
     fundamental_unit,
     pell_solve,
+    regulator_mp,
     torsion_units,
     unit_group_report,
     unit_membership,
 )
 
-from oracles import pell_least_solution, real_value, units_up_to_height
+from oracles import (
+    mpmath_log_unit,
+    mpmath_regulator,
+    pell_least_solution,
+    real_value,
+    units_up_to_height,
+)
+from test_classgroup import squarefree_fields
 
 
 class TestTorsion:
@@ -226,6 +234,43 @@ def test_regulator_matches_mpmath_log():
     with mpmath.workdps(60):
         expected = mpmath.log(1 + mpmath.sqrt(2))
         assert abs(mpmath.mpf(rep.regulator) - expected) < mpmath.mpf(10) ** -48
+
+
+def test_regulators_match_mpmath():
+    # every real field with m <= 3000: 1,823 regulators of 50 digits
+    fields = squarefree_fields(2, 3000)
+    assert len(fields) == 1823
+    for field in fields:
+        u, v = fundamental_unit(field).double_coords()
+        assert unit_group_report(field).regulator == mpmath_regulator(u, v, field.m), field.m
+
+
+@pytest.mark.parametrize("m", [1000000007, 100000000003])
+def test_regulators_of_large_units_match_mpmath(m):
+    # the unit of 100000000003 has about 730,000 digits: its coordinates
+    # are shifted down, not converted to Decimal whole
+    field = ring_of_integers(m)
+    u, v = fundamental_unit(field).double_coords()
+    assert unit_group_report(field).regulator == mpmath_regulator(u, v, m)
+    assert unit_group_report(field, 200).regulator == mpmath_regulator(u, v, m, 200)
+
+
+def test_regulator_mp_adapter():
+    field = ring_of_integers(94)
+    u, v = fundamental_unit(field).double_coords()
+    with mpmath.workdps(70):
+        assert abs(regulator_mp(field, 60) - mpmath_log_unit(u, v, 94, 80)) < mpmath.mpf(10) ** -68
+    assert regulator_mp(ring_of_integers(-7)) == 1
+
+
+def test_membership_of_inverse_powers_of_a_large_unit():
+    # lam^-a = (x + y sqrt m)/2 with x, y of thousands of digits and
+    # opposite signs: its logarithm comes from its conjugate, not from the
+    # difference x + y sqrt(m), which cancels
+    field = ring_of_integers(1000000007)
+    inverse = unit_inverse(fundamental_unit(field))
+    assert unit_membership(field, inverse**3) == (0, -3)
+    assert unit_membership(field, -inverse) == (1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -292,11 +292,12 @@ def census_check(
     in must be the class group of this field.  Z(k) is the hyperbola sum
     (_ideal_total) when |d| <= k, else the sum of the sieve, which is built
     either way; per-class counts must sum to it."""
-    return _census_with_counts(field, k, per_class, report, precision)[0]
+    return _census_with_counts(field, k, per_class, report, precision, True)[0]
 
 
-def _census_with_counts(field, k, per_class, report, precision):
-    """census_check's result together with the sieve it was computed from."""
+def _census_with_counts(field, k, per_class, report, precision, table):
+    """census_check's result together with the sieve a[0..k], built once if
+    table is true or Z(k) is its sum (|d| > k), and None if neither."""
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     if report is not None:
@@ -309,10 +310,11 @@ def _census_with_counts(field, k, per_class, report, precision):
     h = report.h
     if per_class:  # per_class_counts' cap, before the sieve is built
         _check_table_size(h * (k + 1))
-    counts = ideal_count_sieve(field, k)
     # the hyperbola sum where chi_d tiles the sieve (|d| <= k), so the
     # per-class check below compares two independent computations
-    z_k = _ideal_total(field, k) if abs(field.d) <= k else sum(counts)
+    hyperbola = abs(field.d) <= k
+    counts = ideal_count_sieve(field, k) if table or not hyperbola else None
+    z_k = _ideal_total(field, k) if hyperbola else sum(counts)
     per = tuple(sum(row) for row in per_class_counts(field, k, report)) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")

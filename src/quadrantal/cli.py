@@ -15,9 +15,13 @@ computed result that does not hold: factors that do not multiply back,
 per-class counts that do not sum to Z(k), ...; a bug, not a property of
 the input).
 
-Each subcommand imports only the layer it uses when it runs.  The decimals
-of census, units and quad minkowski come from the standard decimal module;
-`mpmath` is loaded only where a number-field embedding is computed.
+Each request builds only its own parser from the COMMANDS table: every
+command's name and help, the action names of its command and the options
+of its one action.  Each subcommand imports only the layer it uses when it
+runs, and a census builds its ideal table only for --csv or where Z(k) is
+the table's sum (|d| > k).  The decimals of census, units and quad
+minkowski come from the standard decimal module; `mpmath` is loaded only
+where a number-field embedding is computed.
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30,
 maximum 1000).
@@ -31,10 +35,12 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 # Each handler imports the layer it uses when it runs, so a request loads
-# only that layer; these names are for annotations.
+# only that layer; these names are for annotations.  A constant, not
+# typing's: mypy takes any TYPE_CHECKING as true, and a request need not
+# import typing.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .numberfield import NumberField
     from .polynomial import Poly
@@ -409,11 +415,12 @@ def cmd_census(args) -> dict:
     from .quadring import QuadraticField
 
     field = QuadraticField(args.m)
+    # the table only for the CSV, or where Z(k) is its sum
     result, counts = census_mod._census_with_counts(
-        field, args.k, args.per_class, None, decimal_precision(30)
+        field, args.k, args.per_class, None, decimal_precision(30), args.csv is not None
     )
     out = result.to_json_dict()
-    if args.csv:
+    if args.csv is not None:
         rows = census_mod._checkpoints(counts, args.k)
         try:
             with open(args.csv, "w") as fh:
@@ -430,105 +437,90 @@ def cmd_census(args) -> dict:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, {action -> {option -> add_argument keywords}}); a
+# command without actions has the one action None.  Every action takes
+# --format before its own options.
+_TEXT = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_FORMAT = {"choices": ("json", "text"), "default": "json"}
+_IDEAL_PAIR = {"--m": _INT, "--ideal-a": _TEXT, "--ideal-b": _TEXT}
+COMMANDS = {
+    "poly": ("polynomial utilities", {
+        "divrem": {"--dividend": _TEXT, "--divisor": _TEXT},
+        "gcd": {"--a": _TEXT, "--b": _TEXT},
+        "content": {"--poly": _TEXT},
+        "eisenstein": {"--poly": _TEXT},
+        "cyclotomic": {"--p": _INT},
+    }),
+    "field": ("number-field computations", {
+        "trace-norm": {"--minpoly": _TEXT, "--element": _TEXT},
+        "discriminant": {"--minpoly": _TEXT, "--tuple": {**_TEXT, "help": "elements separated by ';'"}},
+        "minpoly-of": {"--minpoly": _TEXT, "--element": _TEXT},
+        "compose": {"--op": {**_TEXT, "choices": ("sum", "product")}, "--p": _TEXT, "--q": _TEXT},
+        "primitive-element": {"--p": _TEXT, "--q": _TEXT},
+        "denominator-clearing": {"--minpoly": _TEXT, "--element": _TEXT},
+    }),
+    "quad": ("quadratic ring and ideal calculus", {
+        "ring": {"--m": _INT},
+        "minkowski": {"--m": _INT},
+        "split": {"--m": _INT, "--q": _INT},
+        "factor": {"--m": _INT, "--ideal": _TEXT, "--verify": _FLAG},
+        "product": _IDEAL_PAIR,
+        "gcd": _IDEAL_PAIR,
+        "quotient": _IDEAL_PAIR,
+        "principal": {"--m": _INT, "--ideal": _TEXT},
+        "classgroup": {"--m": _INT, "--verify": _FLAG},
+    }),
+    "units": ("unit group, fundamental unit, regulator", {None: {"--m": _INT}}),
+    "pell": ("least solutions of Pell equations", {None: {
+        "--m": _INT, "--kind": {**_TEXT, "choices": ("plusOne", "minusOne", "plusFour", "minusFour")},
+    }}),
+    "cyclo": ("cyclotomic splitting parameters", {"split": {"--m": _INT, "--q": _INT}, "lists": {}}),
+    "census": ("ideal counts against the density law", {None: {
+        "--m": _INT, "--k": _INT, "--per-class": _FLAG,
+        "--csv": {"help": "write (k', Z(k')/k') checkpoints to this file"},
+    }}),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of COMMANDS as far as argv needs it: every command's name
+    and help, the action names of the command argv names, and the options
+    of its one action.  The command is the first word of argv that does not
+    start with '-', and the action the next: the top-level and command
+    parsers take no option but -h, so argparse reads the same two words.
+    The parsers argv does not name are never parsed with, so they go
+    without -h."""
+    words = (arg for arg in argv if not arg.startswith("-"))
     top = argparse.ArgumentParser(
         prog="quadrantal",
         description="exact computations in quadratic number rings and small number fields",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def fmt(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    poly = sub.add_parser("poly", help="polynomial utilities").add_subparsers(
-        dest="action", required=True
-    )
-    p = fmt(poly.add_parser("divrem"))
-    p.add_argument("--dividend", required=True)
-    p.add_argument("--divisor", required=True)
-    p = fmt(poly.add_parser("gcd"))
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p = fmt(poly.add_parser("content"))
-    p.add_argument("--poly", required=True)
-    p = fmt(poly.add_parser("eisenstein"))
-    p.add_argument("--poly", required=True)
-    p = fmt(poly.add_parser("cyclotomic"))
-    p.add_argument("--p", type=int, required=True)
-
-    field = sub.add_parser("field", help="number-field computations").add_subparsers(
-        dest="action", required=True
-    )
-    p = fmt(field.add_parser("trace-norm"))
-    p.add_argument("--minpoly", required=True)
-    p.add_argument("--element", required=True)
-    p = fmt(field.add_parser("discriminant"))
-    p.add_argument("--minpoly", required=True)
-    p.add_argument("--tuple", required=True, help="elements separated by ';'")
-    p = fmt(field.add_parser("minpoly-of"))
-    p.add_argument("--minpoly", required=True)
-    p.add_argument("--element", required=True)
-    p = fmt(field.add_parser("compose"))
-    p.add_argument("--op", choices=("sum", "product"), required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p = fmt(field.add_parser("primitive-element"))
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p = fmt(field.add_parser("denominator-clearing"))
-    p.add_argument("--minpoly", required=True)
-    p.add_argument("--element", required=True)
-
-    quad = sub.add_parser("quad", help="quadratic ring and ideal calculus").add_subparsers(
-        dest="action", required=True
-    )
-    for name in ("ring", "minkowski"):
-        p = fmt(quad.add_parser(name))
-        p.add_argument("--m", type=int, required=True)
-    p = fmt(quad.add_parser("split"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p = fmt(quad.add_parser("factor"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--verify", action="store_true")
-    for name in ("product", "gcd", "quotient"):
-        p = fmt(quad.add_parser(name))
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--ideal-a", required=True)
-        p.add_argument("--ideal-b", required=True)
-    p = fmt(quad.add_parser("principal"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ideal", required=True)
-    p = fmt(quad.add_parser("classgroup"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-
-    p = fmt(sub.add_parser("units", help="unit group, fundamental unit, regulator"))
-    p.add_argument("--m", type=int, required=True)
-
-    p = fmt(sub.add_parser("pell", help="least solutions of Pell equations"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--kind", choices=("plusOne", "minusOne", "plusFour", "minusFour"), required=True
-    )
-
-    cyclo = sub.add_parser("cyclo", help="cyclotomic splitting parameters").add_subparsers(
-        dest="action", required=True
-    )
-    p = fmt(cyclo.add_parser("split"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    fmt(cyclo.add_parser("lists"))
-
-    p = fmt(sub.add_parser("census", help="ideal counts against the density law"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--per-class", action="store_true")
-    p.add_argument("--csv", help="write (k', Z(k')/k') checkpoints to this file")
-
+    chosen = next(words, None)
+    for command, (help_text, actions) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text, add_help=command == chosen)
+        if command == chosen:
+            _add_actions(parser, actions, next(words, None))
     return top
+
+
+def _add_actions(parser: argparse.ArgumentParser, actions: dict, chosen: str | None) -> None:
+    if None in actions:  # a command without actions
+        _add_options(parser, actions[None])
+        return
+    names = parser.add_subparsers(dest="action", required=True)
+    for name, options in actions.items():
+        leaf = names.add_parser(name, add_help=name == chosen)
+        if name == chosen:
+            _add_options(leaf, options)
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
+    parser.add_argument("--format", **_FORMAT)
+    for flag, keywords in options.items():
+        parser.add_argument(flag, **keywords)
 
 
 _HANDLERS = {
@@ -547,7 +539,9 @@ def main(argv=None) -> int:
     # digits, beyond CPython's default int->str limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         payload = _HANDLERS[args.command](args)
     except InputError as e:

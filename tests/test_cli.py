@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrantal.cli import main
+from quadrantal.cli import COMMANDS, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -380,6 +382,40 @@ class TestCensusCommand:
         expected = "k,z_over_k\n" + "".join(f"{kp},{ratio!r}\n" for kp, ratio in rows)
         assert csv.read_text() == expected
 
+    def test_plain_census_builds_no_table(self, capsys, monkeypatch):
+        # |d| = 20 <= k: Z(k) is the hyperbola sum and nothing prints the table
+        from quadrantal import census
+
+        def sieve(field, k):
+            pytest.fail(f"the sieve was built at k = {k}")
+
+        monkeypatch.setattr(census, "ideal_count_sieve", sieve)
+        for per_class in ([], ["--per-class"]):
+            data = run_json(capsys, "census", "--m", "-5", "--k", "1000", *per_class)
+            assert data["Z_k"] == "1403"
+
+    def test_census_past_the_hyperbola_sieves_once(self, capsys, monkeypatch):
+        # |d| = 4000012 > k: Z(k) is the sum of the table
+        from quadrantal import census
+
+        calls = []
+        sieve = census.ideal_count_sieve
+
+        def counting_sieve(field, k):
+            calls.append(k)
+            return sieve(field, k)
+
+        monkeypatch.setattr(census, "ideal_count_sieve", counting_sieve)
+        data = run_json(capsys, "census", "--m", "1000003", "--k", "1000")
+        assert calls == [1000]
+        assert int(data["Z_k"]) == sum_of_sieve(1000003, 1000)
+
+    def test_empty_csv_path_exits_3(self, capsys):
+        code = main(["census", "--m", "-5", "--k", "1000", "--csv", ""])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: cannot write : No such file or directory\n"
+
     def test_unwritable_csv_exits_3(self, capsys, tmp_path):
         csv = tmp_path / "missing" / "x.csv"
         code = main(["census", "--m", "-5", "--k", "1000", "--per-class", "--csv", str(csv)])
@@ -519,6 +555,128 @@ class TestFormatsAndExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: QUADRANTAL_PRECISION 3000000 is over the cap 1000\n"
+
+
+# ---------------------------------------------------------------------------
+# the parser: built per request, as far as argv needs it
+# ---------------------------------------------------------------------------
+
+def full_parser() -> argparse.ArgumentParser:
+    """Every parser of cli.COMMANDS, each with all its options: the
+    reference that the parser built for one argv must behave like."""
+    top = argparse.ArgumentParser(prog="quadrantal", description=build_parser([]).description)
+    sub = top.add_subparsers(dest="command", required=True)
+    for command, (help_text, actions) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        if None not in actions:
+            names = parser.add_subparsers(dest="action", required=True)
+        for action, options in actions.items():
+            leaf = parser if action is None else names.add_parser(action)
+            leaf.add_argument("--format", choices=("json", "text"), default="json")
+            for flag, keywords in options.items():
+                leaf.add_argument(flag, **keywords)
+    return top
+
+
+def parse_outcome(parser, argv):
+    """(exit code or Namespace, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def help_paths():
+    yield ()
+    for command, (_, actions) in COMMANDS.items():
+        yield (command,)
+        yield from ((command, action) for action in actions if action is not None)
+
+
+USAGE = "usage: quadrantal [-h] {poly,field,quad,units,pell,cyclo,census} ...\n"
+COMMAND_CHOICES = "(choose from 'poly', 'field', 'quad', 'units', 'pell', 'cyclo', 'census')\n"
+# the parser's error output for each kind of bad argv at 80 columns, pinned
+# to what the full parser prints
+PARSE_ERRORS = {
+    "invalid command": (
+        ["frobnicate"],
+        USAGE + "quadrantal: error: argument command: invalid choice: 'frobnicate' " + COMMAND_CHOICES,
+    ),
+    "invalid action": (
+        ["quad", "frobnicate"],
+        "usage: quadrantal quad [-h]\n"
+        "                       {ring,minkowski,split,factor,product,gcd,quotient,principal,classgroup}\n"
+        "                       ...\n"
+        "quadrantal quad: error: argument action: invalid choice: 'frobnicate' (choose from "
+        "'ring', 'minkowski', 'split', 'factor', 'product', 'gcd', 'quotient', 'principal', "
+        "'classgroup')\n",
+    ),
+    "missing option": (
+        ["quad", "split", "--m", "2"],
+        "usage: quadrantal quad split [-h] [--format {json,text}] --m M --q Q\n"
+        "quadrantal quad split: error: the following arguments are required: --q\n",
+    ),
+    "unknown option": (
+        ["units", "--m", "2", "--bogus", "1"],
+        USAGE + "quadrantal: error: unrecognized arguments: --bogus 1\n",
+    ),
+    "option before the command": (
+        ["--format", "json", "units", "--m", "2"],
+        USAGE + "quadrantal: error: argument command: invalid choice: 'json' " + COMMAND_CHOICES,
+    ),
+    "double dash": (
+        ["--", "units", "--m", "2"],
+        USAGE + "quadrantal: error: argument command: invalid choice: '--' " + COMMAND_CHOICES,
+    ),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("path", list(help_paths()), ids=" ".join)
+    def test_help_lists_the_table_options(self, path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*path, "-h"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (-h, --help|--[\w-]+)", capsys.readouterr().out, re.M)
+        actions = COMMANDS[path[0]][1] if path else {}
+        action = path[1] if len(path) == 2 else None
+        options = ["--format", *actions[action]] if action in actions else []
+        assert listed == ["-h, --help", *options]
+
+    @pytest.mark.parametrize("path", list(help_paths()), ids=" ".join)
+    def test_help_matches_the_full_parser(self, path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*path, "-h"]
+        assert parse_outcome(build_parser(argv), argv) == parse_outcome(full_parser(), argv)
+
+    @pytest.mark.parametrize("case", list(PARSE_ERRORS))
+    def test_error_output_is_unchanged(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv, expected = PARSE_ERRORS[case]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == expected
+        assert parse_outcome(full_parser(), argv) == (2, "", expected)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h", "quad"], ["-5", "units", "--m", "2"], ["-", "units"], [""], ["uni", "--m", "2"],
+        ["quad", "-5", "split"], ["quad", "--", "split", "--m", "2", "--q", "3"],
+        ["units", "--", "--m", "2"], ["units", "--m"], ["units", "--m", "x"],
+        ["quad", "split", "--m=2", "--q=3"], ["quad", "split", "--m", "-5", "--q", "3", "--q", "7"],
+        ["quad", "factor", "--m", "-5", "--ideal", "(6)", "--ver"], ["quad", "gcd", "--m", "-5", "--ideal", "(2)"],
+        ["census", "--m", "10", "--k", "1000", "--per", "--format", "text"],
+        ["field", "compose", "--op", "sum", "--p", "x^2-2", "--q", "x^2-3"], ["cyclo", "lists"],
+        ["pell", "--m", "2", "--kind", "plus"], ["quad", "ring", "--m", "2", "--format", "xml"],
+    ])
+    def test_parse_matches_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert parse_outcome(build_parser(argv), argv) == parse_outcome(full_parser(), argv)
 
 
 def imported_modules(*argv):
@@ -681,10 +839,11 @@ class TestCleanFailures:
         assert captured.err == "error: no admissible shift found up to 0; inputs degenerate?\n"
 
     def test_closed_stdout_exits_1_without_traceback(self):
-        # the class table of m = -10007 (h = 77) is far larger than a pipe buffer,
-        # so the process is still writing when the reader goes away
+        # the class table of m = -40289 (h = 176, 338,099 bytes) is over five
+        # 64 KiB pipe buffers, so the process is still writing when the
+        # reader goes away
         proc = subprocess.Popen(
-            [sys.executable, "-m", "quadrantal.cli", "quad", "classgroup", "--m", "-10007",
+            [sys.executable, "-m", "quadrantal.cli", "quad", "classgroup", "--m", "-40289",
              "--verify"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

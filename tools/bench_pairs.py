@@ -13,6 +13,11 @@ BENCH_<N>.json at the root of the checkout with:
   count for neither), and whether a gain would hold: better in at least
   nine tenths of the pairs, with medians apart by more than the distance
   between the base's quartiles;
+- per workload, side and job kind, the median job time at reference speed
+  (ref_ms, scaled as perfbench/run.py scales it) over the jobs of every run
+  of that side: the template of a cli request; the family of a compute job,
+  with class groups split into imaginary and real fields and the census into
+  the sieve and per-class kinds;
 - every run's metrics, seed and order;
 - the machine details that perfbench recorded, and `wc -l` of
   src/quadrantal/*.py on both sides.
@@ -40,6 +45,10 @@ from pathlib import Path
 CHECKOUT = Path(__file__).resolve().parent.parent
 BUILD = CHECKOUT / ".bench_build"
 SECONDS = 30
+
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
+import run as perfbench  # noqa: E402  (its job-time scaling)
 
 
 def git(*args: str) -> str:
@@ -71,9 +80,40 @@ def run(tree: Path, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"perfbench reported wrong results in {tree} (seed {seed})")
-    record = json.loads((tree / ".bench_run" / f"compute-seed{seed}-trace0.json").read_text())
+    records = {workload: json.loads((tree / ".bench_run" / f"{workload}-seed{seed}-trace0.json").read_text())
+               for workload in perfbench.workloads.WORKLOADS}
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "machine": record["machine"]}
+            "machine": records["compute"]["machine"],
+            "job_ms": {workload: job_times(workload, record) for workload, record in records.items()}}
+
+
+def job_kind(workload: str, label: str) -> str:
+    """The kind of a job from its perfbench label (workloads.job_label)."""
+    if workload == "cli":
+        return label  # the template
+    if label.startswith("m="):
+        return "classgroup_imaginary" if label.startswith("m=-") else "classgroup_real"
+    first = label.split()[0]
+    return f"census_{first}" if first in ("sieve", "perclass") else "numberfield"
+
+
+def job_times(workload: str, record: dict) -> dict[str, list[float]]:
+    """{kind: [ref_ms of each job of that kind]} of one run record."""
+    out: dict[str, list[float]] = {}
+    for job, t in zip(record["jobs"], perfbench.scaled_latencies(record["jobs"], record)):
+        out.setdefault(job_kind(workload, job["label"]), []).append(t * 1000)
+    return out
+
+
+def kind_medians(runs: list[dict], workload: str) -> dict[str, dict]:
+    """{kind: the median ref_ms of each side, and its number of jobs}; both
+    sides run the same seeds, so the same jobs."""
+    out = {}
+    for kind in sorted(runs[0]["base"]["job_ms"][workload]):
+        times = {side: [t for r in runs for t in r[side]["job_ms"][workload][kind]] for side in ("base", "change")}
+        out[kind] = {"base_ms": statistics.median(times["base"]),
+                     "change_ms": statistics.median(times["change"]), "jobs": len(times["base"])}
+    return out
 
 
 def source_lines(tree: Path) -> dict[str, int]:
@@ -138,6 +178,8 @@ def main() -> int:
         "pairs": len(runs),
         "machine": {k: v for k, v in machine.items() if k not in ("git_commit", "src_sha256")},
         "metrics": metrics,
+        "job_ms_by_kind": {workload: kind_medians(runs, workload)
+                           for workload in (w["name"] for w in spec["workloads"])},
         "source_lines": {"base": source_lines(base_tree), "change": source_lines(CHECKOUT)},
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"]} for r in runs],

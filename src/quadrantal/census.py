@@ -48,7 +48,9 @@ Vollmer, Binary Quadratic Forms).  In an imaginary field the class counts
 are r_f(n)/w for the reduced form f of I, points of the ellipse
 f(x, y) <= k.  In a real field they are the points of the sectors between
 successive minima of I, one sector per form of the rho-cycle of f, which
-tile alpha > 0 over one period.
+tile alpha > 0 over one period.  The points come as runs of values of f
+along a line, so a class total Z_C(k) is a sum of run lengths, O(h sqrt(k))
+imaginary, and only per_class_counts writes the runs into rows of k + 1.
 
 The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
 Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
@@ -67,6 +69,7 @@ import sys
 from array import array
 from decimal import Context, Decimal, localcontext
 from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 from .arith import MAX_TABLE, nstr, odd_sieve, pi_decimal, record
 from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group, splitting_kind
@@ -291,13 +294,15 @@ def census_check(
     """Z(k) against sigma*h, with optional per-class counts; a report passed
     in must be the class group of this field.  Z(k) is the hyperbola sum
     (_ideal_total) when |d| <= k, else the sum of the sieve, which is built
-    either way; per-class counts must sum to it."""
+    either way; the per-class totals, sums of run lengths with no row built
+    (_class_totals), must sum to it."""
     return _census_with_counts(field, k, per_class, report, precision, True)[0]
 
 
 def _census_with_counts(field, k, per_class, report, precision, table):
     """census_check's result together with the sieve a[0..k], built once if
-    table is true or Z(k) is its sum (|d| > k), and None if neither."""
+    table is true or Z(k) is its sum (|d| > k), and None if neither; the
+    per-class totals are sums of run lengths, never rows."""
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     if report is not None:
@@ -315,7 +320,7 @@ def _census_with_counts(field, k, per_class, report, precision, table):
     hyperbola = abs(field.d) <= k
     counts = ideal_count_sieve(field, k) if table or not hyperbola else None
     z_k = _ideal_total(field, k) if hyperbola else sum(counts)
-    per = tuple(sum(row) for row in per_class_counts(field, k, report)) if per_class else None
+    per = _class_totals(field, k, report) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
     with localcontext(Context(prec=precision + 15)):
@@ -333,86 +338,96 @@ def _census_with_counts(field, k, per_class, report, precision, table):
 
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
-    """counts[c][n] = ideals of norm exactly n in class c, as lattice points
-    of the reduced forms of each class (_form_counts)."""
+    """counts[c][n] = ideals of norm exactly n in class c: the runs of lattice
+    points of each class's reduced form (_point_runs), written point by point
+    into its row.  census_check sums only the run lengths and builds no row."""
     _check_report(field, report)
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(report.h * (k + 1))
-    return _form_counts(field, k, report)
-
-
-def _form_counts(field: QuadraticField, k: int, report: ClassGroupReport):
-    """Per-class counts as lattice points of the reduced forms of each class.
-
-    An ideal of norm n in the class of I^-1 is (alpha) I^-1 for the alpha in
-    I of norm +-n N(I), one per class of associates, and N(x a + y tau) =
-    a f(x, y) for I = Z a + Z tau of form f = (a, B, C).  The conjugate
-    class of I^-1 is the class of I, with the same counts, so the row of
-    class c counts these points for the reduced form f of c: those of the
-    ellipse f(x, y) <= k divided by w/2, or the sectors of the rho-cycle of
-    f in a real field.
-    """
-    d = field.d
     pairs = torsion_order(field) // 2
     z = []
-    for c in range(report.h):
-        a, big_b, big_c = report.reduced_form(c)
+    for form in map(report.reduced_form, range(report.h)):
         row = [0] * (k + 1)
-        if d > 0:
-            cycle = list(_cycle(field, a, big_b))
-            for i, (a_i, b_i, t, _) in enumerate(cycle):
-                far = cycle[(i + 2) % len(cycle)][0]
-                if min(a_i, far) <= k:  # else every point of the sector is above k
-                    _sector(row, k, d, a_i, b_i, t, far)
-        else:  # one of each pair (x, y), (-x, -y): y > 0, or y = 0 < x
-            for x in range(1, math.isqrt(k // a) + 1):
-                row[a * x * x] += 1
-            y = 1
-            while (disc := 4 * a * k + d * y * y) >= 0:
-                # f(x, y) <= k  iff  |2 a x + B y| <= isqrt(4 a k + d y^2)
-                s = math.isqrt(disc)
-                x, x_hi = -((big_b * y + s) // (2 * a)), (s - big_b * y) // (2 * a)
-                # f(x + 1, y) - f(x, y) = a (2 x + 1) + B y grows by 2 a
-                n = a * x * x + big_b * x * y + big_c * y * y
-                _run(row, n, a * (2 * x + 1) + big_b * y, 2 * a, x_hi - x + 1)
-                y += 1
+        for run in _point_runs(field, k, form):
+            _run(row, *run)
         if pairs > 1:
             if any(n % pairs for n in row):
-                raise ArithmeticError(f"point counts of {(a, big_b, big_c)} are not multiples of w/2")
+                raise ArithmeticError(f"point counts of {form} are not multiples of w/2")
             row = [n // pairs for n in row]
         z.append(row)
     return z
 
 
-def _sector(row: list, k: int, d: int, a: int, big_b: int, t: int, far: int) -> None:
-    """Count each point x >= 1, 0 <= y < t x with f(x, y) <= k into row[f],
-    for the form f = (a, B, C) of a rho-step of quotient t, far = f(1, t).
+def _class_totals(field: QuadraticField, k: int, report: ClassGroupReport) -> tuple:
+    """Z_C(k) of each class: the run lengths of its form's lattice points
+    (_point_runs) summed, in O(h sqrt(k)) imaginary, and divided by w/2."""
+    pairs = torsion_order(field) // 2
+    z = []
+    for form in map(report.reduced_form, range(report.h)):
+        total = sum(map(itemgetter(3), _point_runs(field, k, form)))
+        if total % pairs:
+            raise ArithmeticError(f"point counts of {form} are not multiples of w/2")
+        z.append(total // pairs)
+    return tuple(z)
 
-    f is the norm form of I in the basis of its successive minima mu, mu',
-    and mu + t mu' is the minimum two steps on (_generator), so over one
-    period the sectors tile alpha > 0 modulo the fundamental unit, with
-    f > 0 on each.  f is concave in y (C < 0), so f(x, y) <= k off the open
-    interval from (B x - s) / (2|C|) to (B x + s) / (2|C|), s the root of
-    d x^2 + 4 C k rounded up, and for every y if that is <= 0.  On the
-    sector f(x, y) >= min(a, far) x^2, which bounds x.
+
+def _point_runs(field: QuadraticField, k: int, form: tuple[int, int, int]):
+    """Yield the lattice points of the reduced form f = (a, B, C) of a class
+    with f <= k as runs (n, step, second, count): count >= 0 values of a
+    quadratic from n, first difference step, second difference second.
+
+    An ideal of norm n in the class of I^-1 is (alpha) I^-1 for the alpha in
+    I of norm +-n N(I), one per class of associates, and N(x a + y tau) =
+    a f(x, y) for I = Z a + Z tau of form f.  The conjugate class of I^-1 is
+    the class of I, with the same counts, so class c counts these points for
+    the reduced form f of c: w/2 times over in the ellipse f(x, y) <= k, or
+    once in the sectors of the rho-cycle of f in a real field.
+
+    A sector is x >= 1, 0 <= y < t x for a form (a, B, C) of the cycle of
+    step quotient t, far = f(1, t).  f is the norm form of I in the basis of
+    its successive minima mu, mu', and mu + t mu' is the minimum two steps on
+    (_generator), so over one period the sectors tile alpha > 0 modulo the
+    fundamental unit, with f > 0 on each.  f is concave in y (C < 0), so
+    f(x, y) <= k off the open interval from (B x - s) / (2|C|) to
+    (B x + s) / (2|C|), s the root of d x^2 + 4 C k rounded up, and for every
+    y if that is <= 0.  On the sector f >= min(a, far) x^2, which bounds x.
     """
-    big_c = (big_b * big_b - d) // (4 * a)
-    width = -2 * big_c  # 2|C|
-    for x in range(1, math.isqrt(k // min(a, far)) + 1):
-        top = t * x
-        disc = d * x * x + 4 * big_c * k
-        if disc <= 0:
-            runs = ((0, top),)
-        else:
+    d = field.d
+    a, big_b, big_c = form
+    if d < 0:  # one of each pair (x, y), (-x, -y): y > 0, or y = 0 < x
+        yield a, 3 * a, 2 * a, math.isqrt(k // a)  # a x^2 for x >= 1
+        y = 1
+        while (disc := 4 * a * k + d * y * y) >= 0:
+            # f(x, y) <= k  iff  |2 a x + B y| <= isqrt(4 a k + d y^2)
             s = math.isqrt(disc)
-            s += s * s < disc
-            lo, hi = (big_b * x - s) // width + 1, -(-(big_b * x + s) // width)
-            runs = ((0, min(lo, top)), (hi, top))
-        for y, end in runs:
-            # f(x, y + 1) - f(x, y) = B x + C (2 y + 1) falls by 2|C|
+            x, x_hi = -((big_b * y + s) // (2 * a)), (s - big_b * y) // (2 * a)
+            # f(x + 1, y) - f(x, y) = a (2 x + 1) + B y grows by 2 a
             n = a * x * x + big_b * x * y + big_c * y * y
-            _run(row, n, big_b * x + big_c * (2 * y + 1), -width, end - y)
+            yield n, a * (2 * x + 1) + big_b * y, 2 * a, x_hi - x + 1
+            y += 1
+        return
+    cycle = list(_cycle(field, a, big_b))
+    for (a, big_b, t, _), (far, *_) in zip(cycle, cycle[2:] + cycle[:2]):
+        low = min(a, far)
+        if low > k:  # every point of the sector is above k
+            continue
+        big_c = (big_b * big_b - d) // (4 * a)
+        width = -2 * big_c  # 2|C|
+        for x in range(1, math.isqrt(k // low) + 1):
+            top = t * x
+            disc = d * x * x + 4 * big_c * k
+            if disc <= 0:
+                runs = ((0, top),)
+            else:
+                s = math.isqrt(disc)
+                s += s * s < disc
+                lo, hi = (big_b * x - s) // width + 1, -(-(big_b * x + s) // width)
+                runs = ((0, min(lo, top)), (hi, top))
+            for y, end in runs:
+                if end > y:  # f(x, y + 1) - f(x, y) = B x + C (2 y + 1) falls by 2|C|
+                    n = a * x * x + big_b * x * y + big_c * y * y
+                    yield n, big_b * x + big_c * (2 * y + 1), -width, end - y
 
 
 def _run(row: list, n: int, step: int, second: int, count: int) -> None:

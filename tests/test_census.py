@@ -392,6 +392,62 @@ class TestPerClassOracle:
             assert row == ideal_count_sieve(field, k), field.m
 
 
+class TestClassTotals:
+    """census_check's per-class totals are sums of run lengths, with no row
+    built; per_class_counts writes the same runs into rows."""
+
+    def check(self, field, k):
+        report = class_group(field)
+        totals = census_check(field, k, per_class=True, report=report).per_class
+        assert totals == tuple(sum(row) for row in per_class_counts(field, k, report)), (field.m, k)
+
+    def test_every_field_to_400_at_three_cutoffs(self):
+        fields = squarefree_fields(-400, 400)
+        assert len(fields) == 485
+        for field in fields:
+            for k in (100, 1000, 3001):
+                self.check(field, k)
+
+    @pytest.mark.parametrize(
+        "m, k",
+        [(-1, 10**5), (-3, 10**5), (1299, 100003), (-10007, 30011), (1000003, 10**4), (1000000007, 10**4)],
+    )
+    def test_units_class_numbers_and_long_periods(self, m, k):
+        # w = 4 and 6; h = 8 real and 77 imaginary; |d| > k with long periods
+        self.check(ring_of_integers(m), k)
+
+    @pytest.mark.parametrize(
+        "m, expected", [(10, (17257, 17247)), (-14, (12605, 12597, 12603, 12603))]
+    )
+    def test_no_row_is_built(self, m, expected, monkeypatch):
+        # the totals of the rows before the rows were dropped from census_check
+        def fail(*args):
+            pytest.fail("a per-class row was built")
+
+        monkeypatch.setattr(census, "per_class_counts", fail)
+        monkeypatch.setattr(census, "_run", fail)
+        assert census_check(ring_of_integers(m), 30000, per_class=True).per_class == expected
+
+    def test_a_dropped_point_fails_the_certificate(self, monkeypatch, capsys):
+        # m = -1 has w/2 = 2: one point fewer leaves an odd count
+        from quadrantal.cli import main
+
+        walk = census._point_runs
+
+        def drop_one(field, k, form):
+            runs = walk(field, k, form)
+            n, step, second, count = next(runs)
+            yield n, step, second, count - 1
+            yield from runs
+
+        monkeypatch.setattr(census, "_point_runs", drop_one)
+        with pytest.raises(ArithmeticError, match="not multiples of w/2"):
+            census_check(ring_of_integers(-1), 1000, per_class=True)
+        assert main(["census", "--m", "-1", "--k", "1000", "--per-class"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: certificate failed: point counts of")
+
+
 class TestRealPerClassSeams:
     """Real per-class lattice rows with h > 1 at the small cutoffs, where the
     first sectors of each rho-cycle begin to count, and around the powers of
@@ -537,6 +593,10 @@ class TestRealPerClassWideLanes:
     def test_totals_are_z_k(self, wide_real_rows):
         field, k, report, rows = wide_real_rows
         assert sum(map(sum, rows)) == census_check(field, k, report=report).z_k
+
+    def test_class_totals_are_the_row_sums(self, wide_real_rows):
+        field, k, report, rows = wide_real_rows
+        assert census_check(field, k, per_class=True, report=report).per_class == tuple(map(sum, rows))
 
 
 class TestTableTypes:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -435,6 +436,31 @@ class TestCensusCommand:
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("error: certificate failed: per-class counts sum to")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    # sha256 prefixes of the JSON and text output and the --csv file of
+    # census --k 10000 --per-class, as written when per-class totals were row sums
+    PER_CLASS_BYTES = {
+        -1: ("b66a65bc390850dd", "df2c323363a557b1", "8e23fe27d81600bb"),
+        -3: ("c6772cf2b66e5775", "6d16faee94ca6c86", "98bc08f1b3a77482"),
+        10: ("e8774cd82eb1c605", "7b473721555ccbb9", "6367965d903d091d"),
+        -14: ("cb78cdfb808e8585", "815e6f7daa45d5eb", "fd9d77455463356a"),
+        1000003: ("9ec122d7030417db", "c74bffc38c09f1ca", "15e13d317b032c3c"),
+    }
+
+    @pytest.mark.parametrize("m", sorted(PER_CLASS_BYTES))
+    def test_per_class_bytes_unchanged(self, capsys, tmp_path, m):
+        def digest(data: bytes):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        argv = ["census", "--m", str(m), "--k", "10000", "--per-class"]
+        csv = tmp_path / "ratios.csv"
+        outputs = []
+        for extra in ([], ["--format", "text"], ["--csv", str(csv)]):
+            code, out = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            outputs.append(out)
+        digests = (digest(outputs[0].encode()), digest(outputs[1].encode()), digest(csv.read_bytes()))
+        assert digests == self.PER_CLASS_BYTES[m]
 
     def test_per_class_cap_exits_3_before_the_sieve(self, capsys, monkeypatch):
         from quadrantal import census

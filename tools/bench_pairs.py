@@ -5,8 +5,9 @@
 Exports REV with `git archive` into .bench_build/base-<commit>/ and, for each
 seed, runs `perfbench/run.py --workload all --seed S --seconds 30` once in
 that export and once in this checkout, alternating which side runs first
-(the base first on odd pairs).  Each side runs its own perfbench/.  Writes
-BENCH_<N>.json at the root of the checkout with:
+(the base first on odd pairs).  Each side runs its own perfbench/.  The
+export is removed once the pairs finish or fail.  Writes BENCH_<N>.json at
+the root of the checkout with:
 
 - per end-to-end metric of BENCHMARK.json and workload: the medians and
   quartiles of both sides, the pairs in which the change was better (ties
@@ -152,13 +153,17 @@ def main() -> int:
     commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     base_tree = export(commit)
     runs = []
-    for i, seed in enumerate(args.seeds):
-        order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run(base_tree if side == "base" else CHECKOUT, seed)
-            print(f"seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), file=sys.stderr, flush=True)
-        runs.append(pair)
+    try:
+        for i, seed in enumerate(args.seeds):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(base_tree if side == "base" else CHECKOUT, seed)
+                print(f"seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), file=sys.stderr, flush=True)
+            runs.append(pair)
+        base_lines = source_lines(base_tree)
+    finally:  # the export serves this comparison only
+        shutil.rmtree(base_tree, ignore_errors=True)
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     metrics = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -180,7 +185,7 @@ def main() -> int:
         "metrics": metrics,
         "job_ms_by_kind": {workload: kind_medians(runs, workload)
                            for workload in (w["name"] for w in spec["workloads"])},
-        "source_lines": {"base": source_lines(base_tree), "change": source_lines(CHECKOUT)},
+        "source_lines": {"base": base_lines, "change": source_lines(CHECKOUT)},
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"]} for r in runs],
     }

@@ -3,10 +3,11 @@
 Everything here is exact: Python ints throughout, Fractions where a value
 is genuinely rational.  Factorization is honest trial division up to a
 fixed bound; inputs that cannot be certified within the bound raise
-instead of guessing.  `power` is the one square-and-multiply of the
-package, for elements, polynomials and ideals alike, and
-`floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
-root at each rational bound of x.
+instead of guessing.  `kronecker` is the one chi_d(q) = (d/q), Euler's
+criterion included, of the splitting law, sqrt_mod and the census.  `power`
+is the one square-and-multiply of the package, for elements, polynomials
+and ideals alike, and `floor_of_root_quotient` pins floor(mult*sqrt(n)/x)
+from one integer square root at each rational bound of x.
 
 The printed decimals of the package come from one small core on the
 standard `decimal` module (which `fractions` loads anyway): `pi_decimal`
@@ -186,9 +187,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def legendre_is_residue(a: int, q: int) -> bool:
-    """Euler's criterion: is a (coprime to odd prime q) a square mod q?"""
-    return pow(a % q, (q - 1) // 2, q) == 1
+def kronecker(d: int, q: int) -> int:
+    """The Kronecker symbol chi_d(q) = (d/q) for a prime q, with d = 0 or 1
+    mod 4 when q = 2: 0 when q | d, else 1 or -1 as d is or is not a square
+    mod q, by d mod 8 for q = 2 and Euler's criterion for odd q."""
+    if q == 2:
+        return d % 2 and (1 if d % 8 == 1 else -1)
+    r = pow(d, q >> 1, q)
+    return r if r < 2 else -1
 
 
 def sqrt_mod(a: int, q: int) -> int:
@@ -201,7 +207,7 @@ def sqrt_mod(a: int, q: int) -> int:
     a %= q
     if a == 0 or q == 2:
         return a
-    if not legendre_is_residue(a, q):
+    if kronecker(a, q) != 1:
         raise ValueError(f"{a} is not a quadratic residue mod {q}")
     if q % 4 == 3:
         x = pow(a, (q + 1) // 4, q)
@@ -212,7 +218,7 @@ def sqrt_mod(a: int, q: int) -> int:
         d //= 2
         s += 1
     z = 2
-    while legendre_is_residue(z, q):
+    while kronecker(z, q) == 1:
         z += 1
     c = pow(z, d, q)
     x = pow(a, (d + 1) // 2, q)

@@ -22,9 +22,10 @@ spread a(2^v m) = a(2^v) a(m) over odd m.
 The splitting of each odd prime q <= k is one byte, chi_d(q) + 1, on the
 lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|,
 and when |d| <= k one period of it on the odd lanes (|d| lanes for odd d,
-|d|/2 for even d) is built by complete multiplicativity from one symbol per
-prime below |d|, repeated, and ANDed with the sieve flags (0xFF at a prime).
-A larger |d| takes one symbol per odd prime up to k.
+|d|/2 for even d) is built by complete multiplicativity from one symbol
+arith.kronecker(d, q) per prime q below |d|, repeated, and ANDed with the
+sieve flags (0xFF at a prime).  A larger |d| takes one symbol per odd prime
+up to k.
 
 The coefficients are packed in lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
@@ -71,13 +72,12 @@ from decimal import Context, Decimal, localcontext
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
-from .arith import MAX_TABLE, nstr, odd_sieve, pi_decimal, record
-from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group, splitting_kind
+from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, record
+from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group
 from .units import regulator_decimal, torsion_order
 
 BLOCK = 1 << 14  # lanes per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
-_CHI = {"split": 1, "inert": -1, "ramified": 0}  # chi_d(q) by splitting type
 _ORDER = sys.byteorder  # of the lanes of a 16-bit row
 _LOW = 0 if _ORDER == "little" else 1  # the low byte of a 16-bit lane
 _NEGATE = bytes.maketrans(b"\0\2", b"\2\0")  # chi + 1 -> -chi + 1
@@ -109,9 +109,10 @@ def _chi_period(d: int, flags: bytearray) -> bytearray:
     tile = bytearray([2]) * modulus
     tile[0] = 1
     for q in chain((2,), compress(range(1, modulus, 2), flags)):
-        if d % q == 0:
+        chi = kronecker(d, q)
+        if chi == 0:
             tile[::q] = b"\1" * len(range(0, modulus, q))
-        elif (d % 8 != 1) if q == 2 else pow(d, q >> 1, q) != 1:
+        elif chi < 0:
             power = q
             while power < modulus:
                 tile[power::power] = tile[power::power].translate(_NEGATE)
@@ -129,9 +130,7 @@ def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
     if modulus > k:
         lanes = bytearray(len(flags))
         for q in compress(range(1, k + 1, 2), flags):
-            # Euler's criterion: d^((q-1)/2) is 1, -1 or 0 mod q
-            r = pow(d, q >> 1, q)
-            lanes[q >> 1] = 2 if r == 1 else r == 0
+            lanes[q >> 1] = kronecker(d, q) + 1
         return lanes
     tile = _chi_period(d, flags)
     # lane i is n = 2 i + 1: odd n below |d|, then (|d| odd) the even ones
@@ -192,7 +191,7 @@ def _euler_product(field: QuadraticField, k: int):
         for norm in (q,) * (chi + 1) if chi >= 0 else (q * q,):
             _multiply(row, norm, k)
     del flags, chis
-    return _spread(row, k, _CHI[splitting_kind(field, 2)])
+    return _spread(row, k, kronecker(field.d, 2))
 
 
 def _spread(row, k: int, chi: int):

@@ -10,7 +10,9 @@ whose two generators {c*a, c*(b+w)} realize the two-generator theorem
 constructively; equality of ideals is equality of triples.  Only ideals
 given by generators, and gcds, go through a 2x2 integer Hermite reduction.
 
-Prime splitting follows the classical case law:
+Prime splitting follows the classical case law, the case read off the
+Kronecker symbol chi_d(q) = arith.kronecker(d, q) (1 split, -1 inert, 0
+ramified):
 
     odd q not dividing d : split iff m is a square mod q, else inert
     odd q dividing d     : (q) = (q, sqrt(m))^2
@@ -49,7 +51,7 @@ from .arith import (
     factorize,
     floor_of_root_quotient,
     is_prime,
-    legendre_is_residue,
+    kronecker,
     nstr,
     pi_decimal,
     power,
@@ -457,15 +459,9 @@ class SplittingReport:
 
 
 def splitting_kind(field: QuadraticField, q: int) -> str:
-    """Split/inert/ramified without building the ideals (sieve-friendly)."""
-    m, d = field.m, field.d
-    if q == 2:
-        if d % 2 != 0:
-            return "split" if m % 8 == 1 else "inert"
-        return "ramified"
-    if d % q == 0:
-        return "ramified"
-    return "split" if legendre_is_residue(m, q) else "inert"
+    """Split/inert/ramified for a prime q without building the ideals: the
+    Kronecker symbol chi_d(q) is 1, -1 or 0."""
+    return ("ramified", "split", "inert")[kronecker(field.d, q)]
 
 
 def prime_form(field: QuadraticField, q: int) -> tuple[int, int]:

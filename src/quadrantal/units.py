@@ -20,23 +20,20 @@ from .arith import ln_unit, nstr, record
 from .quadring import QuadInt, QuadraticField, _cycle, _generator, _reduce, unit_inverse
 
 
+# (w, coordinates of the torsion generator) of the rings with roots of unity
+# besides +-1: i for m=-1, (1+sqrt(-3))/2 in the half basis for m=-3
+_TORSION = {-1: (4, (0, 1)), -3: (6, (0, 1))}
+
+
 def torsion_order(field: QuadraticField) -> int:
     """w, the number of roots of unity: 4 for m=-1, 6 for m=-3, else 2."""
-    if field.m == -1:
-        return 4
-    if field.m == -3:
-        return 6
-    return 2
+    return _TORSION.get(field.m, (2, (-1, 0)))[0]
 
 
 def torsion_generator(field: QuadraticField) -> QuadInt:
     """Deterministic generator: the root of unity of smallest positive
     argument (i for m=-1, (1+sqrt(-3))/2 for m=-3, -1 otherwise)."""
-    if field.m == -1:
-        return field.integer(0, 1)
-    if field.m == -3:
-        return field.integer(0, 1)  # (1+sqrt(-3))/2 in the half basis
-    return field.integer(-1, 0)
+    return field.integer(*_TORSION.get(field.m, (2, (-1, 0)))[1])
 
 
 def torsion_units(field: QuadraticField) -> list[QuadInt]:

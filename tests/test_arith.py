@@ -16,6 +16,7 @@ from quadrantal.arith import (
     NotSquareFree,
     check_square_free,
     floor_of_root_quotient,
+    kronecker,
     ln_unit,
     nstr,
     pi_decimal,
@@ -26,6 +27,9 @@ from quadrantal.arith import (
 from quadrantal.numberfield import NumberField
 from quadrantal.polynomial import Poly
 from quadrantal.quadring import ideal_pow, ideal_product, ring_of_integers, split_prime, unit_ideal
+
+import oracles
+from test_classgroup import squarefree_fields
 
 
 def test_primes_up_to_matches_trial_division():
@@ -38,6 +42,15 @@ def test_primes_up_to_matches_trial_division():
 
 def test_prime_count_at_a_million():
     assert len(primes_up_to(10**6)) == 78498
+
+
+def test_kronecker_matches_the_reciprocity_oracle():
+    # every fundamental discriminant of |m| <= 2000 at every prime q <= 500,
+    # against the Jacobi symbol by reciprocity
+    primes = [q for q in range(2, 501) if all(q % p for p in range(2, q))]
+    for field in squarefree_fields(-2000, 2000):
+        for q in primes:
+            assert kronecker(field.d, q) == oracles.kronecker(field.d, q), (field.d, q)
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,22 @@ class TestOddLaneSeams:
             calls.clear()
 
 
+class TestChiLanesPerPrime:
+    """Above |d| = k the lanes take one symbol per odd prime: lane (q - 1)/2
+    holds chi_d(q) + 1 at every odd prime q <= k and every other lane 0."""
+
+    @pytest.mark.parametrize("m, k", [(1000003, 5000), (-10000019, 3000)])
+    def test_lanes_against_the_oracle(self, m, k):
+        field = ring_of_integers(m)
+        assert abs(field.d) > k
+        lanes = census._chi_lanes(field, k, arith.odd_sieve(k))
+        assert len(lanes) == (k + 1) // 2
+        for i, lane in enumerate(lanes):
+            n = 2 * i + 1
+            prime = n > 1 and all(n % p for p in range(3, math.isqrt(n) + 1, 2))
+            assert lane == (kronecker(field.d, n) + 1 if prime else 0), (m, n)
+
+
 def divisor_sum(d, n):
     """sum of kronecker(d, e) over the divisors e of n."""
     small = [e for e in range(1, math.isqrt(n) + 1) if n % e == 0]

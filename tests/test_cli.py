@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from quadrantal.cli import COMMANDS, build_parser, main
 
+from test_classgroup import squarefree_fields
+
 
 @pytest.fixture(autouse=True)
 def restore_int_str_limit():
@@ -28,6 +30,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def run_json(capsys, *argv):
@@ -226,6 +232,35 @@ class TestQuadCommands:
         data = run_json(capsys, "quad", "minkowski", "--m", "-50896710137885200098")
         assert data["floor"] == "9083536680"
         assert data["decimal"].startswith("9083536680.98")
+
+    # sha256 prefixes of the bytes of commands that read chi_d(q) = (d/q),
+    # as written when the splitting law still had its own case analysis:
+    # quad split over square-free m in [-60, 60] and primes q <= 50, and
+    # quad classgroup --verify, whose classes come from split primes
+    SPLIT_BYTES = "49e320f2bc559ece"
+    CLASSGROUP_BYTES = {
+        -23: "73e76c8d03eb5ff5",
+        -14: "49fb0ff38468d782",
+        10: "bd9e4576483844a5",
+        79: "43d182bd6eac6d76",
+        1299: "ffb3b331b64d7a44",
+    }
+
+    def test_split_bytes_unchanged(self, capsys):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        outputs = []
+        for field in squarefree_fields(-60, 60):
+            for q in primes:
+                code, out = run_cli(capsys, "quad", "split", "--m", str(field.m), "--q", str(q))
+                assert code == 0
+                outputs.append(out)
+        assert sha16("".join(outputs).encode()) == self.SPLIT_BYTES
+
+    @pytest.mark.parametrize("m", sorted(CLASSGROUP_BYTES))
+    def test_classgroup_bytes_unchanged(self, capsys, m):
+        code, out = run_cli(capsys, "quad", "classgroup", "--m", str(m), "--verify")
+        assert code == 0
+        assert sha16(out.encode()) == self.CLASSGROUP_BYTES[m]
 
     def test_classgroup_with_verify(self, capsys):
         data = run_json(capsys, "quad", "classgroup", "--m", "-23", "--verify")
@@ -449,9 +484,6 @@ class TestCensusCommand:
 
     @pytest.mark.parametrize("m", sorted(PER_CLASS_BYTES))
     def test_per_class_bytes_unchanged(self, capsys, tmp_path, m):
-        def digest(data: bytes):
-            return hashlib.sha256(data).hexdigest()[:16]
-
         argv = ["census", "--m", str(m), "--k", "10000", "--per-class"]
         csv = tmp_path / "ratios.csv"
         outputs = []
@@ -459,8 +491,27 @@ class TestCensusCommand:
             code, out = run_cli(capsys, *argv, *extra)
             assert code == 0
             outputs.append(out)
-        digests = (digest(outputs[0].encode()), digest(outputs[1].encode()), digest(csv.read_bytes()))
+        digests = (sha16(outputs[0].encode()), sha16(outputs[1].encode()), sha16(csv.read_bytes()))
         assert digests == self.PER_CLASS_BYTES[m]
+
+    # sha256 prefixes of census on both sides of |d| = k, as written when the
+    # census chi builders had their own symbol: the JSON of m = 1000003 at
+    # k = 1000 (one symbol per prime), and the JSON and --csv file of m = -23
+    # at k = 3000 (one period tile)
+    CENSUS_BYTES = {
+        (1000003, 1000): ("0cc38f984deca448", None),
+        (-23, 3000): ("4249230999eacf17", "d81df83acab0f881"),
+    }
+
+    @pytest.mark.parametrize("m, k", sorted(CENSUS_BYTES))
+    def test_census_bytes_unchanged(self, capsys, tmp_path, monkeypatch, m, k):
+        json_digest, csv_digest = self.CENSUS_BYTES[m, k]
+        monkeypatch.chdir(tmp_path)  # the JSON names the --csv path as given
+        extra = ["--csv", "ratios.csv"] if csv_digest else []
+        code, out = run_cli(capsys, "census", "--m", str(m), "--k", str(k), *extra)
+        assert code == 0
+        assert sha16(out.encode()) == json_digest
+        assert csv_digest is None or sha16((tmp_path / "ratios.csv").read_bytes()) == csv_digest
 
     def test_per_class_cap_exits_3_before_the_sieve(self, capsys, monkeypatch):
         from quadrantal import census

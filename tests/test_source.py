@@ -5,6 +5,7 @@ suite runs under python -O.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,37 @@ def test_no_dataclasses_and_mpmath_only_in_its_functions(path):
            and (fn is None or (path.name != "numberfield.py" and fn not in allowed))]
     if bad:
         pytest.fail(f"{path.name} imports mpmath outside its functions: {bad}")
+
+
+@pytest.mark.parametrize("name", ["census.py", "quadring.py"])
+def test_euler_criterion_only_in_arith(name):
+    # chi_d(q) has one owner, arith.kronecker: no pow(d, e, q) elsewhere
+    path = Path(quadrantal.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "pow" and len(node.args) == 3]
+    if lines:
+        pytest.fail(f"{name} calls pow with a modulus on lines {lines}")
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names in install(); a name the
+    # package no longer has would crash its traced run, not this suite
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module in MODULES:
+        if module.stem != "__init__":
+            importlib.import_module(f"{tracer.PACKAGE}.{module.stem}")
+    missing = []
+    for module, attr in tracer.TIMED + tracer.COUNTED:
+        try:
+            tracer._resolve(module, attr)
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+    missing += [f"cli.{attr}" for attr in ("_HANDLERS", *tracer.CLI_SPANS) if not hasattr(cli, attr)]
+    if missing:
+        pytest.fail(f"the tracer's targets are missing: {missing}")

@@ -20,12 +20,12 @@ once at q^2, the norm of the ideal (q).  The prime 2 enters last, as the
 spread a(2^v m) = a(2^v) a(m) over odd m.
 
 The splitting of each odd prime q <= k is one byte, chi_d(q) + 1, on the
-lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|,
-and when |d| <= k one period of it on the odd lanes (|d| lanes for odd d,
-|d|/2 for even d) is built by complete multiplicativity from one symbol
-arith.kronecker(d, q) per prime q below |d|, repeated, and ANDed with the
-sieve flags (0xFF at a prime).  A larger |d| takes one symbol per odd prime
-up to k.
+lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|.
+One tile, chi_d + 1 on [0, n) for n = min(|d|, k + 1), is built by complete
+multiplicativity from one symbol arith.kronecker(d, q) per prime q < n: one
+period when |d| <= k, else a prefix.  Its odd entries (then, for an odd
+period, its even ones) repeat over the odd lanes, ANDed with the sieve flags
+(0xFF at a prime).  Z(k) below reads the same tile, and the last is kept.
 
 The coefficients are packed in lanes, and a block of a pass is one
 big-integer add of two runs of lanes.  The kernel only ever adds, so each
@@ -55,12 +55,11 @@ imaginary, and only per_class_counts writes the runs into rows of k + 1.
 
 The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
 Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
-Theory, 3.17) in O(sqrt(k) + |d|) when |d| <= k, with the partial sums of
-chi_d read off one period, and from the sum of the table otherwise.  It is
-compared against the asymptotic density sigma * h with
-sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported normalized deviation
-|Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2) error law without
-pretending to know its constant.
+Theory, 3.17) in O(sqrt(k) + min(|d|, k)), with the partial sums of chi_d
+read off the tile, so a census builds no table.  It is compared against the
+asymptotic density sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|);
+the reported normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the
+k^(-1/2) error law without pretending to know its constant.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ import math
 import sys
 from array import array
 from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
@@ -102,59 +102,63 @@ def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     return list(_euler_product(field, k))
 
 
-def _chi_period(d: int, flags: bytearray) -> bytearray:
-    """chi_d(n) + 1 for n = 0 .. |d| - 1, by complete multiplicativity from
-    one symbol per prime below |d|, given the odd sieve flags up to |d|."""
-    modulus = abs(d)
-    tile = bytearray([2]) * modulus
+@lru_cache(maxsize=1)
+def _chi_tile(d: int, n: int) -> bytes:
+    """chi_d(i) + 1 for i = 0 .. n - 1 (n <= |d|), by complete
+    multiplicativity from one symbol arith.kronecker(d, q) per prime q < n:
+    one period of chi_d when n = |d|, a prefix when n < |d|.  The last tile
+    is kept, because census_check reads it for Z(k) and for the sieve."""
+    tile = bytearray([2]) * n
     tile[0] = 1
-    for q in chain((2,), compress(range(1, modulus, 2), flags)):
+    for q in chain((2,), compress(range(1, n, 2), odd_sieve(n))):
         chi = kronecker(d, q)
         if chi == 0:
-            tile[::q] = b"\1" * len(range(0, modulus, q))
+            tile[::q] = b"\1" * len(range(0, n, q))
         elif chi < 0:
             power = q
-            while power < modulus:
+            while power < n:
                 tile[power::power] = tile[power::power].translate(_NEGATE)
                 power *= q
-    return tile
+    return bytes(tile)
+
+
+def _tile(field: QuadraticField, k: int) -> bytes:
+    """The chi_d tile that covers every n <= k: a period if |d| <= k, else [0, k]."""
+    return _chi_tile(field.d, min(abs(field.d), k + 1))
 
 
 def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
     """chi_d(q) + 1 at the lane (q - 1) / 2 of every odd prime q <= k, and 0
-    at the other lanes, from the odd sieve flags up to k: a tile of one
-    period of chi_d when |d| <= k, else one symbol per prime (the module
-    docstring)."""
-    d = field.d
-    modulus = abs(d)
-    if modulus > k:
-        lanes = bytearray(len(flags))
-        for q in compress(range(1, k + 1, 2), flags):
-            lanes[q >> 1] = kronecker(d, q) + 1
-        return lanes
-    tile = _chi_period(d, flags)
-    # lane i is n = 2 i + 1: odd n below |d|, then (|d| odd) the even ones
-    period = tile[1::2] + tile[::2] if modulus % 2 else tile[1::2]
-    del tile
+    at the other lanes, from the odd sieve flags up to k: the tile of chi_d
+    repeated over the odd lanes (the module docstring)."""
+    tile = _tile(field, k)
+    # lane i is n = 2 i + 1: odd n in the tile, then (odd length) the even ones
+    period = tile[1::2] + tile[::2] if len(tile) % 2 else tile[1::2]
     half = len(flags)
-    tiled = int.from_bytes((period * (half // len(period) + 1))[:half], "little")
+    # the flags end at lane half - 1, so the AND drops the tiles past it
+    tiled = int.from_bytes(period * (half // len(period) + 1), "little")
     return (tiled & int.from_bytes(flags, "little")).to_bytes(half, "little")
 
 
 def _ideal_total(field: QuadraticField, k: int) -> int:
+    """Z(k), the ideals of norm at most k, by _hyperbola on the chi_d tile."""
+    return _hyperbola(_tile(field, k), k)
+
+
+def _hyperbola(tile: bytes, k: int) -> int:
     """Z(k) = sum of chi_d(e) floor(k / e) over e <= k, by Dirichlet's
-    hyperbola method in O(sqrt(k) + |d|): with u = isqrt(k) and
+    hyperbola method in O(sqrt(k) + len(tile)): with u = isqrt(k) and
     S(x) = chi_d(1) + ... + chi_d(x),
 
         Z(k) = sum_{e <= u} chi_d(e) floor(k / e) + sum_{f <= u} S(floor(k / f)) - u S(u).
 
-    chi_d is a nonprincipal character mod |d|, so S(|d|) = 0 and S(x) is
-    read off the prefix sums of one period at x mod |d|."""
-    modulus = abs(field.d)
-    tile = _chi_period(field.d, odd_sieve(modulus))
+    S(x) is read off the prefix sums of the tile at x mod its length: the
+    tile is one period of chi_d, a nonprincipal character mod |d| with
+    S(|d|) = 0, or a prefix longer than k."""
+    modulus = len(tile)
     u = math.isqrt(k)
     quotients = [k // f for f in range(1, u + 1)]
-    # S(r) for every residue needed, in one ascending sweep of the period
+    # S(r) for every residue needed, in one ascending sweep of the tile
     partial = {}
     s = lo = 0
     for r in sorted({x % modulus for x in quotients} | {u % modulus}):
@@ -291,34 +295,30 @@ def census_check(
     precision: int = 30,
 ) -> CensusResult:
     """Z(k) against sigma*h, with optional per-class counts; a report passed
-    in must be the class group of this field.  Z(k) is the hyperbola sum
-    (_ideal_total) when |d| <= k, else the sum of the sieve, which is built
-    either way; the per-class totals, sums of run lengths with no row built
-    (_class_totals), must sum to it."""
-    return _census_with_counts(field, k, per_class, report, precision, True)[0]
+    in must be the class group of this field (_census)."""
+    result = _census(field, k, per_class, report, precision)
+    # the table checks nothing here: only perfbench's SieveCapture reads its
+    # spot values, through this module global, until ROADMAP item 8
+    ideal_count_sieve(field, k)
+    return result
 
 
-def _census_with_counts(field, k, per_class, report, precision, table):
-    """census_check's result together with the sieve a[0..k], built once if
-    table is true or Z(k) is its sum (|d| > k), and None if neither; the
-    per-class totals are sums of run lengths, never rows."""
+def _census(field, k, per_class, report, precision) -> CensusResult:
+    """census_check's result with no table: Z(k) is the hyperbola sum, and the
+    per-class totals, sums of run lengths (_class_totals), must sum to it."""
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     if report is not None:
         _check_report(field, report)
-    _check_table_size(k + 1)  # the sieve's cap, before sigma and the class group
+    _check_table_size(k + 1)  # the cutoff's cap, before sigma and the class group
     # before the class group: the fundamental unit's period cap trips first
     sigma = sigma_decimal(field, precision)
     if report is None:
         report = class_group(field)
     h = report.h
-    if per_class:  # per_class_counts' cap, before the sieve is built
+    if per_class:  # per_class_counts' cap, though the totals write no row
         _check_table_size(h * (k + 1))
-    # the hyperbola sum where chi_d tiles the sieve (|d| <= k), so the
-    # per-class check below compares two independent computations
-    hyperbola = abs(field.d) <= k
-    counts = ideal_count_sieve(field, k) if table or not hyperbola else None
-    z_k = _ideal_total(field, k) if hyperbola else sum(counts)
+    z_k = _ideal_total(field, k)
     per = _class_totals(field, k, report) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
@@ -327,13 +327,12 @@ def _census_with_counts(field, k, per_class, report, precision, table):
         sigma_h = sigma * h
         dev = abs(zk - sigma_h)
         norm_dev = dev * Decimal(k).sqrt()
-    result = CensusResult(
+    return CensusResult(
         field.m, k, z_k, h,
         nstr(sigma, precision), nstr(zk, precision), nstr(sigma_h, precision),
         nstr(dev, 10), nstr(norm_dev, 10),
         per,
     )
-    return result, counts
 
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
@@ -438,18 +437,12 @@ def _run(row: list, n: int, step: int, second: int, count: int) -> None:
 
 
 def checkpoint_ratios(field: QuadraticField, k: int):
-    """(k', Z(k')/k') at logarithmic checkpoints, for external plotting."""
-    return _checkpoints(ideal_count_sieve(field, k), k)
-
-
-def _checkpoints(counts: list[int], k: int):
-    """checkpoint_ratios from the sieve a[0..k]."""
+    """(k', Z(k')/k') at logarithmic checkpoints, for external plotting: each
+    Z(k') the hyperbola sum on the chi_d tile of k, with no table."""
+    if k < 1:
+        raise ValueError("cutoff must be at least 1")
+    _check_table_size(k + 1)
+    tile = _tile(field, k)
     # round(10^(i/4)) <= k needs i <= 4 log10(k) < 4 k.bit_length()
     marks = {kp for i in range(4, 4 * k.bit_length()) if (kp := round(10 ** (i / 4))) <= k}
-    out = []
-    z = prev = 0
-    for mark in sorted(marks | {k}):
-        z += sum(counts[prev + 1 : mark + 1])
-        out.append((mark, z / mark))
-        prev = mark
-    return out
+    return [(mark, _hyperbola(tile, mark) / mark) for mark in sorted(marks | {k})]

@@ -18,8 +18,8 @@ the input).
 Each request builds only its own parser from the COMMANDS table: every
 command's name and help, the action names of its command and the options
 of its one action.  Each subcommand imports only the layer it uses when it
-runs, and a census builds its ideal table only for --csv or where Z(k) is
-the table's sum (|d| > k).  The decimals of census, units and quad
+runs, and a census builds no ideal table: Z(k) and the --csv marks are
+hyperbola sums on one tile of chi_d.  The decimals of census, units and quad
 minkowski come from the standard decimal module; `mpmath` is loaded only
 where a number-field embedding is computed.
 
@@ -415,13 +415,10 @@ def cmd_census(args) -> dict:
     from .quadring import QuadraticField
 
     field = QuadraticField(args.m)
-    # the table only for the CSV, or where Z(k) is its sum
-    result, counts = census_mod._census_with_counts(
-        field, args.k, args.per_class, None, decimal_precision(30), args.csv is not None
-    )
+    result = census_mod._census(field, args.k, args.per_class, None, decimal_precision(30))
     out = result.to_json_dict()
     if args.csv is not None:
-        rows = census_mod._checkpoints(counts, args.k)
+        rows = census_mod.checkpoint_ratios(field, args.k)
         try:
             with open(args.csv, "w") as fh:
                 fh.write("k,z_over_k\n")

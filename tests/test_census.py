@@ -154,7 +154,7 @@ class TestOddLaneSeams:
 
 
 class TestChiLanesPerPrime:
-    """Above |d| = k the lanes take one symbol per odd prime: lane (q - 1)/2
+    """Above |d| = k the lanes come from a prefix of chi_d: lane (q - 1)/2
     holds chi_d(q) + 1 at every odd prime q <= k and every other lane 0."""
 
     @pytest.mark.parametrize("m, k", [(1000003, 5000), (-10000019, 3000)])
@@ -167,6 +167,35 @@ class TestChiLanesPerPrime:
             n = 2 * i + 1
             prime = n > 1 and all(n % p for p in range(3, math.isqrt(n) + 1, 2))
             assert lane == (kronecker(field.d, n) + 1 if prime else 0), (m, n)
+
+
+class TestChiTile:
+    """The one chi_d tile: chi_d(i) + 1 for i < n, a full period at n = |d|
+    and a prefix below it, from one symbol per prime below n."""
+
+    @pytest.mark.parametrize("m, n", [(-23, 23), (10, 40), (1000003, 5001)])
+    def test_tile_against_the_oracle(self, m, n):
+        d = ring_of_integers(m).d
+        assert n <= abs(d)
+        tile = census._chi_tile(d, n)
+        assert len(tile) == n
+        assert [c - 1 for c in tile] == [kronecker(d, i) if i else 0 for i in range(n)]
+
+    def test_census_check_builds_the_tile_once(self, monkeypatch):
+        # |d| > k: the prefix serves Z(k) and the sieve lanes; the one other
+        # symbol is chi_d(2) for the spread over the powers of 2
+        field, k = ring_of_integers(1000003), 10**4
+        calls = []
+
+        def spy(d, q):
+            calls.append(q)
+            return arith.kronecker(d, q)
+
+        census._chi_tile.cache_clear()
+        monkeypatch.setattr(census, "kronecker", spy)
+        census_check(field, k)
+        primes = [q for q in range(2, k + 1) if all(q % p for p in range(2, math.isqrt(q) + 1))]
+        assert sorted(calls) == sorted(primes + [2])
 
 
 def divisor_sum(d, n):
@@ -214,8 +243,8 @@ class TestLaneWidth:
 
 class TestIdealTotal:
     """Z(k) by Dirichlet's hyperbola method against the sum of the sieve,
-    both from census._ideal_total and as census_check reports it (the
-    hyperbola when |d| <= k, the sum of the table above that)."""
+    both from census._ideal_total and as census_check reports it, on one
+    period of chi_d when |d| <= k and on a prefix of it above that."""
 
     def check(self, field, k, report=None):
         z = sum(ideal_count_sieve(field, k))
@@ -657,7 +686,8 @@ class TestReportOfAnotherField:
 @pytest.mark.parametrize("k", [100, 101, 178, 10**4, 10**4 + 1])
 def test_checkpoints_match_running_sum(k):
     marks = {round(10 ** (i / 4)) for i in range(4, 40)} | {k}
-    for field in (F2, F23):
+    # m = 1000003 and -10007 put marks below |d|, on a prefix of chi_d
+    for field in (F2, F23, ring_of_integers(1000003), ring_of_integers(-10007)):
         a = ideal_count_sieve(field, k)
         expected, z = [], 0
         for n in range(1, k + 1):

@@ -398,53 +398,37 @@ class TestCensusCommand:
         assert lines[0] == "k,z_over_k"
         assert lines[-1].startswith("500,")
 
+    # both sides of |d| = k: m = -23 at k = 3000, and m = 1000003 at k = 1000
+    SIDES = ((-23, 3000), (1000003, 1000))
+
     @pytest.mark.parametrize("per_class", [[], ["--per-class"]])
-    def test_csv_sieves_once(self, capsys, tmp_path, monkeypatch, per_class):
-        from quadrantal import census
-        from quadrantal.quadring import ring_of_integers
-
-        calls = []
-        sieve = census.ideal_count_sieve
-
-        def counting_sieve(field, k):
-            calls.append(k)
-            return sieve(field, k)
-
-        monkeypatch.setattr(census, "ideal_count_sieve", counting_sieve)
-        csv = tmp_path / "ratios.csv"
-        run_json(capsys, "census", "--m", "-23", "--k", "3000", *per_class, "--csv", str(csv))
-        assert calls == [3000]
-        rows = census.checkpoint_ratios(ring_of_integers(-23), 3000)
-        expected = "k,z_over_k\n" + "".join(f"{kp},{ratio!r}\n" for kp, ratio in rows)
-        assert csv.read_text() == expected
+    def test_csv_builds_no_table(self, capsys, tmp_path, monkeypatch, per_class):
+        # the --csv marks are hyperbola sums, on one period of chi_d (|d| = 23
+        # <= k) and on a prefix of it (|d| = 4000012 > k)
+        cases = [(m, k, sum_of_sieve(m, k), csv_by_running_sum(m, k)) for m, k in self.SIDES]
+        forbid_sieve(monkeypatch)
+        for m, k, z_k, expected in cases:
+            csv = tmp_path / f"{m}.csv"
+            argv = ["--m", str(m), "--k", str(k), *per_class, "--csv", str(csv)]
+            data = run_json(capsys, "census", *argv)
+            assert int(data["Z_k"]) == z_k
+            assert csv.read_text() == expected
 
     def test_plain_census_builds_no_table(self, capsys, monkeypatch):
         # |d| = 20 <= k: Z(k) is the hyperbola sum and nothing prints the table
-        from quadrantal import census
-
-        def sieve(field, k):
-            pytest.fail(f"the sieve was built at k = {k}")
-
-        monkeypatch.setattr(census, "ideal_count_sieve", sieve)
+        forbid_sieve(monkeypatch)
         for per_class in ([], ["--per-class"]):
             data = run_json(capsys, "census", "--m", "-5", "--k", "1000", *per_class)
             assert data["Z_k"] == "1403"
 
-    def test_census_past_the_hyperbola_sieves_once(self, capsys, monkeypatch):
-        # |d| = 4000012 > k: Z(k) is the sum of the table
-        from quadrantal import census
-
-        calls = []
-        sieve = census.ideal_count_sieve
-
-        def counting_sieve(field, k):
-            calls.append(k)
-            return sieve(field, k)
-
-        monkeypatch.setattr(census, "ideal_count_sieve", counting_sieve)
-        data = run_json(capsys, "census", "--m", "1000003", "--k", "1000")
-        assert calls == [1000]
-        assert int(data["Z_k"]) == sum_of_sieve(1000003, 1000)
+    def test_census_on_both_sides_builds_no_table(self, capsys, monkeypatch):
+        # Z(k) is the hyperbola sum on a period of chi_d or on a prefix of it
+        totals = {(m, k): sum_of_sieve(m, k) for m, k in self.SIDES}
+        forbid_sieve(monkeypatch)
+        for (m, k), z_k in totals.items():
+            for per_class in ([], ["--per-class"]):
+                data = run_json(capsys, "census", "--m", str(m), "--k", str(k), *per_class)
+                assert int(data["Z_k"]) == z_k, (m, k, per_class)
 
     def test_empty_csv_path_exits_3(self, capsys):
         code = main(["census", "--m", "-5", "--k", "1000", "--csv", ""])
@@ -514,12 +498,7 @@ class TestCensusCommand:
         assert csv_digest is None or sha16((tmp_path / "ratios.csv").read_bytes()) == csv_digest
 
     def test_per_class_cap_exits_3_before_the_sieve(self, capsys, monkeypatch):
-        from quadrantal import census
-
-        def sieve(field, k):
-            pytest.fail(f"the sieve was built at k = {k}")
-
-        monkeypatch.setattr(census, "ideal_count_sieve", sieve)
+        forbid_sieve(monkeypatch)
         code = main(["census", "--m", "-23", "--k", "99999999", "--per-class"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -538,6 +517,29 @@ def sum_of_sieve(m, k):
     from quadrantal.quadring import ring_of_integers
 
     return sum(ideal_count_sieve(ring_of_integers(m), k))
+
+
+def csv_by_running_sum(m, k):
+    """The --csv file of census --k k from the running sum of the sieve."""
+    from quadrantal.census import ideal_count_sieve
+    from quadrantal.quadring import ring_of_integers
+
+    marks = {round(10 ** (i / 4)) for i in range(4, 40)} | {k}
+    lines, z = ["k,z_over_k\n"], 0
+    for n, a in enumerate(ideal_count_sieve(ring_of_integers(m), k)):
+        z += a
+        if n in marks:
+            lines.append(f"{n},{z / n!r}\n")
+    return "".join(lines)
+
+
+def forbid_sieve(monkeypatch):
+    from quadrantal import census
+
+    def sieve(field, k):
+        pytest.fail(f"the sieve was built at k = {k}")
+
+    monkeypatch.setattr(census, "ideal_count_sieve", sieve)
 
 
 class TestFormatsAndExitCodes:

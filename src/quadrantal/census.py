@@ -12,35 +12,36 @@ Their series is the Euler product over the prime ideals p, prod
 1/(1 - N(p)^-s) = zeta(s) L(s, chi_d), chi_d the Kronecker character of d
 (1 split, -1 inert, 0 ramified; Cohen GTM 138, 5.3 and 5.10).
 
-One kernel multiplies it out on one row, from 1 at n = 1.  The row holds
-the odd n only, lane i for n = 2 i + 1.  A prime ideal of odd norm Q runs
-row[Q t] += row[t] for odd t ascending, lane j of t into lane
-Q j + (Q - 1)/2: a split q runs twice, a ramified q once, and an inert q
-once at q^2, the norm of the ideal (q).  The prime 2 enters last, as the
-spread a(2^v m) = a(2^v) a(m) over odd m.
+One kernel multiplies it out on two byte rows of the n prime to 6 (a
+wheel): rows[1][i] is n = 6 i + 1, rows[5][i] is n = 6 i + 5.  A prime
+ideal of norm Q runs row[Q t] += row[t] for the t prime to 6 ascending,
+lane i of rows[r] into lane Q i + (Q r - s)/6 of rows[s], s = Q r mod 6:
+a split q runs twice, a ramified q once, an inert q once at q^2, the norm
+of (q).  The primes 2 and 3 enter last, as the spread a(2^a 3^b m) =
+a(2^a) a(3^b) a(m) over the m prime to 6, c a(m) by translate.
 
-The splitting of each odd prime q <= k is one byte, chi_d(q) + 1, on the
-lanes of the odd sieve.  d is fundamental, so chi_d is a character mod |d|.
-One tile, chi_d + 1 on [0, n) for n = min(|d|, k + 1), is built by complete
-multiplicativity from one symbol arith.kronecker(d, q) per prime q < n: one
-period when |d| <= k, else a prefix.  Its odd entries (then, for an odd
-period, its even ones) repeat over the odd lanes, ANDed with the sieve flags
-(0xFF at a prime).  Z(k) below reads the same tile, and the last is kept.
-
-The coefficients are packed in lanes, and a block of a pass is one
-big-integer add of two runs of lanes.  The kernel only ever adds, so each
-partial coefficient counts a subset of the ideals of norm n: it lies in
-[0, d(n)], and no lane carries.  The row is a bytearray of byte lanes when
-k is below BYTE_LANES_BELOW = 1081080, the least n with d(n) > 255 (below
-it d(n) <= 240, reached at 720720), and an array of 16-bit lanes above
-(d(n) <= 768 for n <= 10^8).
+The splitting of a prime q is one byte, chi_d(q) + 1, and d is
+fundamental, so chi_d is a character mod |d|.  One tile, chi_d + 1 on
+[0, n) for n = min(|d|, k + 1), is built by complete multiplicativity from
+one symbol arith.kronecker(d, q) per prime q < n: a period when |d| <= k,
+else a prefix.  The rows start as its entries in steps of 6, every chi_d(q)
+of the kernel and of Z(k) below is read off it, and the last is kept.
 
 A prime q > sqrt(k) divides n <= k at most once, and a product of two
 such primes exceeds k.  The passes commute, so these primes run first, on
-the series 1, where their passes only set lane (q - 1) / 2 to
-chi_d(q) + 1, the number of prime ideals over q.  So the row starts as
-that mask, which lists no prime above sqrt(k), and the primes up to
-sqrt(k) multiply it out.
+the series 1, where they only set the lane of q to its tile entry.  Then
+the primes p <= sqrt(k) run from the largest down.  Until p has run, the
+entries at its multiples are stale, and passes read them only into other
+multiples of p.  p's first pass copies row[p t] = row[t] for each t with no
+prime factor below p, as the product so far has no term at a multiple of p
+(an inert p zeros its multiples, then copies at p^2).  So no sieve is needed.
+
+A block of a pass is one big-integer add (or copy) of two runs of lanes.
+A partial count lies in [0, d(n)], and d(n) <= 144 for the n <= MAX_TABLE
+prime to 6 (the least with d(n) > 255 is 929553625): no lane carries.  Only
+the spread can pass 255: from BYTE_LANES_BELOW = 1081080, the least n with
+d(n) > 255 (below it d(n) <= 240), it also translates the high bytes of
+c a(m), and adds the few that are not 0 into the list.
 
 Per-class counts are lattice points: ideal classes are reduced forms, and
 the ideals of norm n in the class of I^-1 correspond to the alpha in I of
@@ -65,21 +66,17 @@ k^(-1/2) error law without pretending to know its constant.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
-from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, record
+from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, primes_up_to, record
 from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group
 from .units import regulator_decimal, torsion_order
 
-BLOCK = 1 << 14  # lanes per block of a strided pass
+BLOCK = 1 << 14  # lanes of a row per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
-_ORDER = sys.byteorder  # of the lanes of a 16-bit row
-_LOW = 0 if _ORDER == "little" else 1  # the low byte of a 16-bit lane
 _NEGATE = bytes.maketrans(b"\0\2", b"\2\0")  # chi + 1 -> -chi + 1
 
 
@@ -95,11 +92,11 @@ def _check_table_size(entries: int) -> None:
 
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0),
-    by the Euler product on one row (_euler_product)."""
+    by the Euler product on the rows of the n prime to 6 (_euler_product)."""
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
-    return list(_euler_product(field, k))
+    return _euler_product(field, k)
 
 
 @lru_cache(maxsize=1)
@@ -110,9 +107,11 @@ def _chi_tile(d: int, n: int) -> bytes:
     is kept, because census_check reads it for Z(k) and for the sieve."""
     tile = bytearray([2]) * n
     tile[0] = 1
-    for q in chain((2,), compress(range(1, n, 2), odd_sieve(n))):
+    for q in chain(range(2, min(n, 3)), compress(range(1, n, 2), odd_sieve(n))):  # q < n
         chi = kronecker(d, q)
-        if chi == 0:
+        if 2 * q >= n:  # q is its only multiple in the tile but 0
+            tile[q] = chi + 1
+        elif chi == 0:
             tile[::q] = b"\1" * len(range(0, n, q))
         elif chi < 0:
             power = q
@@ -125,19 +124,6 @@ def _chi_tile(d: int, n: int) -> bytes:
 def _tile(field: QuadraticField, k: int) -> bytes:
     """The chi_d tile that covers every n <= k: a period if |d| <= k, else [0, k]."""
     return _chi_tile(field.d, min(abs(field.d), k + 1))
-
-
-def _chi_lanes(field: QuadraticField, k: int, flags: bytearray) -> bytes:
-    """chi_d(q) + 1 at the lane (q - 1) / 2 of every odd prime q <= k, and 0
-    at the other lanes, from the odd sieve flags up to k: the tile of chi_d
-    repeated over the odd lanes (the module docstring)."""
-    tile = _tile(field, k)
-    # lane i is n = 2 i + 1: odd n in the tile, then (odd length) the even ones
-    period = tile[1::2] + tile[::2] if len(tile) % 2 else tile[1::2]
-    half = len(flags)
-    # the flags end at lane half - 1, so the AND drops the tiles past it
-    tiled = int.from_bytes(period * (half // len(period) + 1), "little")
-    return (tiled & int.from_bytes(flags, "little")).to_bytes(half, "little")
 
 
 def _ideal_total(field: QuadraticField, k: int) -> int:
@@ -169,65 +155,100 @@ def _hyperbola(tile: bytes, k: int) -> int:
     return head + sum(partial[x % modulus] for x in quotients) - u * partial[u % modulus]
 
 
-def _as_row(size: int, data):
-    """data, lanes of size bytes, as a row or a slice value for one: as it is
-    for a bytearray (which has no itemsize), in an array("H") for 16 bits."""
-    return data if size == 1 else array("H", data)
+def _euler_product(field: QuadraticField, k: int) -> list[int]:
+    """a(n) for n <= k by the Euler product of the module docstring: the
+    passes on the rows of the n prime to 6, from the largest prime down,
+    then the spread over 2^a 3^b."""
+    tile = _tile(field, k)
+    rows = {r: _chi_row(tile, r, (k + 6 - r) // 6) for r in (1, 5)}
+    rows[1][0] = 1
+    for q in reversed(primes_up_to(math.isqrt(k))[2:]):
+        chi = tile[q % len(tile)] - 1
+        if chi < 0:  # inert: no ideal of norm q^j for odd j, one pass at q^2
+            for r, row in rows.items():
+                start = (q * (q * r % 6) - r) // 6  # q or 5 q, whichever is r mod 6
+                row[start::q] = bytes(len(range(start, len(row), q)))
+            _multiply(rows, q * q, k, q, False)
+        for add in (False, True)[: chi + 1]:  # a pass per prime ideal of norm q
+            _multiply(rows, q, k, q, add)
+    return _spread(rows, k, tile)
 
 
-def _euler_product(field: QuadraticField, k: int):
-    """row[n] = ideals of norm n <= k by the Euler product of the module
-    docstring, its passes in strided blocks of fewer than BLOCK lanes whose
-    every read is final: a bytearray when k < BYTE_LANES_BELOW, where every
-    count is at most d(n) <= 240, else a 16-bit array ("H")."""
-    root = math.isqrt(k)
-    flags = odd_sieve(k)
-    chis = _chi_lanes(field, k, flags)
-    size = 1 if k < BYTE_LANES_BELOW else 2
-    first = (root + 1) // 2  # the lane of the first odd q > sqrt(k)
-    # lane i counts the chi_d(q) + 1 prime ideals over q = 2 i + 1 > sqrt(k)
-    row = bytearray(size * len(chis))
-    row[size * first + _LOW :: size] = chis[first:]
-    row = _as_row(size, row)
-    row[0] = 1
-    for q in compress(range(1, root + 1, 2), flags):
-        chi = chis[q >> 1] - 1  # a pass per prime ideal: of norm q, or q^2 inert
-        for norm in (q,) * (chi + 1) if chi >= 0 else (q * q,):
-            _multiply(row, norm, k)
-    del flags, chis
-    return _spread(row, k, kronecker(field.d, 2))
+def _chi_row(tile: bytes, r: int, size: int) -> bytearray:
+    """chi_d(n) + 1 at n = 6 i + r for i < size, off the tile in steps of 6:
+    one slice of a prefix; for a period, up to six slices, each from where
+    the last ran off its end, until they make a period of the row."""
+    n, row = len(tile), bytearray()
+    while len(row) < size:
+        start = (r + 6 * len(row)) % n
+        if row and start == r % n:  # row holds whole periods: repeat them
+            tail = row[: size % len(row)]
+            row *= size // len(row)
+            row += tail
+        else:
+            row += tile[start : start + 6 * (size - len(row)) : 6]
+    return row
 
 
-def _spread(row, k: int, chi: int):
-    """The row over every n <= k from the odd lanes and the local factor of
-    2, chi = chi_d(2): row[2^v m] = a(2^v) row[m] for odd m, with a(2^v) =
-    v + 1 if 2 splits, 1 - v mod 2 if it is inert and 1 if it ramifies."""
-    size = getattr(row, "itemsize", 1)
-    full = _as_row(size, bytearray(size)) * (k + 1)
-    for v in range(k.bit_length()):
-        count = v + 1 if chi == 1 else (v + 1) % 2 if chi else 1
-        if count:
-            odd = row[: ((k >> v) + 1) // 2]
-            if count > 1:
-                odd = (count * int.from_bytes(odd, _ORDER)).to_bytes(size * len(odd), _ORDER)
-                odd = _as_row(size, odd)
-            full[1 << v :: 2 << v] = odd
-    return full
-
-
-def _multiply(row, q: int, k: int) -> None:
-    """row[q t] += row[t] for the odd t <= k // q, ascending, on odd lanes
-    (q odd): lane j of t goes to lane q j + (q - 1) / 2."""
-    size = getattr(row, "itemsize", 1)
-    top = (k // q + 1) // 2  # odd t <= k // q
-    shift = q >> 1
-    lo = 0
-    while lo < top:
-        hi = min(top - 1, q * lo + shift - 1, lo + BLOCK - 1)
-        lanes = slice(q * lo + shift, q * hi + shift + 1, q)
-        dst = int.from_bytes(row[lanes], _ORDER) + int.from_bytes(row[lo : hi + 1], _ORDER)
-        row[lanes] = _as_row(size, dst.to_bytes(size * (hi - lo + 1), _ORDER))
+def _multiply(rows: dict, norm: int, k: int, q: int, add: bool) -> None:
+    """row[norm n] += row[n] (= row[n] if not add) for n = 1 and the n prime
+    to 6 from q to k / norm, ascending, norm = q or q^2 for a prime q > 3:
+    n = 6 i + r of rows[r] goes to norm n = 6 (norm i + c) + s of rows[s],
+    s = norm r mod 6.  The n below q are stale (module docstring); from q on
+    they run in blocks [lo, hi] with hi < norm lo, so every read is final."""
+    row, i = rows[norm % 6], norm // 6  # n = 1
+    row[i] = row[i] + 1 if add else 1
+    top = k // norm
+    moves = [(r, rows[r], rows[norm * r % 6], norm * r // 6) for r in (1, 5)]
+    lo = q
+    while lo <= top:
+        hi = min(top, norm * lo - 1, lo + 6 * BLOCK - 1)
+        for r, src, dst, c in moves:
+            a, b = (lo - r + 5) // 6, (hi - r) // 6 + 1  # lo <= 6 i + r <= hi
+            if a < b:
+                lanes = slice(norm * a + c, norm * (b - 1) + c + 1, norm)
+                if add:
+                    total = int.from_bytes(dst[lanes], "little") + int.from_bytes(src[a:b], "little")
+                    dst[lanes] = total.to_bytes(b - a, "little")
+                else:
+                    dst[lanes] = src[a:b]
         lo = hi + 1
+
+
+def _spread(rows: dict, k: int, tile: bytes) -> list[int]:
+    """The table a(n), n <= k, from the rows: a(2^a 3^b m) = c a(m) for m
+    prime to 6, c = a(2^a) a(3^b), by translate, and from BYTE_LANES_BELOW
+    on the high bytes of c a(m) that are not 0 added to the list."""
+    out = bytearray(k + 1)
+    high = []  # (n, the high byte of a(n)) where it is not 0
+    two, three = (tile[p % len(tile)] - 1 for p in (2, 3))
+    for a in range(k.bit_length()):
+        for b in range(k.bit_length()):
+            n, c = 3**b << a, _local(two, a) * _local(three, b)
+            if n > k:
+                break
+            for r, row in rows.items() if c else ():
+                lanes = row[: (k // n + 6 - r) // 6]
+                out[n * r :: 6 * n] = lanes.translate(_planes(c)[0]) if c > 1 else lanes
+                if c > 1 and k >= BYTE_LANES_BELOW:
+                    top = lanes.translate(_planes(c)[1])
+                    if top.count(0) < len(top):
+                        high += ((n * (6 * i + r), t) for i, t in compress(enumerate(top), top))
+    table = list(out)
+    for n, t in high:
+        table[n] += t << 8
+    return table
+
+
+def _local(chi: int, j: int) -> int:
+    """a(p^j) for a prime p of chi_d(p) = chi: j + 1 split, 1 - j mod 2 inert, 1 ramified."""
+    return j + 1 if chi == 1 else (j + 1) % 2 if chi else 1
+
+
+@lru_cache(maxsize=None)  # c = a(2^a) a(3^b) <= 27 * 17 for k <= MAX_TABLE
+def _planes(c: int) -> tuple[bytes, bytes]:
+    """Translate tables to the low and the high byte of c x, x = 0 .. 255."""
+    return bytes(c * x & 255 for x in range(256)), bytes(c * x >> 8 for x in range(256))
 
 
 def sigma_decimal(field: QuadraticField, precision: int = 30) -> Decimal:

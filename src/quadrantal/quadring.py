@@ -882,10 +882,9 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     locate(*_form(unit_ideal(field)), None)
     prime_forms = []
     for q in primes_up_to(minkowski_floor(field)):
-        rep = split_prime(field, q)
-        if rep.kind == "inert":
-            continue  # principal class, generates nothing
-        prime_forms.extend(_form(p) for p, _ in rep.factors)
+        if kronecker(d, q) >= 0:  # an inert (q) is principal, generates nothing
+            big_b = prime_form(field, q)[1]  # (q, +-B mod 2q): split_prime's primes
+            prime_forms.extend((q, b) for b in sorted({big_b % (2 * q), -big_b % (2 * q)}))
     steps = []  # steps[k][j] = class of reps[k] * (prime j)
     for k, (a, big_b) in enumerate(reps):  # reps grows while the loop runs
         products = (_compose(d, a, big_b, *p)[:2] for p in prime_forms)

@@ -153,20 +153,77 @@ class TestOddLaneSeams:
             calls.clear()
 
 
-class TestChiLanesPerPrime:
-    """Above |d| = k the lanes come from a prefix of chi_d: lane (q - 1)/2
-    holds chi_d(q) + 1 at every odd prime q <= k and every other lane 0."""
+class TestChiRows:
+    """The rows of the n prime to 6 start as the tile's entries: chi_d(n) + 1
+    at n = 6 i + r, read off a prefix (|d| > k) or off up to six laps of a
+    period, whose length may share 2 or 3 with 6."""
 
-    @pytest.mark.parametrize("m, k", [(1000003, 5000), (-10000019, 3000)])
-    def test_lanes_against_the_oracle(self, m, k):
+    @pytest.mark.parametrize("m, k", [(1000003, 5000), (-10000019, 3000), (-23, 5000), (6, 700), (-3, 50)])
+    def test_rows_against_the_oracle(self, m, k):
         field = ring_of_integers(m)
-        assert abs(field.d) > k
-        lanes = census._chi_lanes(field, k, arith.odd_sieve(k))
-        assert len(lanes) == (k + 1) // 2
-        for i, lane in enumerate(lanes):
-            n = 2 * i + 1
-            prime = n > 1 and all(n % p for p in range(3, math.isqrt(n) + 1, 2))
-            assert lane == (kronecker(field.d, n) + 1 if prime else 0), (m, n)
+        tile = census._tile(field, k)
+        assert len(tile) == (k + 1 if abs(field.d) > k else abs(field.d))
+        for r in (1, 5):
+            row = census._chi_row(tile, r, (k + 6 - r) // 6)
+            assert [c - 1 for c in row] == [kronecker(field.d, n) for n in range(r, k + 1, 6)], (m, r)
+
+
+class TestWheelSeams:
+    """The kernel against a(n) = sum_{e | n} chi_d(e) for each splitting of
+    2 and 3, at its seams: the rows hold the n prime to 6, 2 and 3 enter
+    last through their local factors at n = 2^a 3^b, a pass runs in blocks
+    of 6 BLOCK n, and a period tile repeats from |d|."""
+
+    SMOOTH = tuple(sorted({2**a * 3**b + e for a in range(15) for b in range(10) for e in (-1, 0, 1)
+                     if 2 <= 2**a * 3**b <= 20000}))
+    BLOCKS = (6 * BLOCK - 1, 6 * BLOCK, 6 * BLOCK + 1)
+
+    def fields(self):
+        """{(chi_d(2), chi_d(3)): the square-free m of least |m| with them}."""
+        out = {}
+        for m in sorted(range(-200, 200), key=abs):
+            if m in (-1, 0, 1) or any(m % (p * p) == 0 for p in (2, 3, 5, 7, 11, 13)):
+                continue
+            d = ring_of_integers(m).d
+            out.setdefault((kronecker(d, 2), kronecker(d, 3)), m)
+        return out
+
+    def test_nine_splittings_of_2_and_3(self):
+        fields = self.fields()
+        assert len(fields) == 9
+        for m in fields.values():
+            field = ring_of_integers(m)
+            cutoffs = self.SMOOTH + self.BLOCKS + tuple(abs(field.d) + e for e in (-1, 0, 1))
+            oracle = divisor_sum_counts(field.d, max(cutoffs))
+            for k in cutoffs:
+                assert ideal_count_sieve(field, k) == oracle[: k + 1], (m, k)
+
+
+def wheel_shapes(bound):
+    """(n, d(n)) for the n <= bound prime to 6 whose exponents on 5, 7, 11,
+    ... do not increase: moving the exponents of any n prime to 6 into that
+    order gives such an n no larger, with the same d(n)."""
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+    def walk(i, n, d, cap):
+        yield n, d
+        power = n
+        for e in range(1, cap + 1):
+            power *= primes[i]
+            if power > bound:
+                break
+            yield from walk(i + 1, power, d * (e + 1), e)
+
+    return walk(0, 1, 1, bound.bit_length())
+
+
+def test_byte_lanes_hold_every_count_prime_to_6():
+    # a partial count of the rows lies in [0, d(n)] for an n prime to 6, so
+    # one byte holds it up to the least such n with d(n) > 255
+    shapes = list(wheel_shapes(10**9))
+    assert min(n for n, d in shapes if d > 255) == 929553625 == 5**3 * 7 * 11 * 13 * 17 * 19 * 23
+    assert 929553625 > arith.MAX_TABLE
+    assert max(d for n, d in shapes if n <= arith.MAX_TABLE) == 144
 
 
 class TestChiTile:
@@ -182,8 +239,8 @@ class TestChiTile:
         assert [c - 1 for c in tile] == [kronecker(d, i) if i else 0 for i in range(n)]
 
     def test_census_check_builds_the_tile_once(self, monkeypatch):
-        # |d| > k: the prefix serves Z(k) and the sieve lanes; the one other
-        # symbol is chi_d(2) for the spread over the powers of 2
+        # |d| > k: the prefix serves Z(k), the sieve rows and chi_d(2) and
+        # chi_d(3) of the spread, so each prime below n has one symbol
         field, k = ring_of_integers(1000003), 10**4
         calls = []
 
@@ -195,7 +252,7 @@ class TestChiTile:
         monkeypatch.setattr(census, "kronecker", spy)
         census_check(field, k)
         primes = [q for q in range(2, k + 1) if all(q % p for p in range(2, math.isqrt(q) + 1))]
-        assert sorted(calls) == sorted(primes + [2])
+        assert sorted(calls) == primes
 
 
 def divisor_sum(d, n):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -367,3 +368,38 @@ def test_invariant_factors_from_p_power_torsion_counts():
             for a in elements
         ]
         assert _invariant_factors(table) == chain
+
+
+class TestPrimeFormsWithoutSplitting:
+    """class_group takes the forms of the prime ideals below the Minkowski
+    bound from chi_d(q) and prime_form, and builds no split_prime report."""
+
+    # sha256 prefix of every report of square-free m in [-600, 600] and of
+    # m = 1000000007, as written when the prime forms came from split_prime
+    REPORTS = "9f45de18f9d41686"
+
+    def test_no_split_prime_call(self, monkeypatch):
+        calls = []
+
+        def spy(field, q):
+            calls.append(q)
+            return split_prime(field, q)
+
+        split_prime = quadring.split_prime
+        monkeypatch.setattr(quadring, "split_prime", spy)
+        for m in (-23, -14, 10, 79, -10007, 1000000007):
+            assert class_group(ring_of_integers(m)).h >= 1
+        assert calls == []
+
+    def test_reports_unchanged(self):
+        parts = []
+        for m in [*range(-600, 601), 1000000007]:
+            try:
+                field = ring_of_integers(m)
+            except ValueError:
+                continue
+            r = class_group(field)
+            reps = [(i.a, i.b, i.c) for i in r.representatives]
+            parts.append(repr((m, r.h, reps, r.table, r.structure, sorted(r.forms.items()))))
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+        assert (len(parts), digest) == (732, self.REPORTS)

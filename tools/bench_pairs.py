@@ -15,8 +15,9 @@ the root of the checkout with:
   nine tenths of the pairs, with medians apart by more than the distance
   between the base's quartiles;
 - per workload, side and job kind, the median job time at reference speed
-  (ref_ms, scaled as perfbench/run.py scales it) over the jobs of every run
-  of that side: the template of a cli request; the family of a compute job,
+  (ref_ms, scaled as perfbench/run.py scales it) and its quartiles, over the
+  jobs of every run of that side, so that a kind's change can be read
+  against its spread: the template of a cli request; the family of a compute job,
   with class groups split into imaginary and real fields and the census into
   the sieve and per-class kinds;
 - every run's metrics, seed and order;
@@ -107,13 +108,15 @@ def job_times(workload: str, record: dict) -> dict[str, list[float]]:
 
 
 def kind_medians(runs: list[dict], workload: str) -> dict[str, dict]:
-    """{kind: the median ref_ms of each side, and its number of jobs}; both
-    sides run the same seeds, so the same jobs."""
+    """{kind: the median ref_ms of each side, its quartiles and the number of
+    jobs}; both sides run the same seeds, so the same jobs."""
     out = {}
     for kind in sorted(runs[0]["base"]["job_ms"][workload]):
         times = {side: [t for r in runs for t in r[side]["job_ms"][workload][kind]] for side in ("base", "change")}
-        out[kind] = {"base_ms": statistics.median(times["base"]),
-                     "change_ms": statistics.median(times["change"]), "jobs": len(times["base"])}
+        out[kind] = {"jobs": len(times["base"])}
+        for side, ts in times.items():
+            quartiles = statistics.quantiles(ts, n=4)
+            out[kind] |= {f"{side}_ms": statistics.median(ts), f"{side}_quartiles": [quartiles[0], quartiles[2]]}
     return out
 
 

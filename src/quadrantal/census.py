@@ -245,10 +245,17 @@ def _local(chi: int, j: int) -> int:
     return j + 1 if chi == 1 else (j + 1) % 2 if chi else 1
 
 
-@lru_cache(maxsize=None)  # c = a(2^a) a(3^b) <= 27 * 17 for k <= MAX_TABLE
+# x = 0 .. 255 in 16-bit little-endian lanes, so c * _LANES holds c x in lane x
+_LANES = int.from_bytes(bytes(b for x in range(256) for b in (x, 0)), "little")
+
+
+# c = a(2^a) a(3^b) <= 130 (a = 12, b = 9) for k <= MAX_TABLE: c x < 2^16
+@lru_cache(maxsize=None)
 def _planes(c: int) -> tuple[bytes, bytes]:
-    """Translate tables to the low and the high byte of c x, x = 0 .. 255."""
-    return bytes(c * x & 255 for x in range(256)), bytes(c * x >> 8 for x in range(256))
+    """Translate tables to the low and the high byte of c x, x = 0 .. 255:
+    the even and the odd bytes of c * _LANES, whose lanes do not carry."""
+    lanes = (c * _LANES).to_bytes(512, "little")
+    return lanes[::2], lanes[1::2]
 
 
 def sigma_decimal(field: QuadraticField, precision: int = 30) -> Decimal:

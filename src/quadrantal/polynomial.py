@@ -211,20 +211,23 @@ X = Poly([0, 1])
 def poly_divmod(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     """Exact division with remainder in Q[x].
 
-    dividend = q*divisor + r with r = 0 or deg r < deg divisor.
+    dividend = q*divisor + r with r = 0 or deg r < deg divisor.  A monic
+    divisor (a minimal polynomial) takes each quotient coefficient as the
+    top remainder coefficient, with no exact_div.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("polynomial division by zero polynomial")
     d = divisor.degree
-    q = [0] * max(0, dividend.degree - d + 1)
+    if dividend.degree < d:
+        return Poly(), dividend
+    q = [0] * (dividend.degree - d + 1)
     rem = list(dividend.coeffs)
     lead, low = divisor.coeffs[-1], divisor.coeffs[:-1]
     for i in range(len(rem) - 1 - d, -1, -1):
-        f = exact_div(rem[i + d], lead)
+        f = rem[i + d] if lead == 1 else exact_div(rem[i + d], lead)
         if f:
             q[i] = f
-            for j, b in enumerate(low):
-                rem[i + j] -= f * b
+            rem[i : i + d] = [r - f * b for r, b in zip(rem[i : i + d], low)]
     return Poly(q), Poly(rem[:d])
 
 

@@ -31,9 +31,10 @@ one per class) or onto the rho-cycle of reduced ideals (real; the least
 quotients of the steps fold into a pair of integer convergents that gives
 the generator, and units reads the fundamental unit off the cycle of (1)
 the same way.  Ideal (and class) products are Dirichlet composition of
-forms, conjugation is (a, B) -> (a, -B).  No float decides any of it
-(Cohen, GTM 138, 5.3-5.7; Buchmann and Vollmer, Binary Quadratic Forms,
-ch. 6).
+forms, conjugation is (a, B) -> (a, -B), and the class group grows coset
+by coset from the prime forms below the Minkowski bound.  No float decides
+any of it (Cohen, GTM 138, 5.3-5.7; Buchmann and Vollmer, Binary Quadratic
+Forms, ch. 6 and 9).
 """
 
 from __future__ import annotations
@@ -852,50 +853,64 @@ def _invariant_factors(table) -> tuple:
 
 
 def class_group(field: QuadraticField) -> ClassGroupReport:
-    """Class group from the primes below the Minkowski bound.
+    """Class group from the primes below the Minkowski bound, coset by coset.
 
     Prime classes generate the group (every class holds an ideal of norm at
     or below the bound, and such an ideal factors into primes of small
-    norm).  A breadth-first search composes each new class with every prime
-    and looks the reduced product up in one form -> class dict; a miss is a
-    new class, whose rho-cycle is walked once into the dict and whose least
-    (a, b) is its representative.  The table then follows from the prime
-    that first reached each class.  A rho-cycle of more than MAX_PERIOD
-    forms raises PeriodOverflow; the principal cycle is walked first.
+    norm).  A prime form whose reduction misses the form -> class dict lies
+    outside the subgroup H met so far and becomes a generator g: it adds the
+    cosets H*g, H*g^2, ... until g^e is back in H, each new class one
+    composition of its parent with g, its rho-cycle walked once into the
+    dict and its least (a, b) its representative.  Each generator's
+    permutation c -> class(c*g) gives every table row from its parent's,
+    and a breadth-first search over the primes, replayed on the rows,
+    numbers the classes: h*(generators + 1) <= h*log2(2h) compositions at
+    most, not h*(primes).  A rho-cycle over MAX_PERIOD forms raises
+    PeriodOverflow; the principal cycle is walked first.
     """
     d = field.d
-    forms = {}   # every reduced form met so far -> its class
-    reps = []    # (a, B) of each class's representative
-    origin = []  # (class, prime) whose product first reached each class
+    forms = {}  # every reduced form met so far -> its class, in coset order
+    reps = []   # (a, B) of each class's representative
 
-    def locate(a: int, big_b: int, via) -> int:
-        key = _reduce(field, a, big_b)
-        if key not in forms:
-            least, cycle = _class_forms(field, *key)
-            forms.update(dict.fromkeys(cycle, len(reps)))
-            reps.append(least)
-            origin.append(via)
-        return forms[key]
+    def add(key):
+        least, cycle = _class_forms(field, *key)
+        forms.update(dict.fromkeys(cycle, len(reps)))
+        reps.append(least)
+
+    def times(c: int, g) -> tuple[int, int]:
+        return _reduce(field, *_compose(d, *reps[c], *g)[:2])
 
     # the principal cycle first: a period over MAX_PERIOD fails before the
     # prime ideals below the Minkowski bound are split
-    locate(*_form(unit_ideal(field)), None)
-    prime_forms = []
+    add(_reduce(field, *_form(unit_ideal(field))))
+    gens, primes = [], []  # (g, |H| before g, |H| after g); each prime form's class
     for q in primes_up_to(minkowski_floor(field)):
         if kronecker(d, q) >= 0:  # an inert (q) is principal, generates nothing
             big_b = prime_form(field, q)[1]  # (q, +-B mod 2q): split_prime's primes
-            prime_forms.extend((q, b) for b in sorted({big_b % (2 * q), -big_b % (2 * q)}))
-    steps = []  # steps[k][j] = class of reps[k] * (prime j)
-    for k, (a, big_b) in enumerate(reps):  # reps grows while the loop runs
-        products = (_compose(d, a, big_b, *p)[:2] for p in prime_forms)
-        steps.append([locate(*f, (k, j)) for j, f in enumerate(products)])
+            for b in sorted({big_b % (2 * q), -big_b % (2 * q)}):
+                key, g = _reduce(field, q, b), (q, b)
+                if key not in forms:  # class n = |H| is g, class n + c is c*g
+                    n = len(reps)
+                    add(key)
+                    while (power := times(len(reps) - n, g)) not in forms:
+                        add(power)
+                    gens.append((g, n, len(reps)))
+                primes.append(forms[key])
     h = len(reps)
-    table = []
-    for i in range(h):
-        row = [i]
-        for j in range(1, h):
-            parent, p = origin[j]
-            row.append(steps[row[parent]][p])
-        table.append(tuple(row))
-    reps = tuple(QuadIdeal(field, a, _form_b(field, a, big_b), 1) for a, big_b in reps)
-    return ClassGroupReport(field, h, reps, tuple(table), _invariant_factors(table), forms)
+    rows = {0: list(range(h))}  # rows[c][x] = class(c*x); each popped as its table row is built
+    for g, n, end in gens:  # c*g is class c + n for c < end - n
+        sigma = [*range(n, end), *(forms[times(c, g)] for c in range(end - n, h))]
+        for c in range(n, end):
+            rows[c] = list(map(sigma.__getitem__, rows[c - n]))
+    order, seen = [0], {0}  # the classes in breadth-first order
+    for c in order:
+        if len(order) == h:
+            break
+        new = [x for x in dict.fromkeys(map(rows[c].__getitem__, primes)) if x not in seen]
+        seen.update(new)
+        order.extend(new)
+    number = sorted(range(h), key=order.__getitem__)  # class -> its place in order
+    table = tuple(tuple(map(number.__getitem__, map(rows.pop(c).__getitem__, order))) for c in order)
+    reps = tuple(QuadIdeal(field, a, _form_b(field, a, b), 1) for a, b in map(reps.__getitem__, order))
+    forms = {f: number[c] for f, c in forms.items()}
+    return ClassGroupReport(field, h, reps, table, _invariant_factors(table), forms)

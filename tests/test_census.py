@@ -226,6 +226,15 @@ def test_byte_lanes_hold_every_count_prime_to_6():
     assert max(d for n, d in shapes if n <= arith.MAX_TABLE) == 144
 
 
+def test_planes_are_the_bytes_of_c_x():
+    # c * x for x = 0 .. 255 in 16-bit lanes carries into no other lane
+    # while c * 255 < 2^16; the table's c = a(2^a) a(3^b) stays at or below
+    # (a + 1)(b + 1) <= 130 over 2^a 3^b <= MAX_TABLE
+    assert max((a + 1) * (b + 1) for a in range(27) for b in range(17) if 2**a * 3**b <= arith.MAX_TABLE) == 130
+    for c in range(257):
+        assert census._planes(c) == (bytes(c * x & 255 for x in range(256)), bytes(c * x >> 8 for x in range(256))), c
+
+
 class TestChiTile:
     """The one chi_d tile: chi_d(i) + 1 for i < n, a full period at n = |d|
     and a prefix below it, from one symbol per prime below n."""

@@ -370,6 +370,12 @@ def test_invariant_factors_from_p_power_torsion_counts():
         assert _invariant_factors(table) == chain
 
 
+def report_line(m):
+    r = class_group(ring_of_integers(m))
+    reps = [(i.a, i.b, i.c) for i in r.representatives]
+    return repr((m, r.h, reps, r.table, r.structure, sorted(r.forms.items())))
+
+
 class TestPrimeFormsWithoutSplitting:
     """class_group takes the forms of the prime ideals below the Minkowski
     bound from chi_d(q) and prime_form, and builds no split_prime report."""
@@ -392,14 +398,68 @@ class TestPrimeFormsWithoutSplitting:
         assert calls == []
 
     def test_reports_unchanged(self):
-        parts = []
-        for m in [*range(-600, 601), 1000000007]:
-            try:
-                field = ring_of_integers(m)
-            except ValueError:
-                continue
-            r = class_group(field)
-            reps = [(i.a, i.b, i.c) for i in r.representatives]
-            parts.append(repr((m, r.h, reps, r.table, r.structure, sorted(r.forms.items()))))
+        parts = [report_line(f.m) for f in squarefree_fields(-600, 600)] + [report_line(1000000007)]
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
         assert (len(parts), digest) == (732, self.REPORTS)
+
+
+# every square-free m in [-1000, -2] and [2, 3000], then -10000019 and
+# 1000000007, in blocks of 200 fields: (first m, last m, sha256 prefix of
+# their report lines), as written when the classes came from a
+# breadth-first search over h x (prime forms) compositions
+REPORT_FIELDS = [f.m for f in squarefree_fields(-1000, -2) + squarefree_fields(2, 3000)] + [-10000019, 1000000007]
+REPORT_BLOCKS = (
+    (-998, -670, "3ad576168569965d"),
+    (-669, -341, "cee5b7abd5452a4e"),
+    (-339, -13, "c5117a27ecbc0a03"),
+    (-11, 317, "5f5aa126878360dc"),
+    (318, 646, "e1832644811a4fa7"),
+    (647, 977, "03b07c5434c34591"),
+    (978, 1302, "ebcc0a68a4726785"),
+    (1303, 1627, "495ef433f2b0cc09"),
+    (1630, 1966, "578b6077d8559308"),
+    (1967, 2291, "58b06745fcc0a02c"),
+    (2293, 2618, "66e21845b69eff0e"),
+    (2621, 2951, "36b4d248a18f5244"),
+    (2953, 1000000007, "c2e3ac0e03edfdea"),
+)
+
+
+class TestCosetGeneration:
+    """class_group builds the group coset by coset from its generators and
+    numbers the classes as the breadth-first search over the primes did."""
+
+    @pytest.mark.parametrize(
+        "block", range(len(REPORT_BLOCKS)), ids=[f"{a}..{b}" for a, b, _ in REPORT_BLOCKS]
+    )
+    def test_reports_unchanged(self, block):
+        first, last, digest = REPORT_BLOCKS[block]
+        ms = REPORT_FIELDS[200 * block : 200 * block + 200]
+        assert (ms[0], ms[-1]) == (first, last)
+        lines = "\n".join(map(report_line, ms))
+        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "m, h, structure",
+        [
+            (-10000019, 1275, (1275,)),
+            (-1000003, 105, (105,)),
+            (-602, 24, (2, 12)),
+            (-741, 24, (2, 2, 6)),
+            (10000019, 7, (7,)),
+        ],
+    )
+    def test_compositions_within_h_log_h(self, monkeypatch, m, h, structure):
+        # at most h - 1 to build the cosets and h per generator for the
+        # permutations, with at most log2(h) generators
+        calls = []
+        compose = quadring._compose
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(quadring, "_compose", counted)
+        rep = class_group(ring_of_integers(m))
+        assert (rep.h, rep.structure) == (h, structure)
+        assert len(calls) <= h * (h.bit_length() + 1)

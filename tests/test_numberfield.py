@@ -15,7 +15,7 @@ from quadrantal.numberfield import (
     primitive_element_shift,
     tuple_discriminant,
 )
-from quadrantal.polynomial import Poly
+from quadrantal.polynomial import Poly, poly_divmod, poly_xgcd
 
 
 def P(*coeffs):
@@ -63,6 +63,46 @@ class TestElementArithmetic:
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
             SQRT2.zero().inverse()
+
+
+class TestMonicReduction:
+    """poly_divmod by a monic minimal polynomial takes each quotient
+    coefficient as it stands, with no exact_div.  Elements, products and
+    inverses keep the remainders of the division by 2f, which still runs
+    through exact_div and leaves the same remainder: the same values and the
+    same int or Fraction coefficients."""
+
+    FIELDS = (P(-3, 1), SQRTM5.minpoly, P(2, 0, 0, 0, 0, 1), P(*[1] * 11))  # degrees 1, 2, 5 and Phi_11
+
+    @staticmethod
+    def poly(rng, degree, rational):
+        def coeff():
+            c = rng.randint(-30, 30)
+            return Fraction(c, rng.randint(1, 12)) if rational else c
+
+        return Poly([coeff() for _ in range(degree + 1)])
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"degree{f.degree}")
+    def test_remainders_by_2f(self, f, rational):
+        field, twice = NumberField(f), f.scale(2)
+
+        def same(got, p):
+            r = poly_divmod(p, twice)[1]
+            assert got == r and list(map(type, got.coeffs)) == list(map(type, r.coeffs)), p
+
+        rng = random.Random(f.degree * 2 + rational)
+        for _ in range(40):
+            p = self.poly(rng, rng.randint(0, 2 * f.degree + 3), rational)
+            q, r = poly_divmod(p, f)
+            assert q * f + r == p and r.degree < f.degree
+            same(field.element(p).repr, p)
+            a = field.element(self.poly(rng, f.degree - 1, rational))
+            b = field.element(self.poly(rng, f.degree - 1, rational))
+            same((a * b).repr, a.repr * b.repr)
+            if not a.is_zero():
+                same(a.inverse().repr, poly_xgcd(a.repr, f)[1])
+                assert a * a.inverse() == field.one()
 
 
 class TestTraceNorm:

@@ -19,7 +19,11 @@ the root of the checkout with:
   jobs of every run of that side, so that a kind's change can be read
   against its spread: the template of a cli request; the family of a compute job,
   with class groups split into imaginary and real fields and the census into
-  the sieve and per-class kinds;
+  the sieve and per-class kinds.  Beside them, base_total_ms and
+  change_total_ms: the median over the runs of a side of the kind's summed
+  ref_ms in each run, the kind's share of a run even where a few slow jobs
+  skew it (h = 16 and 24 class groups, Phi_11), which a median job time
+  times the job count understates;
 - every run's metrics, seed and order;
 - the machine details that perfbench recorded, and `wc -l` of
   src/quadrantal/*.py on both sides.
@@ -108,15 +112,18 @@ def job_times(workload: str, record: dict) -> dict[str, list[float]]:
 
 
 def kind_medians(runs: list[dict], workload: str) -> dict[str, dict]:
-    """{kind: the median ref_ms of each side, its quartiles and the number of
-    jobs}; both sides run the same seeds, so the same jobs."""
+    """{kind: the median ref_ms of each side, its quartiles, the median over
+    runs of the kind's total ref_ms per run and the number of jobs}; both
+    sides run the same seeds, so the same jobs."""
     out = {}
     for kind in sorted(runs[0]["base"]["job_ms"][workload]):
-        times = {side: [t for r in runs for t in r[side]["job_ms"][workload][kind]] for side in ("base", "change")}
-        out[kind] = {"jobs": len(times["base"])}
-        for side, ts in times.items():
+        per_run = {side: [r[side]["job_ms"][workload][kind] for r in runs] for side in ("base", "change")}
+        out[kind] = {"jobs": sum(map(len, per_run["base"]))}
+        for side, runs_ts in per_run.items():
+            ts = [t for run_ts in runs_ts for t in run_ts]
             quartiles = statistics.quantiles(ts, n=4)
-            out[kind] |= {f"{side}_ms": statistics.median(ts), f"{side}_quartiles": [quartiles[0], quartiles[2]]}
+            out[kind] |= {f"{side}_ms": statistics.median(ts), f"{side}_quartiles": [quartiles[0], quartiles[2]],
+                          f"{side}_total_ms": statistics.median(map(sum, runs_ts))}
     return out
 
 

@@ -66,13 +66,15 @@ k^(-1/2) error law without pretending to know its constant.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, primes_up_to, record
-from .quadring import ClassGroupReport, QuadraticField, _cycle, class_group
+from .forms import ClassGroupReport, _cycle, class_group
+from .quadring import QuadraticField
 from .units import regulator_decimal, torsion_order
 
 BLOCK = 1 << 14  # lanes of a row per block of a strided pass
@@ -90,6 +92,23 @@ def _check_table_size(entries: int) -> None:
         raise ValueError(f"cutoff needs a table of {entries} entries, over the cap {MAX_TABLE}")
 
 
+_open = [0]  # census entries running, nested ones included
+
+
+@contextmanager
+def _sharing_tile():
+    """Calls inside share _chi_tile's last tile (census_check's Z(k) and sieve),
+    and the outermost drops it: no tile of up to 10^8 bytes outlives a census."""
+    _open[0] += 1
+    try:
+        yield
+    finally:
+        _open[0] -= 1
+        if not _open[0]:
+            _chi_tile.cache_clear()
+
+
+@_sharing_tile()
 def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0),
     by the Euler product on the rows of the n prime to 6 (_euler_product)."""
@@ -104,7 +123,7 @@ def _chi_tile(d: int, n: int) -> bytes:
     """chi_d(i) + 1 for i = 0 .. n - 1 (n <= |d|), by complete
     multiplicativity from one symbol arith.kronecker(d, q) per prime q < n:
     one period of chi_d when n = |d|, a prefix when n < |d|.  The last tile
-    is kept, because census_check reads it for Z(k) and for the sieve."""
+    is kept while a census entry runs (_sharing_tile)."""
     tile = bytearray([2]) * n
     tile[0] = 1
     for q in chain(range(2, min(n, 3)), compress(range(1, n, 2), odd_sieve(n))):  # q < n
@@ -315,6 +334,7 @@ class CensusResult:
         return out
 
 
+@_sharing_tile()
 def census_check(
     field: QuadraticField,
     k: int,
@@ -331,6 +351,7 @@ def census_check(
     return result
 
 
+@_sharing_tile()
 def _census(field, k, per_class, report, precision) -> CensusResult:
     """census_check's result with no table: Z(k) is the hyperbola sum, and the
     per-class totals, sums of run lengths (_class_totals), must sum to it."""
@@ -464,6 +485,7 @@ def _run(row: list, n: int, step: int, second: int, count: int) -> None:
             row[f] += 1
 
 
+@_sharing_tile()
 def checkpoint_ratios(field: QuadraticField, k: int):
     """(k', Z(k')/k') at logarithmic checkpoints, for external plotting: each
     Z(k') the hyperbola sum on the chi_d tile of k, with no table."""

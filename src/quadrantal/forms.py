@@ -1,0 +1,333 @@
+"""Classes of quadratic ideals as binary quadratic forms: reduction, the
+rho-cycle, principality and the class group.
+
+The primitive ideal Z*a + Z*(b + w) has the norm form (a, B, C) of
+discriminant d, B = 2b (+1 when m = 1 mod 4), C = N(b + w)/a.  One
+reduction operator, the rho-step J -> (conj(tau)/N(J)) * J, takes it to the
+Gauss-reduced form (imaginary; one per class) or onto the rho-cycle of
+reduced ideals (real; the least (a, b) on it stands for the class).
+Principality is "reduces to (1)"; the quotients of the steps fold into a
+pair of integer convergents that gives the generator, and units reads the
+fundamental unit off the cycle of (1) the same way.  Class products are
+quadring's Dirichlet composition of forms, and the class group grows coset
+by coset from the prime forms below the Minkowski bound.  No float decides
+any of it (Cohen, GTM 138, 5.3-5.7; Buchmann and Vollmer, Binary Quadratic
+Forms, ch. 6 and 9).
+"""
+
+from __future__ import annotations
+
+import math
+
+from .arith import MAX_PERIOD, PeriodOverflow, factorize, kronecker, primes_up_to, record
+from .quadring import (
+    QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, minkowski_floor, prime_form,
+    principal_ideal, unit_ideal, unit_inverse,
+)
+
+
+def _normalize(r: int, a: int, big_b: int) -> int:
+    """B moved by a multiple of 2a into (-a, a], or into (sqrt(d) - 2a, sqrt(d))
+    when d > 0 and a < sqrt(d); r = isqrt(d) for d > 0 and 0 for d < 0."""
+    lo = r + 1 - 2 * a if a <= r else 1 - a
+    return lo + (big_b - lo) % (2 * a)
+
+
+def _rho(field: QuadraticField, r: int, a: int, big_b: int) -> tuple[int, int, int, int]:
+    """One rho-step.  J = Z*a + Z*tau, tau = (B + sqrt(d))/2, goes to the
+    equivalent (conj(tau)/a) * J = Z*a' + Z*(B' + sqrt(d))/2, with a' = |C|
+    for C = N(tau)/a, and B' = -B normalized mod 2a'.  Returns (a', B', t, s)
+    with the quotient t = (B + B')/(2a') and s = sign C: psi = tau/a steps
+    to psi' = t - s/psi (see _generator)."""
+    c = (big_b * big_b - field.d) // (4 * a)
+    a = abs(c)
+    b = _normalize(r, a, -big_b)
+    return a, b, (big_b + b) // (2 * a), 1 if c > 0 else -1
+
+
+def _reduce(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
+    """(a, B) of a reduced form in the class of the ideal I0 of (a, B).
+
+    N(x*a + y*tau) = a*(a x^2 + B x y + C y^2), so the form is the norm form
+    of I0 = Z*a + Z*tau.  Imaginary fields stop at the Gauss-reduced form
+    |B| <= a <= C (B >= 0 when a = C), real fields at the first form with
+    |sqrt(d) - 2a| < B < sqrt(d).  It moves forms only; is_principal
+    retraces its rho-steps to fold their quotients into a generator.
+    """
+    d = field.d
+    r = math.isqrt(d) if d > 0 else 0
+    big_b = _normalize(r, a, big_b)
+    while True:
+        if d < 0:
+            c = (big_b * big_b - d) // (4 * a)
+            if a < c or (a == c and big_b >= 0):
+                return a, big_b
+        elif max(r + 1 - 2 * a, 2 * a - r) <= big_b <= r:
+            return a, big_b
+        a, big_b, _, _ = _rho(field, r, a, big_b)
+
+
+def _cycle(field: QuadraticField, a: int, big_b: int, cap: int | None = None):
+    """The rho-cycle of the reduced real form (a, B): yields (a, B, t, s) for
+    every reduced ideal of the class, once, with the quotient t and sign
+    s = -1 of the rho-step leaving it.  A cycle of more than cap forms
+    (MAX_PERIOD if None) raises PeriodOverflow once cap have been yielded."""
+    r = math.isqrt(field.d)
+    cap = MAX_PERIOD if cap is None else cap
+    start = (a, big_b)
+    for _ in range(cap):
+        a2, b2, t, s = _rho(field, r, a, big_b)
+        yield a, big_b, t, s
+        if (a2, b2) == start:
+            return
+        a, big_b = a2, b2
+    raise PeriodOverflow(f"period exceeds cap {cap}")
+
+
+def _generator(field: QuadraticField, a: int, big_b: int, steps) -> QuadInt:
+    """alpha = a * psi_0 * ... * psi_(k-1), psi_i = (B_i + sqrt(d))/(2 a_i),
+    for the k rho-steps (., ., t_i, s_i) of `steps` from the normalized form
+    (a, B) = (a_0, B_0) of I0: the form reached is (conj(alpha)/a) * I0.
+
+    psi_(i+1) = t_i - s_i/psi_i, so P_k = psi_0 ... psi_(k-1) obeys
+    P_(i+2) = t_i P_(i+1) - s_i P_i from P_0 = 1, P_1 = psi_0, and each P_k
+    is u*psi_0 + v with integer convergents u, v.  alpha = u*tau + v*a for
+    tau = (B + sqrt(d))/2 is then one QuadInt, with no division left.
+    """
+    u0, v0, u1, v1 = 0, 1, 1, 0  # P_0 = 1, P_1 = psi_0
+    for _, _, t, s in steps:
+        if s > 0:  # C > 0: imaginary fields, and some steps of a real reduction
+            u0, v0 = -u0, -v0
+        u0, v0, u1, v1 = u1, v1, t * u1 + u0, t * v1 + v0
+    return field.integer(u0 * ((big_b - (field.d & 1)) // 2) + v0 * a, u0)
+
+
+def _class_forms(field: QuadraticField, a: int, big_b: int):
+    """(least, forms): the reduced forms of the class of the reduced form
+    (a, B), itself (imaginary) or its rho-cycle (real), and the least (a, b)
+    among them, which stands for the class (a real cycle holds every
+    primitive ideal of the class below sqrt(d)/2, so its least norm)."""
+    forms = [(a, big_b)] if field.d < 0 else [s[:2] for s in _cycle(field, a, big_b)]
+    return min(forms, key=lambda s: (s[0], _form_b(field, *s))), forms
+
+def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
+    """The canonical ideal of the class of I: the Gauss-reduced form
+    (imaginary) or the least (a, b) on the rho-cycle (real, PeriodOverflow
+    above MAX_PERIOD forms); the zero ideal is returned unchanged."""
+    if i.is_zero():
+        return i
+    a, big_b = _class_forms(i.field, *_reduce(i.field, *_form(i)))[0]
+    return QuadIdeal(i.field, a, _form_b(i.field, a, big_b), 1)
+
+
+def is_principal(i: QuadIdeal):
+    """A generator of I when I is principal, else None.
+
+    I = c*I0 is principal when I0 reduces to (1): the reduced form is
+    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once,
+    up to (1)).  The quotients of the rho-steps from I0 to (1) fold into the
+    integer pair of one generator of I0 (_generator), times c.  Among its
+    associates the one returned has the least y >= 0 in x + y*w, a positive
+    norm before a negative one, then the larger x; real fields only take the
+    positive associates.  The certificate (gen) = I is checked.  A real
+    rho-cycle of more than MAX_PERIOD forms raises PeriodOverflow.
+    """
+    if i.is_zero():
+        raise ValueError("the zero ideal has no generator")
+    field = i.field
+    d = field.d
+    a0, big_b0 = _form(i)
+    if a0 == 1:
+        return field.integer(i.c, 0)
+    # retrace the reduction's rho-steps for their quotients
+    r = math.isqrt(d) if d > 0 else 0
+    big_b0 = _normalize(r, a0, big_b0)
+    reduced = _reduce(field, a0, big_b0)
+    a, big_b, steps = a0, big_b0, []
+    while (a, big_b) != reduced:
+        steps.append(_rho(field, r, a, big_b))
+        a, big_b = steps[-1][:2]
+    if d < 0:
+        from .units import torsion_units
+
+        if a != 1:
+            return None
+        alpha = _generator(field, a0, big_b0, steps)
+        cands = [alpha * z for z in torsion_units(field)]
+    else:
+        for step in _cycle(field, a, big_b):
+            if step[0] == 1:
+                break
+            steps.append(step)
+        else:
+            return None
+        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0)
+    x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
+    gen = field.integer(i.c * x.a, i.c * x.b)
+    if principal_ideal(field, gen) != i:
+        raise ArithmeticError(f"{gen} does not generate {i}")
+    return gen
+
+
+def _balanced_associates(gen: QuadInt, t: int) -> list[QuadInt]:
+    """The positive associates h/lam, h, h*lam of gen, lam > 1 the
+    fundamental unit and h the least one with h >= sqrt(t).
+
+    y is proportional to h - t/h (norm t), increasing in h and >= 0 from
+    sqrt(t) on, or to h + t/h (norm -t), least near sqrt(t); so every other
+    positive associate has a negative y or a larger one than one of these.
+    """
+    from .units import fundamental_unit
+
+    field = gen.field
+    unit = fundamental_unit(field)
+    inv = unit_inverse(unit)
+    h = gen if gen.sign_real() > 0 else -gen
+
+    def below_root_t(x):
+        return (x * x - field.integer(t)).sign_real() < 0
+
+    while below_root_t(h):
+        h = h * unit
+    while not below_root_t(h * inv):
+        h = h * inv
+    return [h * inv, h, h * unit]
+
+
+@record(hidden=("forms",))
+class ClassGroupReport:
+    """The class group: h, one representative per class (the principal
+    class first), the composition table of class indices and the invariant
+    factors.
+
+    `forms` maps every reduced form (a, B) of discriminant d to the index of
+    its class: an imaginary class holds one (its Gauss-reduced form), a real
+    class the forms on one rho-cycle.  class_group fills it as it meets each
+    class, so locating an ideal or a form is one reduction and a lookup.
+    """
+
+    field: QuadraticField
+    h: int
+    representatives: tuple  # QuadIdeal, principal class first
+    table: tuple            # h x h composition table of class indices
+    structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
+    forms: dict             # (a, B) -> class; not compared, hashed or shown
+
+    def reduced_form(self, k: int) -> tuple[int, int, int]:
+        """(a, B, C): a reduced form of the primitive ideal of class k's
+        representative."""
+        a, big_b = _reduce(self.field, *_form(self.representatives[k]))
+        return a, big_b, (big_b * big_b - self.field.d) // (4 * a)
+
+    def form_class(self, a: int, big_b: int) -> int:
+        """Index of the class of the primitive ideal with form (a, B)."""
+        k = self.forms.get(_reduce(self.field, a, big_b))
+        if k is None:
+            raise ArithmeticError(f"the form ({a}, {big_b}) reduces outside every class")
+        return k
+
+    def class_index(self, i: QuadIdeal) -> int:
+        """Index of the class containing the given nonzero ideal."""
+        if i.field != self.field or i.is_zero():
+            raise ValueError(f"{i} is not a nonzero ideal of {self.field}")
+        return self.form_class(*_form(i))
+
+    def to_json_dict(self):
+        return {
+            "schema_version": 1,
+            "m": self.field.m,
+            "h": self.h,
+            "structure": list(self.structure),
+            "representatives": [r.to_json_dict() for r in self.representatives],
+            "table": [list(row) for row in self.table],
+        }
+
+
+def _invariant_factors(table) -> tuple:
+    """Invariant factors d1 | d2 | ... of the group with this table.
+
+    |G[p^k]| = p^(sum_j min(e_j, k)) over the cyclic p-parts Z/p^(e_j), so
+    |G[p^k]| / |G[p^(k-1)]| = p^r counts the r parts of order >= p^k, and
+    each of the r largest invariant factors takes one more p.
+    """
+    h = len(table)
+    orders = []
+    for x in range(h):
+        y, k = x, 1
+        while y != 0:
+            y = table[y][x]
+            k += 1
+        orders.append(k)
+    parts = [1] * h.bit_length()  # parts[j]: the (j+1)-th largest factor
+    for p, e in factorize(h) if h > 1 else ():
+        sizes = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
+        for k in range(1, e + 1):
+            j = 0
+            while sizes[k] >= sizes[k - 1] * p ** (j + 1):
+                parts[j] *= p
+                j += 1
+    return tuple(d for d in reversed(parts) if d > 1)
+
+
+def class_group(field: QuadraticField) -> ClassGroupReport:
+    """Class group from the primes below the Minkowski bound, coset by coset.
+
+    Prime classes generate the group (every class holds an ideal of norm at
+    or below the bound, and such an ideal factors into primes of small
+    norm).  A prime form whose reduction misses the form -> class dict lies
+    outside the subgroup H met so far and becomes a generator g: it adds the
+    cosets H*g, H*g^2, ... until g^e is back in H, each new class one
+    composition of its parent with g, its rho-cycle walked once into the
+    dict and its least (a, b) its representative.  Each generator's
+    permutation c -> class(c*g) gives every table row from its parent's,
+    and a breadth-first search over the primes, replayed on the rows,
+    numbers the classes: h*(generators + 1) <= h*log2(2h) compositions at
+    most, not h*(primes).  A rho-cycle over MAX_PERIOD forms raises
+    PeriodOverflow; the principal cycle is walked first.
+    """
+    d = field.d
+    forms = {}  # every reduced form met so far -> its class, in coset order
+    reps = []   # (a, B) of each class's representative
+
+    def add(key):
+        least, cycle = _class_forms(field, *key)
+        forms.update(dict.fromkeys(cycle, len(reps)))
+        reps.append(least)
+
+    def times(c: int, g) -> tuple[int, int]:
+        return _reduce(field, *_compose(d, *reps[c], *g)[:2])
+
+    # the principal cycle first: a period over MAX_PERIOD fails before the
+    # prime ideals below the Minkowski bound are split
+    add(_reduce(field, *_form(unit_ideal(field))))
+    gens, primes = [], []  # (g, |H| before g, |H| after g); each prime form's class
+    for q in primes_up_to(minkowski_floor(field)):
+        if kronecker(d, q) >= 0:  # an inert (q) is principal, generates nothing
+            big_b = prime_form(field, q)[1]  # (q, +-B mod 2q): split_prime's primes
+            for b in sorted({big_b % (2 * q), -big_b % (2 * q)}):
+                key, g = _reduce(field, q, b), (q, b)
+                if key not in forms:  # class n = |H| is g, class n + c is c*g
+                    n = len(reps)
+                    add(key)
+                    while (power := times(len(reps) - n, g)) not in forms:
+                        add(power)
+                    gens.append((g, n, len(reps)))
+                primes.append(forms[key])
+    h = len(reps)
+    rows = {0: list(range(h))}  # rows[c][x] = class(c*x); each popped as its table row is built
+    for g, n, end in gens:  # c*g is class c + n for c < end - n
+        sigma = [*range(n, end), *(forms[times(c, g)] for c in range(end - n, h))]
+        for c in range(n, end):
+            rows[c] = list(map(sigma.__getitem__, rows[c - n]))
+    order, seen = [0], {0}  # the classes in breadth-first order
+    for c in order:
+        if len(order) == h:
+            break
+        new = [x for x in dict.fromkeys(map(rows[c].__getitem__, primes)) if x not in seen]
+        seen.update(new)
+        order.extend(new)
+    number = sorted(range(h), key=order.__getitem__)  # class -> its place in order
+    table = tuple(tuple(map(number.__getitem__, map(rows.pop(c).__getitem__, order))) for c in order)
+    reps = tuple(QuadIdeal(field, a, _form_b(field, a, b), 1) for a, b in map(reps.__getitem__, order))
+    forms = {f: number[c] for f, c in forms.items()}
+    return ClassGroupReport(field, h, reps, table, _invariant_factors(table), forms)

@@ -3,7 +3,7 @@
 Imaginary fields carry only roots of unity (4 of them for m = -1, 6 for
 m = -3, otherwise just +-1).  Real fields have the rank-1 group {+-lam^k}.
 The fundamental unit lam > 1 and the continued fraction of w both come
-from the principal rho-cycle of quadring, the cycle of reduced forms
+from the principal rho-cycle of forms.py, the cycle of reduced forms
 through (1): its quotients are the period of w, and the generator carried
 once round it, as a pair of integer convergents, is lam.  So half-integer
 units like (1+sqrt(5))/2 appear directly in the integral basis.  Pell's
@@ -17,7 +17,8 @@ from decimal import Context, Decimal, localcontext
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import ln_unit, nstr, record
-from .quadring import QuadInt, QuadraticField, _cycle, _generator, _reduce, unit_inverse
+from .forms import _cycle, _generator, _reduce
+from .quadring import QuadInt, QuadraticField, unit_inverse
 
 
 # (w, coordinates of the torsion generator) of the rings with roots of unity

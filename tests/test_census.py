@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from quadrantal import arith, census, quadring
+from quadrantal import arith, census, forms, quadring
 from quadrantal.census import (
     BLOCK,
     census_check,
@@ -262,6 +262,35 @@ class TestChiTile:
         census_check(field, k)
         primes = [q for q in range(2, k + 1) if all(q % p for p in range(2, math.isqrt(q) + 1))]
         assert sorted(calls) == primes
+
+    @pytest.mark.parametrize("entry, k", [
+        (census_check, 10**6),
+        (lambda field, k: census._census(field, k, False, None, 30), 10**5),
+        (census.checkpoint_ratios, 10**5),
+        (ideal_count_sieve, 10**5),
+    ], ids=["census_check", "_census", "checkpoint_ratios", "ideal_count_sieve"])
+    def test_no_entry_keeps_the_tile(self, entry, k):
+        # a long-lived process keeps no tile (up to 10^8 bytes) once a
+        # census entry returns
+        entry(ring_of_integers(1000003), k)
+        assert census._chi_tile.cache_info().currsize == 0
+
+    def test_a_cli_census_builds_one_tile_and_drops_it(self, tmp_path, capsys, monkeypatch):
+        # Z(k) and the --csv marks share the tile (one symbol per prime below
+        # n = k + 1), and an in-process request leaves none behind
+        from quadrantal.cli import main
+
+        calls = []
+
+        def spy(d, q):
+            calls.append(q)
+            return arith.kronecker(d, q)
+
+        monkeypatch.setattr(census, "kronecker", spy)
+        assert main(["census", "--m", "1000003", "--k", "10000", "--csv", str(tmp_path / "z.csv")]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == len(arith.primes_up_to(10000))
+        assert census._chi_tile.cache_info().currsize == 0
 
 
 def divisor_sum(d, n):
@@ -676,6 +705,7 @@ class TestRealPerClassLocatesNoPrime:
             pytest.fail("a prime ideal was located by its form")
 
         monkeypatch.setattr(quadring, "prime_form", locate)
+        monkeypatch.setattr(forms, "prime_form", locate)
         monkeypatch.setattr(census, "prime_form", locate, raising=False)
         monkeypatch.setattr(ClassGroupReport, "form_class", locate)
         assert per_class_counts(field, k, report) == expected

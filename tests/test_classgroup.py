@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quadrantal import quadring
+from quadrantal import forms, quadring
 from quadrantal.arith import PeriodOverflow
 from quadrantal.quadring import (
     QuadInt,
@@ -185,28 +185,26 @@ class TestReductionOracles:
 
     def test_each_cycle_walked_once(self, monkeypatch):
         # one rho-cycle walk per class, none per (class x prime) product
-        from quadrantal import quadring
-
         calls = []
-        walk = quadring._cycle
+        walk = forms._cycle
 
         def counted(*args):
             calls.append(args[1:3])
             return walk(*args)
 
-        monkeypatch.setattr(quadring, "_cycle", counted)
+        monkeypatch.setattr(forms, "_cycle", counted)
         rep = class_group(ring_of_integers(10000019))
         assert rep.h == 7 and len(calls) == 7
 
     def test_real_is_principal_walks_the_cycle_once(self, monkeypatch):
         calls = []
-        walk = quadring._cycle
+        walk = forms._cycle
 
         def counted(*args):
             calls.append(args[1:3])
             return walk(*args)
 
-        monkeypatch.setattr(quadring, "_cycle", counted)
+        monkeypatch.setattr(forms, "_cycle", counted)
         field = ring_of_integers(94)  # h = 1, a principal rho-cycle of 16 forms
         for x in (field.integer(3, 1), field.integer(5, 2), field.integer(0, 1)):
             calls.clear()
@@ -336,20 +334,20 @@ class TestCyclePeriodCap:
     def test_cap_admits_its_own_period(self, monkeypatch):
         field = ring_of_integers(94)  # principal rho-cycle of 16 reduced forms
         key = self.principal_cycle(field)
-        monkeypatch.setattr(quadring, "MAX_PERIOD", 16)
+        monkeypatch.setattr(forms, "MAX_PERIOD", 16)
         assert len(list(quadring._cycle(field, *key))) == 16
-        monkeypatch.setattr(quadring, "MAX_PERIOD", 15)
+        monkeypatch.setattr(forms, "MAX_PERIOD", 15)
         with pytest.raises(PeriodOverflow, match="period exceeds cap 15"):
             list(quadring._cycle(field, *key))
 
     def test_every_walk_is_capped(self, monkeypatch):
-        monkeypatch.setattr(quadring, "MAX_PERIOD", 15)
+        monkeypatch.setattr(forms, "MAX_PERIOD", 15)
         field = ring_of_integers(94)
         with pytest.raises(PeriodOverflow):
             class_group(field)
         with pytest.raises(PeriodOverflow):
             reduced_equivalent(principal_ideal(field, field.integer(3, 1)))
-        monkeypatch.setattr(quadring, "MAX_PERIOD", 2)
+        monkeypatch.setattr(forms, "MAX_PERIOD", 2)
         field = ring_of_integers(10)  # (2, w) is not principal; its cycle has 3 forms
         with pytest.raises(PeriodOverflow):
             is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)]))
@@ -453,13 +451,13 @@ class TestCosetGeneration:
         # at most h - 1 to build the cosets and h per generator for the
         # permutations, with at most log2(h) generators
         calls = []
-        compose = quadring._compose
+        compose = forms._compose
 
         def counted(*args):
             calls.append(args)
             return compose(*args)
 
-        monkeypatch.setattr(quadring, "_compose", counted)
+        monkeypatch.setattr(forms, "_compose", counted)
         rep = class_group(ring_of_integers(m))
         assert (rep.h, rep.structure) == (h, structure)
         assert len(calls) <= h * (h.bit_length() + 1)

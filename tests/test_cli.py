@@ -773,6 +773,72 @@ def imported_modules(*argv):
     }
 
 
+# What `python -m quadrantal.cli` runs (runpy._run_module_as_main); at exit,
+# the last line of stderr is the JSON pair of the quadrantal modules loaded
+# and the number of module objects made from cli.py, one per compile of it.
+LOAD_PROBE = """
+import atexit, json, os, runpy, sys
+
+def probe_report():
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "quadrantal")
+    copies = {id(m) for m in list(sys.modules.values())
+              if os.path.basename(getattr(m, "__file__", None) or "") == "cli.py"}
+    print(json.dumps([loaded, len(copies)]), file=sys.stderr)
+
+atexit.register(probe_report)
+runpy._run_module_as_main("quadrantal.cli")
+"""
+
+
+def probe_request(*argv):
+    """(exit code, stderr lines before the report, quadrantal modules loaded,
+    copies of cli.py) of one request in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True, text=True)
+    *errors, report = proc.stderr.splitlines()
+    loaded, copies = json.loads(report)
+    return proc.returncode, errors, {m.removeprefix("quadrantal.") for m in loaded}, copies
+
+
+class TestRequestLoads:
+    """Each request loads the layers it runs and its own handler module, and
+    compiles cli.py once: the handler modules import InputError from the
+    running cli, not from a second copy."""
+
+    BASE = {"quadrantal", "cli"}
+    QUAD = BASE | {"arith", "quadring", "cli_quad"}
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["quad", "split", "--m", "-5", "--q", "3"], QUAD),
+        (["quad", "ring", "--m", "-5"], QUAD),
+        (["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"], QUAD),
+        (["quad", "classgroup", "--m", "4"], QUAD),  # not square-free: exit 3
+        (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"arith", "polynomial", "cli_poly"}),
+        (["cyclo", "lists"], BASE | {"arith", "cyclotomic", "cli_poly"}),
+        (["frobnicate"], BASE),
+        (["census", "--m", "-5", "--k", "300"],
+         BASE | {"arith", "quadring", "forms", "units", "census", "cli_units"}),
+    ])
+    def test_modules_loaded_and_cli_compiled_once(self, argv, extra):
+        code, errors, loaded, copies = probe_request(*argv)
+        assert loaded == extra, (argv, errors)
+        assert copies == 1
+
+    def test_probing_a_missing_name_imports_nothing(self):
+        # a typo or a getattr(..., None) probe on cli or quadring loads no
+        # handler module and no form layer
+        probe = ("import sys; from quadrantal import cli, quadring; "
+                 "hasattr(cli, 'typo'); getattr(quadring, 'typo', None); "
+                 "print(sorted(m for m in sys.modules if m.startswith('quadrantal')))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+        assert json.loads(out.replace("'", '"')) == ["quadrantal", "quadrantal.arith", "quadrantal.cli",
+                                                     "quadrantal.quadring"]
+
+    def test_bad_ideal_exits_2_with_one_line(self):
+        code, errors, loaded, _ = probe_request("quad", "factor", "--m", "-5", "--ideal", "bogus")
+        assert code == 2 and loaded == self.QUAD
+        assert errors == ["error: ideal must be '(gen, gen, ...)' or a JSON triple, got 'bogus'"]
+
+
 class TestStartup:
     HEAVY = {"mpmath", "quadrantal.quadring", "quadrantal.numberfield", "quadrantal.census"}
 

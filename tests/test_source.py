@@ -6,6 +6,7 @@ suite runs under python -O.
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,7 @@ def test_no_dataclasses_and_mpmath_only_in_its_functions(path):
         pytest.fail(f"{path.name} imports mpmath outside its functions: {bad}")
 
 
-@pytest.mark.parametrize("name", ["census.py", "quadring.py"])
+@pytest.mark.parametrize("name", ["census.py", "forms.py", "quadring.py"])
 def test_euler_criterion_only_in_arith(name):
     # chi_d(q) has one owner, arith.kronecker: no pow(d, e, q) elsewhere
     path = Path(quadrantal.__file__).parent / name
@@ -120,3 +121,54 @@ def test_traced_names_resolve():
     missing += [f"cli.{attr}" for attr in ("_HANDLERS", *tracer.CLI_SPANS) if not hasattr(cli, attr)]
     if missing:
         pytest.fail(f"the tracer's targets are missing: {missing}")
+
+
+# The names each module held when the form layer moved out of quadring and
+# the handlers out of cli (functions, classes, constants and the names they
+# import from other quadrantal modules); every one still resolves there.
+PINNED = {
+    "quadring": """MAX_PERIOD PI_BOUNDS PI_LO PeriodOverflow check_square_free factorize
+        floor_of_root_quotient is_prime kronecker nstr pi_decimal power primes_up_to record sqrt_mod
+        xgcd QuadraticField ring_of_integers QuadInt unit_inverse QuadIdeal zero_ideal unit_ideal
+        ideal_from_generators principal_ideal ideal_product ideal_gcd ideal_divides_and_quotient
+        ideal_pow SplittingReport splitting_kind prime_form split_prime factor_ideal _form _form_b
+        _normalize _rho _reduce _cycle _generator _class_forms _compose reduced_equivalent
+        is_principal _balanced_associates MinkowskiBound minkowski_floor minkowski_bound
+        ClassGroupReport _invariant_factors class_group""",
+    "cli": """TYPE_CHECKING InputError decimal_precision _PARSE_ERRORS parse_poly
+        parse_element_coords _QUADINT_TERM parse_quad_int parse_ideal emit _text_lines cmd_poly
+        _field_from_args cmd_field cmd_quad _verify_class_group _is_associative cmd_units cmd_pell
+        cmd_cyclo cmd_census _TEXT _INT _FLAG _FORMAT _IDEAL_PAIR COMMANDS build_parser
+        _add_actions _add_options _HANDLERS main""",
+    "census": """MAX_TABLE kronecker nstr odd_sieve pi_decimal primes_up_to record
+        ClassGroupReport QuadraticField _cycle class_group regulator_decimal torsion_order BLOCK
+        BYTE_LANES_BELOW _NEGATE _check_report _check_table_size ideal_count_sieve _chi_tile _tile
+        _ideal_total _hyperbola _euler_product _chi_row _multiply _spread _local _LANES _planes
+        sigma_decimal sigma_theoretical CensusResult census_check _census per_class_counts
+        _class_totals _point_runs _run checkpoint_ratios""",
+}
+
+
+@pytest.mark.parametrize("module", sorted(PINNED))
+def test_moved_names_still_resolve(module):
+    # a function or class resolves to the object its defining module holds
+    mod = importlib.import_module(f"quadrantal.{module}")
+    wrong = []
+    for name in PINNED[module].split():
+        value = getattr(mod, name, wrong)
+        home = getattr(value, "__module__", None) if callable(value) else None
+        if value is wrong or (home in sys.modules and getattr(sys.modules[home], value.__name__, None) is not value):
+            wrong.append(name)
+    if wrong:
+        pytest.fail(f"quadrantal.{module} no longer resolves {wrong}")
+
+
+def test_every_command_has_a_handler_and_every_export_resolves():
+    from quadrantal import cli
+
+    if set(cli._HANDLERS) != set(cli.COMMANDS) or not all(map(callable, cli._HANDLERS.values())):
+        pytest.fail(f"cli._HANDLERS {sorted(cli._HANDLERS)} against COMMANDS {sorted(cli.COMMANDS)}")
+    missing = [name for name, module in quadrantal._EXPORTS.items()
+               if getattr(quadrantal, name) is not getattr(importlib.import_module(f"quadrantal.{module}"), name)]
+    if missing:
+        pytest.fail(f"quadrantal exports that do not resolve: {missing}")

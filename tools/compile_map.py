@@ -1,0 +1,131 @@
+"""What each CLI request compiles against what it runs.
+
+    python3 tools/compile_map.py --seed N [--src DIR]
+
+For each template of perfbench's `cli_jobs(N)` round 0, runs the request as
+`python -m quadrantal.cli` would, in a fresh interpreter without cached
+bytecode and under a `sys.settrace` line hook, and prints per request:
+
+- the `quadrantal` modules it loads (the package itself is left out);
+- the code lines those modules compile: the distinct line numbers of their
+  bytecode, every nested function and class included, summed over the
+  compile() calls (a module compiled twice counts twice; so does cli.py,
+  whose count is shown when it is not 1);
+- the lines it executes: the distinct (file, line) pairs of those modules
+  that the line hook saw;
+- the compile() time of those modules, the least of 5 in this process.
+
+--src points at the src/ directory of another tree (a `git archive` of the
+parent, say), so the same requests can be mapped before and after a change.
+perfbench/ is imported from this checkout, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
+import workloads  # noqa: E402
+
+# Runs in the fresh interpreter: argv is [report path, package dir, request...].
+# Every compile() of a file under the package dir is counted, the import
+# system's included, so a module compiled twice is seen twice.
+PROBE = r"""
+import builtins, json, runpy, sys
+out, root, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+compiled, executed, real_compile = [], set(), builtins.compile
+
+def counting_compile(source, filename, *args, **kwargs):
+    if str(filename).startswith(root):
+        compiled.append(str(filename))
+    return real_compile(source, filename, *args, **kwargs)
+
+def lines(frame, event, arg):
+    if event == "line":
+        executed.add((frame.f_code.co_filename, frame.f_lineno))
+    return lines
+
+builtins.compile = counting_compile
+sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_filename.startswith(root) else None)
+sys.argv = ["quadrantal.cli", *argv]
+try:
+    runpy.run_module("quadrantal.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.settrace(None)
+mods = sorted(name for name in sys.modules if name.startswith("quadrantal."))
+with open(out, "w") as fh:
+    json.dump({"modules": mods, "compiled": compiled, "executed": sorted(executed)}, fh)
+"""
+
+
+def code_lines(path: str) -> set[int]:
+    """The line numbers that carry bytecode in the module at path."""
+    todo, found = [compile(Path(path).read_text(), path, "exec")], set()
+    while todo:
+        code = todo.pop()
+        found.update(line for _, _, line in code.co_lines() if line is not None)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return found
+
+
+def compile_ms(path: str) -> float:
+    source = Path(path).read_text()
+    times = []
+    for _ in range(5):
+        t0 = perf_counter()
+        compile(source, path, "exec")
+        times.append(perf_counter() - t0)
+    return min(times) * 1000
+
+
+def map_request(argv: list[str], src: Path, tmp: str) -> dict:
+    root = str(src / "quadrantal")
+    report = os.path.join(tmp, "report.json")
+    # an empty bytecode cache: every module the request imports is compiled
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": tmp, "PYTHONPATH": str(src)}
+    env.pop("QUADRANTAL_PRECISION", None)
+    subprocess.run([sys.executable, "-c", PROBE, report, root, *argv], cwd=tmp, env=env,
+                   capture_output=True, check=False)
+    data = json.loads(Path(report).read_text())
+    return {
+        "modules": [name.removeprefix("quadrantal.") for name in data["modules"]],
+        "cli_compiles": sum(Path(f).name == "cli.py" for f in data["compiled"]),
+        "code_lines": sum(len(code_lines(f)) for f in data["compiled"]),
+        "executed_lines": len({(f, line) for f, line in data["executed"]}),
+        "compile_ms": sum(compile_ms(f) for f in data["compiled"]),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--src", type=Path, default=CHECKOUT / "src", help="the src/ directory to map")
+    args = ap.parse_args()
+    src = args.src.resolve()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in (s for s in workloads.cli_jobs(args.seed) if s["round"] == 0):
+            argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
+            rows.append({"template": spec["template"], **map_request(argv, src, tmp)})
+    print(f"{'template':<22} {'compiled':>8} {'executed':>8} {'ms':>6}  modules")
+    for row in sorted(rows, key=lambda r: r["template"]):
+        mods = " ".join(row["modules"]) + ("" if row["cli_compiles"] == 1 else f" (cli.py x{row['cli_compiles']})")
+        print(f"{row['template']:<22} {row['code_lines']:>8} {row['executed_lines']:>8} "
+              f"{row['compile_ms']:>6.2f}  {mods}")
+    print(f"{'total':<22} {sum(r['code_lines'] for r in rows):>8} "
+          f"{sum(r['executed_lines'] for r in rows):>8} {sum(r['compile_ms'] for r in rows):>6.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,8 +74,8 @@ from operator import itemgetter
 
 from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, primes_up_to, record
 from .forms import ClassGroupReport, _cycle, class_group
-from .quadring import QuadraticField
-from .units import regulator_decimal, torsion_order
+from .quadring import QuadraticField, torsion_order
+from .units import regulator_decimal
 
 BLOCK = 1 << 14  # lanes of a row per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it

@@ -15,15 +15,17 @@ computed result that does not hold: factors that do not multiply back,
 per-class counts that do not sum to Z(k), ...; a bug, not a property of
 the input).
 
-Each request builds only its own parser from the COMMANDS table: every
-command's name and help, the action names of its command and the options
-of its one action.  The handlers are in cli_poly (poly, field, cyclo),
-cli_quad (quad) and cli_units (units, pell, census), still importable from
-here (PEP 562); a request imports only its own, and it only the layers it
-uses.  A census builds no ideal table: Z(k) and the --csv marks are
-hyperbola sums on one tile of chi_d.  The decimals of census, units and quad
-minkowski come from the standard decimal module; `mpmath` is loaded only
-where a number-field embedding is computed.
+A plain argv (a command, its action, each option once by its exact name, as
+`--opt value` or `--opt=value`) is read off COMMANDS; argparse, the owner
+of all help and error text, reads any other and builds only the parser it
+names.  JSON is written as json.dumps(payload, indent=2) writes it, so a
+successful request imports neither argparse nor json.  The handlers are in
+cli_poly (poly, field, cyclo), cli_quad (quad) and cli_units (units, pell,
+census), importable from here (PEP 562); a request imports only its own,
+and it only the layers it uses.  A census builds no ideal table: Z(k) and
+the --csv marks are hyperbola sums on one tile of chi_d.  The decimals of
+census, units and quad minkowski come from the standard decimal module;
+`mpmath` is loaded only where a number-field embedding is computed.
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30,
 maximum 1000).
@@ -31,11 +33,11 @@ maximum 1000).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import re
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 
 class InputError(ValueError):
@@ -53,10 +55,40 @@ _PARSE_ERRORS = (ValueError, ZeroDivisionError, KeyError, TypeError)
 
 def emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload, "\n"))
     else:
         for line in _text_lines(payload, ""):
             print(line)
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json(value, newline: str) -> str:
+    """json.dumps(value, indent=2); newline is the break before value's closing bracket."""
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            value = "".join(map(_escape, value))
+        return f'"{value}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):  # str keys only, as in every payload
+        items, brackets = [f"{_json(k, '')}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{newline}{brackets[1]}" if items else brackets
+
+
+def _escape(char: str) -> str:  # as ensure_ascii writes it: above U+FFFF, a surrogate pair
+    if char in _ESCAPES or " " <= char <= "~":
+        return _ESCAPES.get(char, char)
+    n = ord(char) - 0x10000
+    return f"\\u{ord(char):04x}" if n < 0 else f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
 
 
 def _text_lines(value, prefix: str):
@@ -86,7 +118,7 @@ def _text_lines(value, prefix: str):
 # --format before its own options.
 _TEXT = {"required": True}
 _INT = {"type": int, "required": True}
-_FLAG = {"action": "store_true"}
+_FLAG = {"action": "store_true", "default": False}
 _FORMAT = {"choices": ("json", "text"), "default": "json"}
 _IDEAL_PAIR = {"--m": _INT, "--ideal-a": _TEXT, "--ideal-b": _TEXT}
 COMMANDS = {
@@ -128,7 +160,37 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser(argv).parse_args(argv) of a plain argv (module docstring), else None."""
+    command, *words = argv or [None]
+    actions = COMMANDS[command][1] if command in COMMANDS else {}
+    action = None if None in actions or not words else words.pop(0)
+    options, values, words = {"--format": _FORMAT, **actions.get(action, {})}, {}, iter(words)
+    for word in words:
+        flag, joined, value = word.partition("=")
+        keywords = options.get(flag)
+        if keywords is None or flag in values or joined and ("action" in keywords or value == "--"):
+            return None  # argparse drops a value '--'; a flag takes none
+        if "action" in keywords:  # store_true
+            value = True
+        elif not joined:  # the next word: argparse reads '-x' as an option, '-5' as a value
+            value = next(words, "-")  # '-' where argv ends
+            if value.startswith("-") and not re.match(r"^-\d+$|^-\d*\.\d+$", value):
+                return None
+        try:
+            value = keywords["type"](value) if "type" in keywords else value
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if action not in actions or any(kw.get("required") and f not in values for f, kw in options.items()):
+        return None
+    args = {flag[2:].replace("-", "_"): values.get(flag, kw.get("default")) for flag, kw in options.items()}
+    return SimpleNamespace(command=command, **({} if action is None else {"action": action}), **args)
+
+
+def build_parser(argv: list[str]):
     """The parser of COMMANDS as far as argv needs it: every command's name
     and help, the action names of the command argv names, and the options
     of its one action.  The command is the first word of argv that does not
@@ -136,6 +198,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parsers take no option but -h, so argparse reads the same two words.
     The parsers argv does not name are never parsed with, so they go
     without -h."""
+    import argparse
     words = (arg for arg in argv if not arg.startswith("-"))
     top = argparse.ArgumentParser(
         prog="quadrantal",
@@ -150,7 +213,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return top
 
 
-def _add_actions(parser: argparse.ArgumentParser, actions: dict, chosen: str | None) -> None:
+def _add_actions(parser, actions: dict, chosen: str | None) -> None:
     if None in actions:  # a command without actions
         _add_options(parser, actions[None])
         return
@@ -161,7 +224,7 @@ def _add_actions(parser: argparse.ArgumentParser, actions: dict, chosen: str | N
             _add_options(leaf, options)
 
 
-def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
+def _add_options(parser, options: dict) -> None:
     parser.add_argument("--format", **_FORMAT)
     for flag, keywords in options.items():
         parser.add_argument(flag, **keywords)
@@ -192,7 +255,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _fast_args(argv) or build_parser(argv).parse_args(argv)
     try:
         payload = _HANDLERS[args.command](args)
     except InputError as e:

@@ -5,7 +5,6 @@ so a cyclo request loads neither polynomials nor number fields.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .cli import _PARSE_ERRORS, InputError
@@ -23,10 +22,10 @@ def parse_poly(text: str) -> Poly:
 
     text = text.strip()
     try:
-        if text.startswith("{"):
-            return Poly.from_json_array(json.loads(text)["minpoly"])
-        if text.startswith("["):
-            return Poly.from_json_array(json.loads(text))
+        if text.startswith(("{", "[")):
+            import json
+
+            return Poly.from_json_array(json.loads(text)["minpoly"] if text[0] == "{" else json.loads(text))
         return Poly.from_text(text)
     except _PARSE_ERRORS as e:
         raise InputError(f"cannot parse polynomial {text!r}: {e}")
@@ -37,6 +36,8 @@ def parse_element_coords(text: str) -> list[Fraction]:
     text = text.strip()
     try:
         if text.startswith("{"):
+            import json
+
             coords = [str(c) for c in json.loads(text)["coords"]]
         else:
             coords = text.split(",")

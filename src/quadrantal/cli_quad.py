@@ -3,7 +3,6 @@ principal and classgroup load the form layer (quadrantal.forms)."""
 
 from __future__ import annotations
 
-import json
 import re
 
 from .cli import _PARSE_ERRORS, InputError
@@ -39,6 +38,8 @@ def parse_ideal(field: QuadraticField, text: str) -> QuadIdeal:
     """'(g1, g2, ...)' generator syntax or the {'m','a','b','c'} JSON triple."""
     text = text.strip()
     if text.startswith("{"):
+        import json
+
         try:
             data = json.loads(text)
             ideal = QuadIdeal.from_json_dict(data)

@@ -22,7 +22,7 @@ import math
 from .arith import MAX_PERIOD, PeriodOverflow, factorize, kronecker, primes_up_to, record
 from .quadring import (
     QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, minkowski_floor, prime_form,
-    principal_ideal, unit_ideal, unit_inverse,
+    principal_ideal, torsion_units, unit_ideal, unit_inverse,
 )
 
 
@@ -148,8 +148,6 @@ def is_principal(i: QuadIdeal):
         steps.append(_rho(field, r, a, big_b))
         a, big_b = steps[-1][:2]
     if d < 0:
-        from .units import torsion_units
-
         if a != 1:
             return None
         alpha = _generator(field, a0, big_b0, steps)

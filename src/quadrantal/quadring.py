@@ -233,6 +233,30 @@ def unit_inverse(u: QuadInt) -> QuadInt:
     return u.conj() * n
 
 
+# (w, coordinates of the torsion generator) of the rings with roots of unity
+# besides +-1: i for m=-1, (1+sqrt(-3))/2 in the half basis for m=-3
+_TORSION = {-1: (4, (0, 1)), -3: (6, (0, 1))}
+
+
+def torsion_order(field: QuadraticField) -> int:
+    """w, the number of roots of unity: 4 for m=-1, 6 for m=-3, else 2."""
+    return _TORSION.get(field.m, (2, (-1, 0)))[0]
+
+
+def torsion_generator(field: QuadraticField) -> QuadInt:
+    """Deterministic generator: the root of unity of smallest positive
+    argument (i for m=-1, (1+sqrt(-3))/2 for m=-3, -1 otherwise)."""
+    return field.integer(*_TORSION.get(field.m, (2, (-1, 0)))[1])
+
+
+def torsion_units(field: QuadraticField) -> list[QuadInt]:
+    """All roots of unity in the ring, ordered by ascending argument from 1."""
+    g, out = torsion_generator(field), [field.integer(1, 0)]
+    for _ in range(torsion_order(field) - 1):
+        out.append(out[-1] * g)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------

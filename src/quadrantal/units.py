@@ -18,35 +18,8 @@ from decimal import Context, Decimal, localcontext
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import ln_unit, nstr, record
 from .forms import _cycle, _generator, _reduce
-from .quadring import QuadInt, QuadraticField, unit_inverse
-
-
-# (w, coordinates of the torsion generator) of the rings with roots of unity
-# besides +-1: i for m=-1, (1+sqrt(-3))/2 in the half basis for m=-3
-_TORSION = {-1: (4, (0, 1)), -3: (6, (0, 1))}
-
-
-def torsion_order(field: QuadraticField) -> int:
-    """w, the number of roots of unity: 4 for m=-1, 6 for m=-3, else 2."""
-    return _TORSION.get(field.m, (2, (-1, 0)))[0]
-
-
-def torsion_generator(field: QuadraticField) -> QuadInt:
-    """Deterministic generator: the root of unity of smallest positive
-    argument (i for m=-1, (1+sqrt(-3))/2 for m=-3, -1 otherwise)."""
-    return field.integer(*_TORSION.get(field.m, (2, (-1, 0)))[1])
-
-
-def torsion_units(field: QuadraticField) -> list[QuadInt]:
-    """All roots of unity in the ring, ordered by ascending argument from 1."""
-    w = torsion_order(field)
-    if w == 2:
-        return [field.integer(1, 0), field.integer(-1, 0)]
-    g = torsion_generator(field)
-    out = [field.integer(1, 0)]
-    for _ in range(w - 1):
-        out.append(out[-1] * g)
-    return out
+from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, unit_inverse
+from .quadring import torsion_units  # noqa: F401 (re-exported)
 
 
 # ---------------------------------------------------------------------------

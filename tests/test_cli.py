@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -8,12 +9,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrantal.cli import COMMANDS, build_parser, main
+from quadrantal.cli import COMMANDS, _fast_args, build_parser, emit, main
 
 from test_classgroup import squarefree_fields
 
@@ -758,6 +761,172 @@ class TestParser:
         assert parse_outcome(build_parser(argv), argv) == parse_outcome(full_parser(), argv)
 
 
+FULL_PARSER = full_parser()
+# values for any option: negative numbers and words starting with '-' that
+# are not, int() spellings argparse also takes, and what no type accepts
+ODD_VALUES = st.sampled_from([
+    "7", "-5", "-0", "-.5", "-1.5", "+3", " 4 ", "1_000", "\u0663", "-\u0663", "-5 3", "1e3", "x", "-x",
+    "x^2 - 2", "(2, 1+w)", "", "-", "--", "-h", "--m", "a=b", "json", "sum", "plusOne", "bogus",
+])
+
+
+def option_values(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if "type" in keywords:
+        return st.integers(-10**20, 10**20).map(str)
+    return st.text(st.sampled_from("x^2+-1 ,;()w"), max_size=8)
+
+
+@st.composite
+def table_argvs(draw):
+    """A command, its action and every option of that action in any order,
+    as '--opt value' or '--opt=value', with some options dropped and 0-2
+    stray words put in: repeats, abbreviations, --, -h, unknown options, odd
+    values, another action."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    actions = COMMANDS[command][1]
+    action = None if None in actions else draw(st.sampled_from(list(actions)))
+    options = {"--format": {"choices": ("json", "text")}, **actions[action]}
+    words = []
+    for flag in draw(st.permutations(list(options))):
+        keywords = options[flag]
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        if "action" in keywords:
+            words.append(flag)
+            continue
+        value = draw(st.one_of(option_values(keywords), ODD_VALUES) if draw(st.booleans()) else
+                     option_values(keywords))
+        words += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    strays = [*options, *(flag[:-1] for flag in options if len(flag) > 3), "--", "-h", "--bogus", "x",
+              *(a for a in actions if a is not None), *COMMANDS]
+    for _ in range(draw(st.integers(0, 2)) * draw(st.integers(0, 1))):
+        words.insert(draw(st.integers(0, len(words))), draw(st.one_of(st.sampled_from(strays), ODD_VALUES)))
+    return [command, *([action] if action else []), *words]
+
+
+def plain_argvs():
+    """Every action with all its options, as '--opt value' and as '--opt=value'."""
+    values = {"--op": "product", "--kind": "minusFour", "--m": "-5", "--k": "9", "--p": "7", "--q": "3"}
+    for command, (_, actions) in COMMANDS.items():
+        for action, options in actions.items():
+            head = [command, *([action] if action else [])]
+            pairs = [(flag, values.get(flag, "x - 1") if "action" not in kw else None)
+                     for flag, kw in options.items()] + [("--format", "text")]
+            yield head + [w for flag, v in pairs for w in ((flag,) if v is None else (flag, v))]
+            yield head + [flag if v is None else f"{flag}={v}" for flag, v in pairs]
+
+
+class TestFastPath:
+    """The plain argv of a request is read off COMMANDS without argparse,
+    into what the full parser returns for it; any other goes to argparse."""
+
+    @pytest.mark.parametrize("argv", list(plain_argvs()), ids=" ".join)
+    def test_plain_argv_takes_the_fast_path(self, argv):
+        args = _fast_args(argv)
+        assert args is not None
+        assert vars(args) == vars(FULL_PARSER.parse_args(argv))
+
+    @given(table_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_fast_path_matches_the_full_parser(self, argv):
+        args = _fast_args(argv)
+        if args is not None:
+            outcome = parse_outcome(FULL_PARSER, argv)
+            assert vars(args) == vars(outcome[0]), (argv, outcome)
+
+    @pytest.mark.parametrize("argv", [
+        ["quad", "split", "--m", "-5", "--q", "3", "--q", "7"], ["quad", "split", "--m=2", "--q", "-x"],
+        ["quad", "split", "--m", "2"], ["quad", "split", "--m", "2", "--q"], ["quad", "split", "--q=3", "-h"],
+        ["quad", "split", "--m", "2", "--", "--q", "3"], ["census", "--m", "2", "--k", "9", "--per"],
+        ["census", "--m", "2", "--k", "9", "--per-class=1"], ["pell", "--m", "2", "--kind", "plus"],
+        ["quad", "ring", "--m", "x"], ["quad", "ring", "--m", "-1.5"], ["quad", "ring", "--m", "2", "x"],
+        ["quad", "--m", "2", "ring"], ["units"], [], ["-h"], ["uni", "--m", "2"],
+    ], ids=" ".join)
+    def test_every_other_argv_goes_to_argparse(self, argv):
+        assert _fast_args(argv) is None
+
+
+JSON_CHARS = st.one_of(st.characters(), st.characters(codec=None, categories=["Cs", "Cc"]),
+                       st.sampled_from('"\\\x7f\U0001f600\U0010ffff\u00e9 '))
+JSON_TEXT = st.text(JSON_CHARS, max_size=12)
+JSON_INTS = st.one_of(st.integers(), st.integers(-10**6, 10**6).map(lambda n: 10**4400 + n),
+                      st.integers(0, 10**6).map(lambda n: -(7**5200) - n))
+JSON_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_PAYLOADS)
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_json_dumps(self, payload):
+        sys.set_int_max_str_digits(0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit(payload, "json")
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [{"a": Fraction(1, 2)}, [1, {2, 3}], {(1, 2): 3}], ids=repr)
+    def test_what_json_dumps_refuses_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError):
+            emit(payload, "json")
+
+    @pytest.mark.parametrize("payload", [{"k": [None, 1.5]}, {1: 0}, {None: 0}, {True: 0}], ids=repr)
+    def test_what_no_payload_holds_raises_type_error(self, payload):
+        # every decimal a payload carries is a string, and every key is one:
+        # a float or another key is a bug, where json.dumps would write it
+        with pytest.raises(TypeError):
+            emit(payload, "json")
+
+
+def load_perfbench(name, monkeypatch, **imports):
+    """perfbench/<name>.py, loaded from its file under its own name so that
+    it cannot collide with tests/oracles.py, with its top-level imports of
+    the names in imports served from those modules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    for key, value in imports.items():
+        monkeypatch.setitem(sys.modules, key, value)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_requests_pass_its_oracle(seed, tmp_path, monkeypatch):
+    # round 0 of the benchmark's cli workload, in process, each result
+    # checked by the benchmark's own oracle: the JSON writer and the fast
+    # path see every template and every exit code the benchmark sends
+    oracles = load_perfbench("oracles", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch, oracles=oracles)
+    monkeypatch.delenv("QUADRANTAL_PRECISION", raising=False)
+    failed = []
+    for spec in (s for s in workloads.cli_jobs(seed) if s["round"] == 0):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in spec["argv"]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        csv = Path(argv[argv.index("--csv") + 1]) if "--csv" in argv else None
+        result = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                  "csv": csv.read_text() if csv and csv.is_file() else None}
+        if csv:
+            csv.unlink(missing_ok=True)
+        problems = oracles.check_cli(spec, result)
+        if problems:
+            failed.append((spec["template"], argv, problems))
+    assert not failed
+
+
 def imported_modules(*argv):
     """The modules a fresh `python -m quadrantal.cli` process imports, as
     -X importtime lists them on stderr."""
@@ -812,6 +981,7 @@ class TestRequestLoads:
         (["quad", "ring", "--m", "-5"], QUAD),
         (["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"], QUAD),
         (["quad", "classgroup", "--m", "4"], QUAD),  # not square-free: exit 3
+        (["quad", "principal", "--m", "-5", "--ideal", "(2, 1+w)"], QUAD | {"forms"}),
         (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"arith", "polynomial", "cli_poly"}),
         (["cyclo", "lists"], BASE | {"arith", "cyclotomic", "cli_poly"}),
         (["frobnicate"], BASE),
@@ -872,6 +1042,25 @@ class TestStartup:
         loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
         assert "quadrantal.quadring" in loaded
         assert not loaded & {"mpmath", "dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "gcd", "--a=x^2 - 1", "--b", "x - 1"],
+        ["field", "trace-norm", "--minpoly", "x^2 + 5", "--element", "1,2"],
+        ["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"],
+        ["units", "--m", "7"],
+        ["pell", "--m", "2", "--kind", "minusOne"],
+        ["cyclo", "split", "--m", "7", "--q", "2", "--format", "text"],
+        ["census", "--m", "10", "--k", "300", "--per-class", "--csv", "{tmp}/census.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_successful_requests_import_neither_argparse_nor_json(self, argv, tmp_path):
+        # -X importtime, not LOAD_PROBE: that probe imports json itself
+        loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        assert "quadrantal" in loaded
+        assert not loaded & {"argparse", "gettext", "locale", "json"}
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["quad", "split", "--m", "2"]])
+    def test_rejected_argv_goes_to_argparse(self, argv):
+        assert "argparse" in imported_modules(*argv)
 
     def test_printed_decimal_loads_decimal(self):
         # the probe above does see the modules a printed decimal uses

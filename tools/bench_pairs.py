@@ -2,12 +2,14 @@
 
     python3 tools/bench_pairs.py --base REV --pr N [--seeds 1 2 ... 10]
 
-Exports REV with `git archive` into .bench_build/base-<commit>/ and, for each
-seed, runs `perfbench/run.py --workload all --seed S --seconds 30` once in
-that export and once in this checkout, alternating which side runs first
-(the base first on odd pairs).  Each side runs its own perfbench/.  The
-export is removed once the pairs finish or fail.  Writes BENCH_<N>.json at
-the root of the checkout with:
+Exports REV with `git archive` and copies the files of this working tree
+(`git ls-files -co --exclude-standard`: tracked and untracked, not ignored)
+into two sibling directories under one temporary directory outside the
+checkout, so both sides run from the same kind of place.  For each seed, runs
+`perfbench/run.py --workload all --seed S --seconds 30` once in each,
+alternating which side runs first (the base first on odd pairs).  Each side
+runs its own perfbench/.  Both copies are removed once the pairs finish or
+fail.  Writes BENCH_<N>.json at the root of the checkout with:
 
 - per end-to-end metric of BENCHMARK.json and workload: the medians and
   quartiles of both sides, the pairs in which the change was better (ties
@@ -28,9 +30,8 @@ the root of the checkout with:
 - the machine details that perfbench recorded, and `wc -l` of
   src/quadrantal/*.py on both sides.
 
-Both sides run with PYTHONDONTWRITEBYTECODE=1, and a checkout holding a
-__pycache__ under src/ is refused: the export has none, and cached
-bytecode would shorten only this side's start-up and CLI requests.
+Both sides run with PYTHONDONTWRITEBYTECODE=1 and from copies that hold no
+__pycache__ (it is ignored), so neither side starts from cached bytecode.
 
 Each run takes 40-90 s, so ten pairs take 15-30 minutes.
 """
@@ -49,7 +50,6 @@ import tempfile
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
-BUILD = CHECKOUT / ".bench_build"
 SECONDS = 30
 
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
@@ -62,16 +62,25 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def export(commit: str) -> Path:
-    """A fresh copy of the tree at commit under BUILD."""
-    dest = BUILD / f"base-{commit[:12]}"
-    shutil.rmtree(dest, ignore_errors=True)
-    dest.mkdir(parents=True)
+def export(commit: str, dest: Path) -> Path:
+    """A fresh copy of the tree at commit in dest."""
+    dest.mkdir()
     with tempfile.TemporaryFile() as tar:
         subprocess.run(["git", "archive", commit], cwd=CHECKOUT, check=True, stdout=tar)
         tar.seek(0)
         with tarfile.open(fileobj=tar) as archive:
             archive.extractall(dest, filter="data")
+    return dest
+
+
+def copy_worktree(dest: Path) -> Path:
+    """A copy in dest of the working tree's files that git does not ignore;
+    files deleted from the working tree stay out."""
+    for name in git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        source = CHECKOUT / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -157,23 +166,21 @@ def main() -> int:
     args = ap.parse_args()
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two pairs")
-    cache = next((CHECKOUT / "src").rglob("__pycache__"), None)
-    if cache is not None:
-        ap.error(f"remove {cache} first: the base side starts without cached bytecode")
     commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    base_tree = export(commit)
+    build = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     runs = []
-    try:
+    try:  # the copies serve this comparison only
+        trees = {"base": export(commit, build / "base"), "change": copy_worktree(build / "change")}
         for i, seed in enumerate(args.seeds):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(base_tree if side == "base" else CHECKOUT, seed)
+                pair[side] = run(trees[side], seed)
                 print(f"seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), file=sys.stderr, flush=True)
             runs.append(pair)
-        base_lines = source_lines(base_tree)
-    finally:  # the export serves this comparison only
-        shutil.rmtree(base_tree, ignore_errors=True)
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
+    finally:
+        shutil.rmtree(build, ignore_errors=True)
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     metrics = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -195,7 +202,7 @@ def main() -> int:
         "metrics": metrics,
         "job_ms_by_kind": {workload: kind_medians(runs, workload)
                            for workload in (w["name"] for w in spec["workloads"])},
-        "source_lines": {"base": base_lines, "change": source_lines(CHECKOUT)},
+        "source_lines": lines,
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"]} for r in runs],
     }

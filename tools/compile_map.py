@@ -13,7 +13,10 @@ bytecode and under a `sys.settrace` line hook, and prints per request:
   whose count is shown when it is not 1);
 - the lines it executes: the distinct (file, line) pairs of those modules
   that the line hook saw;
-- the compile() time of those modules, the least of 5 in this process.
+- the compile() time of those modules, the least of 5 in this process;
+- the standard-library modules it imports beyond `python -c pass`, by
+  top-level name (private `_name` modules left out), taken before the probe
+  imports json to write its report.
 
 --src points at the src/ directory of another tree (a `git archive` of the
 parent, say), so the same requests can be mapped before and after a change.
@@ -40,7 +43,7 @@ import workloads  # noqa: E402
 # Every compile() of a file under the package dir is counted, the import
 # system's included, so a module compiled twice is seen twice.
 PROBE = r"""
-import builtins, json, runpy, sys
+import builtins, runpy, sys
 out, root, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 compiled, executed, real_compile = [], set(), builtins.compile
 
@@ -62,7 +65,8 @@ try:
 except SystemExit:
     pass
 sys.settrace(None)
-mods = sorted(name for name in sys.modules if name.startswith("quadrantal."))
+mods = sorted(sys.modules)
+import json
 with open(out, "w") as fh:
     json.dump({"modules": mods, "compiled": compiled, "executed": sorted(executed)}, fh)
 """
@@ -88,7 +92,12 @@ def compile_ms(path: str) -> float:
     return min(times) * 1000
 
 
-def map_request(argv: list[str], src: Path, tmp: str) -> dict:
+def top_level_stdlib(modules) -> set[str]:
+    """The public standard-library modules among modules, by top-level name."""
+    return {name.split(".")[0] for name in modules if not name.startswith("_")} & sys.stdlib_module_names
+
+
+def map_request(argv: list[str], src: Path, tmp: str, startup: set[str]) -> dict:
     root = str(src / "quadrantal")
     report = os.path.join(tmp, "report.json")
     # an empty bytecode cache: every module the request imports is compiled
@@ -98,7 +107,8 @@ def map_request(argv: list[str], src: Path, tmp: str) -> dict:
                    capture_output=True, check=False)
     data = json.loads(Path(report).read_text())
     return {
-        "modules": [name.removeprefix("quadrantal.") for name in data["modules"]],
+        "modules": [name.removeprefix("quadrantal.") for name in data["modules"] if name.startswith("quadrantal.")],
+        "stdlib": sorted(top_level_stdlib(data["modules"]) - startup),
         "cli_compiles": sum(Path(f).name == "cli.py" for f in data["compiled"]),
         "code_lines": sum(len(code_lines(f)) for f in data["compiled"]),
         "executed_lines": len({(f, line) for f, line in data["executed"]}),
@@ -114,14 +124,17 @@ def main() -> int:
     src = args.src.resolve()
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
+        bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], cwd=tmp,
+                              capture_output=True, text=True, check=True)
+        startup = top_level_stdlib(bare.stdout.split())
         for spec in (s for s in workloads.cli_jobs(args.seed) if s["round"] == 0):
             argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
-            rows.append({"template": spec["template"], **map_request(argv, src, tmp)})
-    print(f"{'template':<22} {'compiled':>8} {'executed':>8} {'ms':>6}  modules")
+            rows.append({"template": spec["template"], **map_request(argv, src, tmp, startup)})
+    print(f"{'template':<22} {'compiled':>8} {'executed':>8} {'ms':>6}  {'modules':<50} stdlib")
     for row in sorted(rows, key=lambda r: r["template"]):
         mods = " ".join(row["modules"]) + ("" if row["cli_compiles"] == 1 else f" (cli.py x{row['cli_compiles']})")
         print(f"{row['template']:<22} {row['code_lines']:>8} {row['executed_lines']:>8} "
-              f"{row['compile_ms']:>6.2f}  {mods}")
+              f"{row['compile_ms']:>6.2f}  {mods:<50} {' '.join(row['stdlib'])}")
     print(f"{'total':<22} {sum(r['code_lines'] for r in rows):>8} "
           f"{sum(r['executed_lines'] for r in rows):>8} {sum(r['compile_ms'] for r in rows):>6.1f}")
     return 0

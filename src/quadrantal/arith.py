@@ -1,19 +1,13 @@
 """Rational-integer helpers shared by the rest of the package.
 
-Everything here is exact: Python ints throughout, Fractions where a value
-is genuinely rational.  Factorization is honest trial division up to a
-fixed bound; inputs that cannot be certified within the bound raise
-instead of guessing.  `kronecker` is the one chi_d(q) = (d/q), Euler's
-criterion included, of the splitting law, sqrt_mod and the census.  `power`
-is the one square-and-multiply of the package, for elements, polynomials
-and ideals alike, and `floor_of_root_quotient` pins floor(mult*sqrt(n)/x)
-from one integer square root at each rational bound of x.
-
-The printed decimals of the package come from one small core on the
-standard `decimal` module (which `fractions` loads anyway): `pi_decimal`
-from Machin's formula in integers, `ln_unit` for the logarithm of a real
-quadratic unit, and `nstr`, which writes a Decimal as mpmath.nstr writes
-a float.  `record` makes the frozen report classes.
+Everything here is exact, in Python ints.  Factorization is honest trial
+division up to a fixed bound; inputs that cannot be certified within the
+bound raise instead of guessing.  `kronecker` is the one chi_d(q) = (d/q),
+Euler's criterion included, of the splitting law, sqrt_mod and the census.
+`power` is the one square-and-multiply of the package, for elements,
+polynomials and ideals alike, and `record` makes the frozen report classes.
+The decimal core, the pi bounds and the exact root floors are in
+quadrantal.reals, and their names still resolve here on first use.
 """
 
 from __future__ import annotations
@@ -21,8 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
-from fractions import Fraction
 
 # Trial-division bound shared by every factorization in the package.
 FACTOR_BOUND = 10**6
@@ -34,13 +26,6 @@ MAX_TABLE = 10**8
 # Cap on the decimal digits QUADRANTAL_PRECISION may ask of a printed value:
 # a logarithm at 1,015 digits takes about 20 ms, at 5,000 digits almost 2 s.
 MAX_PRECISION = 1000
-
-# pi to 100 decimals, truncated.  PI_BOUNDS pin the Minkowski floor of
-# 2 sqrt|d| / pi unless the quotient is within a relative 10**-100 of an
-# integer; PI_LO, the 11-decimal truncation, divides the printed upper bound.
-PI_DIGITS = 31415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679
-PI_BOUNDS = (Fraction(PI_DIGITS, 10**100), Fraction(PI_DIGITS + 1, 10**100))
-PI_LO = Fraction(PI_DIGITS // 10**89, 10**11)
 
 
 class FactorBoundExceeded(ValueError):
@@ -250,80 +235,9 @@ def power(x, k: int, one, mul=operator.mul):
     return out
 
 
-def floor_of_root_quotient(mult: int, n: int, den_lo: Fraction, den_hi: Fraction) -> int:
-    """Exact floor(mult*sqrt(n)/x) for mult, n >= 0, given rational bounds
-    0 < den_lo < x < den_hi.
-
-    floor(mult*sqrt(n)/(p/q)) = isqrt(mult^2 q^2 n) // p exactly, so the
-    floors at the two bounds pin the answer when they agree; otherwise
-    CertificateNotFound is raised.
-    """
-    lo, hi = (math.isqrt(mult * mult * b.denominator**2 * n) // b.numerator
-              for b in (den_hi, den_lo))
-    if lo != hi:
-        raise CertificateNotFound(
-            f"floor of {mult}*sqrt({n})/x is {lo} at x = {den_hi} but {hi} at x = {den_lo}")
-    return lo
-
-
 # ---------------------------------------------------------------------------
-# decimals and records
+# records
 # ---------------------------------------------------------------------------
-
-def _arctan_inverse(x: int, one: int) -> int:
-    """atan(1/x) in fixed point with unit `one`, each term truncated."""
-    term = total = one // x
-    x2, n = x * x, 1
-    while term:
-        term //= x2
-        n += 2
-        total += -(term // n) if n % 4 == 3 else term // n
-    return total
-
-
-def pi_decimal(digits: int) -> Decimal:
-    """pi to `digits` significant digits, from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) in integers with ten guard digits."""
-    one = 10 ** (digits + 10)
-    scaled = 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
-    return Decimal(scaled).scaleb(-(digits + 10), Context(prec=digits))
-
-
-def ln_unit(u: int, v: int, m: int, digits: int) -> Decimal:
-    """ln((u + v sqrt(m))/2) to `digits` significant digits, for u, v >= 0
-    and m > 0 with (u + v sqrt(m))/2 >= 1.
-
-    Decimal(int) is quadratic in the digits of the int, so u and v are
-    shifted right by the same s bits, keeping about 4 (digits + 10) + 64
-    of them, and s ln 2 is added back."""
-    s = max(0, max(u.bit_length(), v.bit_length()) - 4 * (digits + 10) - 64)
-    with localcontext(Context(prec=digits + 5)):
-        x = (Decimal(u >> s) + Decimal(v >> s) * Decimal(m).sqrt()) / 2
-        out = x.ln() + s * Decimal(2).ln() if s else x.ln()
-    return Context(prec=digits).plus(out)
-
-
-def nstr(x: Decimal, n: int) -> str:
-    """x to n significant digits as mpmath.nstr(x, n) writes it: rounded
-    half up, in fixed point when min(-(n // 3), -5) < exponent < n, with
-    trailing zeros stripped but one kept after the point, and otherwise
-    with an exponent e+N or e-N."""
-    if not x:
-        return "0.0"
-    y = Context(prec=n, rounding=ROUND_HALF_UP).plus(x.copy_abs())
-    digits = "".join(map(str, y.as_tuple().digits)).ljust(n, "0")
-    exponent, point = y.adjusted(), 1
-    if min(-(n // 3), -5) < exponent < n:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-        else:
-            point = exponent + 1
-        exponent = 0
-    text = ("-" if x < 0 else "") + (digits[:point] + "." + digits[point:]).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    return text + (f"e{exponent:+d}" if exponent else "")
-
 
 def record(cls=None, *, hidden=()):
     """Class decorator for a frozen record of the annotated fields, in order.
@@ -364,3 +278,15 @@ def record(cls=None, *, hidden=()):
     cls.__hash__ = lambda self: hash(key(self))
     cls.__setattr__ = cls.__delattr__ = frozen
     return cls
+
+
+# the names that moved to reals, resolved on first use (PEP 562)
+_REALS = "PI_DIGITS PI_BOUNDS PI_LO floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr".split()
+
+
+def __getattr__(name):
+    if name not in _REALS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reals
+
+    return globals().setdefault(name, getattr(reals, name))  # later reads skip this call

@@ -72,9 +72,10 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
-from .arith import MAX_TABLE, kronecker, nstr, odd_sieve, pi_decimal, primes_up_to, record
+from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
 from .forms import ClassGroupReport, _cycle, class_group
 from .quadring import QuadraticField, torsion_order
+from .reals import nstr, pi_decimal
 from .units import regulator_decimal
 
 BLOCK = 1 << 14  # lanes of a row per block of a strided pass

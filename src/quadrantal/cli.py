@@ -15,17 +15,19 @@ computed result that does not hold: factors that do not multiply back,
 per-class counts that do not sum to Z(k), ...; a bug, not a property of
 the input).
 
-A plain argv (a command, its action, each option once by its exact name, as
-`--opt value` or `--opt=value`) is read off COMMANDS; argparse, the owner
-of all help and error text, reads any other and builds only the parser it
-names.  JSON is written as json.dumps(payload, indent=2) writes it, so a
-successful request imports neither argparse nor json.  The handlers are in
-cli_poly (poly, field, cyclo), cli_quad (quad) and cli_units (units, pell,
-census), importable from here (PEP 562); a request imports only its own,
-and it only the layers it uses.  A census builds no ideal table: Z(k) and
-the --csv marks are hyperbola sums on one tile of chi_d.  The decimals of
-census, units and quad minkowski come from the standard decimal module;
-`mpmath` is loaded only where a number-field embedding is computed.
+A plain argv (a command, its action, each option once by its exact name,
+as `--opt value` or `--opt=value`) is read off COMMANDS; argparse, the
+owner of all help and error text, reads any other and builds only the
+parser it names (cli_args, loaded for that fallback alone).  JSON is
+written as json.dumps(payload, indent=2) writes it, so a successful
+request imports neither argparse nor json.  The handlers are in cli_poly
+(poly, field, cyclo), cli_quad (quad) and cli_units (units, pell, census),
+importable from here (PEP 562); a request imports only its own, and it
+only the layers it uses.  A census builds no ideal table: Z(k) and the
+--csv marks are hyperbola sums on one tile of chi_d.  The decimals of
+census, units and quad minkowski come from quadrantal.reals, on the
+standard decimal module; `mpmath` is loaded only where a number-field
+embedding is computed.
 
 QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30,
 maximum 1000).
@@ -190,55 +192,16 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, **({} if action is None else {"action": action}), **args)
 
 
-def build_parser(argv: list[str]):
-    """The parser of COMMANDS as far as argv needs it: every command's name
-    and help, the action names of the command argv names, and the options
-    of its one action.  The command is the first word of argv that does not
-    start with '-', and the action the next: the top-level and command
-    parsers take no option but -h, so argparse reads the same two words.
-    The parsers argv does not name are never parsed with, so they go
-    without -h."""
-    import argparse
-    words = (arg for arg in argv if not arg.startswith("-"))
-    top = argparse.ArgumentParser(
-        prog="quadrantal",
-        description="exact computations in quadratic number rings and small number fields",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    chosen = next(words, None)
-    for command, (help_text, actions) in COMMANDS.items():
-        parser = sub.add_parser(command, help=help_text, add_help=command == chosen)
-        if command == chosen:
-            _add_actions(parser, actions, next(words, None))
-    return top
-
-
-def _add_actions(parser, actions: dict, chosen: str | None) -> None:
-    if None in actions:  # a command without actions
-        _add_options(parser, actions[None])
-        return
-    names = parser.add_subparsers(dest="action", required=True)
-    for name, options in actions.items():
-        leaf = names.add_parser(name, add_help=name == chosen)
-        if name == chosen:
-            _add_options(leaf, options)
-
-
-def _add_options(parser, options: dict) -> None:
-    parser.add_argument("--format", **_FORMAT)
-    for flag, keywords in options.items():
-        parser.add_argument(flag, **keywords)
-
-
 # the names that moved out, by their module now; no other name imports anything
 _MOVED = {name: home for home, names in {
     "cli_poly": "TYPE_CHECKING parse_poly parse_element_coords _field_from_args cmd_poly cmd_field cmd_cyclo",
     "cli_quad": "_QUADINT_TERM parse_quad_int parse_ideal _verify_class_group _is_associative cmd_quad",
-    "cli_units": "decimal_precision cmd_units cmd_pell cmd_census"}.items() for name in names.split()}
+    "cli_units": "decimal_precision cmd_units cmd_pell cmd_census",
+    "cli_args": "build_parser _add_actions _add_options"}.items() for name in names.split()}
 
 
 def __getattr__(name: str):
-    """The handlers and parse helpers, importable from here as before (PEP 562)."""
+    """The handlers, parse helpers and parser, importable from here as before (PEP 562)."""
     if name not in _MOVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{_MOVED[name]}", __package__), name)
@@ -255,7 +218,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_args(argv) or build_parser(argv).parse_args(argv)
+    args = _fast_args(argv) or __getattr__("build_parser")(argv).parse_args(argv)
     try:
         payload = _HANDLERS[args.command](args)
     except InputError as e:
@@ -281,5 +244,7 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     # the handler modules import InputError from quadrantal.cli: this module
-    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
-    sys.exit(main())
+    # when runpy put it in sys.modules (python -m), else an imported copy
+    if sys.modules[__name__].__dict__ is globals():
+        sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
+    sys.exit(import_module(f"{__package__}.cli").main())

@@ -1,5 +1,6 @@
 """The quad command: ring data, prime splitting and the ideal calculus.  Only
-principal and classgroup load the form layer (quadrantal.forms)."""
+principal and classgroup load the form layer (quadrantal.forms), and only
+they and minkowski the decimal core (quadrantal.reals)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import re
 from .cli import _PARSE_ERRORS, InputError
 from .quadring import (
     QuadIdeal, QuadraticField, factor_ideal, ideal_divides_and_quotient, ideal_from_generators,
-    ideal_gcd, ideal_pow, ideal_product, minkowski_bound, split_prime, unit_ideal,
+    ideal_gcd, ideal_pow, ideal_product, split_prime, unit_ideal,
 )
 
 
@@ -109,6 +110,8 @@ def cmd_quad(args) -> dict:
             return {"principal": False}
         return {"principal": True, "generator": gen.to_json_dict()}
     if args.action == "minkowski":
+        from .reals import minkowski_bound
+
         return {"m": field.m, **minkowski_bound(field).to_json_dict()}
     if args.action == "classgroup":
         from .forms import class_group

@@ -21,9 +21,10 @@ import math
 
 from .arith import MAX_PERIOD, PeriodOverflow, factorize, kronecker, primes_up_to, record
 from .quadring import (
-    QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, minkowski_floor, prime_form,
-    principal_ideal, torsion_units, unit_ideal, unit_inverse,
+    QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, prime_form, principal_ideal,
+    torsion_units, unit_ideal, unit_inverse,
 )
+from .reals import minkowski_floor
 
 
 def _normalize(r: int, a: int, big_b: int) -> int:

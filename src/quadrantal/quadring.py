@@ -24,31 +24,17 @@ factorizations are read off the standard form, both certified by products.
 
 Ideal products are Dirichlet composition of the forms (a, B) of the
 primitive parts (_form), and conjugation is (a, B) -> (a, -B).  Reduction,
-principality and class groups are quadrantal.forms, whose names still
-resolve here on first use, so a split or a factorization never compiles it.
+principality and class groups are quadrantal.forms, and the Minkowski bound
+is quadrantal.reals; their names still resolve here on first use, so a
+split or a factorization compiles neither and imports no decimal or fractions.
 """
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 import math
+from importlib import import_module
 
-from .arith import (
-    PI_BOUNDS,
-    PI_LO,
-    check_square_free,
-    factorize,
-    floor_of_root_quotient,
-    is_prime,
-    kronecker,
-    nstr,
-    pi_decimal,
-    power,
-    record,
-    sqrt_mod,
-    xgcd,
-)
+from .arith import check_square_free, factorize, is_prime, kronecker, power, record, sqrt_mod, xgcd
 from .arith import MAX_PERIOD, PeriodOverflow, primes_up_to  # noqa: F401 (re-exported)
 
 
@@ -580,55 +566,16 @@ def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]
     return v1 * v2, b2 + 2 * v2 * r, g1
 
 
-# ---------------------------------------------------------------------------
-# the Minkowski bound
-# ---------------------------------------------------------------------------
-
-@record
-class MinkowskiBound:
-    floor: int          # largest integer norm the bound admits
-    upper: Fraction     # certified rational upper bound for the constant
-    decimal: str
-
-    def to_json_dict(self):
-        return {
-            "floor": str(self.floor),
-            "upper_bound": f"{self.upper.numerator}/{self.upper.denominator}",
-            "decimal": self.decimal,
-        }
-
-
-def minkowski_floor(field: QuadraticField) -> int:
-    ad = abs(field.d)
-    if field.m > 0:
-        return math.isqrt(ad) // 2
-    return floor_of_root_quotient(2, ad, *PI_BOUNDS)
-
-
-def minkowski_bound(field: QuadraticField, precision: int = 30) -> MinkowskiBound:
-    """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
-    (imaginary).  The integer floor is certified with exact pi bounds."""
-    ad = abs(field.d)
-    hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
-    if field.m > 0:
-        upper = hi / 2
-    else:
-        upper = 2 * hi / PI_LO
-    digits = precision + 10
-    with localcontext(Context(prec=digits)):
-        root = Decimal(ad).sqrt()
-        val = root / 2 if field.m > 0 else 2 * root / pi_decimal(digits)
-    return MinkowskiBound(minkowski_floor(field), upper, nstr(val, precision))
-
-
-# the names that moved to forms, resolved on first use (PEP 562)
-_FORMS = frozenset("""_normalize _rho _reduce _cycle _generator _class_forms reduced_equivalent
-    is_principal _balanced_associates ClassGroupReport _invariant_factors class_group""".split())
+# the names that moved out, by their module now, resolved on first use (PEP 562)
+_MOVED = {name: home for home, names in {
+    "forms": """_normalize _rho _reduce _cycle _generator _class_forms reduced_equivalent
+        is_principal _balanced_associates ClassGroupReport _invariant_factors class_group""",
+    "reals": """PI_BOUNDS PI_LO floor_of_root_quotient nstr pi_decimal MinkowskiBound minkowski_floor
+        minkowski_bound"""}.items() for name in names.split()}
 
 
 def __getattr__(name):
-    if name not in _FORMS:
+    if name not in _MOVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import forms
-
-    return globals().setdefault(name, getattr(forms, name))  # later reads skip this call
+    value = getattr(import_module(f".{_MOVED[name]}", __package__), name)
+    return globals().setdefault(name, value)  # later reads skip this call

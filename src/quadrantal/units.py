@@ -16,10 +16,11 @@ import functools
 from decimal import Context, Decimal, localcontext
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
-from .arith import ln_unit, nstr, record
+from .arith import record
 from .forms import _cycle, _generator, _reduce
 from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, unit_inverse
 from .quadring import torsion_units  # noqa: F401 (re-exported)
+from .reals import ln_unit, nstr
 
 
 # ---------------------------------------------------------------------------

@@ -927,45 +927,42 @@ def test_benchmark_requests_pass_its_oracle(seed, tmp_path, monkeypatch):
     assert not failed
 
 
-def imported_modules(*argv):
-    """The modules a fresh `python -m quadrantal.cli` process imports, as
-    -X importtime lists them on stderr."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "quadrantal.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-
-
 # What `python -m quadrantal.cli` runs (runpy._run_module_as_main); at exit,
-# the last line of stderr is the JSON pair of the quadrantal modules loaded
-# and the number of module objects made from cli.py, one per compile of it.
+# the last line of stderr is the number of module objects made from cli.py
+# (one per compile of it), then every module in sys.modules.  The probe
+# imports only what `python -m` itself loads, so the set is the request's.
 LOAD_PROBE = """
-import atexit, json, os, runpy, sys
+import atexit, os, runpy, sys
 
 def probe_report():
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "quadrantal")
     copies = {id(m) for m in list(sys.modules.values())
               if os.path.basename(getattr(m, "__file__", None) or "") == "cli.py"}
-    print(json.dumps([loaded, len(copies)]), file=sys.stderr)
+    print(len(copies), *sorted(sys.modules), file=sys.stderr)
 
 atexit.register(probe_report)
 runpy._run_module_as_main("quadrantal.cli")
 """
 
 
-def probe_request(*argv):
-    """(exit code, stderr lines before the report, quadrantal modules loaded,
-    copies of cli.py) of one request in a fresh interpreter."""
+def _probe(*argv):
+    """(exit code, stderr lines before the report, every module in
+    sys.modules, copies of cli.py) of one request in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True, text=True)
     *errors, report = proc.stderr.splitlines()
-    loaded, copies = json.loads(report)
-    return proc.returncode, errors, {m.removeprefix("quadrantal.") for m in loaded}, copies
+    copies, *loaded = report.split()
+    return proc.returncode, errors, set(loaded), int(copies)
+
+
+def probe_request(*argv):
+    """_probe with the quadrantal modules only, by their names in the package."""
+    code, errors, loaded, copies = _probe(*argv)
+    return code, errors, {m.removeprefix("quadrantal.") for m in loaded if m.split(".")[0] == "quadrantal"}, copies
+
+
+def imported_modules(*argv):
+    """(exit code, every module in sys.modules) of one request."""
+    code, _, loaded, _ = _probe(*argv)
+    return code, loaded
 
 
 class TestRequestLoads:
@@ -981,12 +978,13 @@ class TestRequestLoads:
         (["quad", "ring", "--m", "-5"], QUAD),
         (["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"], QUAD),
         (["quad", "classgroup", "--m", "4"], QUAD),  # not square-free: exit 3
-        (["quad", "principal", "--m", "-5", "--ideal", "(2, 1+w)"], QUAD | {"forms"}),
+        (["quad", "principal", "--m", "-5", "--ideal", "(2, 1+w)"], QUAD | {"forms", "reals"}),
         (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"arith", "polynomial", "cli_poly"}),
         (["cyclo", "lists"], BASE | {"arith", "cyclotomic", "cli_poly"}),
-        (["frobnicate"], BASE),
+        (["frobnicate"], BASE | {"cli_args"}),  # argparse's exit 2
         (["census", "--m", "-5", "--k", "300"],
-         BASE | {"arith", "quadring", "forms", "units", "census", "cli_units"}),
+         BASE | {"arith", "quadring", "forms", "reals", "units", "census", "cli_units"}),
+        (["quad", "minkowski", "--m", "-23"], QUAD | {"reals"}),
     ])
     def test_modules_loaded_and_cli_compiled_once(self, argv, extra):
         code, errors, loaded, copies = probe_request(*argv)
@@ -994,10 +992,10 @@ class TestRequestLoads:
         assert copies == 1
 
     def test_probing_a_missing_name_imports_nothing(self):
-        # a typo or a getattr(..., None) probe on cli or quadring loads no
-        # handler module and no form layer
-        probe = ("import sys; from quadrantal import cli, quadring; "
-                 "hasattr(cli, 'typo'); getattr(quadring, 'typo', None); "
+        # a typo or a getattr(..., None) probe on cli, quadring or arith
+        # loads no handler module, no parser, no form layer and no reals
+        probe = ("import sys; from quadrantal import arith, cli, quadring; "
+                 "hasattr(cli, 'typo'); getattr(quadring, 'typo', None); getattr(arith, 'typo', None); "
                  "print(sorted(m for m in sys.modules if m.startswith('quadrantal')))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
         assert json.loads(out.replace("'", '"')) == ["quadrantal", "quadrantal.arith", "quadrantal.cli",
@@ -1007,6 +1005,24 @@ class TestRequestLoads:
         code, errors, loaded, _ = probe_request("quad", "factor", "--m", "-5", "--ideal", "bogus")
         assert code == 2 and loaded == self.QUAD
         assert errors == ["error: ideal must be '(gen, gen, ...)' or a JSON triple, got 'bogus'"]
+
+
+# runpy.run_module as a caller runs the CLI: without alter_sys, the code runs
+# in a fresh namespace and sys.modules["__main__"] stays the caller's module
+RUN_MODULE = "import runpy; runpy.run_module('quadrantal.cli', run_name='__main__', alter_sys={})"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["quad", "split", "--m", "2", "--q", "3"], 0),
+    (["quad", "factor", "--m", "-5", "--ideal", "bogus"], 2),  # the handler's InputError
+])
+def test_run_module_answers_as_python_m(argv, code):
+    runs = [[sys.executable, "-m", "quadrantal.cli", *argv]]
+    runs += [[sys.executable, "-c", RUN_MODULE.format(alter), *argv] for alter in (False, True)]
+    results = [subprocess.run(run, capture_output=True, text=True) for run in runs]
+    first = results[0]
+    assert first.returncode == code and (first.stdout if code == 0 else first.stderr).count("\n") >= 1
+    assert [(r.returncode, r.stdout, r.stderr) for r in results] == [(code, first.stdout, first.stderr)] * 3
 
 
 class TestStartup:
@@ -1021,7 +1037,8 @@ class TestStartup:
         ],
     )
     def test_light_requests_load_no_heavy_layer(self, argv):
-        loaded = imported_modules(*argv)
+        code, loaded = imported_modules(*argv)
+        assert code == (2 if argv == ["frobnicate"] else 0)
         assert "quadrantal" in loaded  # the probe sees the package's imports
         assert not loaded & self.HEAVY
 
@@ -1039,7 +1056,8 @@ class TestStartup:
     def test_exact_requests_skip_mpmath(self, argv, tmp_path):
         # printed decimals come from the decimal module, and reports are
         # records: dataclasses would pull in inspect, ast, dis and tokenize
-        loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        code, loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
         assert "quadrantal.quadring" in loaded
         assert not loaded & {"mpmath", "dataclasses", "inspect"}
 
@@ -1053,18 +1071,67 @@ class TestStartup:
         ["census", "--m", "10", "--k", "300", "--per-class", "--csv", "{tmp}/census.csv"],
     ], ids=lambda argv: argv[0])
     def test_successful_requests_import_neither_argparse_nor_json(self, argv, tmp_path):
-        # -X importtime, not LOAD_PROBE: that probe imports json itself
-        loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        code, loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
         assert "quadrantal" in loaded
-        assert not loaded & {"argparse", "gettext", "locale", "json"}
+        assert not loaded & {"argparse", "gettext", "locale", "json", "quadrantal.cli_args"}
 
     @pytest.mark.parametrize("argv", [["frobnicate"], ["quad", "split", "--m", "2"]])
     def test_rejected_argv_goes_to_argparse(self, argv):
-        assert "argparse" in imported_modules(*argv)
+        code, loaded = imported_modules(*argv)
+        assert code == 2
+        assert {"argparse", "quadrantal.cli_args"} <= loaded
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["quad", "split", "--m=5", "--q", "3", "--m", "2"], 0),  # a repeat: the last wins
+        (["poly", "gcd", "--a", "x", "--b"], 2),  # a value missing
+    ])
+    def test_only_a_fallback_argv_loads_the_parser(self, argv, code):
+        # the plain requests above load no cli_args; these do
+        got, loaded = imported_modules(*argv)
+        assert got == code
+        assert {"argparse", "quadrantal.cli_args"} <= loaded
 
     def test_printed_decimal_loads_decimal(self):
         # the probe above does see the modules a printed decimal uses
-        assert {"decimal", "quadrantal.units"} <= imported_modules("units", "--m", "2")
+        code, loaded = imported_modules("units", "--m", "2")
+        assert code == 0
+        assert {"decimal", "quadrantal.units", "quadrantal.reals"} <= loaded
+
+    @pytest.mark.parametrize("argv, code", [
+        (["quad", "split", "--m", "-5", "--q", "3"], 0),
+        (["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"], 0),
+        (["quad", "ring", "--m", "-5", "--format", "text"], 0),
+        (["quad", "classgroup", "--m", "4"], 3),  # not square-free
+    ])
+    def test_ideal_requests_load_no_decimal_core(self, argv, code):
+        # the decimal core and the Minkowski bound live in reals, which a
+        # split, a factorization or the ring data never reach
+        got, loaded = imported_modules(*argv)
+        assert got == code
+        assert "quadrantal.quadring" in loaded
+        assert not loaded & {"fractions", "decimal", "numbers", "quadrantal.reals", "quadrantal.forms"}
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "divrem", "--dividend", "x^2 - 2", "--divisor", "x - 1"],
+        ["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"],
+        ["poly", "content", "--poly", "2*x + 4"],
+        ["poly", "eisenstein", "--poly", "x^3 - 2"],
+        ["poly", "cyclotomic", "--p", "7"],
+        ["field", "trace-norm", "--minpoly", "x^2 + 5", "--element", "1,2"],
+        ["field", "discriminant", "--minpoly", "x^2 - 2", "--tuple", "1,0;0,1"],
+        ["field", "minpoly-of", "--minpoly", "x^3 - 3", "--element", "0,0,1"],
+        ["field", "compose", "--op", "sum", "--p", "x^2 - 2", "--q", "x^2 - 3"],
+        ["field", "primitive-element", "--p", "x^2 - 2", "--q", "x^3 - 3"],
+        ["field", "denominator-clearing", "--minpoly", "x^2 - 2", "--element", "1/2,1/3"],
+        ["cyclo", "split", "--m", "12", "--q", "2"],
+        ["cyclo", "lists"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[1]}")
+    def test_polynomial_requests_load_no_reals(self, argv):
+        code, loaded = imported_modules(*argv)
+        assert code == 0
+        assert "quadrantal.reals" not in loaded
 
     def test_star_import_binds_the_six_names(self):
         code = (

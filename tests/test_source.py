@@ -6,6 +6,7 @@ suite runs under python -O.
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,9 +125,14 @@ def test_traced_names_resolve():
 
 
 # The names each module held when the form layer moved out of quadring and
-# the handlers out of cli (functions, classes, constants and the names they
-# import from other quadrantal modules); every one still resolves there.
+# the handlers out of cli, and arith's before its decimal core moved to
+# reals (functions, classes, constants and the names they import from other
+# quadrantal modules); every one still resolves there.
 PINNED = {
+    "arith": """FACTOR_BOUND MAX_TABLE MAX_PRECISION PI_DIGITS PI_BOUNDS PI_LO FactorBoundExceeded
+        NotSquareFree SquareFreeUnverified PeriodOverflow CertificateNotFound MAX_PERIOD is_prime
+        odd_sieve primes_up_to factorize check_square_free xgcd kronecker sqrt_mod power
+        floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr record""",
     "quadring": """MAX_PERIOD PI_BOUNDS PI_LO PeriodOverflow check_square_free factorize
         floor_of_root_quotient is_prime kronecker nstr pi_decimal power primes_up_to record sqrt_mod
         xgcd QuadraticField ring_of_integers QuadInt unit_inverse QuadIdeal zero_ideal unit_ideal
@@ -172,3 +178,42 @@ def test_every_command_has_a_handler_and_every_export_resolves():
                if getattr(quadrantal, name) is not getattr(importlib.import_module(f"quadrantal.{module}"), name)]
     if missing:
         pytest.fail(f"quadrantal exports that do not resolve: {missing}")
+
+
+# Runs in a fresh interpreter: the imports of perfbench's compute jobs, then
+# one entry of each timed layer; prints the quadrantal modules the calls load.
+COMPUTE_LAYERS = """
+import sys
+import quadrantal.cli
+from quadrantal import census, cli, numberfield, polynomial, quadring, units
+before = set(sys.modules)
+for m in (-23, 10):
+    field = quadring.QuadraticField(m)
+    report = quadring.class_group(field)
+    units.unit_group_report(field)
+    ideal = quadring.ideal_from_generators(field, [field.integer(6), field.integer(1, 1)])
+    for prime, _ in quadring.factor_ideal(ideal):
+        quadring.is_principal(prime)
+    census.census_check(field, 1000)
+    census.census_check(field, 1000, per_class=True, report=report)
+    quadring.minkowski_bound(field)
+units.pell_solve(2, "minusOne")
+f, g = polynomial.Poly([-2, 0, 1]), polynomial.Poly([-3, 0, 0, 1])
+field = numberfield.NumberField(g)
+field.element([1, 2, 3]).trace_and_norm()
+field.element([0, 1, 1]).minimal_polynomial()
+theta = field.theta()
+numberfield.tuple_discriminant([theta**i for i in range(field.degree)])
+numberfield.composed_min_poly("sum", f, g)
+numberfield.primitive_element_shift(f, g)
+print(*sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "quadrantal"))
+"""
+
+
+def test_timed_layers_import_nothing_while_they_run():
+    # a compute job is timed from its first call: a layer that put off
+    # importing a module its own functions reach would bill that import to
+    # the job (a first class group in 3 ms instead of 0.3)
+    proc = subprocess.run([sys.executable, "-c", COMPUTE_LAYERS], capture_output=True, text=True)
+    if proc.returncode or proc.stdout.split():
+        pytest.fail(f"the timed layers imported {proc.stdout.split()} (exit {proc.returncode}): {proc.stderr}")

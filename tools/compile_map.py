@@ -1,8 +1,10 @@
 """What each CLI request compiles against what it runs.
 
     python3 tools/compile_map.py --seed N [--src DIR]
+    python3 tools/compile_map.py --seeds A-B [--src DIR]
 
-For each template of perfbench's `cli_jobs(N)` round 0, runs the request as
+For each template of perfbench's `cli_jobs(N)` round 0 (of each seed N from
+A to B with --seeds), runs the request as
 `python -m quadrantal.cli` would, in a fresh interpreter without cached
 bytecode and under a `sys.settrace` line hook, and prints per request:
 
@@ -18,6 +20,10 @@ bytecode and under a `sys.settrace` line hook, and prints per request:
   top-level name (private `_name` modules left out), taken before the probe
   imports json to write its report.
 
+Below the requests, a table per module: the code lines compiled and the
+lines executed, each summed over the requests, and how many of the requests
+compiled it.
+
 --src points at the src/ directory of another tree (a `git archive` of the
 parent, say), so the same requests can be mapped before and after a change.
 perfbench/ is imported from this checkout, never changed.
@@ -31,6 +37,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from time import perf_counter
 
@@ -72,16 +80,18 @@ with open(out, "w") as fh:
 """
 
 
-def code_lines(path: str) -> set[int]:
+@lru_cache(maxsize=None)
+def code_lines(path: str) -> frozenset[int]:
     """The line numbers that carry bytecode in the module at path."""
     todo, found = [compile(Path(path).read_text(), path, "exec")], set()
     while todo:
         code = todo.pop()
         found.update(line for _, _, line in code.co_lines() if line is not None)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return found
+    return frozenset(found)
 
 
+@lru_cache(maxsize=None)
 def compile_ms(path: str) -> float:
     source = Path(path).read_text()
     times = []
@@ -106,7 +116,12 @@ def map_request(argv: list[str], src: Path, tmp: str, startup: set[str]) -> dict
     subprocess.run([sys.executable, "-c", PROBE, report, root, *argv], cwd=tmp, env=env,
                    capture_output=True, check=False)
     data = json.loads(Path(report).read_text())
+    compiled = Counter()
+    for f in data["compiled"]:  # a module compiled twice counts twice
+        compiled[Path(f).stem] += len(code_lines(f))
+    executed = Counter(Path(f).stem for f, _ in {(f, line) for f, line in data["executed"]})
     return {
+        "per_module": {module: (lines, executed[module]) for module, lines in compiled.items()},
         "modules": [name.removeprefix("quadrantal.") for name in data["modules"] if name.startswith("quadrantal.")],
         "stdlib": sorted(top_level_stdlib(data["modules"]) - startup),
         "cli_compiles": sum(Path(f).name == "cli.py" for f in data["compiled"]),
@@ -116,9 +131,16 @@ def map_request(argv: list[str], src: Path, tmp: str, startup: set[str]) -> dict
     }
 
 
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, required=True)
+    seeds = ap.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seed", type=seed_range, dest="seeds")
+    seeds.add_argument("--seeds", type=seed_range, help="a range A-B of seeds")
     ap.add_argument("--src", type=Path, default=CHECKOUT / "src", help="the src/ directory to map")
     args = ap.parse_args()
     src = args.src.resolve()
@@ -127,16 +149,22 @@ def main() -> int:
         bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], cwd=tmp,
                               capture_output=True, text=True, check=True)
         startup = top_level_stdlib(bare.stdout.split())
-        for spec in (s for s in workloads.cli_jobs(args.seed) if s["round"] == 0):
-            argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
-            rows.append({"template": spec["template"], **map_request(argv, src, tmp, startup)})
-    print(f"{'template':<22} {'compiled':>8} {'executed':>8} {'ms':>6}  {'modules':<50} stdlib")
-    for row in sorted(rows, key=lambda r: r["template"]):
+        for seed in args.seeds:
+            for spec in (s for s in workloads.cli_jobs(seed) if s["round"] == 0):
+                argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
+                rows.append({"template": spec["template"], "seed": seed, **map_request(argv, src, tmp, startup)})
+    print(f"{'template':<22} {'seed':>4} {'compiled':>8} {'executed':>8} {'ms':>6}  {'modules':<50} stdlib")
+    for row in sorted(rows, key=lambda r: (r["template"], r["seed"])):
         mods = " ".join(row["modules"]) + ("" if row["cli_compiles"] == 1 else f" (cli.py x{row['cli_compiles']})")
-        print(f"{row['template']:<22} {row['code_lines']:>8} {row['executed_lines']:>8} "
+        print(f"{row['template']:<22} {row['seed']:>4} {row['code_lines']:>8} {row['executed_lines']:>8} "
               f"{row['compile_ms']:>6.2f}  {mods:<50} {' '.join(row['stdlib'])}")
-    print(f"{'total':<22} {sum(r['code_lines'] for r in rows):>8} "
+    print(f"{'total':<27} {sum(r['code_lines'] for r in rows):>8} "
           f"{sum(r['executed_lines'] for r in rows):>8} {sum(r['compile_ms'] for r in rows):>6.1f}")
+    print(f"\n{'module':<22} {'compiled':>9} {'executed':>9} {'requests':>9}  (of {len(rows)})")
+    modules = sorted({m for r in rows for m in r["per_module"]})
+    for module in modules:
+        counts = [r["per_module"][module] for r in rows if module in r["per_module"]]
+        print(f"{module:<22} {sum(c for c, _ in counts):>9} {sum(e for _, e in counts):>9} {len(counts):>9}")
     return 0
 
 

@@ -129,22 +129,18 @@ def _verify_class_group(report) -> dict:
 
     h = report.h
     t = report.table
-    ok_identity = all(t[0][j] == j for j in range(h))
-    ok_comm = all(t[i][j] == t[j][i] for i in range(h) for j in range(h))
-    ok_assoc = _is_associative(t)
-    ok_inverse = all(any(t[i][j] == 0 for j in range(h)) for i in range(h))
-    inv_principal = True
-    for i in range(h):
-        j = list(t[i]).index(0)
-        prod = ideal_product(report.representatives[i], report.representatives[j])
-        if is_principal(prod) is None:
-            inv_principal = False
+    reps = report.representatives
+    inverses = [next((j for j, x in enumerate(row) if x == 0), None) for row in t]
     return {
-        "identity": ok_identity,
-        "commutative": ok_comm,
-        "associative": ok_assoc,
-        "inverses": ok_inverse,
-        "inverse_products_principal": inv_principal,
+        "identity": all(t[0][j] == j for j in range(h)),
+        "commutative": all(t[i][j] == t[j][i] for i in range(h) for j in range(h)),
+        "associative": _is_associative(t),
+        "inverses": None not in inverses,
+        # over the classes that have an inverse in the table
+        "inverse_products_principal": all(
+            is_principal(ideal_product(reps[i], reps[j])) is not None
+            for i, j in enumerate(inverses) if j is not None
+        ),
     }
 
 

@@ -9,17 +9,18 @@ reduced ideals (real; the least (a, b) on it stands for the class).
 Principality is "reduces to (1)"; the quotients of the steps fold into a
 pair of integer convergents that gives the generator, and units reads the
 fundamental unit off the cycle of (1) the same way.  Class products are
-quadring's Dirichlet composition of forms, and the class group grows coset
-by coset from the prime forms below the Minkowski bound.  No float decides
-any of it (Cohen, GTM 138, 5.3-5.7; Buchmann and Vollmer, Binary Quadratic
-Forms, ch. 6 and 9).
+quadring's Dirichlet composition of forms; the class group grows coset by
+coset from the prime forms below the Minkowski bound, and the Smith normal
+form of its generators' relations gives its invariant factors.  No float
+decides any of it (Cohen, GTM 138, 2.4 and 5.3-5.7; Buchmann and Vollmer,
+Binary Quadratic Forms, ch. 6 and 9).
 """
 
 from __future__ import annotations
 
 import math
 
-from .arith import MAX_PERIOD, PeriodOverflow, factorize, kronecker, primes_up_to, record
+from .arith import MAX_PERIOD, PeriodOverflow, kronecker, primes_up_to, record
 from .quadring import (
     QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, prime_form, principal_ideal,
     torsion_units, unit_ideal, unit_inverse,
@@ -46,14 +47,14 @@ def _rho(field: QuadraticField, r: int, a: int, big_b: int) -> tuple[int, int, i
     return a, b, (big_b + b) // (2 * a), 1 if c > 0 else -1
 
 
-def _reduce(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
+def _reduce(field: QuadraticField, a: int, big_b: int, steps: list | None = None) -> tuple[int, int]:
     """(a, B) of a reduced form in the class of the ideal I0 of (a, B).
 
     N(x*a + y*tau) = a*(a x^2 + B x y + C y^2), so the form is the norm form
     of I0 = Z*a + Z*tau.  Imaginary fields stop at the Gauss-reduced form
     |B| <= a <= C (B >= 0 when a = C), real fields at the first form with
-    |sqrt(d) - 2a| < B < sqrt(d).  It moves forms only; is_principal
-    retraces its rho-steps to fold their quotients into a generator.
+    |sqrt(d) - 2a| < B < sqrt(d).  Each rho-step (a', B', t, s) is appended
+    to `steps` when one is given, for is_principal to fold into a generator.
     """
     d = field.d
     r = math.isqrt(d) if d > 0 else 0
@@ -65,7 +66,10 @@ def _reduce(field: QuadraticField, a: int, big_b: int) -> tuple[int, int]:
                 return a, big_b
         elif max(r + 1 - 2 * a, 2 * a - r) <= big_b <= r:
             return a, big_b
-        a, big_b, _, _ = _rho(field, r, a, big_b)
+        step = _rho(field, r, a, big_b)
+        if steps is not None:
+            steps.append(step)
+        a, big_b, _, _ = step
 
 
 def _cycle(field: QuadraticField, a: int, big_b: int, cap: int | None = None):
@@ -126,28 +130,22 @@ def is_principal(i: QuadIdeal):
 
     I = c*I0 is principal when I0 reduces to (1): the reduced form is
     (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once,
-    up to (1)).  The quotients of the rho-steps from I0 to (1) fold into the
-    integer pair of one generator of I0 (_generator), times c.  Among its
-    associates the one returned has the least y >= 0 in x + y*w, a positive
-    norm before a negative one, then the larger x; real fields only take the
-    positive associates.  The certificate (gen) = I is checked.  A real
+    up to (1)).  The quotients of the rho-steps from I0 to (1), kept as the
+    one reduction walk takes them, fold into the integer pair of one
+    generator of I0 (_generator), times c.  Among its associates the one
+    returned has the least y >= 0 in x + y*w, a positive norm before a
+    negative one, then the larger x; real fields only take the positive
+    associates.  The certificate (gen) = I is checked.  A real
     rho-cycle of more than MAX_PERIOD forms raises PeriodOverflow.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
-    field = i.field
-    d = field.d
+    field, d = i.field, i.field.d
     a0, big_b0 = _form(i)
     if a0 == 1:
         return field.integer(i.c, 0)
-    # retrace the reduction's rho-steps for their quotients
-    r = math.isqrt(d) if d > 0 else 0
-    big_b0 = _normalize(r, a0, big_b0)
-    reduced = _reduce(field, a0, big_b0)
-    a, big_b, steps = a0, big_b0, []
-    while (a, big_b) != reduced:
-        steps.append(_rho(field, r, a, big_b))
-        a, big_b = steps[-1][:2]
+    big_b0 = _normalize(math.isqrt(d) if d > 0 else 0, a0, big_b0)
+    a, big_b = _reduce(field, a0, big_b0, steps := [])
     if d < 0:
         if a != 1:
             return None
@@ -242,30 +240,30 @@ class ClassGroupReport:
         }
 
 
-def _invariant_factors(table) -> tuple:
-    """Invariant factors d1 | d2 | ... of the group with this table.
-
-    |G[p^k]| = p^(sum_j min(e_j, k)) over the cyclic p-parts Z/p^(e_j), so
-    |G[p^k]| / |G[p^(k-1)]| = p^r counts the r parts of order >= p^k, and
-    each of the r largest invariant factors takes one more p.
-    """
-    h = len(table)
-    orders = []
-    for x in range(h):
-        y, k = x, 1
-        while y != 0:
-            y = table[y][x]
-            k += 1
-        orders.append(k)
-    parts = [1] * h.bit_length()  # parts[j]: the (j+1)-th largest factor
-    for p, e in factorize(h) if h > 1 else ():
-        sizes = [sum(1 for o in orders if p**k % o == 0) for k in range(e + 1)]
-        for k in range(1, e + 1):
-            j = 0
-            while sizes[k] >= sizes[k - 1] * p ** (j + 1):
-                parts[j] *= p
-                j += 1
-    return tuple(d for d in reversed(parts) if d > 1)
+def _invariant_factors(relations) -> tuple:
+    """Invariant factors d1 | d2 | ... (1s left out) of Z^r modulo the rows
+    of a nonsingular r x r matrix (short rows padded with 0s), its Smith
+    normal form: the least entry left pivots, clearing its row and column by
+    floor division, until it divides all left (a row it fails on is added in)."""
+    r = len(relations)
+    m = [[*row, *[0] * (r - len(row))] for row in relations]
+    for t in range(r):
+        while True:
+            _, i, j = min((abs(x), i, j) for i in range(t, r) for j, x in enumerate(m[i]) if j >= t and x)
+            m[t], m[i] = m[i], m[t]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            p = m[t][t]
+            m[t + 1:] = [[x - row[t] // p * y for x, y in zip(row, m[t])] for row in m[t + 1:]]
+            qs = [0] * (t + 1) + [x // p for x in m[t][t + 1:]]
+            m[t:] = [[x - q * row[t] for x, q in zip(row, qs)] for row in m[t:]]
+            if any(m[t][t + 1:]) or any(row[t] for row in m[t + 1:]):
+                continue
+            rest = next((row for row in m[t + 1:] if any(x % p for x in row)), None)
+            if rest is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], rest)]
+    return tuple(abs(row[t]) for t, row in enumerate(m) if abs(row[t]) > 1)
 
 
 def class_group(field: QuadraticField) -> ClassGroupReport:
@@ -275,14 +273,15 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     or below the bound, and such an ideal factors into primes of small
     norm).  A prime form whose reduction misses the form -> class dict lies
     outside the subgroup H met so far and becomes a generator g: it adds the
-    cosets H*g, H*g^2, ... until g^e is back in H, each new class one
-    composition of its parent with g, its rho-cycle walked once into the
-    dict and its least (a, b) its representative.  Each generator's
-    permutation c -> class(c*g) gives every table row from its parent's,
-    and a breadth-first search over the primes, replayed on the rows,
-    numbers the classes: h*(generators + 1) <= h*log2(2h) compositions at
-    most, not h*(primes).  A rho-cycle over MAX_PERIOD forms raises
-    PeriodOverflow; the principal cycle is walked first.
+    cosets H*g, ..., H*g^(e-1), each new class one composition of its parent
+    with g (h - 1 in all), its rho-cycle walked once into the dict.  Class
+    x + n*j + z (x < n = |H|, j < e, z past H*g^(e-1)) is x*g^j*z, so c*g is
+    c + n, or x*rho + z at j = e - 1 for rho = class(g^e) in H: the table rows
+    need no composition, and the relations g^e = rho give the invariant
+    factors (Smith normal form, checked to multiply to h).  A breadth-first
+    search over the primes, replayed on the rows, numbers the classes.  A
+    rho-cycle over MAX_PERIOD forms raises PeriodOverflow; the principal
+    cycle is walked first.
     """
     d = field.d
     forms = {}  # every reduced form met so far -> its class, in coset order
@@ -293,31 +292,32 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
         forms.update(dict.fromkeys(cycle, len(reps)))
         reps.append(least)
 
-    def times(c: int, g) -> tuple[int, int]:
-        return _reduce(field, *_compose(d, *reps[c], *g)[:2])
-
     # the principal cycle first: a period over MAX_PERIOD fails before the
     # prime ideals below the Minkowski bound are split
     add(_reduce(field, *_form(unit_ideal(field))))
-    gens, primes = [], []  # (g, |H| before g, |H| after g); each prime form's class
+    gens, primes = [], []  # (|H| before g, |H| after g, class of g^e); each prime form's class
     for q in primes_up_to(minkowski_floor(field)):
         if kronecker(d, q) >= 0:  # an inert (q) is principal, generates nothing
             big_b = prime_form(field, q)[1]  # (q, +-B mod 2q): split_prime's primes
             for b in sorted({big_b % (2 * q), -big_b % (2 * q)}):
-                key, g = _reduce(field, q, b), (q, b)
+                key = _reduce(field, q, b)
                 if key not in forms:  # class n = |H| is g, class n + c is c*g
                     n = len(reps)
                     add(key)
-                    while (power := times(len(reps) - n, g)) not in forms:
+                    while (power := _reduce(field, *_compose(d, *reps[-n], q, b)[:2])) not in forms:
                         add(power)
-                    gens.append((g, n, len(reps)))
+                    gens.append((n, len(reps), forms[power]))
                 primes.append(forms[key])
     h = len(reps)
     rows = {0: list(range(h))}  # rows[c][x] = class(c*x); each popped as its table row is built
-    for g, n, end in gens:  # c*g is class c + n for c < end - n
-        sigma = [*range(n, end), *(forms[times(c, g)] for c in range(end - n, h))]
+    for n, end, rho in gens:
+        sigma = [c + n if c % end < end - n else rows[rho][c % n] + c - c % end for c in range(h)]
         for c in range(n, end):
             rows[c] = list(map(sigma.__getitem__, rows[c - n]))
+    structure = _invariant_factors(  # g^(end/n) = rho, rho's digits (rho % top) // k at the earlier g
+        [[-(rho % top // k) for k, top, _ in gens[:i]] + [end // n] for i, (n, end, rho) in enumerate(gens)])
+    if math.prod(structure) != h:
+        raise ArithmeticError(f"invariant factors {structure} of a group of order {h}")
     order, seen = [0], {0}  # the classes in breadth-first order
     for c in order:
         if len(order) == h:
@@ -329,4 +329,4 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     table = tuple(tuple(map(number.__getitem__, map(rows.pop(c).__getitem__, order))) for c in order)
     reps = tuple(QuadIdeal(field, a, _form_b(field, a, b), 1) for a, b in map(reps.__getitem__, order))
     forms = {f: number[c] for f, c in forms.items()}
-    return ClassGroupReport(field, h, reps, table, _invariant_factors(table), forms)
+    return ClassGroupReport(field, h, reps, table, structure, forms)

@@ -18,8 +18,7 @@ from decimal import Context, Decimal, localcontext
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import record
 from .forms import _cycle, _generator, _reduce
-from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, unit_inverse
-from .quadring import torsion_units  # noqa: F401 (re-exported)
+from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, torsion_units, unit_inverse
 from .reals import ln_unit, nstr
 
 
@@ -174,12 +173,9 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     if not u.is_unit():
         raise ValueError(f"{u} is not a unit")
     if field.m < 0:
-        g = torsion_generator(field)
-        acc = field.integer(1, 0)
-        for k in range(torsion_order(field)):
-            if acc == u:
+        for k, z in enumerate(torsion_units(field)):  # g^k
+            if z == u:
                 return k, 0
-            acc = acc * g
         raise ArithmeticError("units of an imaginary field are torsion")
     sign = u.sign_real()
     v = u if sign > 0 else -u

@@ -216,6 +216,34 @@ class TestReductionOracles:
         assert is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)])) is None
         assert len(calls) == 1
 
+    def test_is_principal_walks_the_reduction_once(self, monkeypatch):
+        # imaginary fields: one rho-step per step of the reduction, none retraced
+        calls = []
+        rho = forms._rho
+
+        def counted(*args):
+            calls.append(args[2:])
+            return rho(*args)
+
+        monkeypatch.setattr(forms, "_rho", counted)
+        rng = random.Random(11)
+        walked = found = 0
+        for m in (-5, -23, -163, -10007, -1000003):
+            field = ring_of_integers(m)
+            for _ in range(25):
+                # a principal ideal of large norm, times an ideal of small norm
+                ideal = ideal_product(
+                    principal_ideal(field, field.integer(rng.randint(-400, 400), rng.randint(1, 400))),
+                    ideal_from_generators(field, [field.integer(rng.randint(2, 9)), field.integer(rng.randint(0, 9), 1)]),
+                )
+                steps = []
+                forms._reduce(field, *forms._form(ideal), steps)
+                calls.clear()
+                found += is_principal(ideal) is not None
+                assert len(calls) == len(steps), (m, ideal)
+                walked += len(steps) > 1
+        assert walked > 50 and found > 10
+
     def test_h1299_and_h_minus_10007(self):
         assert class_group(ring_of_integers(1299)).h == 8
         assert class_group(ring_of_integers(-10007)).h == 77
@@ -353,19 +381,58 @@ class TestCyclePeriodCap:
             is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)]))
 
 
-def test_invariant_factors_from_p_power_torsion_counts():
-    from itertools import product
+def test_invariant_factors_of_diagonal_relations():
+    # each chain is its own diagonal; Z/4 x Z/6 = Z/2 x Z/12, and 1s and the
+    # order of a diagonal do not matter
+    chains = ((), (2,), (6,), (2, 2), (2, 4), (3, 9), (2, 2, 6), (4, 4), (2, 12))
+    others = (((4, 6), (2, 12)), ((12, 2), (2, 12)), ((1, 5, 1), (5,)), ((9, 3, 6), (3, 3, 18)))
+    for diagonal, chain in [(c, c) for c in chains] + list(others):
+        rows = [[n if i == j else 0 for j in range(len(diagonal))] for i, n in enumerate(diagonal)]
+        assert forms._invariant_factors(rows) == chain
 
-    from quadrantal.quadring import _invariant_factors
 
-    for chain in ((), (2,), (6,), (2, 2), (2, 4), (3, 9), (2, 2, 6), (4, 4), (2, 12)):
-        elements = list(product(*[range(n) for n in chain]))
-        index = {e: k for k, e in enumerate(elements)}
-        table = [
-            [index[tuple((x + y) % n for x, y, n in zip(a, b, chain))] for b in elements]
-            for a in elements
-        ]
-        assert _invariant_factors(table) == chain
+class TestInvariantFactorsAgainstSympy:
+    """_invariant_factors against sympy's Smith normal form, on seeded
+    lower-triangular relation matrices as class_group builds them (rows of
+    growing length) and on the same matrices scrambled by unimodular row and
+    column operations, which change the matrix but not the group."""
+
+    @staticmethod
+    def expected(rows):
+        sp = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        factors = invariant_factors(sp.Matrix(rows), domain=sp.ZZ)
+        return tuple(abs(int(x)) for x in factors if abs(x) != 1)
+
+    @staticmethod
+    def triangular(rng, r):
+        return [[rng.randint(-12, 12) for _ in range(i)] + [rng.randint(1, 12)] for i in range(r)]
+
+    def test_triangular(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            rows = self.triangular(rng, rng.randint(1, 6))
+            square = [row + [0] * (len(rows) - len(row)) for row in rows]
+            got = forms._invariant_factors(rows)
+            assert got == self.expected(square), rows
+            assert math.prod(got) == math.prod(row[-1] for row in rows)
+
+    def test_unimodularly_scrambled(self):
+        rng = random.Random(2025)
+        for _ in range(300):
+            r = rng.randint(2, 6)
+            rows = [row + [0] * (r - len(row)) for row in self.triangular(rng, r)]
+            chain = self.expected(rows)
+            for _ in range(3 * r):
+                i, j = rng.sample(range(r), 2)
+                k = rng.randint(-3, 3)
+                rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]  # a row operation
+                i, j = rng.sample(range(r), 2)
+                for row in rows:  # a column operation
+                    row[i] += k * row[j]
+            rng.shuffle(rows)
+            assert forms._invariant_factors(rows) == chain == self.expected(rows), rows
 
 
 def report_line(m):
@@ -448,8 +515,8 @@ class TestCosetGeneration:
         ],
     )
     def test_compositions_within_h_log_h(self, monkeypatch, m, h, structure):
-        # at most h - 1 to build the cosets and h per generator for the
-        # permutations, with at most log2(h) generators
+        # one composition per class but the principal one, to build the
+        # cosets; the table rows and the structure need none
         calls = []
         compose = forms._compose
 
@@ -460,4 +527,9 @@ class TestCosetGeneration:
         monkeypatch.setattr(forms, "_compose", counted)
         rep = class_group(ring_of_integers(m))
         assert (rep.h, rep.structure) == (h, structure)
-        assert len(calls) <= h * (h.bit_length() + 1)
+        assert len(calls) == h - 1
+
+    def test_structure_checked_against_h(self, monkeypatch):
+        monkeypatch.setattr(forms, "_invariant_factors", lambda relations: (2, 2))
+        with pytest.raises(ArithmeticError, match="order 8"):
+            class_group(ring_of_integers(-41))  # h = 8, cyclic

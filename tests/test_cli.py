@@ -287,6 +287,18 @@ class TestQuadCommands:
         assert checks["identity"] and checks["commutative"] and checks["inverses"]
         assert _verify_class_group(report)["associative"] is True
 
+    def test_verify_reports_a_row_without_an_inverse(self):
+        # class 1 times anything is class 1: "inverses" is false, not an error
+        from quadrantal.cli import _verify_class_group
+        from quadrantal.quadring import ClassGroupReport, class_group, ring_of_integers
+
+        report = class_group(ring_of_integers(-5))
+        altered = ClassGroupReport(report.field, 2, report.representatives, ((0, 1), (1, 1)), (2,), report.forms)
+        checks = _verify_class_group(altered)
+        assert checks["inverses"] is False
+        assert checks["identity"] and checks["commutative"] and checks["inverse_products_principal"]
+        assert all(_verify_class_group(report).values())
+
     def test_classgroup_verify_h_1275(self, capsys):
         # O(h^2) work per generator for associativity: seconds, where a
         # check of every triple would take minutes

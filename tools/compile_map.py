@@ -15,7 +15,6 @@ bytecode and under a `sys.settrace` line hook, and prints per request:
   whose count is shown when it is not 1);
 - the lines it executes: the distinct (file, line) pairs of those modules
   that the line hook saw;
-- the compile() time of those modules, the least of 5 in this process;
 - the standard-library modules it imports beyond `python -c pass`, by
   top-level name (private `_name` modules left out), taken before the probe
   imports json to write its report.
@@ -40,7 +39,6 @@ import tempfile
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from time import perf_counter
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
@@ -91,17 +89,6 @@ def code_lines(path: str) -> frozenset[int]:
     return frozenset(found)
 
 
-@lru_cache(maxsize=None)
-def compile_ms(path: str) -> float:
-    source = Path(path).read_text()
-    times = []
-    for _ in range(5):
-        t0 = perf_counter()
-        compile(source, path, "exec")
-        times.append(perf_counter() - t0)
-    return min(times) * 1000
-
-
 def top_level_stdlib(modules) -> set[str]:
     """The public standard-library modules among modules, by top-level name."""
     return {name.split(".")[0] for name in modules if not name.startswith("_")} & sys.stdlib_module_names
@@ -127,7 +114,6 @@ def map_request(argv: list[str], src: Path, tmp: str, startup: set[str]) -> dict
         "cli_compiles": sum(Path(f).name == "cli.py" for f in data["compiled"]),
         "code_lines": sum(len(code_lines(f)) for f in data["compiled"]),
         "executed_lines": len({(f, line) for f, line in data["executed"]}),
-        "compile_ms": sum(compile_ms(f) for f in data["compiled"]),
     }
 
 
@@ -153,13 +139,12 @@ def main() -> int:
             for spec in (s for s in workloads.cli_jobs(seed) if s["round"] == 0):
                 argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
                 rows.append({"template": spec["template"], "seed": seed, **map_request(argv, src, tmp, startup)})
-    print(f"{'template':<22} {'seed':>4} {'compiled':>8} {'executed':>8} {'ms':>6}  {'modules':<50} stdlib")
+    print(f"{'template':<22} {'seed':>4} {'compiled':>8} {'executed':>8}  {'modules':<50} stdlib")
     for row in sorted(rows, key=lambda r: (r["template"], r["seed"])):
         mods = " ".join(row["modules"]) + ("" if row["cli_compiles"] == 1 else f" (cli.py x{row['cli_compiles']})")
-        print(f"{row['template']:<22} {row['seed']:>4} {row['code_lines']:>8} {row['executed_lines']:>8} "
-              f"{row['compile_ms']:>6.2f}  {mods:<50} {' '.join(row['stdlib'])}")
-    print(f"{'total':<27} {sum(r['code_lines'] for r in rows):>8} "
-          f"{sum(r['executed_lines'] for r in rows):>8} {sum(r['compile_ms'] for r in rows):>6.1f}")
+        print(f"{row['template']:<22} {row['seed']:>4} {row['code_lines']:>8} {row['executed_lines']:>8}  "
+              f"{mods:<50} {' '.join(row['stdlib'])}")
+    print(f"{'total':<27} {sum(r['code_lines'] for r in rows):>8} {sum(r['executed_lines'] for r in rows):>8}")
     print(f"\n{'module':<22} {'compiled':>9} {'executed':>9} {'requests':>9}  (of {len(rows)})")
     modules = sorted({m for r in rows for m in r["per_module"]})
     for module in modules:

@@ -1,18 +1,20 @@
 """The poly, field and cyclo commands: polynomials over Q, number fields and
 cyclotomic splitting.  Each handler imports the layer it uses when it runs,
-so a cyclo request loads neither polynomials nor number fields.
+so a cyclo request loads neither polynomials nor number fields, and numbers
+are read by `polynomial.coefficient`, so a request whose values are all
+integers loads no `fractions`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cli import _PARSE_ERRORS, InputError
 
 # names for annotations only; mypy takes this constant TYPE_CHECKING as true
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .numberfield import NumberField
+    from fractions import Fraction
+
+    from .numberfield import FieldElement, NumberField
     from .polynomial import Poly
 
 
@@ -31,8 +33,10 @@ def parse_poly(text: str) -> Poly:
         raise InputError(f"cannot parse polynomial {text!r}: {e}")
 
 
-def parse_element_coords(text: str) -> list[Fraction]:
+def parse_element_coords(text: str) -> list[int | Fraction]:
     """Element coordinates: 'a,b,...' or {'coords': [...]} JSON."""
+    from .polynomial import coefficient
+
     text = text.strip()
     try:
         if text.startswith("{"):
@@ -41,9 +45,19 @@ def parse_element_coords(text: str) -> list[Fraction]:
             coords = [str(c) for c in json.loads(text)["coords"]]
         else:
             coords = text.split(",")
-        return [Fraction(c.strip()) for c in coords]
+        return [coefficient(c.strip()) for c in coords]
     except _PARSE_ERRORS as e:
         raise InputError(f"cannot parse element {text!r}: {e}")
+
+
+def _element(field: NumberField, text: str) -> FieldElement:
+    """The element of the field with the coordinates of text: no more of
+    them than the field's degree, and zeros for those left out."""
+    coords = parse_element_coords(text)
+    if len(coords) > field.degree:
+        raise InputError(f"element {text.strip()!r} has {len(coords)} coordinates, "
+                         f"more than the field's degree {field.degree}")
+    return field.element(coords)
 
 
 def cmd_poly(args) -> dict:
@@ -83,16 +97,16 @@ def cmd_field(args) -> dict:
 
     if args.action == "trace-norm":
         f = _field_from_args(args)
-        el = f.element(parse_element_coords(args.element))
+        el = _element(f, args.element)
         t, n = el.trace_and_norm()
         return {"trace": str(t), "norm": str(n)}
     if args.action == "discriminant":
         f = _field_from_args(args)
-        tup = [f.element(parse_element_coords(part)) for part in args.tuple.split(";")]
+        tup = [_element(f, part) for part in args.tuple.split(";")]
         return {"discriminant": str(tuple_discriminant(tup))}
     if args.action == "minpoly-of":
         f = _field_from_args(args)
-        el = f.element(parse_element_coords(args.element))
+        el = _element(f, args.element)
         mp = el.minimal_polynomial()
         return {
             "minpoly": mp.to_json_array(),
@@ -107,7 +121,7 @@ def cmd_field(args) -> dict:
         return {"c": str(c)}
     if args.action == "denominator-clearing":
         f = _field_from_args(args)
-        el = f.element(parse_element_coords(args.element))
+        el = _element(f, args.element)
         n, b = denominator_clearing(el)
         return {"n": str(n), "cleared_coords": [str(c) for c in (b.repr[i] for i in range(f.degree))]}
     raise InputError(f"unknown field action {args.action!r}")

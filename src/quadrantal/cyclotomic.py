@@ -12,7 +12,7 @@ impure combinations the classical definitions do not name.
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime, record
+from .integers import factorize, is_prime, record
 
 
 def euler_phi(m: int) -> int:

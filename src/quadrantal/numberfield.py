@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import CertificateNotFound, factorize, power
+from .integers import CertificateNotFound, factorize, power
 from .polynomial import (
     Poly,
     coefficient,

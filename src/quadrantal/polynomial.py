@@ -6,12 +6,14 @@ kept.  A coefficient is an `int` when its value is an integer and a
 `fractions.Fraction` otherwise, never a float, so structural equality is
 mathematical equality and integer polynomials run on machine-speed ints.
 Every quotient goes through `exact_div`, which stays an `int` when the
-division is exact.
+division is exact.  `fractions` is imported only when a value first leaves
+the integers: work that stays in Z loads neither it nor the `decimal` and
+`numbers` modules it imports.
 
 Squarefreeness has a modular certificate: gcd(f, f') = 1 modulo the prime
 2^61 - 1, with both degrees kept, makes the resultant Res(f, f') nonzero
 (Cohen, GTM 138, section 3.3; von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 6); only an uncertified f takes the Euclidean gcd over Q.
+Algebra, ch. 6); only an uncertified f takes the gcd, `poly_gcd`.
 
 Two text encodings round-trip:
 
@@ -23,21 +25,49 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
-from .arith import MAX_TABLE, factorize, is_prime, power
+from .integers import MAX_TABLE, factorize, is_prime, power
 
 
 # the prime of the modular squarefree certificate
 SQUAREFREE_PRIME = 2**61 - 1
 
+# Cap on the decimal exponent of a coefficient string such as '1e-5': the
+# value of '1e-1000000' has a million-digit denominator.
+MAX_EXPONENT = 1000
+
+# the decimal exponent that ends a literal such as '1.5e-3', in Fraction's syntax
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+_Fraction = None  # fractions.Fraction, once _fraction has imported it
+
+
+def _fraction():
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction
+
 
 def coefficient(c):
     """c as a coefficient: an int when its value is an integer, else a
     Fraction.  Accepts int, Fraction and decimal or num/den strings; a
-    float is refused."""
+    float is refused.  A plain ASCII integer literal ('-12', '007') is read
+    by int and any other string by Fraction, so only a value that is not an
+    int imports `fractions`.  A string that ends in a decimal exponent of
+    more than MAX_EXPONENT, up or down, raises ValueError."""
     if type(c) is int:
         return c
+    if isinstance(c, str):
+        digits = c[1:] if c[:1] in ("-", "+") else c
+        if digits.isdigit() and digits.isascii():
+            return int(c)
+        exponent = _EXPONENT.search(c)
+        if exponent:
+            e = exponent[1].replace("_", "").lstrip("0")  # int() of a long string is slow
+            if len(e) > 30 or int(e or 0) > MAX_EXPONENT:
+                raise ValueError(f"{c.strip()!r} has an exponent beyond the cap of {MAX_EXPONENT}")
+    Fraction = _Fraction or _fraction()
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, (int, str)):
@@ -47,10 +77,11 @@ def coefficient(c):
 
 def exact_div(a, b):
     """a / b for int or Fraction a and b: an int when the quotient is an
-    integer, else a Fraction.  Two ints never meet in a float division."""
+    integer, else a Fraction.  Two ints never meet in a float division, and
+    only an inexact quotient imports `fractions`."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        return (_Fraction or _fraction())(a, b) if r else q
     return coefficient(a / b)  # a Fraction on at least one side
 
 
@@ -182,7 +213,7 @@ class Poly:
             return cls()
         # normalize "a - b" to "a + -b" so splitting on '+' is safe
         s = re.sub(r"(?<=[0-9x)])\s*-\s*", " + -", s)
-        coeffs: dict[int, int | Fraction] = {}
+        coeffs = {}  # degree -> coefficient
         for term in s.split("+"):
             term = term.replace(" ", "")
             if not term:
@@ -232,13 +263,17 @@ def poly_divmod(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[x] by the Euclidean algorithm, normalizing each step."""
+    """Monic gcd in Q[x] by the primitive remainder sequence over Z (Knuth,
+    TAOCP vol. 2, section 4.6.1; Cohen, GTM 138, section 3.3): a and b are
+    cleared of denominators, the remainder of lc(b)^(deg a - deg b + 1) * a
+    by b is an integer polynomial, and only its primitive part goes on.  So
+    only the closing division by the leading coefficient can leave Z."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    a, b = (p.scale(math.lcm(*(c.denominator for c in p.coeffs))) for p in (a, b))
     while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-        if not b.is_zero():
-            b = b.monic()
+        r = poly_divmod(a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)), b)[1]
+        a, b = b, r if r.is_zero() else content_and_primitive_part(r)[1]
     return a.monic()
 
 

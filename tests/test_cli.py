@@ -983,7 +983,7 @@ class TestRequestLoads:
     running cli, not from a second copy."""
 
     BASE = {"quadrantal", "cli"}
-    QUAD = BASE | {"arith", "quadring", "cli_quad"}
+    QUAD = BASE | {"arith", "integers", "quadring", "cli_quad"}
 
     @pytest.mark.parametrize("argv, extra", [
         (["quad", "split", "--m", "-5", "--q", "3"], QUAD),
@@ -991,11 +991,11 @@ class TestRequestLoads:
         (["quad", "factor", "--m", "-5", "--ideal", "(6)", "--verify"], QUAD),
         (["quad", "classgroup", "--m", "4"], QUAD),  # not square-free: exit 3
         (["quad", "principal", "--m", "-5", "--ideal", "(2, 1+w)"], QUAD | {"forms", "reals"}),
-        (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"arith", "polynomial", "cli_poly"}),
-        (["cyclo", "lists"], BASE | {"arith", "cyclotomic", "cli_poly"}),
+        (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"integers", "polynomial", "cli_poly"}),
+        (["cyclo", "lists"], BASE | {"integers", "cyclotomic", "cli_poly"}),
         (["frobnicate"], BASE | {"cli_args"}),  # argparse's exit 2
         (["census", "--m", "-5", "--k", "300"],
-         BASE | {"arith", "quadring", "forms", "reals", "units", "census", "cli_units"}),
+         BASE | {"arith", "integers", "quadring", "forms", "reals", "units", "census", "cli_units"}),
         (["quad", "minkowski", "--m", "-23"], QUAD | {"reals"}),
     ])
     def test_modules_loaded_and_cli_compiled_once(self, argv, extra):
@@ -1011,7 +1011,7 @@ class TestRequestLoads:
                  "print(sorted(m for m in sys.modules if m.startswith('quadrantal')))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
         assert json.loads(out.replace("'", '"')) == ["quadrantal", "quadrantal.arith", "quadrantal.cli",
-                                                     "quadrantal.quadring"]
+                                                     "quadrantal.integers", "quadrantal.quadring"]
 
     def test_bad_ideal_exits_2_with_one_line(self):
         code, errors, loaded, _ = probe_request("quad", "factor", "--m", "-5", "--ideal", "bogus")
@@ -1145,6 +1145,39 @@ class TestStartup:
         assert code == 0
         assert "quadrantal.reals" not in loaded
 
+    @pytest.mark.parametrize("argv, out", [
+        *((argv, None) for argv in [
+            ["poly", "divrem", "--dividend", "x^2 - 2", "--divisor", "x - 1"],
+            ["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"],
+            ["poly", "content", "--poly", '["4", "-6", "007"]'],
+            ["poly", "eisenstein", "--poly", "x^3 - 2"],
+            ["poly", "cyclotomic", "--p", "7"],
+            ["field", "trace-norm", "--minpoly", "x^2 + 5", "--element", "1,2"],
+            ["field", "discriminant", "--minpoly", "x^2 - 2", "--tuple", "1,0;0,1"],
+            ["field", "minpoly-of", "--minpoly", "x^3 - 3", "--element", '{"coords": [0, "-0", "+1"]}'],
+            ["field", "compose", "--op", "product", "--p", "x^2 - 2", "--q", "x^2 - 3"],
+            ["field", "primitive-element", "--p", "x^2 - 2", "--q", "x^3 - 3"],
+            ["field", "denominator-clearing", "--minpoly", "x^2 - 2", "--element", "1,3"],
+            ["cyclo", "split", "--m", "12", "--q", "2"],
+            ["cyclo", "lists"],
+        ]),
+        (["field", "denominator-clearing", "--minpoly", "x^2 - 2", "--element", "1/2,1/3"],
+         '{\n  "n": "6",\n  "cleared_coords": [\n    "3",\n    "2"\n  ]\n}\n'),
+        (["poly", "gcd", "--a", "x^2 - 1/4", "--b", "2*x - 1"],
+         '{\n  "gcd": [\n    "-1/2",\n    "1"\n  ],\n  "gcd_text": "-1/2 + 1*x"\n}\n'),
+    ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else "rational" if v else "integral")
+    def test_only_values_off_the_integers_load_fractions(self, argv, out, capsys):
+        # integers are read by int and divided by divmod, so fractions (and
+        # the decimal and numbers modules it imports) load only for a value
+        # that is not an int; such a request prints what it always printed
+        code, loaded = imported_modules(*argv)
+        assert code == 0
+        if out is None:
+            assert not loaded & {"fractions", "decimal", "numbers"}
+        else:
+            assert "fractions" in loaded
+            assert run_cli(capsys, *argv) == (0, out)
+
     def test_star_import_binds_the_six_names(self):
         code = (
             "import json, sys\n"
@@ -1195,6 +1228,49 @@ class TestCleanFailures:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot parse element {element!r}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "trace-norm", "--minpoly", "x^2+1", "--element", "1e-1000000,1"],
+        ["poly", "content", "--poly", '["1e100000000", 1]'],
+        ["field", "minpoly-of", "--minpoly", "x^2+1", "--element", '{"coords": ["1E+1_001", 1]}'],
+    ], ids=["element", "json-poly", "json-element"])
+    def test_exponent_over_cap_exits_2_at_once(self, argv):
+        # Fraction would build a 10^6-digit denominator (or a 10^8-digit
+        # numerator) and the CLI would print it in full; the cap refuses first
+        proc = subprocess.run([sys.executable, "-m", "quadrantal.cli", *argv],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot parse ")
+        assert proc.stderr.endswith("has an exponent beyond the cap of 1000\n")
+        assert proc.stderr.count("\n") == 1
+
+    def test_exponent_within_cap_keeps_its_value(self, capsys):
+        out = run_json(capsys, "field", "trace-norm", "--minpoly", "x^2+1", "--element", "1e-3,1.5E1")
+        assert out == {"trace": "1/500", "norm": "225000001/1000000"}
+        out = run_json(capsys, "field", "trace-norm", "--minpoly", "x^2+1", "--element", "1e1000,0")
+        assert out == {"trace": str(2 * 10**1000), "norm": str(10**2000)}
+
+    @pytest.mark.parametrize("action, option, value", [
+        ("trace-norm", "--element", "1,2,3"),
+        ("minpoly-of", "--element", "1,2,3"),
+        ("denominator-clearing", "--element", '{"coords": ["1/2", 2, 3]}'),
+        ("discriminant", "--tuple", "1,0;0,1,3"),
+    ])
+    def test_more_coordinates_than_the_degree_exit_2(self, capsys, action, option, value):
+        code = main(["field", action, "--minpoly", "x^2+1", option, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: element ")
+        assert captured.err.endswith(" has 3 coordinates, more than the field's degree 2\n")
+
+    def test_fewer_coordinates_pad_with_zeros(self, capsys):
+        from quadrantal.numberfield import NumberField
+        from quadrantal.polynomial import Poly
+
+        assert run_json(capsys, "field", "trace-norm", "--minpoly", "x^2+1", "--element", "3") == {
+            "trace": "6", "norm": "9"}
+        # the library still reduces any polynomial: 1 + 2 t + 3 t^2 = -2 + 2 t
+        assert NumberField(Poly([1, 0, 1])).element([1, 2, 3]).repr == Poly([-2, 2])
 
     def test_field_degree_over_cap_exits_3(self, capsys):
         code = main(["field", "trace-norm", "--minpoly", "x^40000+1", "--element", "1"])

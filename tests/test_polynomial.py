@@ -1,15 +1,19 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadrantal import polynomial
 from quadrantal.arith import primes_up_to
 from quadrantal.polynomial import (
+    MAX_EXPONENT,
     SQUAREFREE_PRIME,
     Poly,
     _certified_squarefree,
+    coefficient,
     content_and_primitive_part,
     cyclotomic_poly_prime,
     eisenstein_witness,
@@ -269,6 +273,35 @@ def test_results_keep_canonical_coefficients(a, b):
     assert_canonical(Poly.from_text(a.to_text()))
 
 
+def euclid_gcd(a, b):
+    """The reference: Euclid's algorithm over Q, each remainder made monic."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+        if not b.is_zero():
+            b = b.monic()
+    return a.monic()
+
+
+@given(any_poly, any_poly, any_poly)
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_euclid_over_q(a, b, c):
+    a, b = a * c, b * c
+    if not (a.is_zero() and b.is_zero()):
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+
+@pytest.mark.parametrize("a, b, gcd", [
+    ("x^3 - 2*x^2 - 2*x + 1", "3*x^2 - x - 4", "x + 1"),
+    ("2*x^3 - 5*x^2 + 3*x", "-x^3 - 4*x^2 + x + 4", "x - 1"),
+    ("x^2 - 1", "2*x - 1", "1"),
+])
+def test_integer_gcd_builds_no_fraction(a, b, gcd, monkeypatch):
+    # Euclid over Q divides by 3 or 2 on the way to these integral gcds
+    monkeypatch.setattr(polynomial, "_Fraction", None)
+    monkeypatch.setattr(polynomial, "_fraction", lambda: pytest.fail("a Fraction was built"))
+    assert poly_gcd(Poly.from_text(a), Poly.from_text(b)) == Poly.from_text(gcd)
+
+
 def test_integral_results_are_ints():
     q, r = poly_divmod(P(-2, 0, 1), P(-1, 1))
     assert all(type(c) is int for c in q.coeffs + r.coeffs)
@@ -297,3 +330,43 @@ def test_exact_div():
     assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         exact_div(1, 0)
+
+
+# a decimal exponent at the end of a literal, as Fraction reads it
+EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def outcome(read, s):
+    """(value, type) of read(s), or (exception type, message)."""
+    try:
+        value = read(s)
+    except Exception as e:  # noqa: BLE001 -- the exception is the outcome
+        return type(e), str(e)
+    return value, type(value)
+
+
+@given(st.text(alphabet="0123456789+-/.e_ ٣٠５", max_size=10))
+@example("--1")
+@example("-")
+@example("+7")
+@example("007")
+@example("-0")
+@example("٣")
+@example("1_000")
+@example(" 12 ")
+@example("1.5e3")
+@example("-3/6")
+@example("")
+@example("1e-1001")
+@example("1e1000")
+@settings(max_examples=1000, deadline=None)
+def test_coefficient_reads_strings_as_fraction_does(s):
+    # an ASCII integer literal is read by int, every other string by
+    # Fraction: the value, its type and any error are Fraction's, except
+    # that an exponent beyond the cap is refused before anything is built
+    exponent = EXPONENT.search(s)
+    if exponent and int(exponent[1]) > MAX_EXPONENT:
+        with pytest.raises(ValueError, match=f"has an exponent beyond the cap of {MAX_EXPONENT}$"):
+            coefficient(s)
+    else:
+        assert outcome(coefficient, s) == outcome(lambda t: coefficient(Fraction(t)), s)

@@ -21,7 +21,8 @@ bytecode and under a `sys.settrace` line hook, and prints per request:
 
 Below the requests, a table per module: the code lines compiled and the
 lines executed, each summed over the requests, and how many of the requests
-compiled it.
+compiled it.  Below that, each standard-library module of the last column
+with the number of requests that import it.
 
 --src points at the src/ directory of another tree (a `git archive` of the
 parent, say), so the same requests can be mapped before and after a change.
@@ -150,6 +151,9 @@ def main() -> int:
     for module in modules:
         counts = [r["per_module"][module] for r in rows if module in r["per_module"]]
         print(f"{module:<22} {sum(c for c, _ in counts):>9} {sum(e for _, e in counts):>9} {len(counts):>9}")
+    print(f"\n{'stdlib module':<22} {'requests':>9}  (of {len(rows)})")
+    for name, count in sorted(Counter(name for r in rows for name in r["stdlib"]).items()):
+        print(f"{name:<22} {count:>9}")
     return 0
 
 

@@ -9,7 +9,8 @@ resolved on first use (PEP 562), each from its own module, so a program
 that needs only polynomials never imports the quadratic-ring layer.
 `mpmath` is imported only by the number-field embeddings and by the three
 functions that return mpmath values (QuadInt.mp_value, units.regulator_mp,
-census.sigma_theoretical); printed decimals come from the decimal module.
+census.sigma_theoretical); printed decimals are integer fixed point
+(quadrantal.reals).
 """
 
 __version__ = "0.1.0"

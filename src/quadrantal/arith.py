@@ -6,7 +6,7 @@ chi_d(q) = (d/q), Euler's criterion included, of the splitting law, sqrt_mod
 and the census.  The integer core (the caps, the exception classes,
 `is_prime`, `factorize`, `power` and `record`) is in quadrantal.integers,
 which the polynomial side imports alone; every name of it resolves here
-too.  The decimal core, the pi bounds and the exact root floors are in
+too.  The printed reals, the pi bounds and the exact root floors are in
 quadrantal.reals, and their names still resolve here on first use.
 """
 

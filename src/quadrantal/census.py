@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
@@ -75,8 +74,8 @@ from operator import itemgetter
 from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
 from .forms import ClassGroupReport, _cycle, class_group
 from .quadring import QuadraticField, torsion_order
-from .reals import nstr, pi_decimal
-from .units import regulator_decimal
+from .reals import nstr, pi_scaled
+from .reals import pi_decimal  # noqa: F401 (re-exported)
 
 BLOCK = 1 << 14  # lanes of a row per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
@@ -278,22 +277,37 @@ def _planes(c: int) -> tuple[bytes, bytes]:
     return lanes[::2], lanes[1::2]
 
 
-def sigma_decimal(field: QuadraticField, precision: int = 30) -> Decimal:
-    """The per-class ideal density 2^(r+1) pi^s rho / (w sqrt|d|) to
-    precision + 15 digits.  A real field cross-checks it against
-    2 log(lam)/sqrt(m) (m = 1 mod 4) or log(lam)/sqrt(m) to a relative
-    10^-precision, raising ArithmeticError if they disagree."""
-    digits = precision + 15
-    rho = regulator_decimal(field, digits + 10)
-    with localcontext(Context(prec=digits)):
-        root = Decimal(abs(field.d)).sqrt()
-        if field.m < 0:
-            return 2 * pi_decimal(digits) * rho / (torsion_order(field) * root)
-        sigma = 4 * rho / (torsion_order(field) * root)
-        alt = (2 if field.half else 1) * rho / Decimal(field.m).sqrt()
-        if abs(sigma - alt) > Decimal(10) ** -precision * max(sigma, alt, 1):
-            raise ArithmeticError(f"sigma {sigma} disagrees with {alt}")
-        return sigma
+def _sigma(field: QuadraticField, precision: int) -> tuple[int, int]:
+    """(s, places) with s = sigma * 10^places within 2, sigma the per-class
+    ideal density 2^(r+1) pi^s rho / (w sqrt|d|) > 0.9 / sqrt|d|, so s has
+    precision + 25 significant digits at least.  A real field cross-checks it
+    against 2 log(lam)/sqrt(m) (m = 1 mod 4) or log(lam)/sqrt(m) to a
+    relative 10^-precision, raising ArithmeticError if they disagree; only a
+    real field imports units, for its regulator."""
+    ad = abs(field.d)
+    places = precision + 26 + len(str(ad)) // 2
+    guard = places + 10  # pi, rho and the roots carry ten more places
+    root = math.isqrt(ad * 100**guard)  # sqrt|d| 10^guard, truncated
+    if field.m < 0:
+        return 2 * pi_scaled(guard) * 10**places // (torsion_order(field) * root), places
+    from .units import regulator_scaled
+
+    rho = regulator_scaled(field, guard)
+    sigma = 4 * rho * 10**places // (torsion_order(field) * root)
+    alt = (2 if field.half else 1) * rho * 10**places // math.isqrt(field.m * 100**guard)
+    if abs(sigma - alt) * 10**precision > max(sigma, alt, 10**places):
+        raise ArithmeticError(f"sigma {nstr((sigma, -places), precision + 15)} disagrees with "
+                              f"{nstr((alt, -places), precision + 15)}")
+    return sigma, places
+
+
+def sigma_decimal(field: QuadraticField, precision: int = 30):
+    """The per-class ideal density to precision + 15 digits as a Decimal:
+    _sigma rounded once (half even), with its real-field cross-check."""
+    from decimal import Context, Decimal
+
+    sigma, places = _sigma(field, precision)
+    return Decimal(sigma).scaleb(-places, Context(prec=precision + 15))
 
 
 def sigma_theoretical(field: QuadraticField, precision: int = 30):
@@ -302,6 +316,16 @@ def sigma_theoretical(field: QuadraticField, precision: int = 30):
 
     with mpmath.workdps(precision + 15):
         return mpmath.mpf(str(sigma_decimal(field, precision)))
+
+
+def __getattr__(name):
+    """units.regulator_decimal, still importable from here (PEP 562): a
+    census imports units only for a real field's regulator (_sigma)."""
+    if name != "regulator_decimal":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .units import regulator_decimal
+
+    return regulator_decimal
 
 
 @record
@@ -362,7 +386,7 @@ def _census(field, k, per_class, report, precision) -> CensusResult:
         _check_report(field, report)
     _check_table_size(k + 1)  # the cutoff's cap, before sigma and the class group
     # before the class group: the fundamental unit's period cap trips first
-    sigma = sigma_decimal(field, precision)
+    sigma, places = _sigma(field, precision)
     if report is None:
         report = class_group(field)
     h = report.h
@@ -372,15 +396,14 @@ def _census(field, k, per_class, report, precision) -> CensusResult:
     per = _class_totals(field, k, report) if per_class else None
     if per is not None and sum(per) != z_k:
         raise ArithmeticError(f"per-class counts sum to {sum(per)}, not Z(k) = {z_k}")
-    with localcontext(Context(prec=precision + 15)):
-        zk = Decimal(z_k) / k
-        sigma_h = sigma * h
-        dev = abs(zk - sigma_h)
-        norm_dev = dev * Decimal(k).sqrt()
+    # Z(k)/k truncated is exact at the half-up boundaries nstr rounds at
+    zk, sigma_h = z_k * 10**places // k, sigma * h
+    dev = abs(zk - sigma_h)
+    root_k = math.isqrt(k * 10**40)  # sqrt(k) 10^20
     return CensusResult(
         field.m, k, z_k, h,
-        nstr(sigma, precision), nstr(zk, precision), nstr(sigma_h, precision),
-        nstr(dev, 10), nstr(norm_dev, 10),
+        *(nstr((x, -places), precision) for x in (sigma, zk, sigma_h)),
+        nstr((dev, -places), 10), nstr((dev * root_k, -places - 20), 10),
         per,
     )
 

@@ -25,12 +25,14 @@ request imports neither argparse nor json.  The handlers are in cli_poly
 importable from here (PEP 562); a request imports only its own, and it
 only the layers it uses.  A census builds no ideal table: Z(k) and the
 --csv marks are hyperbola sums on one tile of chi_d.  The decimals of
-census, units and quad minkowski come from quadrantal.reals, on the
-standard decimal module; `mpmath` is loaded only where a number-field
-embedding is computed.
+census, units and quad minkowski come from quadrantal.reals, in integer
+fixed point: of them only quad minkowski, whose upper bound is a
+Fraction, loads `fractions` (and with it `decimal`).  `mpmath` is loaded
+only where a number-field embedding is computed.
 
-QUADRANTAL_PRECISION overrides the default decimal digits (minimum 30,
-maximum 1000).
+QUADRANTAL_PRECISION sets the digits of the units regulator (default 50)
+and of the census densities (default 30): minimum 30, maximum 1000.  No
+other output reads it; quad minkowski always prints 30 digits.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The quad command: ring data, prime splitting and the ideal calculus.  Only
 principal and classgroup load the form layer (quadrantal.forms), and only
-they and minkowski the decimal core (quadrantal.reals)."""
+they and minkowski the certified reals (quadrantal.reals)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
-"""The units, pell and census commands, and their decimal precision."""
+"""The units, pell and census commands, and their decimal precision.  Only
+units, pell and a real field's census load the unit layer (quadrantal.units)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import os
 from .arith import MAX_PRECISION
 from .cli import InputError
 from .quadring import QuadraticField
-from .units import continued_fraction_of_omega, pell_solve, unit_group_report
 
 
 def decimal_precision(default: int = 50) -> int:
@@ -24,6 +24,8 @@ def decimal_precision(default: int = 50) -> int:
 
 
 def cmd_units(args) -> dict:
+    from .units import continued_fraction_of_omega, unit_group_report
+
     field = QuadraticField(args.m)
     out = unit_group_report(field, precision=decimal_precision(50)).to_json_dict()
     if field.m > 0:
@@ -33,6 +35,8 @@ def cmd_units(args) -> dict:
 
 
 def cmd_pell(args) -> dict:
+    from .units import pell_solve
+
     sol = pell_solve(args.m, args.kind)
     if sol is None:
         return {"m": args.m, "kind": args.kind, "solvable": False}

@@ -26,7 +26,7 @@ Ideal products are Dirichlet composition of the forms (a, B) of the
 primitive parts (_form), and conjugation is (a, B) -> (a, -B).  Reduction,
 principality and class groups are quadrantal.forms, and the Minkowski bound
 is quadrantal.reals; their names still resolve here on first use, so a
-split or a factorization compiles neither and imports no decimal or fractions.
+split or a factorization compiles neither.
 """
 
 from __future__ import annotations

@@ -1,50 +1,80 @@
-"""Certified real numbers: pi, the printed decimals and the Minkowski bound.
+"""Certified real numbers: pi, logarithms of units, their printed decimals
+and the Minkowski bound.
 
-The printed decimals of the package come from one small core on the
-standard `decimal` module (which `fractions` loads anyway): `pi_decimal`
-from Machin's formula in integers, `ln_unit` for the logarithm of a real
-quadratic unit, and `nstr`, which writes a Decimal as mpmath.nstr writes a
-float.  `floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one
-integer square root at each rational bound of x, and with the stored pi
-bounds it certifies the Minkowski floor of an imaginary quadratic field.
-A split or a factorization never needs any of it, so arith and quadring
-leave it here, and their old names for it still resolve (PEP 562).
+Every printed real of the quadratic side (the regulator, the census
+densities, the Minkowski constant) is computed here in integer fixed point
+and rounded once, when `nstr` writes it.  A value is an int scaled by a
+power of ten, carried with at least ten guard digits past the digits it
+prints: `pi_scaled` from Machin's formula, square roots from math.isqrt,
+and `ln_unit_scaled`, the logarithm of a real quadratic unit, as
+e ln 2 + ln f for 2^e f with 1 <= f < 2, f taken down by square roots
+before an atanh series, and ln 2 from a Machin-like atanh formula (Brent,
+Fast multiple-precision evaluation of elementary functions, JACM 1976).
+`nstr` writes an (int, decimal exponent) pair, or a Decimal, as
+mpmath.nstr writes a float.
+
+`floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
+root at each rational bound of x, and with the stored pi bounds it
+certifies the Minkowski floor of an imaginary quadratic field.  The Decimal
+and Fraction names (pi_decimal, ln_unit, PI_BOUNDS, PI_LO) are adapters
+that import `decimal` or `fractions` only when called or first read
+(PEP 562), so of the requests that print reals only `quad minkowski`,
+whose upper bound is a Fraction, loads either.  A split or a factorization never needs any of
+this, so arith and quadring leave it here, and their old names for it
+still resolve.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
-from fractions import Fraction
+from functools import lru_cache
 
 from .arith import CertificateNotFound, record
 
-# pi to 100 decimals, truncated.  PI_BOUNDS pin the Minkowski floor of
-# 2 sqrt|d| / pi unless the quotient is within a relative 10**-100 of an
-# integer; PI_LO, the 11-decimal truncation, divides the printed upper bound.
+# pi to 100 decimals, truncated.  The pi bounds PI_DIGITS/10^100 and
+# (PI_DIGITS + 1)/10^100 pin the Minkowski floor of 2 sqrt|d| / pi unless
+# the quotient is within a relative 10**-100 of an integer; PI_LO, the
+# 11-decimal truncation, divides the printed upper bound.
 PI_DIGITS = 31415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679
-PI_BOUNDS = (Fraction(PI_DIGITS, 10**100), Fraction(PI_DIGITS + 1, 10**100))
-PI_LO = Fraction(PI_DIGITS // 10**89, 10**11)
+_PI_BOUNDS = ((PI_DIGITS, 10**100), (PI_DIGITS + 1, 10**100))  # (numerator, denominator)
+_PI_LO = (PI_DIGITS // 10**89, 10**11)
 
 
-def floor_of_root_quotient(mult: int, n: int, den_lo: Fraction, den_hi: Fraction) -> int:
+def __getattr__(name):
+    """PI_BOUNDS and PI_LO as Fractions, made on first read (PEP 562)."""
+    if name not in ("PI_BOUNDS", "PI_LO"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals().update(PI_BOUNDS=tuple(Fraction(*b) for b in _PI_BOUNDS), PI_LO=Fraction(*_PI_LO))
+    return globals()[name]
+
+
+def floor_of_root_quotient(mult: int, n: int, den_lo, den_hi) -> int:
     """Exact floor(mult*sqrt(n)/x) for mult, n >= 0, given rational bounds
-    0 < den_lo < x < den_hi.
+    0 < den_lo < x < den_hi, each a Fraction or a (numerator, denominator)
+    pair.
 
     floor(mult*sqrt(n)/(p/q)) = isqrt(mult^2 q^2 n) // p exactly, so the
     floors at the two bounds pin the answer when they agree; otherwise
     CertificateNotFound is raised.
     """
-    lo, hi = (math.isqrt(mult * mult * b.denominator**2 * n) // b.numerator
-              for b in (den_hi, den_lo))
+    hi_pq, lo_pq = (b if isinstance(b, tuple) else (b.numerator, b.denominator) for b in (den_hi, den_lo))
+    lo, hi = (math.isqrt(mult * mult * q * q * n) // p for p, q in (hi_pq, lo_pq))
     if lo != hi:
         raise CertificateNotFound(
-            f"floor of {mult}*sqrt({n})/x is {lo} at x = {den_hi} but {hi} at x = {den_lo}")
+            f"floor of {mult}*sqrt({n})/x is {lo} at x = {_ratio_text(*hi_pq)} but {hi} at x = {_ratio_text(*lo_pq)}")
     return lo
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms as str(Fraction(p, q)) writes it."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if q == g else f"{p // g}/{q // g}"
+
+
 # ---------------------------------------------------------------------------
-# decimals
+# fixed point: pi and the logarithm of a unit
 # ---------------------------------------------------------------------------
 
 def _arctan_inverse(x: int, one: int) -> int:
@@ -58,48 +88,128 @@ def _arctan_inverse(x: int, one: int) -> int:
     return total
 
 
-def pi_decimal(digits: int) -> Decimal:
-    """pi to `digits` significant digits, from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) in integers with ten guard digits."""
-    one = 10 ** (digits + 10)
-    scaled = 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
-    return Decimal(scaled).scaleb(-(digits + 10), Context(prec=digits))
+def _machin(one: int) -> int:
+    """pi in fixed point with unit `one` by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239), within a few units."""
+    return 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
 
 
-def ln_unit(u: int, v: int, m: int, digits: int) -> Decimal:
-    """ln((u + v sqrt(m))/2) to `digits` significant digits, for u, v >= 0
-    and m > 0 with (u + v sqrt(m))/2 >= 1.
-
-    Decimal(int) is quadratic in the digits of the int, so u and v are
-    shifted right by the same s bits, keeping about 4 (digits + 10) + 64
-    of them, and s ln 2 is added back."""
-    s = max(0, max(u.bit_length(), v.bit_length()) - 4 * (digits + 10) - 64)
-    with localcontext(Context(prec=digits + 5)):
-        x = (Decimal(u >> s) + Decimal(v >> s) * Decimal(m).sqrt()) / 2
-        out = x.ln() + s * Decimal(2).ln() if s else x.ln()
-    return Context(prec=digits).plus(out)
+def pi_scaled(places: int) -> int:
+    """pi * 10^places within 1, from Machin's formula with ten guard digits."""
+    return _machin(10 ** (places + 10)) // 10**10
 
 
-def nstr(x: Decimal, n: int) -> str:
+def _atanh_inverse(x: int, one: int) -> int:
+    """atanh(1/x) = sum of 1/((2k + 1) x^(2k + 1)) in fixed point with unit
+    `one`, each term truncated."""
+    term = total = one // x
+    x2, n = x * x, 1
+    while term:
+        term //= x2
+        n += 2
+        total += term // n
+    return total
+
+
+@lru_cache(maxsize=8)
+def _ln2(bits: int) -> int:
+    """ln 2 * 2^bits, truncated: 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749)
+    with 16 guard bits, kept per working precision."""
+    one = 1 << (bits + 16)
+    return (18 * _atanh_inverse(26, one) - 2 * _atanh_inverse(4801, one) + 8 * _atanh_inverse(8749, one)) >> 16
+
+
+def ln_unit_scaled(u: int, v: int, m: int, places: int) -> int:
+    """ln((u + v sqrt(m))/2) * 10^places, within 2, for u, v >= 0 and m > 0
+    with (u + v sqrt(m))/2 >= 1.
+
+    Works in binary fixed point with `bits` fraction bits, enough for the
+    decimals, the error of r square roots and of e ln 2.  u and v are first
+    shifted right by the same s bits, keeping bits + log2(m) + 8 of the
+    larger, so a unit of thousands of digits costs what one of bits does.
+    lambda = 2^e f with 1 <= f < 2; f^(2^-r) = (1 + z)/(1 - z) after r
+    square roots, and ln f = 2^(r + 1) atanh(z), z < 2^-(r + 1).
+    """
+    size = max(u.bit_length(), v.bit_length())
+    roots = math.isqrt(places) + 2
+    bits = places * 3322 // 1000 + (size + m.bit_length()).bit_length() + roots + 32
+    s = max(0, size - bits - m.bit_length() - 8)
+    y = (u >> s << bits) + math.isqrt((v >> s) ** 2 * m << 2 * bits)  # 2 lambda 2^(bits - s)
+    n = y.bit_length() - 1
+    f = y >> (n - bits) if n >= bits else y << (bits - n)  # f 2^bits, lambda = f 2^(n + s - bits - 1)
+    one = 1 << bits
+    for _ in range(roots):
+        f = math.isqrt(f << bits)
+    z = ((f - one) << bits) // (f + one)
+    z2, term, total, k = z * z >> bits, z, z, 1
+    while term:
+        term = term * z2 >> bits
+        k += 2
+        total += term // k
+    ln = (n + s - bits - 1) * _ln2(bits) + (total << (roots + 1))
+    return ln * 10**places >> bits
+
+
+# ---------------------------------------------------------------------------
+# printing
+# ---------------------------------------------------------------------------
+
+def nstr(x, n: int) -> str:
     """x to n significant digits as mpmath.nstr(x, n) writes it: rounded
     half up, in fixed point when min(-(n // 3), -5) < exponent < n, with
     trailing zeros stripped but one kept after the point, and otherwise
-    with an exponent e+N or e-N."""
-    if not x:
+    with an exponent e+N or e-N.  x is a pair (mantissa, exponent) standing
+    for mantissa * 10^exponent, or a Decimal, read exactly off its digits."""
+    if not isinstance(x, tuple):
+        sign, digits, exponent = x.as_tuple()
+        x = (-1 if sign else 1) * int("".join(map(str, digits))), exponent
+    mantissa, exponent = x
+    if not mantissa:
         return "0.0"
-    y = Context(prec=n, rounding=ROUND_HALF_UP).plus(x.copy_abs())
-    digits = "".join(map(str, y.as_tuple().digits)).ljust(n, "0")
-    exponent, point = y.adjusted(), 1
+    y = abs(mantissa)
+    extra = len(str(y)) - n
+    if extra > 0:  # round half up to n digits
+        y, r = divmod(y, 10**extra)
+        exponent += extra
+        if 2 * r >= 10**extra:
+            y += 1
+            if y == 10**n:
+                y, exponent = y // 10, exponent + 1
+    digits = str(y)
+    exponent, point = exponent + len(digits) - 1, 1
+    digits = digits.ljust(n, "0")
     if min(-(n // 3), -5) < exponent < n:
         if exponent < 0:
             digits = "0" * -exponent + digits
         else:
             point = exponent + 1
         exponent = 0
-    text = ("-" if x < 0 else "") + (digits[:point] + "." + digits[point:]).rstrip("0")
+    text = ("-" if mantissa < 0 else "") + (digits[:point] + "." + digits[point:]).rstrip("0")
     if text.endswith("."):
         text += "0"
     return text + (f"e{exponent:+d}" if exponent else "")
+
+
+# ---------------------------------------------------------------------------
+# the Decimal adapters
+# ---------------------------------------------------------------------------
+
+def pi_decimal(digits: int):
+    """pi to `digits` significant digits as a Decimal, from Machin's formula
+    in integers with ten guard digits."""
+    from decimal import Context, Decimal
+
+    return Decimal(_machin(10 ** (digits + 10))).scaleb(-(digits + 10), Context(prec=digits))
+
+
+def ln_unit(u: int, v: int, m: int, digits: int):
+    """ln((u + v sqrt(m))/2) to `digits` significant digits as a Decimal, for
+    u, v >= 0 and m > 0 with (u + v sqrt(m))/2 >= 1: ln_unit_scaled with ten
+    guard digits, rounded once (half even)."""
+    from decimal import Context, Decimal
+
+    places = digits + 10
+    return Decimal(ln_unit_scaled(u, v, m, places)).scaleb(-places, Context(prec=digits))
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +235,21 @@ def minkowski_floor(field) -> int:
     ad = abs(field.d)
     if field.m > 0:
         return math.isqrt(ad) // 2
-    return floor_of_root_quotient(2, ad, *PI_BOUNDS)
+    return floor_of_root_quotient(2, ad, *_PI_BOUNDS)
 
 
 def minkowski_bound(field, precision: int = 30) -> MinkowskiBound:
     """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
-    (imaginary).  The integer floor is certified with exact pi bounds."""
+    (imaginary).  The integer floor is certified with exact pi bounds, and
+    the decimal is written from precision + 20 places."""
+    from fractions import Fraction
+
     ad = abs(field.d)
     hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
+    places = precision + 20
+    root = math.isqrt(ad * 100**places)  # sqrt|d| 10^places, truncated
     if field.m > 0:
-        upper = hi / 2
+        upper, value = hi / 2, root // 2
     else:
-        upper = 2 * hi / PI_LO
-    digits = precision + 10
-    with localcontext(Context(prec=digits)):
-        root = Decimal(ad).sqrt()
-        val = root / 2 if field.m > 0 else 2 * root / pi_decimal(digits)
-    return MinkowskiBound(minkowski_floor(field), upper, nstr(val, precision))
+        upper, value = 2 * hi / Fraction(*_PI_LO), 2 * root * 10**places // pi_scaled(places)
+    return MinkowskiBound(minkowski_floor(field), upper, nstr((value, -places), precision))

@@ -13,13 +13,12 @@ four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
 from __future__ import annotations
 
 import functools
-from decimal import Context, Decimal, localcontext
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import record
 from .forms import _cycle, _generator, _reduce
 from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, torsion_units, unit_inverse
-from .reals import ln_unit, nstr
+from .reals import ln_unit, ln_unit_scaled, nstr
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +139,16 @@ class UnitGroupReport:
         return out
 
 
-def regulator_decimal(field: QuadraticField, digits: int = 50) -> Decimal:
-    """log(lam) to `digits` significant digits (1 when the rank is 0)."""
+def regulator_scaled(field: QuadraticField, places: int) -> int:
+    """log(lam) * 10^places within 2, for a real field (reals.ln_unit_scaled)."""
+    return ln_unit_scaled(*fundamental_unit(field).double_coords(), field.m, places)
+
+
+def regulator_decimal(field: QuadraticField, digits: int = 50):
+    """log(lam) to `digits` significant digits as a Decimal (1 when the rank is 0)."""
     if field.m < 0:
+        from decimal import Decimal
+
         return Decimal(1)
     return ln_unit(*fundamental_unit(field).double_coords(), field.m, digits)
 
@@ -158,7 +164,8 @@ def regulator_mp(field: QuadraticField, dps: int = 50):
 def unit_group_report(field: QuadraticField, precision: int = 50) -> UnitGroupReport:
     rank = 1 if field.m > 0 else 0
     lam = fundamental_unit(field) if rank else None
-    reg = nstr(regulator_decimal(field, precision + 10), precision) if rank else "1"
+    places = precision + 10  # log(lam) > 0.48: ten guard digits at least
+    reg = nstr((regulator_scaled(field, places), -places), precision) if rank else "1"
     return UnitGroupReport(
         field, torsion_order(field), torsion_generator(field), rank, lam, reg, precision
     )
@@ -183,10 +190,10 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     # |v v'| = 1, so ln v is +-ln of the larger of v and |v'|, which is
     # (|x| + |y| sqrt(m))/2 with no cancellation; it is v when x, y >= 0
     x, y = v.double_coords()
-    ln_v = ln_unit(abs(x), abs(y), field.m, 60)
-    with localcontext(Context(prec=60)):
-        ratio = (ln_v if x >= 0 and y >= 0 else -ln_v) / regulator_decimal(field, 60)
-        a = int(ratio.to_integral_value())
+    ln_v = ln_unit_scaled(abs(x), abs(y), field.m, 60)
+    reg = regulator_scaled(field, 60)
+    a = (2 * ln_v + reg) // (2 * reg)  # ln_v / reg to the nearest integer
+    a = a if x >= 0 and y >= 0 else -a
     lam = fundamental_unit(field)
     for cand in (a, a - 1, a + 1):
         if _unit_power(field, lam, cand) == v:

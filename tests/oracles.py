@@ -180,3 +180,86 @@ def mpmath_census_strings(m, d, w, unit, z_k, h, k, precision=30):
             mpmath.nstr(dev, 10),
             mpmath.nstr(dev * mpmath.sqrt(k), 10),
         )
+
+
+# The decimal core as it was on the standard decimal module, kept as the
+# reference the integer fixed-point core of quadrantal.reals must match.
+
+def decimal_nstr(x, n: int) -> str:
+    """A Decimal x to n significant digits as mpmath.nstr(x, n) writes it."""
+    from decimal import ROUND_HALF_UP, Context
+
+    if not x:
+        return "0.0"
+    y = Context(prec=n, rounding=ROUND_HALF_UP).plus(x.copy_abs())
+    digits = "".join(map(str, y.as_tuple().digits)).ljust(n, "0")
+    exponent, point = y.adjusted(), 1
+    if min(-(n // 3), -5) < exponent < n:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            point = exponent + 1
+        exponent = 0
+    text = ("-" if x < 0 else "") + (digits[:point] + "." + digits[point:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text + (f"e{exponent:+d}" if exponent else "")
+
+
+def decimal_ln_unit(u: int, v: int, m: int, digits: int):
+    """ln((u + v sqrt(m))/2) to digits significant digits by Decimal.ln, u
+    and v shifted right together to about 4 (digits + 10) + 64 bits."""
+    from decimal import Context, Decimal, localcontext
+
+    s = max(0, max(u.bit_length(), v.bit_length()) - 4 * (digits + 10) - 64)
+    with localcontext(Context(prec=digits + 5)):
+        x = (Decimal(u >> s) + Decimal(v >> s) * Decimal(m).sqrt()) / 2
+        out = x.ln() + s * Decimal(2).ln() if s else x.ln()
+    return Context(prec=digits).plus(out)
+
+
+def decimal_pi(digits: int):
+    """pi to digits significant digits by Machin's formula in integers."""
+    from decimal import Context, Decimal
+
+    def arctan_inverse(x, one):
+        term = total = one // x
+        x2, n = x * x, 1
+        while term:
+            term //= x2
+            n += 2
+            total += -(term // n) if n % 4 == 3 else term // n
+        return total
+
+    one = 10 ** (digits + 10)
+    return Decimal(16 * arctan_inverse(5, one) - 4 * arctan_inverse(239, one)).scaleb(
+        -(digits + 10), Context(prec=digits))
+
+
+def decimal_sigma(m, d, w, unit, precision=30):
+    """The per-class density 2^(r+1) pi^s rho / (w sqrt|d|) at precision + 15
+    digits as sigma_decimal computed it; unit is the (u, v) of the
+    fundamental unit of a real field, None for an imaginary one."""
+    from decimal import Context, Decimal, localcontext
+
+    digits = precision + 15
+    with localcontext(Context(prec=digits)):
+        root = Decimal(abs(d)).sqrt()
+        if m < 0:
+            return 2 * decimal_pi(digits) / (w * root)
+        return 4 * decimal_ln_unit(*unit, m, digits + 10) / (w * root)
+
+
+def decimal_census_strings(m, d, w, unit, z_k, h, k, precision=30):
+    """sigma, Z(k)/k, sigma h, |Z(k)/k - sigma h| and that times sqrt(k), as
+    census_check printed them from Decimals at precision + 15 digits."""
+    from decimal import Context, Decimal, localcontext
+
+    sigma = decimal_sigma(m, d, w, unit, precision)
+    with localcontext(Context(prec=precision + 15)):
+        zk = Decimal(z_k) / k
+        sigma_h = sigma * h
+        dev = abs(zk - sigma_h)
+        norm_dev = dev * Decimal(k).sqrt()
+    return (decimal_nstr(sigma, precision), decimal_nstr(zk, precision), decimal_nstr(sigma_h, precision),
+            decimal_nstr(dev, 10), decimal_nstr(norm_dev, 10))

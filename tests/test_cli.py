@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -527,6 +528,61 @@ class TestCensusCommand:
         assert captured.err.count("\n") == 1
 
 
+# every square-free m in [-1000, -2] and [2, 3000]; 20 seeded real fields and
+# m = 1000000007 for the precision sweeps
+PINNED_FIELDS = [f.m for f in squarefree_fields(-1000, -2) + squarefree_fields(2, 3000)]
+
+
+def _seeded_real_fields():
+    rng, out = random.Random(30), []
+    while len(out) < 20:
+        m = rng.randrange(2, 10**6)
+        if squarefree_fields(m, m):
+            out.append(m)
+    return out + [1000000007]
+
+
+class TestPrintedRealsPinned:
+    """sha256 prefixes of the exit code, stdout and stderr of every request
+    of a sweep, as printed when the regulator, the census densities and the
+    Minkowski decimal came from the decimal module."""
+
+    SWEEPS = {
+        "census": (["census", "--k", "1000"], "62087644bb5cdfde"),
+        "census-per-class": (["census", "--k", "1000", "--per-class"], "e6462909a02ca419"),
+        "units": (["units"], "e4cf51cdeea8ee1c"),
+        "minkowski": (["quad", "minkowski"], "8f34ed92684e1d8e"),
+    }
+    PRECISION = {
+        ("200", "units"): "4facba86053ced56",
+        ("200", "census"): "5578b01b6a308eb0",
+        ("1000", "units"): "1164915967608272",
+        ("1000", "census"): "481e7f7ee32d22c8",
+    }
+
+    @staticmethod
+    def _digest(capsys, argv, fields):
+        digest = hashlib.sha256()
+        for m in fields:
+            code = main([*argv, "--m", str(m)])
+            out, err = capsys.readouterr()
+            digest.update(f"{code}\n{out}{err}".encode())
+        return digest.hexdigest()[:16]
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_sweep_unchanged(self, capsys, monkeypatch, sweep):
+        monkeypatch.delenv("QUADRANTAL_PRECISION", raising=False)
+        argv, digest = self.SWEEPS[sweep]
+        assert len(PINNED_FIELDS) == 2430
+        assert self._digest(capsys, argv, PINNED_FIELDS) == digest
+
+    @pytest.mark.parametrize("precision, command", sorted(PRECISION))
+    def test_precision_unchanged(self, capsys, monkeypatch, precision, command):
+        monkeypatch.setenv("QUADRANTAL_PRECISION", precision)
+        argv = {"units": ["units"], "census": ["census", "--k", "1000"]}[command]
+        assert self._digest(capsys, argv, _seeded_real_fields()) == self.PRECISION[precision, command]
+
+
 def sum_of_sieve(m, k):
     from quadrantal.census import ideal_count_sieve
     from quadrantal.quadring import ring_of_integers
@@ -641,6 +697,15 @@ class TestFormatsAndExitCodes:
             got = tuple(data[key] for key in ("sigma_theoretical", "z_over_k", "sigma_h",
                                               "deviation", "normalized_deviation"))
             assert got == mpmath_census_strings(m, d, 2, u, int(data["Z_k"]), data["h"], 300, 200)
+
+    @pytest.mark.parametrize("value", ["60", "abc", "3000000"])
+    def test_minkowski_ignores_precision(self, capsys, monkeypatch, value):
+        # only the units regulator and the census densities read it
+        monkeypatch.delenv("QUADRANTAL_PRECISION", raising=False)
+        expected = run_cli(capsys, "quad", "minkowski", "--m", "-23")
+        monkeypatch.setenv("QUADRANTAL_PRECISION", value)
+        assert run_cli(capsys, "quad", "minkowski", "--m", "-23") == expected
+        assert len(json.loads(expected[1])["decimal"].replace(".", "")) == 30
 
     @pytest.mark.parametrize("argv", [["units", "--m", "7"], ["census", "--m", "-5", "--k", "300"]])
     def test_precision_over_cap_exits_3(self, capsys, monkeypatch, argv):
@@ -994,9 +1059,12 @@ class TestRequestLoads:
         (["poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1"], BASE | {"integers", "polynomial", "cli_poly"}),
         (["cyclo", "lists"], BASE | {"integers", "cyclotomic", "cli_poly"}),
         (["frobnicate"], BASE | {"cli_args"}),  # argparse's exit 2
-        (["census", "--m", "-5", "--k", "300"],
-         BASE | {"arith", "integers", "quadring", "forms", "reals", "units", "census", "cli_units"}),
+        (["census", "--m", "-5", "--k", "300"],  # imaginary: rho = 1, no unit layer
+         BASE | {"arith", "integers", "quadring", "forms", "reals", "census", "cli_units"}),
         (["quad", "minkowski", "--m", "-23"], QUAD | {"reals"}),
+        (["census", "--m", "10", "--k", "300"],
+         BASE | {"arith", "integers", "quadring", "forms", "reals", "units", "census", "cli_units"}),
+        (["units", "--m", "-5"], BASE | {"arith", "integers", "quadring", "forms", "reals", "units", "cli_units"}),
     ])
     def test_modules_loaded_and_cli_compiled_once(self, argv, extra):
         code, errors, loaded, copies = probe_request(*argv)
@@ -1066,8 +1134,8 @@ class TestStartup:
         ],
     )
     def test_exact_requests_skip_mpmath(self, argv, tmp_path):
-        # printed decimals come from the decimal module, and reports are
-        # records: dataclasses would pull in inspect, ast, dis and tokenize
+        # printed reals are integer fixed point (quadrantal.reals), and reports
+        # are records: dataclasses would pull in inspect, ast, dis and tokenize
         code, loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
         assert code == 0
         assert "quadrantal.quadring" in loaded
@@ -1106,10 +1174,33 @@ class TestStartup:
         assert {"argparse", "quadrantal.cli_args"} <= loaded
 
     def test_printed_decimal_loads_decimal(self):
-        # the probe above does see the modules a printed decimal uses
-        code, loaded = imported_modules("units", "--m", "2")
+        # the probe does see decimal and fractions where they load: the
+        # Minkowski bound's upper bound is a Fraction, and fractions imports decimal
+        code, loaded = imported_modules("quad", "minkowski", "--m", "-23")
         assert code == 0
-        assert {"decimal", "quadrantal.units", "quadrantal.reals"} <= loaded
+        assert {"decimal", "fractions", "quadrantal.reals"} <= loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--m", "-5", "--k", "300"],
+        ["census", "--m", "10", "--k", "300"],
+        ["census", "--m", "-14", "--k", "300", "--per-class", "--csv", "{tmp}/census.csv"],
+        ["census", "--m", "10", "--k", "300", "--per-class", "--csv", "{tmp}/census.csv"],
+        ["units", "--m", "94"],
+        ["units", "--m", "-3"],
+        ["pell", "--m", "13", "--kind", "minusOne"],
+        ["quad", "classgroup", "--m", "-23", "--verify"],
+        ["quad", "classgroup", "--m", "79"],
+        ["quad", "principal", "--m", "10", "--ideal", "(2, w)"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_printed_reals_load_no_decimal_or_fractions(self, argv, tmp_path):
+        # regulators, densities and deviations are integer fixed point in
+        # reals, and an imaginary census (rho = 1) loads no unit layer
+        code, loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
+        assert "quadrantal.reals" in loaded
+        assert not loaded & {"decimal", "fractions", "numbers"}
+        if argv[0] == "census":
+            assert ("quadrantal.units" in loaded) == (int(argv[2]) > 0)
 
     @pytest.mark.parametrize("argv, code", [
         (["quad", "split", "--m", "-5", "--q", "3"], 0),

@@ -52,7 +52,7 @@ def test_no_bare_runtime_error(path):
 
 
 # mpmath is imported only inside these functions: number-field embeddings
-# and the three adapters that hand the decimal core's values to mpmath
+# and the three adapters that hand the printed reals to mpmath
 MPMATH_FUNCTIONS = {
     "census.py": {"sigma_theoretical"},
     "units.py": {"regulator_mp"},
@@ -60,16 +60,35 @@ MPMATH_FUNCTIONS = {
 }
 
 
+# decimal and fractions (which imports decimal and numbers) are imported
+# only inside these: the adapters that hand the integer fixed-point core's
+# values out as Decimals and Fractions, the Minkowski bound's Fraction,
+# polynomial's first coefficient off the integers, and annotations
+DECIMAL_FUNCTIONS = {
+    "reals.py": {"__getattr__", "pi_decimal", "ln_unit", "minkowski_bound"},
+    "units.py": {"regulator_decimal"},
+    "census.py": {"sigma_decimal"},
+    "polynomial.py": {"_fraction"},
+    "cli_poly.py": {"TYPE_CHECKING"},
+}
+
+
 def _imports(tree):
     """(imported module, innermost enclosing function or None) for each
-    import statement of the tree."""
+    import statement of the tree; an `if TYPE_CHECKING:` block counts as a
+    function of that name."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
                 yield from ((alias.name, function) for alias in child.names)
             elif isinstance(child, ast.ImportFrom):
                 yield (child.module or ""), function
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.If) and isinstance(child.test, ast.Name) and child.test.id == "TYPE_CHECKING":
+                inner = "TYPE_CHECKING"
+            else:
+                inner = function
             yield from walk(child, inner)
 
     return walk(tree, None)
@@ -88,6 +107,18 @@ def test_no_dataclasses_and_mpmath_only_in_its_functions(path):
            and (fn is None or (path.name != "numberfield.py" and fn not in allowed))]
     if bad:
         pytest.fail(f"{path.name} imports mpmath outside its functions: {bad}")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_decimal_and_fractions_only_in_their_adapters(path):
+    # the printed reals are integer fixed point: a census, units, pell or
+    # class-group request imports neither decimal nor fractions
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = DECIMAL_FUNCTIONS.get(path.name, set())
+    bad = [(name, fn) for name, fn in _imports(tree)
+           if name.split(".")[0] in ("decimal", "fractions") and fn not in allowed]
+    if bad:
+        pytest.fail(f"{path.name} imports decimal or fractions outside its adapters: {bad}")
 
 
 @pytest.mark.parametrize("name", ["census.py", "forms.py", "quadring.py"])
@@ -180,10 +211,12 @@ def test_every_command_has_a_handler_and_every_export_resolves():
         pytest.fail(f"quadrantal exports that do not resolve: {missing}")
 
 
-# Runs in a fresh interpreter: the imports of perfbench's compute jobs, then
-# one entry of each timed layer; prints the quadrantal modules the calls load.
+# Runs in a fresh interpreter: the imports of perfbench's compute jobs (its
+# worker's oracles import fractions), then one entry of each timed layer;
+# prints every module the calls load.
 COMPUTE_LAYERS = """
 import sys
+import fractions
 import quadrantal.cli
 from quadrantal import census, cli, numberfield, polynomial, quadring, units
 before = set(sys.modules)
@@ -206,7 +239,7 @@ theta = field.theta()
 numberfield.tuple_discriminant([theta**i for i in range(field.degree)])
 numberfield.composed_min_poly("sum", f, g)
 numberfield.primitive_element_shift(f, g)
-print(*sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "quadrantal"))
+print(*sorted(set(sys.modules) - before))
 """
 
 

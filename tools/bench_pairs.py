@@ -26,7 +26,11 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   ref_ms in each run, the kind's share of a run even where a few slow jobs
   skew it (h = 16 and 24 class groups, Phi_11), which a median job time
   times the job count understates;
-- every run's metrics, seed and order;
+- per workload and percentile metric (job_p50_ms, job_p90_ms), how many
+  runs of each side had it fall on each job kind (the kind of the job at
+  that nearest rank), so a percentile claim can be checked against the
+  group that sets it;
+- every run's metrics, seed and order, and the kind each percentile fell on;
 - the machine details that perfbench recorded, and `wc -l` of
   src/quadrantal/*.py on both sides.
 
@@ -47,6 +51,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
@@ -99,7 +104,8 @@ def run(tree: Path, seed: int) -> dict:
                for workload in perfbench.workloads.WORKLOADS}
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "machine": records["compute"]["machine"],
-            "job_ms": {workload: job_times(workload, record) for workload, record in records.items()}}
+            "job_ms": {workload: job_times(workload, record) for workload, record in records.items()},
+            "percentile_kinds": {workload: percentile_kinds(workload, record) for workload, record in records.items()}}
 
 
 def job_kind(workload: str, label: str) -> str:
@@ -118,6 +124,22 @@ def job_times(workload: str, record: dict) -> dict[str, list[float]]:
     for job, t in zip(record["jobs"], perfbench.scaled_latencies(record["jobs"], record)):
         out.setdefault(job_kind(workload, job["label"]), []).append(t * 1000)
     return out
+
+
+def percentile_kinds(workload: str, record: dict) -> dict[str, str]:
+    """{job_p50_ms, job_p90_ms: the kind of the job at that percentile} of one
+    run record, by perfbench's nearest rank over the same scaled times."""
+    times = zip(perfbench.scaled_latencies(record["jobs"], record),
+                (job_kind(workload, job["label"]) for job in record["jobs"]))
+    ranked = sorted(times, key=lambda pair: pair[0])
+    return {f"job_p{p}_ms": perfbench.percentile(ranked, p)[1] for p in (50, 90)}
+
+
+def kind_counts(runs: list[dict], workload: str) -> dict[str, dict]:
+    """{percentile metric: {side: {kind: the runs whose percentile fell on it}}}."""
+    return {metric: {side: dict(sorted(Counter(r[side]["percentile_kinds"][workload][metric] for r in runs).items()))
+                     for side in ("base", "change")}
+            for metric in ("job_p50_ms", "job_p90_ms")}
 
 
 def kind_medians(runs: list[dict], workload: str) -> dict[str, dict]:
@@ -202,9 +224,13 @@ def main() -> int:
         "metrics": metrics,
         "job_ms_by_kind": {workload: kind_medians(runs, workload)
                            for workload in (w["name"] for w in spec["workloads"])},
+        "percentile_kinds": {workload: kind_counts(runs, workload)
+                             for workload in (w["name"] for w in spec["workloads"])},
         "source_lines": lines,
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
-                  "change": r["change"]["metrics"]} for r in runs],
+                  "change": r["change"]["metrics"],
+                  "percentile_kinds": {side: r[side]["percentile_kinds"] for side in ("base", "change")}}
+                 for r in runs],
     }
     path = CHECKOUT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

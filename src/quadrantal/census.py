@@ -57,10 +57,12 @@ imaginary, and only per_class_counts writes the runs into rows of k + 1.
 The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
 Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
 Theory, 3.17) in O(sqrt(k) + min(|d|, k)), with the partial sums of chi_d
-read off the tile, so a census builds no table.  It is compared against the
-asymptotic density sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|);
-the reported normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the
-k^(-1/2) error law without pretending to know its constant.
+read off the tile, so a census builds no table, and h is the order of the
+class group's coset walk (forms._cosets), whose h x h table only a
+per-class census builds.  Z(k) is compared against the asymptotic density
+sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
+normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2)
+error law without pretending to know its constant.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
-from .forms import ClassGroupReport, _cycle, class_group
+from .forms import ClassGroupReport, _cosets, _cycle, _tabulate, class_group  # noqa: F401 (class_group, re-exported)
 from .quadring import QuadraticField, torsion_order
 from .reals import nstr, pi_scaled
 from .reals import pi_decimal  # noqa: F401 (re-exported)
@@ -378,8 +380,9 @@ def census_check(
 
 @_sharing_tile()
 def _census(field, k, per_class, report, precision) -> CensusResult:
-    """census_check's result with no table: Z(k) is the hyperbola sum, and the
-    per-class totals, sums of run lengths (_class_totals), must sum to it."""
+    """census_check's result with no table: Z(k) is the hyperbola sum, h the
+    coset walk's order unless a report is passed, and the per-class totals,
+    sums of run lengths (_class_totals) in the report's order, must sum to Z(k)."""
     if k < 100:
         raise ValueError("cutoff must be at least 100")
     if report is not None:
@@ -387,11 +390,11 @@ def _census(field, k, per_class, report, precision) -> CensusResult:
     _check_table_size(k + 1)  # the cutoff's cap, before sigma and the class group
     # before the class group: the fundamental unit's period cap trips first
     sigma, places = _sigma(field, precision)
-    if report is None:
-        report = class_group(field)
-    h = report.h
+    cosets = _cosets(field) if report is None else None  # h with no table
+    h = len(cosets[0]) if report is None else report.h
     if per_class:  # per_class_counts' cap, though the totals write no row
         _check_table_size(h * (k + 1))
+        report = report or _tabulate(field, cosets)  # the class numbering
     z_k = _ideal_total(field, k)
     per = _class_totals(field, k, report) if per_class else None
     if per is not None and sum(per) != z_k:

@@ -5,15 +5,15 @@ byte-identical output.  Arbitrary-precision quantities are rendered as
 decimal strings.  Exit codes: 0 success, 1 standard output closed before
 the result was written (piped into `head`, say), 2 invalid input, 3
 computational precondition failure (non-square-free m, unfactorable input,
-division by the zero polynomial, an unwritable --csv file, a table, prime
-sieve or cyclotomic polynomial over 10^8 entries, a fundamental unit or
-rho-cycle of period over 10^5, a number field or composed polynomial of
-degree over 400, a QUADRANTAL_PRECISION over 1000 digits, a shift or
-precision search that ends uncertified, an arithmetic overflow or a
-recursion too deep, ...), 4 a failed certificate (an exact check of a
-computed result that does not hold: factors that do not multiply back,
-per-class counts that do not sum to Z(k), ...; a bug, not a property of
-the input).
+division by the zero polynomial, an unwritable --csv file, a table
+(class groups: h^2 entries), prime sieve or cyclotomic polynomial over 10^8
+entries, a fundamental unit or rho-cycle of period over 10^5, a number
+field or composed polynomial of degree over 400, a QUADRANTAL_PRECISION
+over 1000 digits, a shift or precision search that ends uncertified, an
+arithmetic overflow, a recursion too deep or memory running out, ...), 4 a
+failed certificate (an exact check of a computed result that does not
+hold: factors that do not multiply back, per-class counts that do not sum
+to Z(k), ...; a bug, not a property of the input).
 
 A plain argv (a command, its action, each option once by its exact name,
 as `--opt value` or `--opt=value`) is read off COMMANDS; argparse, the
@@ -222,19 +222,20 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _fast_args(argv) or __getattr__("build_parser")(argv).parse_args(argv)
     try:
-        payload = _HANDLERS[args.command](args)
+        emit(_HANDLERS[args.command](args), args.format)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OverflowError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:  # from a handler or from emit: one line, no traceback
+        print("error: out of memory: the request needs more than the process may allocate", file=sys.stderr)
+        return 3
     except ArithmeticError as e:  # every certificate check raises one
         print(f"error: certificate failed: {e}", file=sys.stderr)
         return 4
-    try:
-        emit(payload, args.format)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:
         # the reader went away (`... | head -1`): send what is left to
         # os.devnull so the flush at interpreter exit cannot raise again

@@ -7,20 +7,21 @@ reduction operator, the rho-step J -> (conj(tau)/N(J)) * J, takes it to the
 Gauss-reduced form (imaginary; one per class) or onto the rho-cycle of
 reduced ideals (real; the least (a, b) on it stands for the class).
 Principality is "reduces to (1)"; the quotients of the steps fold into a
-pair of integer convergents that gives the generator, and units reads the
-fundamental unit off the cycle of (1) the same way.  Class products are
+pair of integer convergents that gives the generator, and a whole cycle
+folds into the fundamental unit the same way.  Class products are
 quadring's Dirichlet composition of forms; the class group grows coset by
-coset from the prime forms below the Minkowski bound, and the Smith normal
-form of its generators' relations gives its invariant factors.  No float
-decides any of it (Cohen, GTM 138, 2.4 and 5.3-5.7; Buchmann and Vollmer,
-Binary Quadratic Forms, ch. 6 and 9).
+coset from the prime forms below the Minkowski bound in O(h) memory, all a
+census reads, and only a report adds the h x h table (at most MAX_TABLE
+entries) and the invariant factors, the Smith normal form of the
+generators' relations.  No float decides any of it (Cohen, GTM 138, 2.4
+and 5.3-5.7; Buchmann and Vollmer, Binary Quadratic Forms, ch. 6 and 9).
 """
 
 from __future__ import annotations
 
 import math
 
-from .arith import MAX_PERIOD, PeriodOverflow, kronecker, primes_up_to, record
+from .arith import MAX_PERIOD, MAX_TABLE, PeriodOverflow, kronecker, primes_up_to, record
 from .quadring import (
     QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, prime_form, principal_ideal,
     torsion_units, unit_ideal, unit_inverse,
@@ -129,14 +130,15 @@ def is_principal(i: QuadIdeal):
     """A generator of I when I is principal, else None.
 
     I = c*I0 is principal when I0 reduces to (1): the reduced form is
-    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once,
-    up to (1)).  The quotients of the rho-steps from I0 to (1), kept as the
-    one reduction walk takes them, fold into the integer pair of one
-    generator of I0 (_generator), times c.  Among its associates the one
-    returned has the least y >= 0 in x + y*w, a positive norm before a
-    negative one, then the larger x; real fields only take the positive
-    associates.  The certificate (gen) = I is checked.  A real
-    rho-cycle of more than MAX_PERIOD forms raises PeriodOverflow.
+    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once).
+    The quotients of the rho-steps from I0 to (1), kept as the one walk
+    takes them, fold into the integer pair of one generator of I0
+    (_generator), times c.  Among its associates the one returned has the
+    least y >= 0 in x + y*w, a positive norm before a negative one, then the
+    larger x; real fields only take the positive associates, and the whole
+    cycle of the reduced form (a, B) folds into a*lam, lam the fundamental
+    unit.  The certificate (gen) = I is checked.  A real rho-cycle of more
+    than MAX_PERIOD forms raises PeriodOverflow.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
@@ -152,13 +154,13 @@ def is_principal(i: QuadIdeal):
         alpha = _generator(field, a0, big_b0, steps)
         cands = [alpha * z for z in torsion_units(field)]
     else:
-        for step in _cycle(field, a, big_b):
-            if step[0] == 1:
-                break
-            steps.append(step)
-        else:
+        cycle = list(_cycle(field, a, big_b))
+        j = next((j for j, step in enumerate(cycle) if step[0] == 1), None)
+        if j is None:
             return None
-        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0)
+        unit = _generator(field, a, big_b, cycle)  # a * lam
+        unit = field.integer(unit.a // a, unit.b // a)
+        cands = _balanced_associates(_generator(field, a0, big_b0, steps + cycle[:j]), a0, unit)
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     gen = field.integer(i.c * x.a, i.c * x.b)
     if principal_ideal(field, gen) != i:
@@ -166,18 +168,15 @@ def is_principal(i: QuadIdeal):
     return gen
 
 
-def _balanced_associates(gen: QuadInt, t: int) -> list[QuadInt]:
-    """The positive associates h/lam, h, h*lam of gen, lam > 1 the
+def _balanced_associates(gen: QuadInt, t: int, unit: QuadInt) -> list[QuadInt]:
+    """The positive associates h/lam, h, h*lam of gen, lam = unit > 1 the
     fundamental unit and h the least one with h >= sqrt(t).
 
     y is proportional to h - t/h (norm t), increasing in h and >= 0 from
     sqrt(t) on, or to h + t/h (norm -t), least near sqrt(t); so every other
     positive associate has a negative y or a larger one than one of these.
     """
-    from .units import fundamental_unit
-
     field = gen.field
-    unit = fundamental_unit(field)
     inv = unit_inverse(unit)
     h = gen if gen.sign_real() > 0 else -gen
 
@@ -274,15 +273,23 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
     norm).  A prime form whose reduction misses the form -> class dict lies
     outside the subgroup H met so far and becomes a generator g: it adds the
     cosets H*g, ..., H*g^(e-1), each new class one composition of its parent
-    with g (h - 1 in all), its rho-cycle walked once into the dict.  Class
-    x + n*j + z (x < n = |H|, j < e, z past H*g^(e-1)) is x*g^j*z, so c*g is
-    c + n, or x*rho + z at j = e - 1 for rho = class(g^e) in H: the table rows
-    need no composition, and the relations g^e = rho give the invariant
-    factors (Smith normal form, checked to multiply to h).  A breadth-first
-    search over the primes, replayed on the rows, numbers the classes.  A
-    rho-cycle over MAX_PERIOD forms raises PeriodOverflow; the principal
-    cycle is walked first.
+    with g (h - 1 in all), its rho-cycle walked once into the dict (_cosets,
+    in O(h) memory).  Class x + n*j + z (x < n = |H|, j < e, z past
+    H*g^(e-1)) is x*g^j*z, so c*g is c + n, or x*rho + z at j = e - 1 for
+    rho = class(g^e) in H: the table rows need no composition, and the
+    relations g^e = rho give the invariant factors (Smith normal form,
+    checked to multiply to h).  A breadth-first search over the primes,
+    replayed on the rows, numbers the classes (_tabulate).  A rho-cycle over
+    MAX_PERIOD forms raises PeriodOverflow; the principal cycle is walked
+    first.  A table over MAX_TABLE entries raises ValueError before any row.
     """
+    return _tabulate(field, _cosets(field))
+
+
+def _cosets(field: QuadraticField) -> tuple:
+    """class_group's coset walk: (reps, forms, gens, primes), the (a, B) of
+    each class's representative, the form -> class dict, (|H| before g,
+    |H| after g, class of g^e) per generator g and each prime form's class."""
     d = field.d
     forms = {}  # every reduced form met so far -> its class, in coset order
     reps = []   # (a, B) of each class's representative
@@ -308,7 +315,15 @@ def class_group(field: QuadraticField) -> ClassGroupReport:
                         add(power)
                     gens.append((n, len(reps), forms[power]))
                 primes.append(forms[key])
+    return reps, forms, gens, primes
+
+
+def _tabulate(field: QuadraticField, cosets: tuple) -> ClassGroupReport:
+    """class_group's report from the coset walk: the table, structure and numbering."""
+    reps, forms, gens, primes = cosets
     h = len(reps)
+    if h * h > MAX_TABLE:
+        raise ValueError(f"class group of order {h} needs a table of {h * h} entries, over the cap {MAX_TABLE}")
     rows = {0: list(range(h))}  # rows[c][x] = class(c*x); each popped as its table row is built
     for n, end, rho in gens:
         sigma = [c + n if c % end < end - n else rows[rho][c % n] + c - c % end for c in range(h)]

@@ -135,9 +135,9 @@ def from_power_sums(s) -> Poly:
 class NumberField:
     """Q(theta) for theta a root of a monic irreducible integer polynomial.
 
-    Irreducibility is an assumed precondition, checked heuristically only:
-    no integer roots, plus an Eisenstein certificate when one exists.  The
-    degree is at most MAX_DEGREE (ValueError above it).
+    Irreducibility is an assumed precondition, not certified: only a
+    rational root (an integer dividing a0) is rejected.  The degree is at
+    most MAX_DEGREE (ValueError above it).
     """
 
     def __init__(self, minpoly: Poly):

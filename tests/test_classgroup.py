@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -216,6 +218,26 @@ class TestReductionOracles:
         assert is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)])) is None
         assert len(calls) == 1
 
+    def test_real_is_principal_loads_no_unit_layer(self):
+        # the fundamental unit that picks the associate is the fold of the
+        # class's own cycle, so no second walk round the principal cycle
+        code = ("import sys; from quadrantal import forms, quadring; f = quadring.ring_of_integers(94); "
+                "assert forms.is_principal(quadring.principal_ideal(f, f.integer(3, 1))) is not None; "
+                "print('quadrantal.units' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_whole_cycle_folds_into_a_times_the_unit(self):
+        # every class cycle of square-free m in [2, 3000), from its least form (a, B)
+        cycles = 0
+        for field in squarefree_fields(2, 2999):
+            lam = fundamental_unit(field)
+            for a, big_b in forms._cosets(field)[0]:
+                cycle = list(forms._cycle(field, a, big_b))
+                assert forms._generator(field, a, big_b, cycle) == lam * field.integer(a), (field.m, a, big_b)
+                cycles += 1
+        assert cycles == 4574
+
     def test_is_principal_walks_the_reduction_once(self, monkeypatch):
         # imaginary fields: one rho-step per step of the reduction, none retraced
         calls = []
@@ -328,7 +350,7 @@ def reference_generator(i):
             a, big_b, alpha = rho(a, big_b, alpha)
             if (a, big_b) == start:
                 return None
-        cands = quadring._balanced_associates(alpha, a0)
+        cands = quadring._balanced_associates(alpha, a0, fundamental_unit(field))
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     return field.integer(i.c * x.a, i.c * x.b)
 
@@ -528,6 +550,18 @@ class TestCosetGeneration:
         rep = class_group(ring_of_integers(m))
         assert (rep.h, rep.structure) == (h, structure)
         assert len(calls) == h - 1
+
+    def test_table_over_the_cap_refused_before_any_row(self, monkeypatch):
+        field = ring_of_integers(-14)  # h = 4: 16 table entries
+        reps, walked, _, _ = forms._cosets(field)
+        monkeypatch.setattr(forms, "MAX_TABLE", 16)
+        assert class_group(field).h == 4
+        monkeypatch.setattr(forms, "MAX_TABLE", 15)
+        # no generator relation or prime class is read before the cap
+        with pytest.raises(ValueError, match="^class group of order 4 needs a table of 16 entries, over the cap 15$"):
+            forms._tabulate(field, (reps, walked, None, None))
+        with pytest.raises(ValueError, match="over the cap 15"):
+            class_group(field)
 
     def test_structure_checked_against_h(self, monkeypatch):
         monkeypatch.setattr(forms, "_invariant_factors", lambda relations: (2, 2))

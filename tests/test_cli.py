@@ -644,6 +644,7 @@ class TestFormatsAndExitCodes:
             (RecursionError("maximum recursion depth exceeded"), 3),
             (ZeroDivisionError("division by zero"), 3),
             (ArithmeticError("the factors of 7 multiply to (49)"), 4),
+            (MemoryError(), 3),
         ],
     )
     def test_error_types_map_to_exit_codes(self, capsys, monkeypatch, error, expected):
@@ -1545,3 +1546,86 @@ def test_fuzzed_argv_exits_0_2_or_3(request):
     if code:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 or code == 2, (argv, err.getvalue())
+
+
+class TestMemoryBudget:
+    """A request the caps admit but memory does not ends in one line, exit 3;
+    a class group's h x h table is refused before any row, and a plain
+    census reads h off the coset walk and builds no table at any h."""
+
+    def test_memory_error_in_emit_exits_3_with_one_line(self, capsys, monkeypatch):
+        # a handler's MemoryError: TestFormatsAndExitCodes.test_error_types_map_to_exit_codes
+        from quadrantal import cli
+
+        def fail(payload, fmt):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "emit", fail)
+        code = main(["cyclo", "lists"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: out of memory") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, tables", [
+        (["census", "--m", "-14", "--k", "1000"], 0),
+        (["census", "--m", "10", "--k", "1000"], 0),
+        (["census", "--m", "-14", "--k", "1000", "--per-class"], 1),
+        (["census", "--m", "10", "--k", "1000", "--per-class"], 1),
+        (["quad", "classgroup", "--m", "-14"], 1),
+        (["quad", "classgroup", "--m", "10"], 1),
+    ])
+    def test_table_pass_runs_only_for_a_report(self, capsys, monkeypatch, argv, tables):
+        from quadrantal import census, forms
+
+        walks, tabled = [], []
+        cosets, tabulate = forms._cosets, forms._tabulate
+
+        def walk(field):
+            walks.append(cosets(field))
+            return walks[-1]
+
+        def table(field, walked):
+            tabled.append(walked)
+            return tabulate(field, walked)
+
+        for module in (forms, census):
+            monkeypatch.setattr(module, "_cosets", walk)
+            monkeypatch.setattr(module, "_tabulate", table)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(walks) == 1 and len(tabled) == tables
+        assert all(walked is walks[0] for walked in tabled)
+
+    # (argv, exit code): the first rungs of a memory-budget ladder; h = 31,057,
+    # 7,253 and 39,809
+    RUNGS = [
+        ("census --m -100000000003 --k 1000", 0),
+        ("census --m -100000007 --k 1000000", 0),
+        ("quad classgroup --m -10000000019", 3),
+        ("census --m -100000000003 --k 1000 --per-class", 3),
+        ("census --m -100000007 --k 1000000 --per-class", 3),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", RUNGS, ids=[argv for argv, _ in RUNGS])
+    def test_rung_under_1_gb(self, tmp_path, argv, expected):
+        import resource
+
+        def limit():  # in the child only: 1 GB of address space, 60 s of CPU
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+        out, err = tmp_path / "out", tmp_path / "err"
+        with out.open("wb") as stdout, err.open("wb") as stderr:
+            proc = subprocess.Popen([sys.executable, "-m", "quadrantal.cli", *argv.split()],
+                                    stdout=stdout, stderr=stderr, preexec_fn=limit)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stderr = err.read_text()
+        assert proc.returncode == expected, stderr
+        assert "Traceback" not in stderr
+        assert usage.ru_maxrss < 100 * 1024  # KB: no table was built
+        if expected:
+            assert out.read_bytes() == b"" and stderr.count("\n") == 1
+            assert stderr.startswith("error: ") and "over the cap 100000000" in stderr
+        else:
+            assert stderr == ""

@@ -38,10 +38,12 @@ prime factor below p, as the product so far has no term at a multiple of p
 
 A block of a pass is one big-integer add (or copy) of two runs of lanes.
 A partial count lies in [0, d(n)], and d(n) <= 144 for the n <= MAX_TABLE
-prime to 6 (the least with d(n) > 255 is 929553625): no lane carries.  Only
-the spread can pass 255: from BYTE_LANES_BELOW = 1081080, the least n with
-d(n) > 255 (below it d(n) <= 240), it also translates the high bytes of
-c a(m), and adds the few that are not 0 into the list.
+prime to 6 (the least with d(n) > 255 is 929553625): no lane carries.  The
+spread writes the table into the 16-bit lanes of one bytearray, handed back
+as a memoryview of format "H": 2 bytes an entry and no object per entry.
+Only the spread can pass 255: from BYTE_LANES_BELOW = 1081080, the least n
+with d(n) > 255 (below it d(n) <= 240), it also translates the high bytes
+of c a(m) into the high bytes of the lanes.
 
 Per-class counts are lattice points: ideal classes are reduced forms, and
 the ideals of norm n in the class of I^-1 correspond to the alpha in I of
@@ -68,6 +70,7 @@ error law without pretending to know its constant.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate, chain, compress
@@ -111,9 +114,10 @@ def _sharing_tile():
 
 
 @_sharing_tile()
-def ideal_count_sieve(field: QuadraticField, k: int) -> list[int]:
+def ideal_count_sieve(field: QuadraticField, k: int) -> memoryview:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0),
-    by the Euler product on the rows of the n prime to 6 (_euler_product)."""
+    by the Euler product on the rows of the n prime to 6 (_euler_product):
+    a memoryview of format "H", 2 bytes per entry (.tolist() for a list)."""
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
@@ -176,7 +180,7 @@ def _hyperbola(tile: bytes, k: int) -> int:
     return head + sum(partial[x % modulus] for x in quotients) - u * partial[u % modulus]
 
 
-def _euler_product(field: QuadraticField, k: int) -> list[int]:
+def _euler_product(field: QuadraticField, k: int) -> memoryview:
     """a(n) for n <= k by the Euler product of the module docstring: the
     passes on the rows of the n prime to 6, from the largest prime down,
     then the spread over 2^a 3^b."""
@@ -236,12 +240,12 @@ def _multiply(rows: dict, norm: int, k: int, q: int, add: bool) -> None:
         lo = hi + 1
 
 
-def _spread(rows: dict, k: int, tile: bytes) -> list[int]:
-    """The table a(n), n <= k, from the rows: a(2^a 3^b m) = c a(m) for m
-    prime to 6, c = a(2^a) a(3^b), by translate, and from BYTE_LANES_BELOW
-    on the high bytes of c a(m) that are not 0 added to the list."""
-    out = bytearray(k + 1)
-    high = []  # (n, the high byte of a(n)) where it is not 0
+def _spread(rows: dict, k: int, tile: bytes) -> memoryview:
+    """The table a(n), n <= k, in 16-bit native-order lanes from the rows:
+    a(2^a 3^b m) = c a(m) for m prime to 6, c = a(2^a) a(3^b), the low byte
+    of c a(m) by translate, and from BYTE_LANES_BELOW on its high byte too."""
+    out = bytearray(2 * (k + 1))
+    lo = sys.byteorder == "big"  # the offset of a lane's low byte
     two, three = (tile[p % len(tile)] - 1 for p in (2, 3))
     for a in range(k.bit_length()):
         for b in range(k.bit_length()):
@@ -250,15 +254,10 @@ def _spread(rows: dict, k: int, tile: bytes) -> list[int]:
                 break
             for r, row in rows.items() if c else ():
                 lanes = row[: (k // n + 6 - r) // 6]
-                out[n * r :: 6 * n] = lanes.translate(_planes(c)[0]) if c > 1 else lanes
+                out[2 * n * r + lo :: 12 * n] = lanes.translate(_planes(c)[0]) if c > 1 else lanes
                 if c > 1 and k >= BYTE_LANES_BELOW:
-                    top = lanes.translate(_planes(c)[1])
-                    if top.count(0) < len(top):
-                        high += ((n * (6 * i + r), t) for i, t in compress(enumerate(top), top))
-    table = list(out)
-    for n, t in high:
-        table[n] += t << 8
-    return table
+                    out[2 * n * r + 1 - lo :: 12 * n] = lanes.translate(_planes(c)[1])
+    return memoryview(out).cast("H")
 
 
 def _local(chi: int, j: int) -> int:

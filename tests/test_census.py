@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import types
 
 import mpmath
 import pytest
@@ -51,7 +53,7 @@ class TestSieve:
         for field in (F5, F2, F23):
             sieve = ideal_count_sieve(field, 300)
             oracle = hnf_ideal_counts(field.m, 300)
-            assert sieve == oracle
+            assert sieve.tolist() == oracle
 
 
 def divisor_sum_counts(d, k):
@@ -76,7 +78,7 @@ class TestSieveOracle:
     def check(self, field, cutoffs):
         oracle = divisor_sum_counts(field.d, max(cutoffs))
         for k in cutoffs:
-            assert ideal_count_sieve(field, k) == oracle[: k + 1], (field.m, k)
+            assert ideal_count_sieve(field, k).tolist() == oracle[: k + 1], (field.m, k)
 
     def test_every_field_in_minus100_100(self):
         fields = squarefree_fields(-100, 100)
@@ -120,7 +122,7 @@ class TestOddLaneSeams:
     def check(self, field, cutoffs):
         oracle = divisor_sum_counts(field.d, max(cutoffs))
         for k in cutoffs:
-            assert ideal_count_sieve(field, k) == oracle[: k + 1], (field.m, k)
+            assert ideal_count_sieve(field, k).tolist() == oracle[: k + 1], (field.m, k)
 
     @pytest.mark.parametrize("m", [17, -7, 5, -3, 2, -2, 3, -1])
     def test_every_class_of_m_mod_8(self, m):
@@ -196,7 +198,7 @@ class TestWheelSeams:
             cutoffs = self.SMOOTH + self.BLOCKS + tuple(abs(field.d) + e for e in (-1, 0, 1))
             oracle = divisor_sum_counts(field.d, max(cutoffs))
             for k in cutoffs:
-                assert ideal_count_sieve(field, k) == oracle[: k + 1], (m, k)
+                assert ideal_count_sieve(field, k).tolist() == oracle[: k + 1], (m, k)
 
 
 def wheel_shapes(bound):
@@ -460,7 +462,7 @@ class TestPerClass:
         for field in (F5, F23):
             report = class_group(field)
             z = per_class_counts(field, k, report)
-            total = ideal_count_sieve(field, k)
+            total = ideal_count_sieve(field, k).tolist()
             assert [sum(z[c][n] for c in range(report.h)) for n in range(k + 1)] == total
 
     def test_near_even_split(self):
@@ -529,7 +531,7 @@ class TestPerClassOracle:
         assert len(fields) == 92
         for field in fields:
             (row,) = per_class_counts(field, k, class_group(field))
-            assert row == ideal_count_sieve(field, k), field.m
+            assert row == ideal_count_sieve(field, k).tolist(), field.m
 
 
 class TestClassTotals:
@@ -687,7 +689,7 @@ class TestRealPerClassSectors:
         cycle = list(quadring._cycle(field, *report.reduced_form(0)[:2]))
         assert report.h == 1 and len(cycle) == 12352 and max(t for *_, t, _ in cycle) == 63244
         (row,) = per_class_counts(field, k, report)
-        assert row == ideal_count_sieve(field, k)
+        assert row == ideal_count_sieve(field, k).tolist()
 
 
 class TestRealPerClassLocatesNoPrime:
@@ -727,7 +729,7 @@ class TestRealPerClassWideLanes:
         field, k, report, rows = wide_real_rows
         assert report.h == 2 and k >= census.BYTE_LANES_BELOW
         total = [sum(column) for column in zip(*rows)]
-        assert total == ideal_count_sieve(field, k)
+        assert total == ideal_count_sieve(field, k).tolist()
         for n in random.Random(10).sample(range(1, k + 1), 300):
             assert total[n] == divisor_sum(field.d, n), n
 
@@ -741,7 +743,8 @@ class TestRealPerClassWideLanes:
 
 
 class TestTableTypes:
-    """Every table is a list of ints, whatever rows the kernel packs it in."""
+    """The sieve is a memoryview of 16-bit lanes, whatever rows the kernel
+    packs it in; every per-class row is a list of ints."""
 
     def check(self, table):
         assert type(table) is list
@@ -749,7 +752,37 @@ class TestTableTypes:
 
     def test_sieve_in_byte_and_16_bit_lanes(self):
         for k in (1000, census.BYTE_LANES_BELOW):
-            self.check(ideal_count_sieve(F2, k))
+            table = ideal_count_sieve(F2, k)
+            assert type(table) is memoryview and table.format == "H" and table.itemsize == 2
+            assert len(table) == k + 1
+            self.check(table.tolist())
+            assert {type(a) for a in table} == {int}
+
+    def test_big_endian_lanes_are_the_little_endian_lanes_swapped(self, monkeypatch):
+        # m = -1559 splits 2, 3, 5, 7, 11 and 13 (TestLaneWidth): a(k) = 256
+        # has a high byte
+        field, k = ring_of_integers(-1559), census.BYTE_LANES_BELOW
+        lanes = {}
+        for order in ("little", "big"):
+            monkeypatch.setattr(census, "sys", types.SimpleNamespace(byteorder=order))
+            lanes[order] = ideal_count_sieve(field, k).tobytes()
+        little, big = lanes["little"], lanes["big"]
+        assert int.from_bytes(little[2 * k :], "little") == 256
+        assert big[::2] == little[1::2] and big[1::2] == little[::2]
+
+    @pytest.mark.parametrize("m", [2, -23])
+    def test_sieve_peaks_under_4_bytes_an_entry(self, m):
+        # the table holds 2 bytes an entry and no object per entry; the
+        # rows and the translated lanes add under 1 more
+        field, k = ring_of_integers(m), 10**6
+        tracemalloc.start()
+        try:
+            table = ideal_count_sieve(field, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == k + 1
+        assert peak < 4 * (k + 1), peak / (k + 1)
 
     def test_per_class_rows(self, wide_real_rows):
         tables = [per_class_counts(f, 1000, class_group(f)) for f in (F5, F23, ring_of_integers(10))]

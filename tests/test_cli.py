@@ -1005,6 +1005,30 @@ def test_benchmark_requests_pass_its_oracle(seed, tmp_path, monkeypatch):
     assert not failed
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_census_jobs_pass_its_oracle(seed, monkeypatch):
+    # round 0 of the benchmark's census jobs, in process, through its own
+    # runner with its SieveCapture in place: the spot values it reads off
+    # the sieve's table and the totals, each checked by its own oracle
+    from quadrantal import census
+
+    oracles = load_perfbench("oracles", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch, oracles=oracles)
+    jobs = load_perfbench("jobs", monkeypatch)
+    capture = jobs.SieveCapture()
+    monkeypatch.setattr(census, "ideal_count_sieve", capture)
+    specs = [s for s in workloads.census_jobs(seed) if s["round"] == 0]
+    assert {s["kind"] for s in specs} == {"sieve", "perclass"}
+    failed = []
+    for spec in specs:
+        result = jobs.run_census(spec, jobs.prepare_census(spec), capture)
+        assert len(result["spots"]) == len(spec["spots"]) and all(type(a) is int for _, a in result["spots"])
+        problems = oracles.check_census(spec, result)
+        if problems:
+            failed.append((spec["kind"], spec["m"], spec["k"], problems))
+    assert not failed
+
+
 # What `python -m quadrantal.cli` runs (runpy._run_module_as_main); at exit,
 # the last line of stderr is the number of module objects made from cli.py
 # (one per compile of it), then every module in sys.modules.  The probe
@@ -1606,24 +1630,35 @@ class TestMemoryBudget:
         ("census --m -100000007 --k 1000000 --per-class", 3),
     ]
 
+    # A child's ru_maxrss starts from the resident set of the process that
+    # forked it, so the CLI is forked from this small launcher, not from
+    # pytest: the launcher limits the CLI to 1 GB of address space and 60 s
+    # of CPU, execs it with stdout and stderr in the two files it is given,
+    # and prints the CLI's exit code and ru_maxrss (KB).
+    LAUNCHER = """
+import os, resource, sys
+out, err, *argv = sys.argv[1:]
+pid = os.fork()
+if not pid:
+    for fd, path in ((1, out), (2, err)):
+        os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+    os.execv(sys.executable, [sys.executable, "-m", "quadrantal.cli", *argv])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
     @pytest.mark.parametrize("argv, expected", RUNGS, ids=[argv for argv, _ in RUNGS])
     def test_rung_under_1_gb(self, tmp_path, argv, expected):
-        import resource
-
-        def limit():  # in the child only: 1 GB of address space, 60 s of CPU
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
-
         out, err = tmp_path / "out", tmp_path / "err"
-        with out.open("wb") as stdout, err.open("wb") as stderr:
-            proc = subprocess.Popen([sys.executable, "-m", "quadrantal.cli", *argv.split()],
-                                    stdout=stdout, stderr=stderr, preexec_fn=limit)
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        launcher = subprocess.run([sys.executable, "-c", self.LAUNCHER, str(out), str(err), *argv.split()],
+                                  capture_output=True, text=True, check=True)
+        code, maxrss = map(int, launcher.stdout.split())
         stderr = err.read_text()
-        assert proc.returncode == expected, stderr
+        assert code == expected, stderr
         assert "Traceback" not in stderr
-        assert usage.ru_maxrss < 100 * 1024  # KB: no table was built
+        assert maxrss < 100 * 1024  # KB: no table was built
         if expected:
             assert out.read_bytes() == b"" and stderr.count("\n") == 1
             assert stderr.startswith("error: ") and "over the cap 100000000" in stderr

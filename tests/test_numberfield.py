@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -354,3 +355,94 @@ def test_char_poly_matches_determinant_definition():
         for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
             xb = [[x * (1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
             assert cp(x) == mat_det(xb)
+
+
+def _sweep_value(v):
+    """repr of an invariant, so an int and an integral Fraction differ."""
+    return repr(v.coeffs) if isinstance(v, Poly) else repr(v)
+
+
+def _sweep_call(f, *args):
+    try:
+        return _sweep_value(f(*args))
+    except (ValueError, ArithmeticError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _sweep_eisenstein(rng, n):
+    return Poly([2 * rng.choice((1, -1)) for _ in range(n)] + [1])
+
+
+def _sweep_random_monic(rng, n):
+    return Poly([rng.choice((-1, 1)) * rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - 1)] + [1])
+
+
+def _sweep_element(rng, field, rational):
+    if rational:
+        return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(field.degree)])
+    return field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+
+
+def sweep_field_lines(seed):
+    """One line per invariant of seeded monic fields of degree 2-12:
+    Eisenstein at 2, prime cyclotomic and random, each with an int and a
+    Fraction element, a random tuple and composed polynomials."""
+    rng = random.Random(seed)
+    polys = [_sweep_eisenstein(rng, n) for n in range(2, 13)]
+    polys += [Poly([1] * p) for p in (3, 5, 7, 11, 13)]
+    polys += [_sweep_random_monic(rng, n) for n in range(2, 13)]
+    lines = []
+    for f in polys:
+        try:
+            field = NumberField(f)
+        except ValueError as e:
+            lines.append(f"{f.coeffs} ValueError: {e}")
+            continue
+        n = field.degree
+        for rational in (False, True):
+            a, b = _sweep_element(rng, field, rational), _sweep_element(rng, field, not rational)
+            lines += [_sweep_call(g) for g in (a.trace, a.norm, a.field_polynomial, a.minimal_polynomial)]
+            lines += [_sweep_value((a * b).repr), _sweep_value((a**3).repr)]
+        theta = field.theta()
+        lines.append(_sweep_call(tuple_discriminant, [theta**i for i in range(n)]))
+        lines.append(_sweep_call(tuple_discriminant, [_sweep_element(rng, field, rng.random() < 0.5) for _ in range(n)]))
+        g = _sweep_eisenstein(rng, rng.randint(1, 3)) if rng.random() < 0.5 else _sweep_random_monic(rng, rng.randint(1, 3))
+        lines += [_sweep_call(composed_min_poly, op, f, g) for op in ("sum", "product")]
+    return lines
+
+
+def sweep_shift_lines(seed):
+    """primitive_element_shift of every pair of degree-2 Eisenstein
+    polynomials x^2 +- 2x +- 2, then of seeded pairs of composed degree up
+    to 60, then of seeded polynomials with themselves and with f(-x),
+    whose composed sums have repeated roots."""
+    quadratics = [P(b, a, 1) for a in (2, -2) for b in (2, -2)]
+    lines = [_sweep_call(primitive_element_shift, p, q) for p in quadratics for q in quadratics]
+    rng = random.Random(seed)
+    for m, n in ((2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (4, 4), (5, 3), (6, 4), (5, 6), (6, 10), (12, 5)):
+        for make in (_sweep_eisenstein, _sweep_random_monic):
+            lines.append(_sweep_call(primitive_element_shift, make(rng, m), make(rng, n)))
+    for n in (3, 4, 5, 6):
+        for f in (_sweep_eisenstein(rng, n), _sweep_random_monic(rng, n)):
+            reflected = Poly([c if (n - k) % 2 == 0 else -c for k, c in enumerate(f.coeffs)])
+            lines += [_sweep_call(primitive_element_shift, f, g) for g in (f, reflected)]
+    return lines
+
+
+class TestInvariantSweep:
+    """sha256 prefixes of the invariants of seeded fields and of shifts, as
+    written when every invariant came from Poly and FieldElement objects and
+    the squarefree certificate worked modulo 2^61 - 1."""
+
+    FIELDS = {1: "a61814645bad4e1b", 2: "64744000f60ed92f"}
+    SHIFTS = {1: "55f6dd8edda419a0"}
+
+    @pytest.mark.parametrize("seed", sorted(FIELDS))
+    def test_field_invariants_unchanged(self, seed):
+        digest = hashlib.sha256("\n".join(sweep_field_lines(seed)).encode()).hexdigest()[:16]
+        assert digest == self.FIELDS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(SHIFTS))
+    def test_shifts_unchanged(self, seed):
+        digest = hashlib.sha256("\n".join(sweep_shift_lines(seed)).encode()).hexdigest()[:16]
+        assert digest == self.SHIFTS[seed]

@@ -3,32 +3,27 @@
 Elements are residue polynomials of degree < n; all arithmetic reduces
 modulo the defining polynomial and stays exact.  Coefficients, traces,
 norms and discriminants are ints when integral and Fractions otherwise
-(`polynomial.coefficient`), so an algebraic integer's products, power
-sums and determinants run on ints, and every quotient goes through
-`polynomial.exact_div`.  The degree is capped at MAX_DEGREE.  Traces,
-discriminants, field polynomials and composed polynomials all come from
-Newton power sums s_k = theta_1^k + ... + theta_n^k of the roots (Cohen,
-GTM 138, section 4.3); norms are Bareiss determinants of multiplication
-matrices; the signature comes from a Sturm sequence.  Numerical
-embeddings (mpmath, 60 significant digits by default) exist only for
-cross-checks and for ordering conjugates; they are never the source of
-an exact value.
+(`polynomial.coefficient`).  The invariants run on int lists: with D the
+lcm of an element's denominators, Tr(a) = Tr(Da)/D, N(a) = N(Da)/D^n and
+chi_a(x) = D^-n chi_Da(Dx), so every kernel sees an algebraic integer and
+only a returned value is a Poly.  The degree is capped at MAX_DEGREE.  Traces, discriminants, field
+polynomials and composed polynomials all come from Newton power sums
+s_k = theta_1^k + ... + theta_n^k of the roots (Cohen, GTM 138, section
+4.3); norms are Bareiss determinants of multiplication matrices; the
+signature comes from a Sturm sequence.  Numerical embeddings (mpmath, 60
+significant digits by default) exist only for cross-checks and for
+ordering conjugates; they are never the source of an exact value.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .integers import CertificateNotFound, factorize, power
 from .polynomial import (
-    Poly,
-    coefficient,
-    content_and_primitive_part,
-    exact_div,
-    is_squarefree,
-    poly_divmod,
-    poly_xgcd,
-    squarefree_part,
+    SQUAREFREE_PRIME, Poly, _squarefree_mod_p, coefficient, content_and_primitive_part, exact_div,
+    is_squarefree, poly_divmod, poly_gcd, poly_xgcd, squarefree_part,
 )
 
 EMBEDDING_DPS = 60
@@ -43,59 +38,45 @@ MAX_SHIFT = 1000
 # ---------------------------------------------------------------------------
 
 def mat_det(m):
-    """Exact determinant (int or Fraction).  Rows with a fractional entry
-    are scaled to integers, then fraction-free Bareiss elimination keeps
-    every intermediate an integer."""
-    n = len(m)
-    if n == 0:
-        return 1
-    scale = 1
-    a = []
-    for row in m:
-        row = [coefficient(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        if den != 1:
-            scale *= den
-            row = [int(x * den) for x in row]
-        a.append(row)
-    sign = 1
-    prev = 1
+    """Exact determinant (int or Fraction): each row is scaled to integers
+    by the lcm of its denominators for `_int_det`."""
+    rows = [[coefficient(x) for x in row] for row in m]
+    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return exact_div(_int_det([[int(x * d) for x in row] for row, d in zip(rows, dens)]), math.prod(dens))
+
+
+def _int_det(a) -> int:
+    """Determinant of a square matrix of int rows, which it overwrites, by
+    fraction-free Bareiss elimination: every intermediate is an integer."""
+    n, sign, prev = len(a), 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), 0)
+            if not i:
                 return 0
-        pivot, top = a[k][k], a[k][k + 1:]
+            a[k], a[i], sign = a[i], a[k], -sign
+        top = a[k]
+        pivot = top[k]
         for row in a[k + 1:]:
             lead = row[k]
-            row[k + 1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1:], top)]
-            row[k] = 0
+            if lead or pivot != prev:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return exact_div(sign * a[n - 1][n - 1], scale)
+    return sign * a[-1][-1] if a else 1
 
 
 def char_poly(m) -> Poly:
-    """Monic characteristic polynomial det(xI - M), exactly.
-
-    Faddeev-LeVerrier: M_1 = M, c_k = -tr(M M_{k-1})/k, M_k = M(M_{k-1} + c I).
-    Divisions are by rational integers, exact through exact_div.
-    """
-    n = len(m)
-    m = [[coefficient(x) for x in row] for row in m]
-    coeffs = [1]  # leading coefficient of x^n
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = exact_div(-sum(mk[i][i] for i in range(n)), k)
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return Poly(list(reversed(coeffs)))
+    """Monic characteristic polynomial det(xI - M), exactly: with D the lcm
+    of the denominators, D^-n det(DxI - DM), whose roots have power sums
+    tr((DM)^k), so Newton's identities give it."""
+    d = math.lcm(*(coefficient(x).denominator for row in m for x in row))
+    a = mk = [[int(coefficient(x) * d) for x in row] for row in m]
+    traces = [len(a)]
+    for _ in a:
+        traces.append(sum(row[i] for i, row in enumerate(mk)))
+        mk = [[sum(map(mul, row, col)) for col in zip(*a)] for row in mk]
+    return Poly([exact_div(c, d ** (len(a) - k)) for k, c in enumerate(from_power_sums(traces))])
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +87,50 @@ def power_sums(p: Poly, count: int) -> list[int]:
     """[s_0, ..., s_{count-1}], s_k the sum of the k-th powers of the roots
     of the monic integer polynomial p, by Newton's identities
     s_k = -k*b_k - sum_{j=1}^{min(k-1, n)} b_j*s_{k-j}, b_j = coeff of x^(n-j)."""
-    n = p.degree
-    b = [int(c) for c in reversed(p.coeffs)]
-    s = [n]
+    n, b = p.degree, p.coeffs[::-1]
+    low, s = b[1:], [n]
     for k in range(1, count):
-        acc = k * b[k] if k <= n else 0
-        for j in range(1, min(k - 1, n) + 1):
-            acc += b[j] * s[k - j]
-        s.append(-acc)
+        acc = sum(map(mul, low, s[k - 1:0:-1]))
+        s.append(-(acc + k * b[k] if k <= n else acc))
     return s
 
 
-def from_power_sums(s) -> Poly:
-    """The monic polynomial of degree len(s) - 1 whose roots have power
-    sums s_1, s_2, ... (s[0] is ignored): Newton's identities solved for
-    b_k = -(s_k + sum_{j=1}^{k-1} b_j*s_{k-j}) / k, ints while the
-    quotients are integers."""
-    b = [1]
+def from_power_sums(s) -> list[int]:
+    """Coefficients, constant term first, of the monic polynomial whose
+    roots have power sums s_1, s_2, ... (s[0] is ignored), by Newton's
+    identities b_k = -(s_k + sum_{j=1}^{k-1} b_j*s_{k-j}) / k.  The roots
+    are algebraic integers, so each quotient is exact (ArithmeticError)."""
+    b = []
     for k in range(1, len(s)):
-        b.append(exact_div(-(s[k] + sum(b[j] * s[k - j] for j in range(1, k))), k))
-    return Poly(list(reversed(b)))
+        q, r = divmod(-(s[k] + sum(map(mul, b, s[k - 1:0:-1]))), k)
+        if r:
+            raise ArithmeticError("power sums of algebraic integers must give integer coefficients")
+        b.append(q)
+    return b[::-1] + [1]
+
+
+def _sum_power_sums(sp, sq) -> list[int]:
+    """Power sums of all alpha_i + beta_j from those of the alphas and the
+    betas: sum_i C(k,i) s_i(alpha) s_(k-i)(beta)."""
+    out = []
+    for k in range(len(sp)):
+        c = acc = 0
+        for i, x in enumerate(sp[:k + 1]):
+            c = c * (k - i + 1) // i if i else 1
+            acc += c * x * sq[k - i]
+        out.append(acc)
+    return out
+
+
+def _columns(coeffs, f) -> list[list]:
+    """Columns of the matrix of multiplication by sum_k coeffs[k] theta^k
+    modulo f: column j holds the coordinates of the element times theta^j."""
+    cols = [list(coeffs) + [0] * (len(f) - 1 - len(coeffs))]
+    for _ in range(len(f) - 2):
+        # times theta: shift up, then replace theta^n by -(f - x^n)(theta)
+        top, col = cols[-1][-1], [0] + cols[-1][:-1]
+        cols.append([c - top * a for c, a in zip(col, f)] if top else col)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +234,7 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        if isinstance(coeffs, Poly):
-            p = coeffs
-        else:
-            p = Poly(coeffs)
-        _, r = poly_divmod(p, self.minpoly)
+        _, r = poly_divmod(coeffs if isinstance(coeffs, Poly) else Poly(coeffs), self.minpoly)
         return FieldElement(self, r)
 
     def zero(self) -> "FieldElement":
@@ -255,7 +256,7 @@ class FieldElement:
     __slots__ = ("field", "repr")
 
     def __init__(self, field: NumberField, rep: Poly):
-        if rep.degree >= field.degree:
+        if len(rep.coeffs) > field.degree:
             raise ValueError("representative not reduced")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "repr", rep)
@@ -264,15 +265,11 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _check(self, other: "FieldElement"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("elements live in different fields")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.repr == other.repr
-        )
+        return isinstance(other, FieldElement) and self.field == other.field and self.repr == other.repr
 
     def __hash__(self):
         return hash((self.field, self.repr))
@@ -293,8 +290,20 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        _, r = poly_divmod(self.repr * other.repr, self.field.minpoly)
-        return FieldElement(self.field, r)
+        f, a, b = self.field.minpoly.coeffs, self.repr.coeffs, other.repr.coeffs
+        n = len(f) - 1
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        # reduce by the monic f, from the top down: x^n = -(f - x^n)
+        for i in range(len(out) - 1, n - 1, -1):
+            t = out.pop()
+            if t:
+                for j, c in enumerate(f[:-1], i - n):
+                    out[j] -= t * c
+        return FieldElement(self.field, Poly(out))
 
     def inverse(self) -> "FieldElement":
         """1/a via the extended gcd of the representative with the minimal
@@ -320,43 +329,43 @@ class FieldElement:
 
     # -- invariants ----------------------------------------------------------
 
-    def multiplication_matrix(self):
-        """Matrix of multiplication by self on the power basis, over Q:
-        column j holds the coordinates of self*theta^j."""
-        n = self.field.degree
-        f = self.field.minpoly.coeffs
-        col = [self.repr[i] for i in range(n)]
-        cols = [col]
-        for _ in range(n - 1):
-            # times theta: shift up, then replace theta^n by -(f - x^n)(theta)
-            top, col = col[-1], [0] + col[:-1]
-            if top:
-                col = [c - top * f[i] for i, c in enumerate(col)]
-            cols.append(col)
-        return [list(row) for row in zip(*cols)]
+    def _cleared(self) -> tuple[int, list[int]]:
+        """(D, the int coefficients of the algebraic integer D*self), D the
+        lcm of the denominators."""
+        cs = self.repr.coeffs
+        d = math.lcm(*(c.denominator for c in cs))
+        return d, (list(cs) if d == 1 else [int(c * d) for c in cs])
 
     def trace_and_norm(self):
         """(trace, norm), computed independently."""
         return self.trace(), self.norm()
 
     def trace(self):
-        """Tr(sum_k c_k theta^k) = sum_k c_k s_k, s_k the field's power sums."""
-        s = self.field._power_sums
-        return coefficient(sum(c * s[k] for k, c in enumerate(self.repr.coeffs)))
+        """Tr(a) = Tr(Da)/D, Tr(sum_k c_k theta^k) = sum_k c_k s_k with s_k
+        the field's power sums."""
+        d, b = self._cleared()
+        return exact_div(sum(map(mul, b, self.field._power_sums)), d)
 
     def norm(self):
-        """Bareiss determinant of the multiplication matrix."""
-        return mat_det(self.multiplication_matrix())
+        """N(a) = N(Da)/D^n, N(Da) the Bareiss determinant of the
+        multiplication matrix of Da, taken on its columns (det M^T = det M)."""
+        d, b = self._cleared()
+        return exact_div(_int_det(_columns(b, self.field.minpoly.coeffs)), d**self.field.degree)
 
     def field_polynomial(self) -> Poly:
-        """prod_i (x - q(theta_i)), a power of the minimal polynomial: its
-        roots have power sums Tr(self^k), turned into coefficients by
-        Newton's identities."""
-        power, traces = self.field.one(), [self.field.degree]
-        for _ in range(self.field.degree):
-            power = power * self
-            traces.append(power.trace())
-        return from_power_sums(traces)
+        """prod_i (x - a(theta_i)), a power of the minimal polynomial, as
+        D^-n chi_Da(Dx).  The roots of chi_Da have power sums
+        Tr((Da)^k) = ((M^T)^k s)[0], M the multiplication matrix of Da and s
+        the field's power sums, for Newton's identities."""
+        d, b = self._cleared()
+        n, s = self.field.degree, self.field._power_sums
+        cols = _columns(b, self.field.minpoly.coeffs)
+        w, traces = s[:n], [n]
+        for _ in range(n):
+            w = [sum(map(mul, col, w)) for col in cols]
+            traces.append(w[0])
+        chi = from_power_sums(traces)
+        return Poly(chi if d == 1 else [exact_div(c, d ** (n - k)) for k, c in enumerate(chi)])
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial over Q: squarefree part of the field
@@ -402,13 +411,14 @@ def tuple_discriminant(elements):
     n = field.degree
     if len(elements) != n:
         raise ValueError(f"need exactly {n} elements, got {len(elements)}")
+    s, rows, scale = field._power_sums, [], 1
     for e in elements:
         if e.field != field:
             raise ValueError("elements live in different fields")
-    s = field._power_sums
-    hankel = [[s[k + l] for l in range(n)] for k in range(n)]
-    coords = mat_det([[e.repr[k] for k in range(n)] for e in elements])
-    return coefficient(coords**2 * mat_det(hankel))
+        d, b = e._cleared()
+        rows.append(b + [0] * (n - len(b)))
+        scale *= d
+    return exact_div(_int_det(rows) ** 2 * _int_det([s[k:k + n] for k in range(n)]), scale**2)
 
 
 def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
@@ -452,15 +462,12 @@ def composed_min_poly(op: str, p: Poly, q: Poly) -> Poly:
     n = _composed_degree(p, q)
     sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
     if op == "sum":
-        s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        s = _sum_power_sums(sp, sq)
     elif op == "product":
-        s = [a * b for a, b in zip(sp, sq)]
+        s = list(map(mul, sp, sq))
     else:
         raise ValueError(f"unknown composition {op!r}")
-    out = from_power_sums(s)
-    if not out.is_integral():
-        raise ArithmeticError("composed polynomial of monic integer polynomials must be integral")
-    return out
+    return Poly(from_power_sums(s))
 
 
 def primitive_element_shift(p: Poly, q: Poly) -> int:
@@ -469,9 +476,11 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    are certified either exactly, through squarefreeness of the composed
-    sum polynomial, or numerically at escalating precision.  deg(p)*deg(q)
-    is at most MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
+    hold when R_c, with roots all alpha_i + c beta_j, is squarefree: R_c
+    comes from the power sums, s_k(c beta) = c^k s_k(beta), and is certified
+    modulo SQUAREFREE_PRIME, else by its gcd with R_c' over Z, else
+    numerically at escalating precision.  deg(p)*deg(q) is at most
+    MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
     for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
@@ -480,13 +489,23 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
         # numeric root finder, and a repeated beta defeats every shift c
         if not is_squarefree(f):
             raise ValueError(f"{name} has a repeated root")
-    _composed_degree(p, q)
+    n = _composed_degree(p, q)
     if q.degree == 1:
         return 0
-    fp, fq = NumberField(p), NumberField(q)
+    NumberField._reject_integer_roots(p)
+    NumberField._reject_integer_roots(q)
+    sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
+    fields = None
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
-        if _composed_sum_squarefree(p, q, c) or _separation_certified(fp, fq, c):
+        r = from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)]))
+        if _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r]):
+            return c
+        r = Poly(r)
+        if poly_gcd(r, r.derivative()).degree == 0:
+            return c
+        fields = fields or (NumberField(p), NumberField(q))
+        if _separation_certified(*fields, c):
             return c
     raise CertificateNotFound(f"no admissible shift found up to {MAX_SHIFT}; inputs degenerate?")
 
@@ -497,13 +516,6 @@ def _composed_degree(p: Poly, q: Poly) -> int:
     if n > MAX_DEGREE:
         raise ValueError(f"composed degree {p.degree} * {q.degree} = {n} is over the cap {MAX_DEGREE}")
     return n
-
-
-def _composed_sum_squarefree(p: Poly, q: Poly, c: int) -> bool:
-    # roots of qq are c * (roots of q): c^n q(x/c), still monic and integral
-    n = q.degree
-    qq = Poly([q.coeffs[i] * c ** (n - i) for i in range(n + 1)])
-    return is_squarefree(composed_min_poly("sum", p, qq))
 
 
 def _sign_changes(signs) -> int:

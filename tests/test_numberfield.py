@@ -16,7 +16,8 @@ from quadrantal.numberfield import (
     primitive_element_shift,
     tuple_discriminant,
 )
-from quadrantal.polynomial import Poly, poly_divmod, poly_xgcd
+from quadrantal import numberfield
+from quadrantal.polynomial import SQUAREFREE_PRIME, Poly, _squarefree_mod_p, poly_divmod, poly_xgcd
 
 
 def P(*coeffs):
@@ -301,6 +302,58 @@ class TestPrimitiveElement:
         from quadrantal.polynomial import poly_gcd
 
         assert poly_gcd(s, s.derivative()).degree == 0
+
+
+class TestShiftCertificates:
+    """primitive_element_shift certifies R_c modulo SQUAREFREE_PRIME from
+    the power sums; only when that fails does it take the gcd over Z and
+    then build the two fields for the numeric separation."""
+
+    def test_rational_root_still_rejected_when_r1_is_certified(self):
+        p, q = P(-1, 0, 1), P(-2, 0, 1)  # x^2 - 1 = (x - 1)(x + 1)
+        r1 = composed_min_poly("sum", p, q)
+        assert _squarefree_mod_p([c % SQUAREFREE_PRIME for c in r1.coeffs])
+        with pytest.raises(ValueError, match="rational root"):
+            primitive_element_shift(p, q)
+
+    @pytest.mark.parametrize("which", ["p", "q"])
+    def test_repeated_root_before_the_degree_cap(self, which):
+        repeated, other = P(2, 0, 1) ** 11, Poly([2] + [0] * 19 + [1])  # degrees 22 and 20
+        args = (repeated, other) if which == "p" else (other, repeated)
+        with pytest.raises(ValueError, match=f"{which} has a repeated root"):
+            primitive_element_shift(*args)
+
+    def test_linear_q_before_the_rational_roots(self):
+        assert primitive_element_shift(P(-1, 0, 1), P(-4, 1)) == 0
+
+    def spy(self, monkeypatch):
+        built, separations = [], []
+
+        class Spy(NumberField):
+            def __init__(self, minpoly):
+                built.append(minpoly)
+                super().__init__(minpoly)
+
+        separate = numberfield._separation_certified
+
+        def spied(fp, fq, c):
+            separations.append((len(built), c))
+            return separate(fp, fq, c)
+
+        monkeypatch.setattr(numberfield, "NumberField", Spy)
+        monkeypatch.setattr(numberfield, "_separation_certified", spied)
+        return built, separations
+
+    def test_fields_built_only_for_the_numeric_separation(self, monkeypatch):
+        built, separations = self.spy(monkeypatch)
+        f = P(2, 2, 1)  # R_1 has the double root alpha_1 + alpha_2
+        assert primitive_element_shift(f, f) == 1
+        assert built == [f, f] and separations == [(2, 1)]
+
+    def test_no_field_built_when_the_certificate_holds(self, monkeypatch):
+        built, separations = self.spy(monkeypatch)
+        assert primitive_element_shift(P(2, 2, 1), P(-2, 2, 1)) == 1
+        assert built == [] and separations == []
 
 
 class TestFieldConstruction:

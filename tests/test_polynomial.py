@@ -257,6 +257,20 @@ def test_squarefree_part_of_certified_input_is_monic_self():
     assert squarefree_part(f) == P(Fraction(-1, 2), 0, 1)
 
 
+def test_squarefree_prime_is_one_digit_prime():
+    from quadrantal.arith import is_prime
+
+    assert is_prime(SQUAREFREE_PRIME) and SQUAREFREE_PRIME < 2**30
+
+
+def test_discriminant_divisible_by_the_prime_falls_back_to_the_gcd():
+    # disc(x^2 - P) = 4P = 0 mod P: x^2 and 2x share the root 0 mod P
+    f = P(-SQUAREFREE_PRIME, 0, 1)
+    assert not _certified_squarefree(f)
+    assert is_squarefree(f)
+    assert squarefree_part(f) == f
+
+
 @given(any_poly, any_poly)
 @settings(max_examples=150, deadline=None)
 def test_results_keep_canonical_coefficients(a, b):

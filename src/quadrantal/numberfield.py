@@ -110,8 +110,7 @@ def from_power_sums(s) -> list[int]:
 
 
 def _sum_power_sums(sp, sq) -> list[int]:
-    """Power sums of all alpha_i + beta_j from those of the alphas and the
-    betas: sum_i C(k,i) s_i(alpha) s_(k-i)(beta)."""
+    """Power sums of all alpha_i + beta_j: sum_i C(k,i) s_i(alpha) s_(k-i)(beta)."""
     out = []
     for k in range(len(sp)):
         c = acc = 0
@@ -123,8 +122,7 @@ def _sum_power_sums(sp, sq) -> list[int]:
 
 
 def _columns(coeffs, f) -> list[list]:
-    """Columns of the matrix of multiplication by sum_k coeffs[k] theta^k
-    modulo f: column j holds the coordinates of the element times theta^j."""
+    """Columns of multiplication by sum_k coeffs[k] theta^k modulo f."""
     cols = [list(coeffs) + [0] * (len(f) - 1 - len(coeffs))]
     for _ in range(len(f) - 2):
         # times theta: shift up, then replace theta^n by -(f - x^n)(theta)
@@ -354,9 +352,8 @@ class FieldElement:
 
     def field_polynomial(self) -> Poly:
         """prod_i (x - a(theta_i)), a power of the minimal polynomial, as
-        D^-n chi_Da(Dx).  The roots of chi_Da have power sums
-        Tr((Da)^k) = ((M^T)^k s)[0], M the multiplication matrix of Da and s
-        the field's power sums, for Newton's identities."""
+        D^-n chi_Da(Dx): Newton's identities on Tr((Da)^k) = ((M^T)^k s)[0],
+        M the multiplication matrix of Da and s the field's power sums."""
         d, b = self._cleared()
         n, s = self.field.degree, self.field._power_sums
         cols = _columns(b, self.field.minpoly.coeffs)
@@ -476,33 +473,36 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    hold when R_c, with roots all alpha_i + c beta_j, is squarefree: R_c
-    comes from the power sums, s_k(c beta) = c^k s_k(beta), and is certified
-    modulo SQUAREFREE_PRIME, else by its gcd with R_c' over Z, else
-    numerically at escalating precision.  deg(p)*deg(q) is at most
+    hold when R_c, with roots all alpha_i + c beta_j, is squarefree:
+    certified modulo SQUAREFREE_PRIME, else by the gcd of R_c and R_c' over
+    Z, else numerically at escalating precision.  deg(p)*deg(q) is at most
     MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
-    for name, f in (("p", p), ("q", q)):
+    n, certified = p.degree * q.degree, False
+    if 1 < q.degree and n <= MAX_DEGREE and all(f.is_monic() and f.is_integral() and f.degree >= 1 for f in (p, q)):
+        sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
+        r = from_power_sums(_sum_power_sums(sp, sq))  # R_1
+        certified = _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r])
+    # a squarefree R_1 makes p and q squarefree; only without it are they checked
+    for name, f in [] if certified else [("p", p), ("q", q)]:
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("need monic integer polynomials")
         # an irreducible polynomial is squarefree; a repeated root stalls the
         # numeric root finder, and a repeated beta defeats every shift c
         if not is_squarefree(f):
             raise ValueError(f"{name} has a repeated root")
-    n = _composed_degree(p, q)
+    _composed_degree(p, q)
     if q.degree == 1:
         return 0
     NumberField._reject_integer_roots(p)
     NumberField._reject_integer_roots(q)
-    sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
     fields = None
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
-        r = from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)]))
-        if _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r]):
-            return c
-        r = Poly(r)
-        if poly_gcd(r, r.derivative()).degree == 0:
+        if c > 1:  # R_c from the power sums: s_k(c beta) = c^k s_k(beta)
+            r = from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)]))
+            certified = _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r])
+        if certified or poly_gcd(r := Poly(r), r.derivative()).degree == 0:
             return c
         fields = fields or (NumberField(p), NumberField(q))
         if _separation_certified(*fields, c):

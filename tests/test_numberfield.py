@@ -317,11 +317,18 @@ class TestShiftCertificates:
             primitive_element_shift(p, q)
 
     @pytest.mark.parametrize("which", ["p", "q"])
-    def test_repeated_root_before_the_degree_cap(self, which):
-        repeated, other = P(2, 0, 1) ** 11, Poly([2] + [0] * 19 + [1])  # degrees 22 and 20
+    @pytest.mark.parametrize("repeated, other", [
+        (P(2, 0, 1) ** 11, Poly([2] + [0] * 19 + [1])),  # degrees 22 and 20: over the cap
+        (P(2, 0, 1) ** 2, P(-3, 0, 1)),
+    ], ids=["over_cap", "under_cap"])
+    def test_repeated_root_before_the_degree_cap(self, which, repeated, other):
         args = (repeated, other) if which == "p" else (other, repeated)
         with pytest.raises(ValueError, match=f"{which} has a repeated root"):
             primitive_element_shift(*args)
+
+    def test_repeated_p_before_nonmonic_q(self):
+        with pytest.raises(ValueError, match="p has a repeated root"):
+            primitive_element_shift(P(2, 0, 1) ** 2, P(-3, 0, 2))
 
     def test_linear_q_before_the_rational_roots(self):
         assert primitive_element_shift(P(-1, 0, 1), P(-4, 1)) == 0

@@ -289,6 +289,8 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         f, a, b = self.field.minpoly.coeffs, self.repr.coeffs, other.repr.coeffs
+        if a == (1,):
+            return other
         n = len(f) - 1
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):

@@ -55,8 +55,7 @@ def _int_det(a) -> int:
             if not i:
                 return 0
             a[k], a[i], sign = a[i], a[k], -sign
-        top = a[k]
-        pivot = top[k]
+        top, pivot = a[k], a[k][k]
         for row in a[k + 1:]:
             lead = row[k]
             if lead or pivot != prev:
@@ -363,8 +362,7 @@ class FieldElement:
         for _ in range(n):
             w = [sum(map(mul, col, w)) for col in cols]
             traces.append(w[0])
-        chi = from_power_sums(traces)
-        return Poly(chi if d == 1 else [exact_div(c, d ** (n - k)) for k, c in enumerate(chi)])
+        return Poly([exact_div(c, d ** (n - k)) for k, c in enumerate(from_power_sums(traces))])
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial over Q: squarefree part of the field
@@ -406,8 +404,7 @@ def tuple_discriminant(elements):
     elements = list(elements)
     if not elements:
         raise ValueError("empty tuple")
-    field = elements[0].field
-    n = field.degree
+    field, n = elements[0].field, elements[0].field.degree
     if len(elements) != n:
         raise ValueError(f"need exactly {n} elements, got {len(elements)}")
     s, rows, scale = field._power_sums, [], 1
@@ -480,7 +477,7 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     Z, else numerically at escalating precision.  deg(p)*deg(q) is at most
     MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
-    n, certified = p.degree * q.degree, False
+    n, certified, fields = p.degree * q.degree, False, None
     if 1 < q.degree and n <= MAX_DEGREE and all(f.is_monic() and f.is_integral() and f.degree >= 1 for f in (p, q)):
         sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
         r = from_power_sums(_sum_power_sums(sp, sq))  # R_1
@@ -498,7 +495,6 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
         return 0
     NumberField._reject_integer_roots(p)
     NumberField._reject_integer_roots(q)
-    fields = None
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
         if c > 1:  # R_c from the power sums: s_k(c beta) = c^k s_k(beta)

@@ -86,8 +86,7 @@ def power_sums(p: Poly, count: int) -> list[int]:
     """[s_0, ..., s_{count-1}], s_k the sum of the k-th powers of the roots
     of the monic integer polynomial p, by Newton's identities
     s_k = -k*b_k - sum_{j=1}^{min(k-1, n)} b_j*s_{k-j}, b_j = coeff of x^(n-j)."""
-    n, b = p.degree, p.coeffs[::-1]
-    low, s = b[1:], [n]
+    n, b, low, s = p.degree, p.coeffs[::-1], p.coeffs[-2::-1], [p.degree]
     for k in range(1, count):
         acc = sum(map(mul, low, s[k - 1:0:-1]))
         s.append(-(acc + k * b[k] if k <= n else acc))
@@ -502,7 +501,8 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
             certified = _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r])
         if certified or poly_gcd(r := Poly(r), r.derivative()).degree == 0:
             return c
-        fields = fields or (NumberField(p), NumberField(q))
+        if not fields:  # p == q shares one field, so its conjugates are found once
+            fields = (NumberField(p),) * 2 if p == q else (NumberField(p), NumberField(q))
         if _separation_certified(*fields, c):
             return c
     raise CertificateNotFound(f"no admissible shift found up to {MAX_SHIFT}; inputs degenerate?")

@@ -351,11 +351,13 @@ class TestShiftCertificates:
         monkeypatch.setattr(numberfield, "_separation_certified", spied)
         return built, separations
 
-    def test_fields_built_only_for_the_numeric_separation(self, monkeypatch):
+    @pytest.mark.parametrize("q, fields", [(P(2, 2, 1), 1), (P(2, -2, 1), 2)], ids=["q=p", "q=p(-x)"])
+    def test_fields_built_only_for_the_numeric_separation(self, monkeypatch, q, fields):
         built, separations = self.spy(monkeypatch)
-        f = P(2, 2, 1)  # R_1 has the double root alpha_1 + alpha_2
-        assert primitive_element_shift(f, f) == 1
-        assert built == [f, f] and separations == [(2, 1)]
+        p = P(2, 2, 1)  # R_1 has a double root: alpha_1 + alpha_2 for q = p, 0 for q = p(-x)
+        assert primitive_element_shift(p, q) == 1
+        # p == q builds one field for both
+        assert built == [p, q][:fields] and separations == [(fields, 1)]
 
     def test_no_field_built_when_the_certificate_holds(self, monkeypatch):
         built, separations = self.spy(monkeypatch)

@@ -359,6 +359,17 @@ class TestShiftCertificates:
         # p == q builds one field for both
         assert built == [p, q][:fields] and separations == [(fields, 1)]
 
+    def test_next_shift_certified_from_the_power_sums(self, monkeypatch):
+        # with the separation refusing c = 1, R_2 comes from s_k(2 beta) =
+        # 2^k s_k(beta) and is certified modulo the prime, with no gcd over Z
+        gcds = []
+        gcd = numberfield.poly_gcd
+        monkeypatch.setattr(numberfield, "poly_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+        monkeypatch.setattr(numberfield, "_separation_certified", lambda fp, fq, c: False)
+        f = P(2, 2, 1)
+        assert primitive_element_shift(f, f) == 2
+        assert gcds == [composed_min_poly("sum", f, f)]  # R_1 only
+
     def test_no_field_built_when_the_certificate_holds(self, monkeypatch):
         built, separations = self.spy(monkeypatch)
         assert primitive_element_shift(P(2, 2, 1), P(-2, 2, 1)) == 1

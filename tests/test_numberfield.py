@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from quadrantal import numberfield
 from quadrantal.arith import FactorBoundExceeded
 from quadrantal.numberfield import (
     MAX_DEGREE,
@@ -16,7 +17,6 @@ from quadrantal.numberfield import (
     primitive_element_shift,
     tuple_discriminant,
 )
-from quadrantal import numberfield
 from quadrantal.polynomial import SQUAREFREE_PRIME, Poly, _squarefree_mod_p, poly_divmod, poly_xgcd
 
 
@@ -307,7 +307,7 @@ class TestPrimitiveElement:
 class TestShiftCertificates:
     """primitive_element_shift certifies R_c modulo SQUAREFREE_PRIME from
     the power sums; only when that fails does it take the gcd over Z and
-    then build the two fields for the numeric separation."""
+    then build the fields for the numeric separation."""
 
     def test_rational_root_still_rejected_when_r1_is_certified(self):
         p, q = P(-1, 0, 1), P(-2, 0, 1)  # x^2 - 1 = (x - 1)(x + 1)

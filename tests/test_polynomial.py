@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrantal import polynomial
-from quadrantal.arith import primes_up_to
+from quadrantal.arith import is_prime, primes_up_to
 from quadrantal.polynomial import (
     MAX_EXPONENT,
     SQUAREFREE_PRIME,
@@ -258,8 +258,6 @@ def test_squarefree_part_of_certified_input_is_monic_self():
 
 
 def test_squarefree_prime_is_one_digit_prime():
-    from quadrantal.arith import is_prime
-
     assert is_prime(SQUAREFREE_PRIME) and SQUAREFREE_PRIME < 2**30
 
 

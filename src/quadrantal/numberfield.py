@@ -22,8 +22,14 @@ from operator import mul
 
 from .integers import CertificateNotFound, factorize, power
 from .polynomial import (
-    SQUAREFREE_PRIME, Poly, _squarefree_mod_p, coefficient, content_and_primitive_part, exact_div,
-    is_squarefree, poly_divmod, poly_gcd, poly_xgcd, squarefree_part,
+    Poly,
+    coefficient,
+    content_and_primitive_part,
+    exact_div,
+    is_squarefree,
+    poly_divmod,
+    poly_xgcd,
+    squarefree_part,
 )
 
 EMBEDDING_DPS = 60
@@ -58,24 +64,30 @@ def _int_det(a) -> int:
         top, pivot = a[k], a[k][k]
         for row in a[k + 1:]:
             lead = row[k]
-            if lead or pivot != prev:
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * pivot - lead * top[j]) // prev
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
     return sign * a[-1][-1] if a else 1
 
 
 def char_poly(m) -> Poly:
-    """Monic characteristic polynomial det(xI - M), exactly: with D the lcm
-    of the denominators, D^-n det(DxI - DM), whose roots have power sums
-    tr((DM)^k), so Newton's identities give it."""
-    d = math.lcm(*(coefficient(x).denominator for row in m for x in row))
-    a = mk = [[int(coefficient(x) * d) for x in row] for row in m]
-    traces = [len(a)]
-    for _ in a:
-        traces.append(sum(row[i] for i, row in enumerate(mk)))
-        mk = [[sum(map(mul, row, col)) for col in zip(*a)] for row in mk]
-    return Poly([exact_div(c, d ** (len(a) - k)) for k, c in enumerate(from_power_sums(traces))])
+    """Monic characteristic polynomial det(xI - M), exactly.
+
+    Faddeev-LeVerrier: M_1 = M, c_k = -tr(M M_{k-1})/k, M_k = M(M_{k-1} + c I).
+    Divisions are by rational integers, exact through exact_div.
+    """
+    n = len(m)
+    m = [[coefficient(x) for x in row] for row in m]
+    coeffs = [1]  # leading coefficient of x^n
+    mk = [row[:] for row in m]
+    for k in range(1, n + 1):
+        ck = exact_div(-sum(mk[i][i] for i in range(n)), k)
+        coeffs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return Poly(list(reversed(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +121,7 @@ def from_power_sums(s) -> list[int]:
 
 def _sum_power_sums(sp, sq) -> list[int]:
     """Power sums of all alpha_i + beta_j: sum_i C(k,i) s_i(alpha) s_(k-i)(beta)."""
-    out = []
-    for k in range(len(sp)):
-        c = acc = 0
-        for i, x in enumerate(sp[:k + 1]):
-            c = c * (k - i + 1) // i if i else 1
-            acc += c * x * sq[k - i]
-        out.append(acc)
-    return out
+    return [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(len(sp))]
 
 
 def _columns(coeffs, f) -> list[list]:
@@ -230,7 +235,11 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        _, r = poly_divmod(coeffs if isinstance(coeffs, Poly) else Poly(coeffs), self.minpoly)
+        if isinstance(coeffs, Poly):
+            p = coeffs
+        else:
+            p = Poly(coeffs)
+        _, r = poly_divmod(p, self.minpoly)
         return FieldElement(self, r)
 
     def zero(self) -> "FieldElement":
@@ -252,7 +261,7 @@ class FieldElement:
     __slots__ = ("field", "repr")
 
     def __init__(self, field: NumberField, rep: Poly):
-        if len(rep.coeffs) > field.degree:
+        if rep.degree >= field.degree:
             raise ValueError("representative not reduced")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "repr", rep)
@@ -261,11 +270,15 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _check(self, other: "FieldElement"):
-        if self.field is not other.field and self.field != other.field:
+        if self.field != other.field:
             raise ValueError("elements live in different fields")
 
     def __eq__(self, other):
-        return isinstance(other, FieldElement) and self.field == other.field and self.repr == other.repr
+        return (
+            isinstance(other, FieldElement)
+            and self.field == other.field
+            and self.repr == other.repr
+        )
 
     def __hash__(self):
         return hash((self.field, self.repr))
@@ -286,22 +299,8 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        f, a, b = self.field.minpoly.coeffs, self.repr.coeffs, other.repr.coeffs
-        if a == (1,):
-            return other
-        n = len(f) - 1
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        # reduce by the monic f, from the top down: x^n = -(f - x^n)
-        for i in range(len(out) - 1, n - 1, -1):
-            t = out.pop()
-            if t:
-                for j, c in enumerate(f[:-1], i - n):
-                    out[j] -= t * c
-        return FieldElement(self.field, Poly(out))
+        _, r = poly_divmod(self.repr * other.repr, self.field.minpoly)
+        return FieldElement(self.field, r)
 
     def inverse(self) -> "FieldElement":
         """1/a via the extended gcd of the representative with the minimal
@@ -403,7 +402,8 @@ def tuple_discriminant(elements):
     elements = list(elements)
     if not elements:
         raise ValueError("empty tuple")
-    field, n = elements[0].field, elements[0].field.degree
+    field = elements[0].field
+    n = field.degree
     if len(elements) != n:
         raise ValueError(f"need exactly {n} elements, got {len(elements)}")
     s, rows, scale = field._power_sums, [], 1
@@ -471,35 +471,28 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    hold when R_c, with roots all alpha_i + c beta_j, is squarefree:
-    certified modulo SQUAREFREE_PRIME, else by the gcd of R_c and R_c' over
-    Z, else numerically at escalating precision.  deg(p)*deg(q) is at most
+    hold when R_c, with roots all alpha_i + c beta_j, is squarefree
+    (`is_squarefree`: modulo SQUAREFREE_PRIME, else by the gcd over Q), or
+    numerically at escalating precision.  deg(p)*deg(q) is at most
     MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
-    n, certified, fields = p.degree * q.degree, False, None
-    if 1 < q.degree and n <= MAX_DEGREE and all(f.is_monic() and f.is_integral() and f.degree >= 1 for f in (p, q)):
-        sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
-        r = from_power_sums(_sum_power_sums(sp, sq))  # R_1
-        certified = _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r])
-    # a squarefree R_1 makes p and q squarefree; only without it are they checked
-    for name, f in [] if certified else [("p", p), ("q", q)]:
+    for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("need monic integer polynomials")
         # an irreducible polynomial is squarefree; a repeated root stalls the
         # numeric root finder, and a repeated beta defeats every shift c
         if not is_squarefree(f):
             raise ValueError(f"{name} has a repeated root")
-    _composed_degree(p, q)
+    n = _composed_degree(p, q)
     if q.degree == 1:
         return 0
     NumberField._reject_integer_roots(p)
     NumberField._reject_integer_roots(q)
+    sp, sq, fields = power_sums(p, n + 1), power_sums(q, n + 1), None
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
-        if c > 1:  # R_c from the power sums: s_k(c beta) = c^k s_k(beta)
-            r = from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)]))
-            certified = _squarefree_mod_p([x % SQUAREFREE_PRIME for x in r])
-        if certified or poly_gcd(r := Poly(r), r.derivative()).degree == 0:
+        # R_c from the power sums: s_k(c beta) = c^k s_k(beta)
+        if is_squarefree(Poly(from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)])))):
             return c
         if not fields:  # p == q shares one field, so its conjugates are found once
             fields = (NumberField(p),) * 2 if p == q else (NumberField(p), NumberField(q))
@@ -530,12 +523,7 @@ def _separation_certified(fp: NumberField, fq: NumberField, c: int) -> bool:
         target = alphas[0] + c * betas[0]
         accept = mpmath.mpf(10) ** (-dps // 2)
         reject = mpmath.mpf(10) ** (-(dps - 10))
-        worst = None
-        for a in alphas:
-            for b in betas[1:]:
-                sep = abs(a + c * b - target)
-                if worst is None or sep < worst:
-                    worst = sep
+        worst = min((abs(a + c * b - target) for a in alphas for b in betas[1:]), default=None)
         if worst is None or worst > accept:
             return True
         if worst < reject:

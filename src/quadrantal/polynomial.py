@@ -10,10 +10,10 @@ division is exact.  `fractions` is imported only when a value first leaves
 the integers: work that stays in Z loads neither it nor the `decimal` and
 `numbers` modules it imports.
 
-Squarefreeness has a modular certificate, `_squarefree_mod_p`, the one
-mod-p Euclid: gcd(f, f') = 1 modulo the prime 2^30 - 35, with both degrees
-kept, makes Res(f, f') nonzero (Cohen, GTM 138, section 3.3; von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 6); else `poly_gcd`.
+Squarefreeness has a modular certificate: gcd(f, f') = 1 modulo the prime
+2^30 - 35, with both degrees kept, makes the resultant Res(f, f') nonzero
+(Cohen, GTM 138, section 3.3; von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 6); only an uncertified f takes the gcd, `poly_gcd`.
 
 Two text encodings round-trip:
 
@@ -93,7 +93,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else coefficient(c) for c in coeffs]
+        cs = [coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -188,8 +188,17 @@ class Poly:
     # -- encodings ---------------------------------------------------------
 
     def to_text(self) -> str:
-        terms = (str(c) if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}" for i, c in enumerate(self.coeffs))
-        return " + ".join(terms) or "0"
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append(f"{c}*x")
+            else:
+                parts.append(f"{c}*x^{i}")
+        return " + ".join(parts)
 
     def to_json_array(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -331,31 +340,32 @@ def cyclotomic_poly_prime(p: int) -> Poly:
 
 
 def _certified_squarefree(f: Poly) -> bool:
-    """True when the modular certificate proves f squarefree, through the
-    residues of F = f times the lcm of its denominators."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return f.degree >= 1 and _squarefree_mod_p([int(c * den) % SQUAREFREE_PRIME for c in f.coeffs])
+    """True when the modular certificate proves f squarefree.
 
-
-def _squarefree_mod_p(a: list[int]) -> bool:
-    """True when the residues a (constant term first) of an integer
-    polynomial F mod P = SQUAREFREE_PRIME prove F squarefree: if P divides
-    neither lc(F) nor lc(F'), Res(F, F') mod P is the resultant of the
-    reductions, nonzero when their gcd mod P is a constant.  False means
-    "not certified" (P divides a leading coefficient or the resultant)."""
-    big_p = SQUAREFREE_PRIME
-    b = [i * c % big_p for i, c in enumerate(a)][1:]
-    if not (b and a[-1] and b[-1]):
+    F = f times the lcm of its denominators is an integer polynomial.  If
+    the prime P = SQUAREFREE_PRIME divides neither the leading coefficient
+    of F nor that of F', both keep their degrees mod P, so Res(F, F') mod P
+    is the resultant of the reductions; a gcd of degree 0 mod P makes it
+    nonzero, and then F has no repeated root.  False means "not certified"
+    (P divides a leading coefficient or the resultant), not "repeated root".
+    """
+    if f.degree < 1:
         return False
-    # Euclid over GF(P) by pseudo-remainders, lc(b)*a - t*x^i*b: no inverses
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    big_p = SQUAREFREE_PRIME
+    a = [int(c * den) % big_p for c in f.coeffs]
+    b = [i * c % big_p for i, c in enumerate(a)][1:]
+    if not (a[-1] and b[-1]):
+        return False
+    # Euclid over GF(P) on coefficient lists, constant term first
     while b:
-        db, lead = len(b) - 1, b[-1]
+        inv, db = pow(b[-1], -1, big_p), len(b) - 1
         for i in range(len(a) - 1 - db, -1, -1):
-            t = a.pop()
-            for j in range(i):
-                a[j] = lead * a[j] % big_p
-            for j, y in enumerate(b[:-1], i):
-                a[j] = (lead * a[j] - t * y) % big_p
+            t = a[i + db] * inv % big_p
+            if t:
+                for j in range(db):
+                    a[i + j] = (a[i + j] - t * b[j]) % big_p
+        del a[db:]
         while a and not a[-1]:
             a.pop()
         a, b = b, a

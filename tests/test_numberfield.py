@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from quadrantal import numberfield
+from quadrantal import numberfield, polynomial
 from quadrantal.arith import FactorBoundExceeded
 from quadrantal.numberfield import (
     MAX_DEGREE,
@@ -17,7 +17,7 @@ from quadrantal.numberfield import (
     primitive_element_shift,
     tuple_discriminant,
 )
-from quadrantal.polynomial import SQUAREFREE_PRIME, Poly, _squarefree_mod_p, poly_divmod, poly_xgcd
+from quadrantal.polynomial import Poly, _certified_squarefree, poly_divmod, poly_xgcd
 
 
 def P(*coeffs):
@@ -305,14 +305,15 @@ class TestPrimitiveElement:
 
 
 class TestShiftCertificates:
-    """primitive_element_shift certifies R_c modulo SQUAREFREE_PRIME from
-    the power sums; only when that fails does it take the gcd over Z and
-    then build the fields for the numeric separation."""
+    """primitive_element_shift builds R_c from the power sums and tests it
+    with `is_squarefree` (modulo SQUAREFREE_PRIME, else the gcd); only when
+    R_c is not squarefree does it build the fields for the numeric
+    separation."""
 
     def test_rational_root_still_rejected_when_r1_is_certified(self):
         p, q = P(-1, 0, 1), P(-2, 0, 1)  # x^2 - 1 = (x - 1)(x + 1)
         r1 = composed_min_poly("sum", p, q)
-        assert _squarefree_mod_p([c % SQUAREFREE_PRIME for c in r1.coeffs])
+        assert _certified_squarefree(r1)
         with pytest.raises(ValueError, match="rational root"):
             primitive_element_shift(p, q)
 
@@ -363,8 +364,8 @@ class TestShiftCertificates:
         # with the separation refusing c = 1, R_2 comes from s_k(2 beta) =
         # 2^k s_k(beta) and is certified modulo the prime, with no gcd over Z
         gcds = []
-        gcd = numberfield.poly_gcd
-        monkeypatch.setattr(numberfield, "poly_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+        gcd = polynomial.poly_gcd
+        monkeypatch.setattr(polynomial, "poly_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
         monkeypatch.setattr(numberfield, "_separation_certified", lambda fp, fq, c: False)
         f = P(2, 2, 1)
         assert primitive_element_shift(f, f) == 2

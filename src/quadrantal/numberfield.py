@@ -5,14 +5,15 @@ modulo the defining polynomial and stays exact.  Coefficients, traces,
 norms and discriminants are ints when integral and Fractions otherwise
 (`polynomial.coefficient`).  The invariants run on int lists: with D the
 lcm of an element's denominators, Tr(a) = Tr(Da)/D, N(a) = N(Da)/D^n and
-chi_a(x) = D^-n chi_Da(Dx), so every kernel sees an algebraic integer and
-only a returned value is a Poly.  The degree is capped at MAX_DEGREE.
-Traces, discriminants, field polynomials and composed polynomials all come
-from Newton power sums s_k = theta_1^k + ... + theta_n^k of the roots
-(Cohen, GTM 138, section 4.3); norms are Bareiss determinants of
-multiplication matrices; the signature comes from a Sturm sequence.
-Numerical embeddings (mpmath, 60 significant digits by default) exist only
-for cross-checks and for ordering conjugates, never for an exact value.
+chi_a(x) = D^-n chi_Da(Dx), so every kernel sees an algebraic integer;
+a Poly is built only for a polynomial result or a squarefree test.  The
+degree is capped at MAX_DEGREE.  Traces, discriminants, field polynomials
+and composed polynomials all come from Newton power sums s_k = theta_1^k
++ ... + theta_n^k of the roots (Cohen, GTM 138, section 4.3); norms are
+Bareiss determinants of multiplication matrices; the signature comes from
+a Sturm sequence.  Numerical embeddings (mpmath, 60 significant digits by
+default) exist only for cross-checks and for ordering conjugates, never
+for an exact value.
 """
 
 from __future__ import annotations

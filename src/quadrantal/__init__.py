@@ -7,8 +7,8 @@ empirical checks of the ideal-distribution asymptotics.
 Importing the package loads none of its layers.  The six names below are
 resolved on first use (PEP 562), each from its own module, so a program
 that needs only polynomials never imports the quadratic-ring layer.
-`mpmath` is imported only by the number-field embeddings and by the three
-functions that return mpmath values (QuadInt.mp_value, units.regulator_mp,
+`mpmath` is imported only by the number-field embeddings and by the two
+functions that return mpmath values (units.regulator_mp,
 census.sigma_theoretical); printed decimals are integer fixed point
 (quadrantal.reals).
 """

@@ -112,7 +112,7 @@ def split_prime_cyclotomic(m: int, q: int) -> CycloSplitting:
     if k >= 1 and n == 1 and is_prime(m):
         notes = f"({q}) = (1 - w)^{m - 1}"
     if e > 1:
-        label = "completelyRamified" if g == 1 else "ramified"
+        label = "completelyRamified" if f == g == 1 else "ramified"
     else:
         label = "split" if f == 1 else "inert" if g == 1 else "mixed"
     return CycloSplitting(m, q, e, f, g, phi_m, label, notes)
@@ -120,9 +120,9 @@ def split_prime_cyclotomic(m: int, q: int) -> CycloSplitting:
 
 def classify(m: int, q: int) -> str:
     """Label of q in Q(w_m) from its (e, f, g): ramified (e > 1) is
-    'completelyRamified' when g = 1, else 'ramified'; unramified is 'split'
-    when f = 1, 'inert' when g = 1, else 'mixed' (1 < f < phi(m), which the
-    classical case split leaves unnamed)."""
+    'completelyRamified' when f = g = 1 (e = phi(m)), else 'ramified';
+    unramified is 'split' when f = 1, 'inert' when g = 1, else 'mixed'
+    (1 < f < phi(m), which the classical case split leaves unnamed)."""
     return split_prime_cyclotomic(m, q).classification
 
 

@@ -12,8 +12,9 @@ and composed polynomials all come from Newton power sums s_k = theta_1^k
 + ... + theta_n^k of the roots (Cohen, GTM 138, section 4.3); norms are
 Bareiss determinants of multiplication matrices; the signature comes from
 a Sturm sequence.  Numerical embeddings (mpmath, 60 significant digits by
-default) exist only for cross-checks and for ordering conjugates, never
-for an exact value.
+default) serve only primitive_element_shift when R_c is not squarefree:
+they order the conjugates and separate the sums alpha_i + c*beta_j.
+Tests check exact values against them; they never decide one.
 """
 
 from __future__ import annotations
@@ -171,10 +172,10 @@ class NumberField:
         for q, e in factorize(a0):
             divisors = [d * q**i for d in divisors for i in range(e + 1)]
         # cofactor pairs (d, a0/d) enter in ascending d <= sqrt|a0|; that
-        # order fixes which root is reported when there are several
-        candidates = set()
+        # order, kept by the dict, fixes the root reported among several
+        candidates = {}
         for d in sorted(d for d in divisors if d * d <= abs(a0)):
-            candidates.update((d, -d, a0 // d, -(a0 // d)))
+            candidates.update(dict.fromkeys((d, -d, a0 // d, -(a0 // d))))
         for r in candidates:
             if p(r) == 0:
                 raise ValueError(f"defining polynomial has rational root {r}")
@@ -377,19 +378,6 @@ class FieldElement:
 
     def is_algebraic_integer(self) -> bool:
         return self.minimal_polynomial().is_integral()
-
-    def conjugate_values(self, dps: int = EMBEDDING_DPS):
-        """Numerical conjugates q(theta_i), for cross-checks only."""
-        import mpmath
-
-        vals = []
-        with mpmath.workdps(dps + 10):
-            for th in self.field.embeddings(dps):
-                acc = mpmath.mpc(0)
-                for c in reversed(self.repr.coeffs):
-                    acc = acc * th + mpmath.mpf(c.numerator) / c.denominator
-                vals.append(acc)
-        return vals
 
 
 def tuple_discriminant(elements):

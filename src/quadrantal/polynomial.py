@@ -156,15 +156,6 @@ class Poly:
         c = coefficient(c)
         return Poly([c * a for a in self.coeffs])
 
-    def shift_compose(self, c) -> "Poly":
-        """p(x + c), by Horner on the shifted variable."""
-        c = coefficient(c)
-        out = Poly()
-        xc = Poly([c, 1])
-        for a in reversed(self.coeffs):
-            out = out * xc + Poly([a])
-        return out
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")

@@ -184,18 +184,6 @@ class QuadInt:
         lhs = u * u - self.field.m * v * v  # sign(u + v sqrt(m)) when signs differ
         return (1 if lhs > 0 else -1) * (1 if u > 0 else -1)
 
-    def mp_value(self, dps: int = 50):
-        """Numerical value (real embedding with sqrt(m) > 0, or the upper
-        complex embedding for m < 0); cross-check use only."""
-        import mpmath
-
-        u, v = self.double_coords()
-        with mpmath.workdps(dps):
-            s = mpmath.sqrt(abs(self.field.m))
-            if self.field.m > 0:
-                return (u + v * s) / 2
-            return (u + v * s * mpmath.mpc(0, 1)) / 2
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

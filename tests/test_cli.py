@@ -98,6 +98,12 @@ class TestFieldCommands:
         assert data["minpoly"] == ["-9", "0", "0", "1"]
         assert data["is_algebraic_integer"] is True
 
+    def test_rational_root_in_candidate_order(self, capsys):
+        # x^2 - x - 2 = (x + 1)(x - 2): the candidates run 1, -1, -2, 2
+        code = main(["field", "minpoly-of", "--minpoly", "x^2-x-2", "--element", "0,1"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: defining polynomial has rational root -1\n"
+
     def test_compose(self, capsys):
         data = run_json(
             capsys, "field", "compose", "--op", "sum", "--p", "x^2 - 2", "--q", "x^2 - 3"
@@ -392,6 +398,7 @@ class TestCycloCommands:
         data = run_json(capsys, "cyclo", "split", "--m", "12", "--q", "2")
         assert (data["e"], data["f"], data["g"]) == (2, 2, 1)
         assert data["phi_m"] == 4
+        assert data["classification"] == "ramified"  # not totally: e = 2 < phi(12)
 
     def test_lists(self, capsys):
         data = run_json(capsys, "cyclo", "lists")

@@ -85,8 +85,16 @@ class TestClassification:
     def test_examples(self):
         assert classify(5, 11) == "split"
         assert classify(5, 2) == "inert"
-        assert classify(9, 3) == "completelyRamified"
+        assert classify(9, 3) == classify(5, 5) == "completelyRamified"
         assert classify(7, 2) == "mixed"
+        # (e, f, g) = (2, 2, 1): ramified, but not totally (e < phi(12) = 4)
+        assert classify(12, 2) == classify(12, 3) == "ramified"
+
+    def test_completely_ramified_means_e_is_phi(self):
+        for m in range(3, 121):
+            for q in primes_up_to(60):
+                s = split_prime_cyclotomic(m, q)
+                assert (s.classification == "completelyRamified") == (s.e == s.phi_m), (m, q)
 
     def test_prime_modulus_consistency(self):
         # split iff p | q-1; inert iff f = p-1

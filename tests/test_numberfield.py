@@ -139,7 +139,9 @@ class TestTraceNorm:
                     [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(field.degree)]
                 )
                 t, n = a.trace_and_norm()
-                vals = a.conjugate_values()
+                with mpmath.workdps(70):  # a(theta_i) at each conjugate, with guard digits
+                    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(a.repr.coeffs)]
+                    vals = [mpmath.polyval(coeffs, th) for th in field.embeddings()]
                 with mpmath.workdps(60):
                     ts = sum(vals)
                     ns = mpmath.mpf(1)
@@ -381,6 +383,12 @@ class TestFieldConstruction:
     def test_rational_root_rejected(self):
         with pytest.raises(ValueError):
             NumberField(P(-4, 0, 1))  # x^2 - 4 = (x-2)(x+2)
+
+    def test_roots_tried_in_ascending_divisor_order(self):
+        # candidates d, -d, a0/d, -a0/d for d = 1, 2, ...: the first root wins
+        for p, root in ((P(-2, -1, 1), -1), (P(-6, 1, 1), 2), (P(6, -5, 1), 2), (P(-12, -1, 1), -3)):
+            with pytest.raises(ValueError, match=f"rational root {root}$"):
+                NumberField(p)
 
     def test_large_rational_root_rejected(self):
         with pytest.raises(ValueError, match="rational root"):

@@ -98,11 +98,8 @@ class TestEisenstein:
         assert eisenstein_witness(P(4, 0, 1)) is None
 
     def test_shifted_cyclotomic(self):
-        # ((x+1)^5 - 1)/x has all middle coefficients divisible by 5
-        shifted = P(-1, 0, 0, 0, 0, 1).shift_compose(1)
-        q, r = poly_divmod(shifted, P(0, 1))
-        assert r.is_zero()
-        assert eisenstein_witness(q) == 5
+        # Phi_5(x + 1) = ((x+1)^5 - 1)/x = x^4 + 5x^3 + 10x^2 + 10x + 5
+        assert eisenstein_witness(P(5, 10, 10, 5, 1)) == 5
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ suite runs under python -O.
 
 import ast
 import importlib.util
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,9 @@ import pytest
 
 import quadrantal
 
-MODULES = sorted(Path(quadrantal.__file__).parent.glob("*.py"))
+PACKAGE = Path(quadrantal.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_modules_found():
@@ -52,11 +56,10 @@ def test_no_bare_runtime_error(path):
 
 
 # mpmath is imported only inside these functions: number-field embeddings
-# and the three adapters that hand the printed reals to mpmath
+# and the two adapters that hand the printed reals to mpmath
 MPMATH_FUNCTIONS = {
     "census.py": {"sigma_theoretical"},
     "units.py": {"regulator_mp"},
-    "quadring.py": {"mp_value"},
 }
 
 
@@ -136,7 +139,7 @@ def test_euler_criterion_only_in_arith(name):
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names in install(); a name the
     # package no longer has would crash its traced run, not this suite
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = REPO / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -153,6 +156,86 @@ def test_traced_names_resolve():
     missing += [f"cli.{attr}" for attr in ("_HANDLERS", *tracer.CLI_SPANS) if not hasattr(cli, attr)]
     if missing:
         pytest.fail(f"the tracer's targets are missing: {missing}")
+
+
+# Public API with no caller: the README describes what each does without
+# naming it (module.qualname -> the reason it stays)
+NO_CALLER_NEEDED = {
+    "cyclotomic.descriptor": "the README's module table lists phi(m) of Q(w_m), which it returns",
+    "cyclotomic.classify": "the README's module table lists the classification labels it returns",
+    "units.unit_membership": "the README lists unit-group membership decomposition",
+}
+
+
+def _definitions(tree):
+    """(qualname, name) of each top-level function and class of the tree
+    and of each method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _code_names(tree):
+    """Every name and attribute the code reads, f-string expressions included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _string_table_words(tree):
+    """The words of each string made only of identifiers, such as
+    cli._MOVED's name lists; docstrings left out."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            words = node.value.split()
+            if words and all(map(str.isidentifier, words)):
+                yield from words
+
+
+def _uncalled(package):
+    """module.qualname of each top-level function, class and method of the
+    package (dunders aside) that nothing names: not its own code or string
+    tables, not perfbench's jobs.py or the tracer's TIMED and COUNTED, and
+    not a code span of the README."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    named = {word for tree in trees.values() for word in (*_code_names(tree), *_string_table_words(tree))}
+    named.update(_code_names(ast.parse((REPO / "perfbench" / "jobs.py").read_text())))
+    for node in ast.parse((REPO / "perfbench" / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("TIMED", "COUNTED") for t in node.targets):
+            named.update(attr.rsplit(".", 1)[-1] for _, attr in ast.literal_eval(node.value))
+    spans = re.findall(r"```.*?```|`[^`\n]+`", (REPO / "README.md").read_text(), re.S)
+    named.update(word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span))
+    return [f"{module}.{qualname}" for module, tree in trees.items() for qualname, name in _definitions(tree)
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_function_has_a_caller():
+    # the same behaviour from the least code: every request compiles a
+    # helper that nothing calls
+    uncalled = set(_uncalled(PACKAGE))
+    if uncalled != set(NO_CALLER_NEEDED):
+        pytest.fail(f"nothing calls {sorted(uncalled - set(NO_CALLER_NEEDED))}; "
+                    f"allowed without a caller but called or gone: {sorted(set(NO_CALLER_NEEDED) - uncalled)}")
+
+
+def test_caller_rule_flags_an_unused_helper(tmp_path):
+    # the rule run on a copy of the package with one helper that only its
+    # own docstring names
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "arith.py", "a") as f:
+        f.write('\n\ndef _unused_helper(n):\n    """_unused_helper"""\n    return n + 1\n')
+    flagged = set(_uncalled(package)) - set(NO_CALLER_NEEDED)
+    if flagged != {"arith._unused_helper"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with arith._unused_helper added")
 
 
 # The names each module held when the form layer moved out of quadring and

@@ -11,9 +11,9 @@ degree is capped at MAX_DEGREE.  Traces, discriminants, field polynomials
 and composed polynomials all come from Newton power sums s_k = theta_1^k
 + ... + theta_n^k of the roots (Cohen, GTM 138, section 4.3); norms are
 Bareiss determinants of multiplication matrices; the signature comes from
-a Sturm sequence.  Numerical embeddings (mpmath, 60 significant digits by
-default) serve only primitive_element_shift when R_c is not squarefree:
-they order the conjugates and separate the sums alpha_i + c*beta_j.
+a Sturm sequence, which also fixes how many embeddings are real.  mpmath
+embeddings (60 digits by default) serve only primitive_element_shift when
+R_c is not squarefree, to order conjugates and separate alpha_i + c*beta_j.
 Tests check exact values against them; they never decide one.
 """
 
@@ -30,7 +30,6 @@ from .polynomial import (
     exact_div,
     is_squarefree,
     poly_divmod,
-    poly_xgcd,
     squarefree_part,
 )
 
@@ -193,7 +192,8 @@ class NumberField:
 
     def embeddings(self, dps: int = EMBEDDING_DPS):
         """Conjugates of theta at `dps` digits, ordered: real roots ascending,
-        then complex roots by (Re, positive Im before negative)."""
+        then complex roots by (Re, positive Im before negative).  The count of
+        roots with |Im| < 10^(-dps/2) must be Sturm's r1 (CertificateNotFound)."""
         import mpmath
 
         if self._embeddings is None or self._embeddings[0] < dps:
@@ -201,14 +201,11 @@ class NumberField:
                 coeffs = [mpmath.mpf(int(c)) for c in reversed(self.minpoly.coeffs)]
                 roots = [mpmath.mpc(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)]
                 eps = mpmath.mpf(10) ** (-dps // 2)
-                reals = sorted(
-                    (r.real for r in roots if abs(r.imag) < eps),
-                    key=lambda r: r,
-                )
-                cplx = sorted(
-                    (r for r in roots if abs(r.imag) >= eps),
-                    key=lambda r: (r.real, 0 if r.imag > 0 else 1, abs(r.imag)),
-                )
+                reals = sorted(r.real for r in roots if abs(r.imag) < eps)
+                cplx = sorted((r for r in roots if abs(r.imag) >= eps),
+                              key=lambda r: (r.real, 0 if r.imag > 0 else 1, abs(r.imag)))
+                if len(reals) != (r1 := self.signature()[0]):
+                    raise CertificateNotFound(f"{len(reals)} roots look real at {dps} digits, but Sturm counts {r1}")
                 ordered = [mpmath.mpc(r) for r in reals] + list(cplx)
             self._embeddings = (dps, tuple(ordered))
         return self._embeddings[1]
@@ -305,15 +302,18 @@ class FieldElement:
         return FieldElement(self.field, r)
 
     def inverse(self) -> "FieldElement":
-        """1/a via the extended gcd of the representative with the minimal
-        polynomial: s*repr + t*minpoly = 1 gives s(theta) = 1/a."""
+        """1/a = -(a^(n-1) + c_(n-1) a^(n-2) + ... + c_1)/c_0 by Cayley-Hamilton
+        on a's field polynomial sum c_k x^k, whose c_0 = (-1)^n N(a) is 0 at a
+        nonzero a only when the defining polynomial is reducible (ValueError)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g, s, _ = poly_xgcd(self.repr, self.field.minpoly)
-        if g.degree != 0:
+        c = self.field_polynomial().coeffs
+        if c[0] == 0:
             raise ValueError("defining polynomial is reducible: gcd is nonconstant")
-        _, r = poly_divmod(s, self.field.minpoly)
-        return FieldElement(self.field, r)
+        r = self.field.one()
+        for ck in c[-2:0:-1]:
+            r = r * self + self.field.rational(ck)
+        return r * self.field.rational(exact_div(-1, c[0]))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -460,8 +460,7 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    hold when R_c, with roots all alpha_i + c beta_j, is squarefree
-    (`is_squarefree`: modulo SQUAREFREE_PRIME, else by the gcd over Q), or
+    hold when R_c, with roots all alpha_i + c beta_j, is squarefree, or
     numerically at escalating precision.  deg(p)*deg(q) is at most
     MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """

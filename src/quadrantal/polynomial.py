@@ -10,10 +10,10 @@ division is exact.  `fractions` is imported only when a value first leaves
 the integers: work that stays in Z loads neither it nor the `decimal` and
 `numbers` modules it imports.
 
-Squarefreeness has a modular certificate: gcd(f, f') = 1 modulo the prime
-2^30 - 35, with both degrees kept, makes the resultant Res(f, f') nonzero
-(Cohen, GTM 138, section 3.3; von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 6); only an uncertified f takes the gcd, `poly_gcd`.
+Every gcd, squarefreeness included, is Brown's modular gcd on one kernel,
+Euclid over GF(p) on int lists (Brown 1971; von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 6): degree 0 modulo one prime proves two
+inputs coprime, and exact division certifies a CRT image of higher degree.
 
 Two text encodings round-trip:
 
@@ -29,8 +29,8 @@ import re
 from .integers import MAX_TABLE, factorize, is_prime, power
 
 
-# the prime of the modular squarefree certificate: the largest prime below
-# 2^30, so that every residue is a single CPython digit
+# the first prime of the modular gcd, which tries the primes below it next:
+# the largest prime below 2^30, so that every residue is one CPython digit
 SQUAREFREE_PRIME = 2**30 - 35
 
 # Cap on the decimal exponent of a coefficient string such as '1e-5': the
@@ -93,7 +93,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [coefficient(c) for c in coeffs]
+        cs = [c if type(c) is int else coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -251,35 +251,74 @@ def poly_divmod(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(rem[:d])
 
 
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p), by Euclid, of the int lists a and b (constant
+    term first), b nonzero mod p."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            break
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            t = a[i + db] * inv % p
+            if t:
+                for j in range(db):
+                    a[i + j] = (a[i + j] - t * b[j]) % p
+        del a[db:]
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _primitive(cs) -> list[int]:
+    """The ints and Fractions cs cleared of denominators and content."""
+    den = math.lcm(*[c.denominator for c in cs])
+    cs = [int(c * den) for c in cs] if den > 1 else cs
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
+
+
+_ONE = Poly([1])  # the gcd of coprime inputs, built once
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[x] by the primitive remainder sequence over Z (Knuth,
-    TAOCP vol. 2, section 4.6.1; Cohen, GTM 138, section 3.3): a and b are
-    cleared of denominators, the remainder of lc(b)^(deg a - deg b + 1) * a
-    by b is an integer polynomial, and only its primitive part goes on.  So
-    only the closing division by the leading coefficient can leave Z."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    a, b = (p.scale(math.lcm(*(c.denominator for c in p.coeffs))) for p in (a, b))
-    while not b.is_zero():
-        r = poly_divmod(a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)), b)[1]
-        a, b = b, r if r.is_zero() else content_and_primitive_part(r)[1]
-    return a.monic()
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns (g, s, t) monic g with s*a + t*b = g."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = Poly([1]), Poly()
-    t0, t1 = Poly(), Poly([1])
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    inv = exact_div(1, r0.coeffs[-1])
-    return r0.monic(), s0.scale(inv), t0.scale(inv)
+    """Monic gcd in Q[x] by Brown's modular algorithm: with A, B the primitive
+    parts of a, b and gamma = gcd(lc A, lc B), gcd(A, B) mod a prime p not
+    dividing gamma has at least the true degree, so degree 0 proves a, b
+    coprime.  Primes run down from SQUAREFREE_PRIME; one of degree above the
+    least seen is dropped, a lower one restarts the CRT, and a stable image of
+    gamma * gcd(A, B) mod p gives the gcd if its primitive part divides a, b."""
+    if a.is_zero() or b.is_zero():
+        if a.is_zero() and b.is_zero():
+            raise ValueError("gcd(0, 0) is undefined")
+        return (a or b).monic()
+    big_a, big_b = _primitive(a.coeffs), _primitive(b.coeffs)
+    gamma = math.gcd(big_a[-1], big_b[-1])
+    p, least, image, m = SQUAREFREE_PRIME + 2, len(big_a) + len(big_b), None, 1
+    while True:
+        p -= 2
+        if gamma % p == 0 or (p < SQUAREFREE_PRIME and not is_prime(p)):  # the first is prime
+            continue
+        g = _gcd_mod(big_a, big_b, p)
+        if len(g) == 1:
+            return _ONE
+        if len(g) > least:
+            continue
+        if len(g) < least:
+            least, image, m = len(g), None, 1
+        g = [c * gamma % p for c in g]
+        if image is not None:
+            inv = pow(m, -1, p)
+            g = [h + m * ((c - h) * inv % p) for h, c in zip(image, g)]
+        m *= p
+        new = [c - m if 2 * c > m else c for c in g]
+        if new == image:
+            h = Poly(_primitive(new))
+            if not (poly_divmod(a, h)[1] or poly_divmod(b, h)[1]):
+                return h.monic()
+        image = new
 
 
 def content_and_primitive_part(p: Poly) -> tuple[int, Poly]:
@@ -330,55 +369,15 @@ def cyclotomic_poly_prime(p: int) -> Poly:
     return Poly([1] * p)
 
 
-def _certified_squarefree(f: Poly) -> bool:
-    """True when the modular certificate proves f squarefree.
-
-    F = f times the lcm of its denominators is an integer polynomial.  If
-    the prime P = SQUAREFREE_PRIME divides neither the leading coefficient
-    of F nor that of F', both keep their degrees mod P, so Res(F, F') mod P
-    is the resultant of the reductions; a gcd of degree 0 mod P makes it
-    nonzero, and then F has no repeated root.  False means "not certified"
-    (P divides a leading coefficient or the resultant), not "repeated root".
-    """
-    if f.degree < 1:
-        return False
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    big_p = SQUAREFREE_PRIME
-    a = [int(c * den) % big_p for c in f.coeffs]
-    b = [i * c % big_p for i, c in enumerate(a)][1:]
-    if not (a[-1] and b[-1]):
-        return False
-    # Euclid over GF(P) on coefficient lists, constant term first
-    while b:
-        inv, db = pow(b[-1], -1, big_p), len(b) - 1
-        for i in range(len(a) - 1 - db, -1, -1):
-            t = a[i + db] * inv % big_p
-            if t:
-                for j in range(db):
-                    a[i + j] = (a[i + j] - t * b[j]) % big_p
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def is_squarefree(f: Poly) -> bool:
-    """Whether f has no repeated root, i.e. gcd(f, f') = 1 in Q[x]: by the
-    modular certificate when it applies, else by `poly_gcd` over Q.
-    Constants are squarefree; the zero polynomial raises ValueError."""
-    return _certified_squarefree(f) or poly_gcd(f, f.derivative()).degree == 0
+    """Whether f has no repeated root, i.e. gcd(f, f') = 1 in Q[x] by
+    `poly_gcd`.  Constants are squarefree; the zero polynomial raises ValueError."""
+    return poly_gcd(f, f.derivative()).degree == 0
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p with repeated factors removed: p / gcd(p, p'), made monic; p itself,
-    made monic, when the modular certificate proves it squarefree."""
+    """p with repeated factors removed: p / gcd(p, p'), made monic."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if _certified_squarefree(p):
-        return p.monic()
     g = poly_gcd(p, p.derivative())
-    q, r = poly_divmod(p, g)
-    if not r.is_zero():
-        raise ArithmeticError("gcd(p, p') does not divide p")
-    return q.monic()
+    return (poly_divmod(p, g)[0] if g.degree else p).monic()

@@ -56,6 +56,25 @@ class TestPolyCommands:
         data = run_json(capsys, "poly", "gcd", "--a", "x^2 - 1", "--b", "x - 1")
         assert data["gcd"] == ["-1", "1"]
 
+    def test_gcd_at_degree_300_with_30_digit_coefficients(self):
+        # the modular gcd takes well under a second here; a remainder
+        # sequence over Z ran past a minute
+        from quadrantal.polynomial import Poly
+
+        rng = random.Random(300)
+
+        def draw(degree):
+            return Poly([rng.randint(-10**30, 10**30) for _ in range(degree)] + [rng.randint(1, 10**30)])
+
+        factor = draw(150)
+        a, b = draw(150) * factor, draw(150) * factor
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadrantal.cli", "poly", "gcd", "--a", a.to_text(), "--b", b.to_text()],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["gcd"] == factor.monic().to_json_array()
+
     def test_content(self, capsys):
         data = run_json(capsys, "poly", "content", "--poly", "[\"2\", \"4\", \"6\"]")
         assert data["content"] == "2" and data["primitive"] == ["1", "2", "3"]

@@ -17,11 +17,21 @@ from quadrantal.numberfield import (
     primitive_element_shift,
     tuple_discriminant,
 )
-from quadrantal.polynomial import Poly, _certified_squarefree, poly_divmod, poly_xgcd
+from quadrantal.polynomial import Poly, exact_div, is_squarefree, poly_divmod
 
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def euclid_inverse(a, f):
+    """The s of degree < deg f with s*a = 1 mod f, by the extended Euclid
+    over Q."""
+    r0, r1, s0, s1 = f, a, Poly(), P(1)
+    while r1.degree > 0:
+        q, r = poly_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return s1.scale(exact_div(1, r1[0]))
 
 
 SQRT2 = NumberField(P(-2, 0, 1))
@@ -103,7 +113,7 @@ class TestMonicReduction:
             b = field.element(self.poly(rng, f.degree - 1, rational))
             same((a * b).repr, a.repr * b.repr)
             if not a.is_zero():
-                same(a.inverse().repr, poly_xgcd(a.repr, f)[1])
+                same(a.inverse().repr, euclid_inverse(a.repr, f))
                 assert a * a.inverse() == field.one()
 
 
@@ -308,14 +318,14 @@ class TestPrimitiveElement:
 
 class TestShiftCertificates:
     """primitive_element_shift builds R_c from the power sums and tests it
-    with `is_squarefree` (modulo SQUAREFREE_PRIME, else the gcd); only when
-    R_c is not squarefree does it build the fields for the numeric
+    with `is_squarefree`, which one prime of the modular gcd usually proves;
+    only when R_c is not squarefree does it build the fields for the numeric
     separation."""
 
     def test_rational_root_still_rejected_when_r1_is_certified(self):
         p, q = P(-1, 0, 1), P(-2, 0, 1)  # x^2 - 1 = (x - 1)(x + 1)
         r1 = composed_min_poly("sum", p, q)
-        assert _certified_squarefree(r1)
+        assert is_squarefree(r1)
         with pytest.raises(ValueError, match="rational root"):
             primitive_element_shift(p, q)
 
@@ -364,14 +374,21 @@ class TestShiftCertificates:
 
     def test_next_shift_certified_from_the_power_sums(self, monkeypatch):
         # with the separation refusing c = 1, R_2 comes from s_k(2 beta) =
-        # 2^k s_k(beta) and is certified modulo the prime, with no gcd over Z
-        gcds = []
-        gcd = polynomial.poly_gcd
-        monkeypatch.setattr(polynomial, "poly_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+        # 2^k s_k(beta) and is proved squarefree by one prime: only R_1's
+        # gcd ends above degree 0 modulo a prime
+        above, gcd_mod = [], polynomial._gcd_mod
+
+        def spied(a, b, p):
+            g = gcd_mod(a, b, p)
+            if len(g) > 1:
+                above.append(a)
+            return g
+
+        monkeypatch.setattr(polynomial, "_gcd_mod", spied)
         monkeypatch.setattr(numberfield, "_separation_certified", lambda fp, fq, c: False)
         f = P(2, 2, 1)
         assert primitive_element_shift(f, f) == 2
-        assert gcds == [composed_min_poly("sum", f, f)]  # R_1 only
+        assert above == [list(composed_min_poly("sum", f, f).coeffs)] * 2  # R_1, at two primes
 
     def test_no_field_built_when_the_certificate_holds(self, monkeypatch):
         built, separations = self.spy(monkeypatch)

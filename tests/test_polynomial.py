@@ -12,7 +12,7 @@ from quadrantal.polynomial import (
     MAX_EXPONENT,
     SQUAREFREE_PRIME,
     Poly,
-    _certified_squarefree,
+    _gcd_mod,
     coefficient,
     content_and_primitive_part,
     cyclotomic_poly_prime,
@@ -21,7 +21,6 @@ from quadrantal.polynomial import (
     is_squarefree,
     poly_divmod,
     poly_gcd,
-    poly_xgcd,
     squarefree_part,
 )
 
@@ -66,11 +65,6 @@ class TestGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             poly_gcd(Poly(), Poly())
-
-    def test_xgcd_identity(self):
-        a, b = P(-2, 0, 1), P(1, 1, 1)
-        g, s, t = poly_xgcd(a, b)
-        assert s * a + t * b == g
 
 
 class TestContent:
@@ -195,7 +189,7 @@ def test_bare_minus_x_terms():
             Poly.from_text(bad)
 
 
-# -- coefficient types and the modular squarefree certificate ---------------
+# -- coefficient types, squarefreeness and the modular gcd --------------------
 
 small_int = st.integers(min_value=-50, max_value=50)
 int_poly = st.lists(small_int, min_size=1, max_size=8).map(Poly)
@@ -204,7 +198,7 @@ any_poly = st.one_of(int_poly, rational_poly)
 
 
 def gcd_says_squarefree(f):
-    return poly_gcd(f, f.derivative()).degree == 0
+    return euclid_gcd(f, f.derivative()).degree == 0
 
 
 def assert_canonical(p):
@@ -227,7 +221,6 @@ def test_square_factor_is_never_squarefree(f, g):
     if f.is_zero() or g.degree < 1:
         return
     h = f * g * g
-    assert not _certified_squarefree(h)
     assert not is_squarefree(h)
     assert squarefree_part(h) == squarefree_part(f * g)
 
@@ -235,9 +228,8 @@ def test_square_factor_is_never_squarefree(f, g):
 @given(st.lists(small_int, min_size=1, max_size=6), st.integers(min_value=1, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_leading_coefficient_divisible_by_the_prime_skips_the_certificate(low, k):
-    # the certificate needs deg f mod P = deg f; the answer falls back to Q
+    # P divides lc f and lc f', so the gcd skips it for the next prime
     f = Poly(low + [k * SQUAREFREE_PRIME])
-    assert not _certified_squarefree(f)
     assert is_squarefree(f) == gcd_says_squarefree(f)
     assert not is_squarefree(f * Poly([1, 1]) ** 2)
 
@@ -250,7 +242,7 @@ def test_squarefree_constants_and_zero():
 
 def test_squarefree_part_of_certified_input_is_monic_self():
     f = P(Fraction(-3, 2), 0, 3)  # 3x^2 - 3/2
-    assert _certified_squarefree(f)
+    assert is_squarefree(f)
     assert squarefree_part(f) == P(Fraction(-1, 2), 0, 1)
 
 
@@ -259,9 +251,10 @@ def test_squarefree_prime_is_one_digit_prime():
 
 
 def test_discriminant_divisible_by_the_prime_falls_back_to_the_gcd():
-    # disc(x^2 - P) = 4P = 0 mod P: x^2 and 2x share the root 0 mod P
+    # disc(x^2 - P) = 4P = 0 mod P: x^2 and 2x share the root 0 mod P, so
+    # the first prime is unlucky and the next one proves f squarefree
     f = P(-SQUAREFREE_PRIME, 0, 1)
-    assert not _certified_squarefree(f)
+    assert _gcd_mod([-SQUAREFREE_PRIME, 0, 1], [0, 2], SQUAREFREE_PRIME) == [0, 1]
     assert is_squarefree(f)
     assert squarefree_part(f) == f
 
@@ -277,8 +270,6 @@ def test_results_keep_canonical_coefficients(a, b):
         assert_canonical(b.monic())
     if not (a.is_zero() and b.is_zero()):
         assert_canonical(poly_gcd(a, b))
-        for p in poly_xgcd(a, b):
-            assert_canonical(p)
     assert_canonical(Poly.from_text(a.to_text()))
 
 
@@ -291,9 +282,20 @@ def euclid_gcd(a, b):
     return a.monic()
 
 
-@given(any_poly, any_poly, any_poly)
-@settings(max_examples=200, deadline=None)
-def test_gcd_matches_euclid_over_q(a, b, c):
+# the modular gcd's second prime
+NEXT_PRIME = next(p for p in range(SQUAREFREE_PRIME - 2, 0, -2) if is_prime(p))
+wide_int_poly = st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=6).map(Poly)
+gcd_input = st.one_of(any_poly, wide_int_poly)
+
+
+@given(gcd_input, gcd_input, gcd_input, st.sampled_from([None, SQUAREFREE_PRIME, SQUAREFREE_PRIME * NEXT_PRIME]))
+@example(P(1), P(1), P(-1, 1), SQUAREFREE_PRIME * NEXT_PRIME)
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_euclid_over_q(a, b, c, lead):
+    # c is a planted common factor; a lead the first primes divide tops both
+    # inputs, so that the gcd skips those primes
+    if lead:
+        a, b = Poly(a.coeffs + (lead,)), Poly(b.coeffs + (lead,))
     a, b = a * c, b * c
     if not (a.is_zero() and b.is_zero()):
         assert poly_gcd(a, b) == euclid_gcd(a, b)

@@ -136,6 +136,43 @@ def test_euler_criterion_only_in_arith(name):
         pytest.fail(f"{name} calls pow with a modulus on lines {lines}")
 
 
+# An inverse modulo m has one owner, polynomial's GF(p) kernel: pow(x, -1, m)
+# appears only in its Euclid, _gcd_mod, and in the CRT step of poly_gcd
+MODULAR_INVERSE_OWNERS = {"polynomial._gcd_mod", "polynomial.poly_gcd"}
+
+
+def _modular_inverses(package):
+    """module.function, the innermost enclosing function, of each
+    pow(x, -1, m) in the package."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "pow"
+                    and len(child.args) == 3 and ast.unparse(child.args[1]) == "-1"):
+                yield function
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from walk(child, inner)
+
+    return {f"{path.stem}.{function}" for path in sorted(package.glob("*.py"))
+            for function in walk(ast.parse(path.read_text(), filename=str(path)), None)}
+
+
+def test_modular_inverses_only_in_the_gcd_kernel():
+    outside = _modular_inverses(PACKAGE) - MODULAR_INVERSE_OWNERS
+    if outside:
+        pytest.fail(f"pow(x, -1, m) outside polynomial's GF(p) kernel: {sorted(outside)}")
+
+
+def test_inverse_rule_flags_an_inverse_elsewhere(tmp_path):
+    # the rule run on a copy of the package with one more inverse mod m
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "numberfield.py", "a") as f:
+        f.write('\n\ndef _inverse_mod(a, m):\n    return pow(a, -1, m)\n')
+    flagged = _modular_inverses(package) - MODULAR_INVERSE_OWNERS
+    if flagged != {"numberfield._inverse_mod"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with numberfield._inverse_mod added")
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names in install(); a name the
     # package no longer has would crash its traced run, not this suite

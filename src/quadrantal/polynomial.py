@@ -255,11 +255,9 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over GF(p), by Euclid, of the int lists a and b (constant
     term first), b nonzero mod p."""
     a, b = [c % p for c in a], [c % p for c in b]
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            break
+    while not b[-1]:
+        b.pop()
+    while b:
         inv, db = pow(b[-1], -1, p), len(b) - 1
         for i in range(len(a) - 1 - db, -1, -1):
             t = a[i + db] * inv % p
@@ -267,6 +265,8 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
                 for j in range(db):
                     a[i + j] = (a[i + j] - t * b[j]) % p
         del a[db:]
+        while a and not a[-1]:
+            a.pop()
         a, b = b, a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]

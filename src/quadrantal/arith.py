@@ -7,7 +7,8 @@ and the census.  The integer core (the caps, the exception classes,
 `is_prime`, `factorize`, `power` and `record`) is in quadrantal.integers,
 which the polynomial side imports alone; every name of it resolves here
 too.  The printed reals, the pi bounds and the exact root floors are in
-quadrantal.reals, and their names still resolve here on first use.
+quadrantal.reals, and their names still resolve here on first use, through
+the package's one forwarder, quadrantal._forward.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from . import _forward
 from .integers import (  # noqa: F401 (re-exported)
-    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, CertificateNotFound, FactorBoundExceeded,
+    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, CertificateNotFound, FactorBoundExceeded, Frozen,
     NotSquareFree, PeriodOverflow, SquareFreeUnverified, factorize, is_prime, power, record,
 )
 
@@ -138,12 +140,5 @@ def sqrt_mod(a: int, q: int) -> int:
 
 
 # the names that moved to reals, resolved on first use (PEP 562)
-_REALS = "PI_DIGITS PI_BOUNDS PI_LO floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr".split()
-
-
-def __getattr__(name):
-    if name not in _REALS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reals
-
-    return globals().setdefault(name, getattr(reals, name))  # later reads skip this call
+__getattr__ = _forward(globals(), dict.fromkeys(
+    "PI_DIGITS PI_BOUNDS PI_LO floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr".split(), "reals"))

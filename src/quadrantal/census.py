@@ -64,7 +64,8 @@ class group's coset walk (forms._cosets), whose h x h table only a
 per-class census builds.  Z(k) is compared against the asymptotic density
 sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
 normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2)
-error law without pretending to know its constant.
+error law without pretending to know its constant.  units.regulator_decimal
+still resolves here, through the package's one forwarder quadrantal._forward.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
+from . import _forward
 from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
 from .forms import ClassGroupReport, _cosets, _cycle, _tabulate, class_group  # noqa: F401 (class_group, re-exported)
 from .quadring import QuadraticField, torsion_order
@@ -319,14 +321,9 @@ def sigma_theoretical(field: QuadraticField, precision: int = 30):
         return mpmath.mpf(str(sigma_decimal(field, precision)))
 
 
-def __getattr__(name):
-    """units.regulator_decimal, still importable from here (PEP 562): a
-    census imports units only for a real field's regulator (_sigma)."""
-    if name != "regulator_decimal":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .units import regulator_decimal
-
-    return regulator_decimal
+# units.regulator_decimal, still importable from here (PEP 562): a census
+# imports units only for a real field's regulator (_sigma)
+__getattr__ = _forward(globals(), {"regulator_decimal": "units"})
 
 
 @record

@@ -22,12 +22,12 @@ parser it names (cli_args, loaded for that fallback alone).  JSON is
 written as json.dumps(payload, indent=2) writes it, so a successful
 request imports neither argparse nor json.  The handlers are in cli_poly
 (poly, field, cyclo), cli_quad (quad) and cli_units (units, pell, census),
-importable from here (PEP 562); a request imports only its own, and it
-only the layers it uses.  A census builds no ideal table: Z(k) and the
---csv marks are hyperbola sums on one tile of chi_d.  The decimals of
-census, units and quad minkowski come from quadrantal.reals, in integer
-fixed point: of them only quad minkowski, whose upper bound is a
-Fraction, loads `fractions` (and with it `decimal`).  `mpmath` is loaded
+importable from here through quadrantal._forward; a request imports only
+its own, and it only the layers it uses.  A census builds no ideal table:
+Z(k) and the --csv marks are hyperbola sums on one tile of chi_d.  The
+decimals of census, units and quad minkowski come from quadrantal.reals,
+in integer fixed point: of them only quad minkowski, whose upper bound is
+a Fraction, loads `fractions` (and with it `decimal`).  `mpmath` is loaded
 only where a number-field embedding is computed.
 
 QUADRANTAL_PRECISION sets the digits of the units regulator (default 50)
@@ -42,6 +42,8 @@ import re
 import sys
 from importlib import import_module
 from types import SimpleNamespace
+
+from . import _forward
 
 
 class InputError(ValueError):
@@ -194,19 +196,13 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, **({} if action is None else {"action": action}), **args)
 
 
-# the names that moved out, by their module now; no other name imports anything
-_MOVED = {name: home for home, names in {
+# the handlers, parse helpers and parser, importable from here as before
+# (PEP 562), by their module now; no other name imports anything
+__getattr__ = _forward(globals(), {name: home for home, names in {
     "cli_poly": "TYPE_CHECKING parse_poly parse_element_coords _field_from_args cmd_poly cmd_field cmd_cyclo",
     "cli_quad": "_QUADINT_TERM parse_quad_int parse_ideal _verify_class_group _is_associative cmd_quad",
     "cli_units": "decimal_precision cmd_units cmd_pell cmd_census",
-    "cli_args": "build_parser _add_actions _add_options"}.items() for name in names.split()}
-
-
-def __getattr__(name: str):
-    """The handlers, parse helpers and parser, importable from here as before (PEP 562)."""
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
+    "cli_args": "build_parser _add_actions _add_options"}.items() for name in names.split()})
 
 
 # a request imports its handler's module on the first call

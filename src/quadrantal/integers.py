@@ -8,7 +8,9 @@ every name here.  Everything is exact, in Python ints.  Factorization is
 honest trial division up to a fixed bound; inputs that cannot be certified
 within the bound raise instead of guessing.  `power` is the one
 square-and-multiply of the package, for elements, polynomials and ideals
-alike, and `record` makes the frozen report classes.
+alike.  `record` makes the frozen report classes, and `Frozen` is the one
+slotted base of the value classes (QuadraticField, QuadInt, QuadIdeal,
+Poly, FieldElement); both refuse setting and deleting an attribute alike.
 """
 
 from __future__ import annotations
@@ -118,8 +120,20 @@ def power(x, k: int, one, mul=operator.mul):
 
 
 # ---------------------------------------------------------------------------
-# records
+# records and values
 # ---------------------------------------------------------------------------
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+class Frozen:
+    """Base of the slotted value classes: __init__ sets each slot once with
+    object.__setattr__, and setting or deleting one later raises."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
 
 def record(cls=None, *, hidden=()):
     """Class decorator for a frozen record of the annotated fields, in order.
@@ -153,10 +167,7 @@ def record(cls=None, *, hidden=()):
     def __repr__(self):
         return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
 
-    def frozen(self, name, *value):
-        raise AttributeError(f"{cls.__name__} is frozen: cannot set or delete {name!r}")
-
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__hash__ = lambda self: hash(key(self))
-    cls.__setattr__ = cls.__delattr__ = frozen
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .integers import CertificateNotFound, factorize, power
+from .integers import CertificateNotFound, Frozen, factorize, power
 from .polynomial import (
     Poly,
     coefficient,
@@ -30,6 +30,7 @@ from .polynomial import (
     exact_div,
     is_squarefree,
     poly_divmod,
+    poly_gcd,
     squarefree_part,
 )
 
@@ -254,7 +255,7 @@ class NumberField:
         return self.element(Poly([c]))
 
 
-class FieldElement:
+class FieldElement(Frozen):
     """An element q(theta), stored as the unique representative of degree < n."""
 
     __slots__ = ("field", "repr")
@@ -264,9 +265,6 @@ class FieldElement:
             raise ValueError("representative not reduced")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "repr", rep)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
 
     def _check(self, other: "FieldElement"):
         if self.field != other.field:
@@ -460,9 +458,11 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    hold when R_c, with roots all alpha_i + c beta_j, is squarefree, or
-    numerically at escalating precision.  deg(p)*deg(q) is at most
-    MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
+    hold when R_c, with roots all alpha_i + c beta_j, is squarefree; for
+    p == q, R_1 = F_2 Q^2 with F_2(x) = 2^n p(x/2), and c = 1 when F_2 is
+    prime to Q = prod_{i<j} (x - alpha_i - alpha_j); else numerically at
+    escalating precision.  deg(p)*deg(q) is at most MAX_DEGREE, and c at
+    most MAX_SHIFT (CertificateNotFound).
     """
     for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
@@ -480,8 +480,14 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
         # R_c from the power sums: s_k(c beta) = c^k s_k(beta)
-        if is_squarefree(Poly(from_power_sums(_sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)])))):
+        s = _sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)])
+        if is_squarefree(Poly(from_power_sums(s))):
             return c
+        if c == 1 and p == q:  # Q's power sums are (s_k(R_1) - 2^k s_k(p))/2
+            f2 = Poly([a << p.degree - i for i, a in enumerate(p.coeffs)])
+            Q = Poly(from_power_sums([(s[k] - (sp[k] << k)) // 2 for k in range((n - p.degree) // 2 + 1)]))
+            if poly_gcd(f2, Q).degree == 0:
+                return 1
         if not fields:  # p == q shares one field, so its conjugates are found once
             fields = (NumberField(p),) * 2 if p == q else (NumberField(p), NumberField(q))
         if _separation_certified(*fields, c):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 
-from .integers import MAX_TABLE, factorize, is_prime, power
+from .integers import MAX_TABLE, Frozen, factorize, is_prime, power
 
 
 # the first prime of the modular gcd, which tries the primes below it next:
@@ -86,7 +86,7 @@ def exact_div(a, b):
     return coefficient(a / b)  # a Fraction on at least one side
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over Q: each coefficient is an int when
     integral, else a Fraction (see `coefficient`)."""
 
@@ -97,9 +97,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     # -- basic queries ----------------------------------------------------
 

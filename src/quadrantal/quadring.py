@@ -25,20 +25,21 @@ factorizations are read off the standard form, both certified by products.
 Ideal products are Dirichlet composition of the forms (a, B) of the
 primitive parts (_form), and conjugation is (a, B) -> (a, -B).  Reduction,
 principality and class groups are quadrantal.forms, and the Minkowski bound
-is quadrantal.reals; their names still resolve here on first use, so a
-split or a factorization compiles neither.
+is quadrantal.reals; their names still resolve here on first use, through
+quadrantal._forward, so a split or a factorization compiles neither.
+Fields, elements and ideals are immutable values (integers.Frozen).
 """
 
 from __future__ import annotations
 
 import math
-from importlib import import_module
 
-from .arith import check_square_free, factorize, is_prime, kronecker, power, record, sqrt_mod, xgcd
+from . import _forward
+from .arith import Frozen, check_square_free, factorize, is_prime, kronecker, power, record, sqrt_mod, xgcd
 from .arith import MAX_PERIOD, PeriodOverflow, primes_up_to  # noqa: F401 (re-exported)
 
 
-class QuadraticField:
+class QuadraticField(Frozen):
     """Q(sqrt(m)) together with its ring of integers, m square-free."""
 
     __slots__ = ("m", "d", "half", "signature")
@@ -51,9 +52,6 @@ class QuadraticField:
         object.__setattr__(self, "half", m % 4 == 1)
         object.__setattr__(self, "d", m if m % 4 == 1 else 4 * m)
         object.__setattr__(self, "signature", (2, 0) if m > 0 else (0, 1))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuadraticField is immutable")
 
     def __eq__(self, other):
         return isinstance(other, QuadraticField) and self.m == other.m
@@ -85,7 +83,7 @@ def ring_of_integers(m: int) -> QuadraticField:
     return QuadraticField(m)
 
 
-class QuadInt:
+class QuadInt(Frozen):
     """a + b*w in the ring of integers of a quadratic field."""
 
     __slots__ = ("field", "a", "b")
@@ -94,9 +92,6 @@ class QuadInt:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", int(a))
         object.__setattr__(self, "b", int(b))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuadInt is immutable")
 
     def _check(self, other):
         if self.field != other.field:
@@ -235,7 +230,7 @@ def torsion_units(field: QuadraticField) -> list[QuadInt]:
 # ideals
 # ---------------------------------------------------------------------------
 
-class QuadIdeal:
+class QuadIdeal(Frozen):
     """Nonzero ideal in standard form c*(Z*a + Z*(b+w)); the zero ideal is
     the distinguished triple (0, 0, 0)."""
 
@@ -253,9 +248,6 @@ class QuadIdeal:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuadIdeal is immutable")
 
     def is_zero(self) -> bool:
         return self.c == 0
@@ -555,15 +547,8 @@ def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]
 
 
 # the names that moved out, by their module now, resolved on first use (PEP 562)
-_MOVED = {name: home for home, names in {
+__getattr__ = _forward(globals(), {name: home for home, names in {
     "forms": """_normalize _rho _reduce _cycle _generator _class_forms reduced_equivalent
         is_principal _balanced_associates ClassGroupReport _invariant_factors class_group""",
     "reals": """PI_BOUNDS PI_LO floor_of_root_quotient nstr pi_decimal MinkowskiBound minkowski_floor
-        minkowski_bound"""}.items() for name in names.split()}
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MOVED[name]}", __package__), name)
-    return globals().setdefault(name, value)  # later reads skip this call
+        minkowski_bound"""}.items() for name in names.split()})

@@ -364,13 +364,22 @@ class TestShiftCertificates:
         monkeypatch.setattr(numberfield, "_separation_certified", spied)
         return built, separations
 
-    @pytest.mark.parametrize("q, fields", [(P(2, 2, 1), 1), (P(2, -2, 1), 2)], ids=["q=p", "q=p(-x)"])
-    def test_fields_built_only_for_the_numeric_separation(self, monkeypatch, q, fields):
+    @pytest.mark.parametrize("q, fields, separated", [(P(2, 2, 1), 0, []), (P(2, -2, 1), 2, [(2, 1)])],
+                             ids=["q=p", "q=p(-x)"])
+    def test_fields_built_only_for_the_numeric_separation(self, monkeypatch, q, fields, separated):
         built, separations = self.spy(monkeypatch)
         p = P(2, 2, 1)  # R_1 has a double root: alpha_1 + alpha_2 for q = p, 0 for q = p(-x)
         assert primitive_element_shift(p, q) == 1
-        # p == q builds one field for both
-        assert built == [p, q][:fields] and separations == [(fields, 1)]
+        # p == q is certified exactly, as F_2 = x^2 + 4x + 8 is prime to Q = x + 2
+        assert built == [p, q][:fields] and separations == separated
+
+    def test_p_equal_q_falls_through_when_f2_and_q_share_a_root(self, monkeypatch):
+        # the roots k sqrt(2), k = +-1, +-2, +-3, hold 2 alpha_i = alpha_j + alpha_k
+        # for every i, so Q and F_2 share a root and one field is built for both
+        built, separations = self.spy(monkeypatch)
+        p = P(-2, 0, 1) * P(-8, 0, 1) * P(-18, 0, 1)
+        assert primitive_element_shift(p, p) == 1
+        assert built == [p] and separations == [(1, 1)]
 
     def test_next_shift_certified_from_the_power_sums(self, monkeypatch):
         # with the separation refusing c = 1, R_2 comes from s_k(2 beta) =
@@ -386,9 +395,9 @@ class TestShiftCertificates:
 
         monkeypatch.setattr(polynomial, "_gcd_mod", spied)
         monkeypatch.setattr(numberfield, "_separation_certified", lambda fp, fq, c: False)
-        f = P(2, 2, 1)
-        assert primitive_element_shift(f, f) == 2
-        assert above == [list(composed_min_poly("sum", f, f).coeffs)] * 2  # R_1, at two primes
+        f, g = P(2, 2, 1), P(2, -2, 1)  # not p == q, whose c = 1 is certified exactly
+        assert primitive_element_shift(f, g) == 2
+        assert above == [list(composed_min_poly("sum", f, g).coeffs)] * 2  # R_1, at two primes
 
     def test_no_field_built_when_the_certificate_holds(self, monkeypatch):
         built, separations = self.spy(monkeypatch)

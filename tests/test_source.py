@@ -226,7 +226,7 @@ def _code_names(tree):
 
 def _string_table_words(tree):
     """The words of each string made only of identifiers, such as
-    cli._MOVED's name lists; docstrings left out."""
+    the forwarding tables' name lists; docstrings left out."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.body and isinstance(node.body[0], ast.Expr)}
@@ -273,6 +273,112 @@ def test_caller_rule_flags_an_unused_helper(tmp_path):
     flagged = set(_uncalled(package)) - set(NO_CALLER_NEEDED)
     if flagged != {"arith._unused_helper"}:
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with arith._unused_helper added")
+
+
+# A moved name resolves through the package's one forwarder: every module
+# __getattr__ is `__getattr__ = _forward(...)`, save reals' lazy PI_BOUNDS
+# and PI_LO, which are values made on first read, not forwards
+OWN_GETATTR = {"reals"}
+FORWARDING = ("quadrantal", "quadrantal.arith", "quadrantal.quadring", "quadrantal.cli", "quadrantal.census")
+
+
+def _hand_written_getattrs(package):
+    """The modules of the package with a module-level __getattr__ that is
+    not a _forward call."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getattr__":
+                out.add(path.stem)
+            elif (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__getattr__" for t in node.targets)
+                  and getattr(getattr(node.value, "func", None), "id", None) != "_forward"):
+                out.add(path.stem)
+    return out
+
+
+def test_module_getattr_only_from_the_forwarder():
+    own = _hand_written_getattrs(PACKAGE)
+    if own != OWN_GETATTR:
+        pytest.fail(f"modules with a hand-written __getattr__: {sorted(own)}, expected {sorted(OWN_GETATTR)}")
+
+
+def test_getattr_rule_flags_a_hand_written_forward(tmp_path):
+    # the rule run on a copy of the package with one more PEP 562 forward
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "units.py", "a") as f:
+        f.write('\n\ndef __getattr__(name):\n    from . import forms\n\n    return getattr(forms, name)\n')
+    flagged = _hand_written_getattrs(package) - OWN_GETATTR
+    if flagged != {"units"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with units.__getattr__ added")
+
+
+@pytest.mark.parametrize("module", FORWARDING)
+def test_forwarders_refuse_an_unknown_name(module):
+    mod = importlib.import_module(module)
+    with pytest.raises(AttributeError, match=re.escape(f"module {module!r} has no attribute 'no_such_name'")):
+        mod.no_such_name
+
+
+# Immutability has one owner, the slotted base integers.Frozen (records get
+# the same refusal from integers.record): no other class body defines
+# __setattr__ or __delattr__
+IMMUTABILITY_OWNERS = {"integers.Frozen"}
+
+
+def _attribute_guards(package):
+    """module.Class of each class body of the package that defines
+    __setattr__ or __delattr__, as a method or by assignment."""
+    def defined(item):
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return {item.name}
+        return {getattr(t, "id", None) for t in getattr(item, "targets", [getattr(item, "target", None)])}
+
+    return {f"{path.stem}.{node.name}" for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.ClassDef)
+            if any(defined(item) & {"__setattr__", "__delattr__"} for item in node.body)}
+
+
+def test_attribute_guards_only_in_the_frozen_base():
+    guards = _attribute_guards(PACKAGE)
+    if guards != IMMUTABILITY_OWNERS:
+        pytest.fail(f"classes defining __setattr__ or __delattr__: {sorted(guards)}, "
+                    f"expected {sorted(IMMUTABILITY_OWNERS)}")
+
+
+def test_guard_rule_flags_a_class_of_its_own(tmp_path):
+    # the rule run on a copy of the package with one more raising __delattr__
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "polynomial.py", "a") as f:
+        f.write('\n\nclass _Pair:\n    __slots__ = ("a", "b")\n\n'
+                '    def __delattr__(self, name):\n        raise AttributeError(name)\n')
+    flagged = _attribute_guards(package) - IMMUTABILITY_OWNERS
+    if flagged != {"polynomial._Pair"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with polynomial._Pair added")
+
+
+# one value of each class on the Frozen base
+VALUES = {
+    "QuadraticField": lambda: quadrantal.QuadraticField(-5),
+    "QuadInt": lambda: quadrantal.QuadraticField(-5).integer(1, 2),
+    "QuadIdeal": lambda: importlib.import_module("quadrantal.quadring").unit_ideal(quadrantal.QuadraticField(-5)),
+    "Poly": lambda: quadrantal.Poly([1, 2]),
+    "FieldElement": lambda: quadrantal.NumberField(quadrantal.Poly([2, 0, 1])).theta(),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_refuse_setting_and_deleting_a_slot(name):
+    # a deleted slot would leave a value that cannot be hashed, such as a
+    # spoiled cache key of units.fundamental_unit
+    value = VALUES[name]()
+    for slot in type(value).__slots__:
+        for change in (lambda: setattr(value, slot, 1), lambda: delattr(value, slot)):
+            with pytest.raises(AttributeError, match=f"^{name} is frozen: cannot set or delete {slot!r}$"):
+                change()
+    if hash(value) != hash(VALUES[name]()) or value != VALUES[name]():
+        pytest.fail(f"a refused change altered the {name}")
 
 
 # The names each module held when the form layer moved out of quadring and

@@ -25,7 +25,9 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   change_total_ms: the median over the runs of a side of the kind's summed
   ref_ms in each run, the kind's share of a run even where a few slow jobs
   skew it (h = 16 and 24 class groups, Phi_11), which a median job time
-  times the job count understates;
+  times the job count understates; and base_total_quartiles and
+  change_total_quartiles, the quartiles of those per-run totals, so that a
+  kind's total can be read against the spread of the base's runs;
 - per workload and percentile metric (job_p50_ms, job_p90_ms), how many
   runs of each side had it fall on each job kind (the kind of the job at
   that nearest rank), so a percentile claim can be checked against the
@@ -143,18 +145,19 @@ def kind_counts(runs: list[dict], workload: str) -> dict[str, dict]:
 
 
 def kind_medians(runs: list[dict], workload: str) -> dict[str, dict]:
-    """{kind: the median ref_ms of each side, its quartiles, the median over
-    runs of the kind's total ref_ms per run and the number of jobs}; both
-    sides run the same seeds, so the same jobs."""
+    """{kind: the median ref_ms of each side, its quartiles, the median and
+    quartiles over runs of the kind's total ref_ms per run and the number of
+    jobs}; both sides run the same seeds, so the same jobs."""
     out = {}
     for kind in sorted(runs[0]["base"]["job_ms"][workload]):
         per_run = {side: [r[side]["job_ms"][workload][kind] for r in runs] for side in ("base", "change")}
         out[kind] = {"jobs": sum(map(len, per_run["base"]))}
         for side, runs_ts in per_run.items():
-            ts = [t for run_ts in runs_ts for t in run_ts]
-            quartiles = statistics.quantiles(ts, n=4)
+            ts, totals = [t for run_ts in runs_ts for t in run_ts], list(map(sum, runs_ts))
+            quartiles, total_quartiles = statistics.quantiles(ts, n=4), statistics.quantiles(totals, n=4)
             out[kind] |= {f"{side}_ms": statistics.median(ts), f"{side}_quartiles": [quartiles[0], quartiles[2]],
-                          f"{side}_total_ms": statistics.median(map(sum, runs_ts))}
+                          f"{side}_total_ms": statistics.median(totals),
+                          f"{side}_total_quartiles": [total_quartiles[0], total_quartiles[2]]}
     return out
 
 

@@ -47,13 +47,13 @@ def primes_up_to(n: int) -> list[int]:
     return [2, *itertools.compress(range(1, n + 1, 2), odd_sieve(n))]
 
 
-def check_square_free(m: int, bound: int = FACTOR_BOUND) -> None:
+def check_square_free(m: int) -> None:
     """Certify that m is square-free, or raise.
 
-    Trial division up to `bound`; a residual cofactor r with all prime
-    factors > bound is square-free iff it is not a perfect square, provided
-    r <= bound**3 (at most two prime factors).  Beyond that we refuse to
-    guess and raise SquareFreeUnverified.
+    Trial division up to FACTOR_BOUND; a residual cofactor r with all prime
+    factors > FACTOR_BOUND is square-free iff it is not a perfect square,
+    provided r <= FACTOR_BOUND**3 (at most two prime factors).  Beyond that
+    we refuse to guess and raise SquareFreeUnverified.
     """
     n = abs(m)
     if n == 0:
@@ -61,19 +61,19 @@ def check_square_free(m: int, bound: int = FACTOR_BOUND) -> None:
     if n == 1:
         return
     d = 2
-    while d * d <= n and d <= bound:
+    while d * d <= n and d <= FACTOR_BOUND:
         if n % d == 0:
             n //= d
             if n % d == 0:
                 raise NotSquareFree(f"{m} is divisible by {d}**2")
         d += 1 if d == 2 else 2
-    if n > 1 and n > bound:
+    if n > 1 and n > FACTOR_BOUND:
         r = math.isqrt(n)
         if r * r == n:
             raise NotSquareFree(f"{m} has square factor {r}**2")
-        if n > bound**3:
+        if n > FACTOR_BOUND**3:
             raise SquareFreeUnverified(
-                f"cannot certify square-freeness of {m} within bound {bound}"
+                f"cannot certify square-freeness of {m} within bound {FACTOR_BOUND}"
             )
 
 

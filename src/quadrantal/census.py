@@ -363,11 +363,10 @@ def census_check(
     k: int,
     per_class: bool = False,
     report: ClassGroupReport | None = None,
-    precision: int = 30,
 ) -> CensusResult:
-    """Z(k) against sigma*h, with optional per-class counts; a report passed
-    in must be the class group of this field (_census)."""
-    result = _census(field, k, per_class, report, precision)
+    """Z(k) against sigma*h at 30 digits, with optional per-class counts; a
+    report passed in must be the class group of this field (_census)."""
+    result = _census(field, k, per_class, report, 30)
     # the table checks nothing here: only perfbench's SieveCapture reads its
     # spot values, through this module global, until ROADMAP item 8
     ideal_count_sieve(field, k)

@@ -79,18 +79,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:
-    """Factor |n| > 0 into sorted (prime, exponent) pairs by trial division.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Factor |n| > 0 into sorted (prime, exponent) pairs by trial division
+    up to FACTOR_BOUND.
 
-    A residual cofactor above the bound is accepted only when it is itself
-    certified prime; otherwise FactorBoundExceeded is raised.
+    A residual cofactor above FACTOR_BOUND**2 is accepted only when it is
+    itself certified prime; otherwise FactorBoundExceeded is raised.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out = []
     d = 2
-    while d * d <= n and d <= bound:
+    while d * d <= n and d <= FACTOR_BOUND:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -99,7 +100,7 @@ def factorize(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:
             out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        if n <= bound * bound or is_prime(n):
+        if n <= FACTOR_BOUND**2 or is_prime(n):
             out.append((n, 1))
         else:
             raise FactorBoundExceeded(f"residual cofactor {n} exceeds trial-division bound")
@@ -129,10 +130,15 @@ def _frozen(self, name, *value):
 
 class Frozen:
     """Base of the slotted value classes: __init__ sets each slot once with
-    object.__setattr__, and setting or deleting one later raises."""
+    object.__setattr__, and setting or deleting one later raises.  A copy or
+    an unpickled value restores its slots the same way."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _frozen
+
+    def __setstate__(self, state):  # (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def record(cls=None, *, hidden=()):

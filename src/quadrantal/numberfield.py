@@ -162,7 +162,9 @@ class NumberField:
     @staticmethod
     def _reject_integer_roots(p: Poly):
         """A rational root of a monic integer polynomial is an integer
-        dividing a0; try every such divisor, built from factorize(a0)."""
+        dividing a0; try every such divisor, built from factorize(a0), in
+        ascending order, each before its negative, so the root reported is
+        the least in absolute value, positive first."""
         if p.degree == 1:
             return
         a0 = p.coeffs[0]
@@ -171,14 +173,10 @@ class NumberField:
         divisors = [1]
         for q, e in factorize(a0):
             divisors = [d * q**i for d in divisors for i in range(e + 1)]
-        # cofactor pairs (d, a0/d) enter in ascending d <= sqrt|a0|; that
-        # order, kept by the dict, fixes the root reported among several
-        candidates = {}
-        for d in sorted(d for d in divisors if d * d <= abs(a0)):
-            candidates.update(dict.fromkeys((d, -d, a0 // d, -(a0 // d))))
-        for r in candidates:
-            if p(r) == 0:
-                raise ValueError(f"defining polynomial has rational root {r}")
+        for d in sorted(divisors):
+            for r in (d, -d):
+                if p(r) == 0:
+                    raise ValueError(f"defining polynomial has rational root {r}")
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly

@@ -335,8 +335,8 @@ def content_and_primitive_part(p: Poly) -> tuple[int, Poly]:
 def eisenstein_witness(p: Poly):
     """A prime certifying irreducibility by Eisenstein's criterion, or None.
 
-    Only primes dividing the constant term can qualify, so the search over
-    them is complete.  Absence of a witness proves nothing.
+    Only primes dividing gcd(a_0, ..., a_(n-1)) can qualify, so the search
+    over its factors is complete.  Absence of a witness proves nothing.
     """
     if p.degree < 1:
         raise ValueError("Eisenstein needs a nonconstant polynomial")
@@ -346,12 +346,8 @@ def eisenstein_witness(p: Poly):
     if a0 == 0:
         return None
     lead = int(p.coeffs[-1])
-    for q, _ in factorize(a0):
-        if lead % q == 0:
-            continue
-        if a0 % (q * q) == 0:
-            continue
-        if all(int(c) % q == 0 for c in p.coeffs[:-1]):
+    for q, _ in factorize(math.gcd(*(int(c) for c in p.coeffs[:-1]))):
+        if lead % q and a0 % (q * q):
             return q
     return None
 

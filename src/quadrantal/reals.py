@@ -238,18 +238,18 @@ def minkowski_floor(field) -> int:
     return floor_of_root_quotient(2, ad, *_PI_BOUNDS)
 
 
-def minkowski_bound(field, precision: int = 30) -> MinkowskiBound:
+def minkowski_bound(field) -> MinkowskiBound:
     """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
     (imaginary).  The integer floor is certified with exact pi bounds, and
-    the decimal is written from precision + 20 places."""
+    the 30-digit decimal is written from 50 places."""
     from fractions import Fraction
 
     ad = abs(field.d)
     hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
-    places = precision + 20
+    places = 50
     root = math.isqrt(ad * 100**places)  # sqrt|d| 10^places, truncated
     if field.m > 0:
         upper, value = hi / 2, root // 2
     else:
         upper, value = 2 * hi / Fraction(*_PI_LO), 2 * root * 10**places // pi_scaled(places)
-    return MinkowskiBound(minkowski_floor(field), upper, nstr((value, -places), precision))
+    return MinkowskiBound(minkowski_floor(field), upper, nstr((value, -places), 30))

@@ -25,7 +25,7 @@ from .reals import ln_unit, ln_unit_scaled, nstr
 # the principal rho-cycle: the continued fraction of w and the fundamental unit
 # ---------------------------------------------------------------------------
 
-def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
+def continued_fraction_of_omega(field: QuadraticField):
     """Partial quotients of w through one full period, plus the period length.
 
     The period is read off the principal rho-cycle of forms from (1, B),
@@ -34,33 +34,32 @@ def continued_fraction_of_omega(field: QuadraticField, max_period: int = 10**6):
     The first p - 1 entries of a period of w form a palindrome, so
     w = [a0; t_0, ..., t_(p-1)] with a0 = floor(w) = (B + d mod 2)/2, except
     for m = 5, where w = tau is reduced and no a0 comes before the period.
-    A period of more than max_period forms (default 10^6) raises
-    PeriodOverflow.
+    A period of more than 10^6 forms raises PeriodOverflow.
     """
     if field.m < 0:
         raise ValueError("continued fraction of w needs a real field")
     odd = field.d & 1
     a, big_b = _reduce(field, 1, odd)
-    period = [t for _, _, t, _ in _cycle(field, a, big_b, max_period)]
+    period = [t for _, _, t, _ in _cycle(field, a, big_b, 10**6)]
     return ([] if big_b == odd else [(big_b + odd) // 2]) + period, len(period)
 
 
 # bounded: a unit of a field with a long period runs to thousands of digits
 @functools.lru_cache(maxsize=1024)
-def fundamental_unit(field: QuadraticField, max_period: int = MAX_PERIOD) -> QuadInt:
+def fundamental_unit(field: QuadraticField) -> QuadInt:
     """The unit lam > 1 with U(R) = {+-lam^k}: the generator carried once
     round the principal rho-cycle from (1) back to (1), the product of its
     p complete quotients psi_i = (B_i + sqrt(d))/(2 a_i) > 1, built from the
     quotients' integer convergents; it is checked to be a unit above 1.
     lam has O(period) digits and building it costs O(period^2), so a period
-    of more than max_period forms raises PeriodOverflow (10^5 steps give
+    of more than MAX_PERIOD forms raises PeriodOverflow (10^5 steps give
     57,000 digits in 1-2 s).
     """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
     a, big_b = _reduce(field, 1, field.d & 1)
     # walk the whole cycle before folding, so an over-cap period fails fast
-    lam = _generator(field, a, big_b, list(_cycle(field, a, big_b, max_period)))
+    lam = _generator(field, a, big_b, list(_cycle(field, a, big_b)))
     if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
         raise ArithmeticError(f"{lam} is not a unit above 1")
     return lam

@@ -132,14 +132,13 @@ def real_class_number_analytic(d: int) -> float:
 # The decimals the library printed through mpmath, computed as it did: the
 # decimal core must reproduce them byte for byte.
 
-def mpmath_minkowski_decimal(d: int, precision: int = 30) -> str:
-    """sqrt|d|/2 (d > 0) or 2 sqrt|d|/pi (d < 0) at precision + 10 digits,
-    printed to precision digits."""
+def mpmath_minkowski_decimal(d: int) -> str:
+    """sqrt|d|/2 (d > 0) or 2 sqrt|d|/pi (d < 0) at 40 digits, printed to 30."""
     import mpmath
 
-    with mpmath.workdps(precision + 10):
+    with mpmath.workdps(40):
         root = mpmath.sqrt(abs(d))
-        return mpmath.nstr(root / 2 if d > 0 else 2 * root / mpmath.pi, precision)
+        return mpmath.nstr(root / 2 if d > 0 else 2 * root / mpmath.pi, 30)
 
 
 def mpmath_log_unit(u: int, v: int, m: int, dps: int):

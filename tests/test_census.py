@@ -416,7 +416,7 @@ class TestCensusStringsMatchMpmath:
     @pytest.mark.parametrize("m", [-5, 13, 1000000007])
     def test_at_200_digits(self, m):
         field = ring_of_integers(m)
-        result = census_check(field, 1000, precision=200)
+        result = census._census(field, 1000, False, None, 200)
         assert _census_strings(result) == _mpmath_strings(field, result, 200)
 
 

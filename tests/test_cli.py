@@ -84,6 +84,10 @@ class TestPolyCommands:
         assert data["witness"] == "2"
         data = run_json(capsys, "poly", "eisenstein", "--poly", "x^2 + 4")
         assert data["witness"] is None
+        # a0 = 2 * 1000003 * 1000033 is past the trial-division bound, but a
+        # witness divides gcd(a0, a1) = 2
+        data = run_json(capsys, "poly", "eisenstein", "--poly", "x^2 + 2*x + 2000072000198")
+        assert data["witness"] == "2"
 
     def test_cyclotomic(self, capsys):
         data = run_json(capsys, "poly", "cyclotomic", "--p", "3")
@@ -118,7 +122,7 @@ class TestFieldCommands:
         assert data["is_algebraic_integer"] is True
 
     def test_rational_root_in_candidate_order(self, capsys):
-        # x^2 - x - 2 = (x + 1)(x - 2): the candidates run 1, -1, -2, 2
+        # x^2 - x - 2 = (x + 1)(x - 2): the candidates run 1, -1, 2, -2
         code = main(["field", "minpoly-of", "--minpoly", "x^2-x-2", "--element", "0,1"])
         assert code == 3
         assert capsys.readouterr().err == "error: defining polynomial has rational root -1\n"

@@ -411,8 +411,10 @@ class TestFieldConstruction:
             NumberField(P(-4, 0, 1))  # x^2 - 4 = (x-2)(x+2)
 
     def test_roots_tried_in_ascending_divisor_order(self):
-        # candidates d, -d, a0/d, -a0/d for d = 1, 2, ...: the first root wins
-        for p, root in ((P(-2, -1, 1), -1), (P(-6, 1, 1), 2), (P(6, -5, 1), 2), (P(-12, -1, 1), -3)):
+        # candidates d, -d for the divisors d = 1, 2, ... of a0: the least
+        # root wins, also over a larger root that is a0/3 (-60 = -3 * 20)
+        for p, root in ((P(-2, -1, 1), -1), (P(-6, 1, 1), 2), (P(6, -5, 1), 2), (P(-12, -1, 1), -3),
+                        (P(-60, -17, 1), -3)):
             with pytest.raises(ValueError, match=f"rational root {root}$"):
                 NumberField(p)
 

@@ -116,6 +116,20 @@ class TestEisenstein:
             assert all(c % w == 0 for c in a[:-1])
             assert a[0] % (w * w) != 0
 
+    def test_witness_is_the_least_eisenstein_prime(self):
+        # against every prime below 50, on seeded polynomials whose lower
+        # coefficients share a factor (their primes are all below 30)
+        rng = random.Random(12)
+        primes = [q for q in range(2, 50) if all(q % r for r in range(2, q))]
+        for _ in range(2000):
+            g = rng.choice((2, 3, 5, 6, 7, 10, 14, 15, 30))
+            lower = [g * rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
+            lower[0] = lower[0] or g
+            lead = rng.randint(1, 12)
+            expected = next((q for q in primes if lead % q and lower[0] % (q * q)
+                             and all(c % q == 0 for c in lower)), None)
+            assert eisenstein_witness(Poly([*lower, lead])) == expected, (lower, lead)
+
 
 class TestCyclotomic:
     def test_p3(self):

@@ -425,6 +425,3 @@ class TestMinkowski:
         assert len(fields) == 3647
         for field in fields:
             assert minkowski_bound(field).decimal == mpmath_minkowski_decimal(field.d), field.m
-        for m in (-1000003, 1000000007, -10**17 - 3):
-            field = ring_of_integers(m)
-            assert minkowski_bound(field, 200).decimal == mpmath_minkowski_decimal(field.d, 200)

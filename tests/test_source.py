@@ -5,7 +5,9 @@ suite runs under python -O.
 """
 
 import ast
+import copy
 import importlib.util
+import pickle
 import re
 import shutil
 import subprocess
@@ -275,6 +277,83 @@ def test_caller_rule_flags_an_unused_helper(tmp_path):
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with arith._unused_helper added")
 
 
+# Parameter defaults that no caller sets: those of the test-only functions
+# that perfbench's tracer still wraps
+NO_SETTER_NEEDED = {"units.regulator_mp(dps)", "census.sigma_theoretical(precision)"}
+
+
+def _options(tree):
+    """(qualname, callee, parameter, position) of each parameter with a
+    default of each function and method of the tree, lambdas aside.  The
+    callee is the name a call uses, the class's for __init__; the position
+    is the index of the argument that passes it, self not counted, or None
+    for a keyword-only parameter."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{cls}.{child.name}" if cls else child.name
+                callee = cls if cls and child.name == "__init__" else child.name
+                bound = cls is not None and "staticmethod" not in [getattr(d, "id", None) for d in child.decorator_list]
+                positional = child.args.posonlyargs + child.args.args
+                first = len(positional) - len(child.args.defaults)
+                yield from ((qualname, callee, arg.arg, i - bound)
+                            for i, arg in enumerate(positional[first:], first))
+                yield from ((qualname, callee, arg.arg, None)
+                            for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults) if default)
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    return walk(tree, None)
+
+
+def _sets(call, parameter, position):
+    """Whether the call passes the parameter: by keyword, by position or
+    through a * or ** spread."""
+    keywords = {k.arg for k in call.keywords}
+    return (parameter in keywords or None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def _unset_options(package):
+    """module.qualname(parameter) of each parameter default of the package
+    that no call passes: not in the package, not in perfbench's jobs.py and
+    not in a Python code block of the README; the tests do not count."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    callers = [*trees.values(), ast.parse((REPO / "perfbench" / "jobs.py").read_text())]
+    for block in re.findall(r"```\w*\n(.*?)```", (REPO / "README.md").read_text(), re.S):
+        try:
+            callers.append(ast.parse(block))
+        except SyntaxError:  # a shell session
+            pass
+    calls = {}
+    for node in (node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        calls.setdefault(name, []).append(node)
+    return {f"{module}.{qualname}({parameter})" for module, tree in trees.items()
+            for qualname, callee, parameter, position in _options(tree)
+            if not any(_sets(call, parameter, position) for call in calls.get(callee, []))}
+
+
+def test_every_option_is_set_by_a_caller():
+    # an option no caller sets is a second configuration that only the
+    # tests run: each parameter default must be passed somewhere
+    unset = _unset_options(PACKAGE)
+    if unset != NO_SETTER_NEEDED:
+        pytest.fail(f"no caller sets {sorted(unset - NO_SETTER_NEEDED)}; "
+                    f"allowed unset but set or gone: {sorted(NO_SETTER_NEEDED - unset)}")
+
+
+def test_option_rule_flags_an_unused_default(tmp_path):
+    # the rule run on a copy of the package with one keyword default that
+    # its one caller leaves alone
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "arith.py", "a") as f:
+        f.write('\n\ndef _scaled(n, scale=10):\n    return n * scale\n\n\nTEN = _scaled(1)\n')
+    flagged = _unset_options(package) - NO_SETTER_NEEDED
+    if flagged != {"arith._scaled(scale)"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with arith._scaled(n, scale=10) added")
+
+
 # A moved name resolves through the package's one forwarder: every module
 # __getattr__ is `__getattr__ = _forward(...)`, save reals' lazy PI_BOUNDS
 # and PI_LO, which are values made on first read, not forwards
@@ -379,6 +458,25 @@ def test_values_refuse_setting_and_deleting_a_slot(name):
                 change()
     if hash(value) != hash(VALUES[name]()) or value != VALUES[name]():
         pytest.fail(f"a refused change altered the {name}")
+
+
+# and one report that holds values
+COPIED = {**VALUES, "SplittingReport": lambda: quadrantal.quadring.split_prime(quadrantal.QuadraticField(-5), 3)}
+
+
+@pytest.mark.parametrize("name", COPIED)
+def test_values_copy_and_pickle(name):
+    # the copy restores its slots past the refused __setattr__, and stays frozen
+    value = COPIED[name]()
+    for route in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = route(value)
+        if twin != value or hash(twin) != hash(value):
+            pytest.fail(f"{route} of the {name} gives {twin!r}, not {value!r}")
+        for slot in getattr(type(twin), "__slots__", ()):
+            with pytest.raises(AttributeError, match="is frozen"):
+                setattr(twin, slot, 1)
+            with pytest.raises(AttributeError, match="is frozen"):
+                delattr(twin, slot)
 
 
 # The names each module held when the form layer moved out of quadring and

@@ -6,6 +6,7 @@ import pytest
 
 from quadrantal.arith import check_square_free, NotSquareFree
 from quadrantal import units
+from quadrantal.forms import _cycle, _generator, _reduce
 from quadrantal.quadring import ring_of_integers, unit_inverse
 from quadrantal.units import (
     PeriodOverflow,
@@ -67,6 +68,11 @@ class TestTorsion:
             assert len(roots) == w
 
 
+def principal_form(field):
+    """(a, B) of the reduced form from (1) that both walks start from."""
+    return _reduce(field, 1, field.d & 1)
+
+
 class TestContinuedFraction:
     def test_sqrt2(self):
         assert continued_fraction_of_omega(ring_of_integers(2)) == ([1, 2], 1)
@@ -83,8 +89,10 @@ class TestContinuedFraction:
             continued_fraction_of_omega(ring_of_integers(-2))
 
     def test_period_cap(self):
-        with pytest.raises(PeriodOverflow):
-            continued_fraction_of_omega(ring_of_integers(94), max_period=1)
+        # the walk of w's period under a cap of 1 (its own cap is 10^6)
+        field = ring_of_integers(94)
+        with pytest.raises(PeriodOverflow, match="period exceeds cap 1$"):
+            list(_cycle(field, *principal_form(field), 1))
 
     @pytest.mark.parametrize("m", [2, 3, 5, 13, 94, 4729])
     def test_period_cap_counts_cycle_forms(self, m):
@@ -92,9 +100,10 @@ class TestContinuedFraction:
         # m = 5 the expansion has no pre-period, so no index is miscounted
         field = ring_of_integers(m)
         quotients, period = continued_fraction_of_omega(field)
-        assert continued_fraction_of_omega(field, max_period=period) == (quotients, period)
+        key = principal_form(field)
+        assert [t for _, _, t, _ in _cycle(field, *key, period)] == quotients[-period:]
         with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}$"):
-            continued_fraction_of_omega(field, max_period=period - 1)
+            list(_cycle(field, *key, period - 1))
 
 
 class TestFundamentalUnit:
@@ -109,13 +118,15 @@ class TestFundamentalUnit:
             fundamental_unit(ring_of_integers(-7))
 
     def test_period_cap(self):
-        # the cap admits a period equal to it and refuses one step more
+        # the cap admits a period equal to it and refuses one step more: the
+        # unit's walk under a cap (its own cap is MAX_PERIOD)
         for m in (2, 3, 13, 94, 4729):
             field = ring_of_integers(m)
             period = continued_fraction_of_omega(field)[1]
-            assert fundamental_unit(field, period) == fundamental_unit(field)
+            key = principal_form(field)
+            assert _generator(field, *key, list(_cycle(field, *key, period))) == fundamental_unit(field)
             with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}"):
-                fundamental_unit(field, period - 1)
+                list(_cycle(field, *key, period - 1))
 
     def test_over_cap_period_fails_before_folding(self, monkeypatch):
         # the cycle is walked whole before its quotients are folded into lam

@@ -33,8 +33,10 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   that nearest rank), so a percentile claim can be checked against the
   group that sets it;
 - every run's metrics, seed and order, and the kind each percentile fell on;
-- the machine details that perfbench recorded, and `wc -l` of
-  src/quadrantal/*.py on both sides.
+- the machine details that perfbench recorded, and on both sides `wc -l`
+  of src/quadrantal/*.py (source_lines) and the count of its parameter
+  defaults, functions and methods but not lambdas (source_options), per
+  module and in total.
 
 Both sides run with PYTHONDONTWRITEBYTECODE=1 and from copies that hold no
 __pycache__ (it is ignored), so neither side starts from cached bytecode.
@@ -45,6 +47,7 @@ Each run takes 40-90 s, so ten pairs take 15-30 minutes.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -167,6 +170,17 @@ def source_lines(tree: Path) -> dict[str, int]:
     return {**lines, "total": sum(lines.values())}
 
 
+def source_options(tree: Path) -> dict[str, int]:
+    """The parameter defaults of the functions and methods of each module."""
+    options = {}
+    for p in sorted((tree / "src" / "quadrantal").glob("*.py")):
+        functions = [node.args for node in ast.walk(ast.parse(p.read_bytes()))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        options[f"src/quadrantal/{p.name}"] = sum(len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+                                                  for a in functions)
+    return {**options, "total": sum(options.values())}
+
+
 def summary(base: list[float], change: list[float], better: str) -> dict:
     sign = 1 if better == "higher" else -1
     q_base, q_change = statistics.quantiles(base, n=4), statistics.quantiles(change, n=4)
@@ -204,6 +218,7 @@ def main() -> int:
                 print(f"seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), file=sys.stderr, flush=True)
             runs.append(pair)
         lines = {side: source_lines(tree) for side, tree in trees.items()}
+        options = {side: source_options(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(build, ignore_errors=True)
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
@@ -230,6 +245,7 @@ def main() -> int:
         "percentile_kinds": {workload: kind_counts(runs, workload)
                              for workload in (w["name"] for w in spec["workloads"])},
         "source_lines": lines,
+        "source_options": options,
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"],
                   "percentile_kinds": {side: r[side]["percentile_kinds"] for side in ("base", "change")}}

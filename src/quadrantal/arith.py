@@ -18,8 +18,8 @@ import math
 
 from . import _forward
 from .integers import (  # noqa: F401 (re-exported)
-    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, CertificateNotFound, FactorBoundExceeded, Frozen,
-    NotSquareFree, PeriodOverflow, SquareFreeUnverified, factorize, is_prime, power, record,
+    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, PSI_13, CertificateNotFound, FactorBoundExceeded,
+    Frozen, NotSquareFree, PeriodOverflow, SquareFreeUnverified, factorize, is_prime, power, record,
 )
 
 

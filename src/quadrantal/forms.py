@@ -19,12 +19,13 @@ and 5.3-5.7; Buchmann and Vollmer, Binary Quadratic Forms, ch. 6 and 9).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .arith import MAX_PERIOD, MAX_TABLE, PeriodOverflow, kronecker, primes_up_to, record
 from .quadring import (
     QuadIdeal, QuadInt, QuadraticField, _compose, _form, _form_b, prime_form, principal_ideal,
-    torsion_units, unit_ideal, unit_inverse,
+    torsion_units, unit_inverse,
 )
 from .reals import minkowski_floor
 
@@ -73,21 +74,27 @@ def _reduce(field: QuadraticField, a: int, big_b: int, steps: list | None = None
         a, big_b, _, _ = step
 
 
-def _cycle(field: QuadraticField, a: int, big_b: int, cap: int | None = None):
+def _cycle(field: QuadraticField, a: int, big_b: int):
     """The rho-cycle of the reduced real form (a, B): yields (a, B, t, s) for
     every reduced ideal of the class, once, with the quotient t and sign
-    s = -1 of the rho-step leaving it.  A cycle of more than cap forms
-    (MAX_PERIOD if None) raises PeriodOverflow once cap have been yielded."""
+    s = -1 of the rho-step leaving it.  A cycle of more than MAX_PERIOD
+    forms raises PeriodOverflow once MAX_PERIOD have been yielded."""
     r = math.isqrt(field.d)
-    cap = MAX_PERIOD if cap is None else cap
     start = (a, big_b)
-    for _ in range(cap):
+    for _ in range(MAX_PERIOD):
         a2, b2, t, s = _rho(field, r, a, big_b)
         yield a, big_b, t, s
         if (a2, b2) == start:
             return
         a, big_b = a2, b2
-    raise PeriodOverflow(f"period exceeds cap {cap}")
+    raise PeriodOverflow(f"period exceeds cap {MAX_PERIOD}")
+
+
+@functools.lru_cache(maxsize=1)  # the last field's only: a cycle at the cap holds about 14 MB
+def _principal_cycle(field: QuadraticField) -> tuple:
+    """The steps (a, B, t, s) of the rho-cycle of a real field from (1, B), its one reduced form
+    of norm 1: the principal class, the fundamental unit and the continued fraction of w read it."""
+    return tuple(_cycle(field, *_reduce(field, 1, field.d & 1)))
 
 
 def _generator(field: QuadraticField, a: int, big_b: int, steps) -> QuadInt:
@@ -110,10 +117,12 @@ def _generator(field: QuadraticField, a: int, big_b: int, steps) -> QuadInt:
 
 def _class_forms(field: QuadraticField, a: int, big_b: int):
     """(least, forms): the reduced forms of the class of the reduced form
-    (a, B), itself (imaginary) or its rho-cycle (real), and the least (a, b)
-    among them, which stands for the class (a real cycle holds every
-    primitive ideal of the class below sqrt(d)/2, so its least norm)."""
-    forms = [(a, big_b)] if field.d < 0 else [s[:2] for s in _cycle(field, a, big_b)]
+    (a, B), itself (imaginary) or its rho-cycle (real; _principal_cycle at
+    a = 1), and the least (a, b) among them, which stands for the class (a
+    real cycle holds every primitive ideal of the class below sqrt(d)/2)."""
+    if field.d < 0:
+        return (a, big_b), [(a, big_b)]
+    forms = [s[:2] for s in (_principal_cycle(field) if a == 1 else _cycle(field, a, big_b))]
     return min(forms, key=lambda s: (s[0], _form_b(field, *s))), forms
 
 def reduced_equivalent(i: QuadIdeal) -> QuadIdeal:
@@ -301,7 +310,7 @@ def _cosets(field: QuadraticField) -> tuple:
 
     # the principal cycle first: a period over MAX_PERIOD fails before the
     # prime ideals below the Minkowski bound are split
-    add(_reduce(field, *_form(unit_ideal(field))))
+    add(_reduce(field, 1, d & 1))
     gens, primes = [], []  # (|H| before g, |H| after g, class of g^e); each prime form's class
     for q in primes_up_to(minkowski_floor(field)):
         if kronecker(d, q) >= 0:  # an inert (q) is principal, generates nothing

@@ -54,19 +54,19 @@ class CertificateNotFound(ValueError):
     bounds ended before it could certify its answer."""
 
 
+# the least strong pseudoprime to the 13 prime bases 2..41 (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit (and far larger) inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    """Deterministic Miller-Rabin to the prime bases 2..41, exact below PSI_13;
+    at or above it a number that passes every base raises CertificateNotFound."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -76,6 +76,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise CertificateNotFound(f"cannot certify {n} prime: Miller-Rabin to the bases 2..41 is exact below {PSI_13}")
     return True
 
 

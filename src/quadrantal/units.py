@@ -2,12 +2,12 @@
 
 Imaginary fields carry only roots of unity (4 of them for m = -1, 6 for
 m = -3, otherwise just +-1).  Real fields have the rank-1 group {+-lam^k}.
-The fundamental unit lam > 1 and the continued fraction of w both come
-from the principal rho-cycle of forms.py, the cycle of reduced forms
-through (1): its quotients are the period of w, and the generator carried
-once round it, as a pair of integer convergents, is lam.  So half-integer
-units like (1+sqrt(5))/2 appear directly in the integral basis.  Pell's
-four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
+The fundamental unit lam > 1 and the continued fraction of w read one walk
+of the principal rho-cycle through (1), forms._principal_cycle, capped at
+MAX_PERIOD forms: its quotients are the period of w, and the generator
+carried once round it, as a pair of integer convergents, is lam.  So
+half-integer units like (1+sqrt(5))/2 appear directly in the integral basis.
+Pell's four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import record
-from .forms import _cycle, _generator, _reduce
+from .forms import _generator, _principal_cycle
 from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, torsion_units, unit_inverse
 from .reals import ln_unit, ln_unit_scaled, nstr
 
@@ -34,14 +34,13 @@ def continued_fraction_of_omega(field: QuadraticField):
     The first p - 1 entries of a period of w form a palindrome, so
     w = [a0; t_0, ..., t_(p-1)] with a0 = floor(w) = (B + d mod 2)/2, except
     for m = 5, where w = tau is reduced and no a0 comes before the period.
-    A period of more than 10^6 forms raises PeriodOverflow.
+    A period of more than MAX_PERIOD forms raises PeriodOverflow.
     """
     if field.m < 0:
         raise ValueError("continued fraction of w needs a real field")
-    odd = field.d & 1
-    a, big_b = _reduce(field, 1, odd)
-    period = [t for _, _, t, _ in _cycle(field, a, big_b, 10**6)]
-    return ([] if big_b == odd else [(big_b + odd) // 2]) + period, len(period)
+    odd, cycle = field.d & 1, _principal_cycle(field)  # the fundamental unit's walk
+    big_b = cycle[0][1]
+    return ([] if big_b == odd else [(big_b + odd) // 2]) + [t for _, _, t, _ in cycle], len(cycle)
 
 
 # bounded: a unit of a field with a long period runs to thousands of digits
@@ -57,9 +56,8 @@ def fundamental_unit(field: QuadraticField) -> QuadInt:
     """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    a, big_b = _reduce(field, 1, field.d & 1)
-    # walk the whole cycle before folding, so an over-cap period fails fast
-    lam = _generator(field, a, big_b, list(_cycle(field, a, big_b)))
+    cycle = _principal_cycle(field)  # walked whole before the fold: an over-cap period fails fast
+    lam = _generator(field, *cycle[0][:2], cycle)
     if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
         raise ArithmeticError(f"{lam} is not a unit above 1")
     return lam
@@ -91,10 +89,8 @@ def pell_solve(m: int, kind: str):
     field = QuadraticField(m)
     if m < 0:
         raise ValueError("Pell equations need m > 0")
-    lam = fundamental_unit(field)
-    n_lam = lam.norm()
-    target = _PELL_TARGETS[kind]
-    if target == -1 and n_lam == 1:
+    lam, target = fundamental_unit(field), _PELL_TARGETS[kind]
+    if target == -1 and lam.norm() == 1:
         return None
     power = field.integer(1, 0)
     for _ in range(1, 13):
@@ -183,9 +179,8 @@ def unit_membership(field: QuadraticField, u: QuadInt):
             if z == u:
                 return k, 0
         raise ArithmeticError("units of an imaginary field are torsion")
-    sign = u.sign_real()
-    v = u if sign > 0 else -u
-    k = 0 if sign > 0 else 1
+    k = 0 if u.sign_real() > 0 else 1
+    v = -u if k else u
     # |v v'| = 1, so ln v is +-ln of the larger of v and |v'|, which is
     # (|x| + |y| sqrt(m))/2 with no cancellation; it is v when x, y >= 0
     x, y = v.double_coords()
@@ -195,12 +190,6 @@ def unit_membership(field: QuadraticField, u: QuadInt):
     a = a if x >= 0 and y >= 0 else -a
     lam = fundamental_unit(field)
     for cand in (a, a - 1, a + 1):
-        if _unit_power(field, lam, cand) == v:
+        if (lam**cand if cand >= 0 else unit_inverse(lam) ** -cand) == v:
             return k, cand
     raise ArithmeticError("log-rounded exponent must be exact within +-1")
-
-
-def _unit_power(field: QuadraticField, lam: QuadInt, a: int) -> QuadInt:
-    if a >= 0:
-        return lam**a
-    return unit_inverse(lam) ** (-a)

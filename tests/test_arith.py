@@ -12,10 +12,12 @@ from quadrantal.arith import (
     PI_BOUNDS,
     PI_DIGITS,
     PI_LO,
+    PSI_13,
     CertificateNotFound,
     NotSquareFree,
     check_square_free,
     floor_of_root_quotient,
+    is_prime,
     kronecker,
     ln_unit,
     nstr,
@@ -42,6 +44,35 @@ def test_primes_up_to_matches_trial_division():
 
 def test_prime_count_at_a_million():
     assert len(primes_up_to(10**6)) == 78498
+
+
+# psi_k, the least strong pseudoprime to every prime base up to the k-th prime
+# (Sorenson and Webster, Math. Comp. 86, 2017): all composite
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       3825123056546413051, 318665857834031151167461)
+
+
+def test_psi_12_is_composite():
+    assert 399165290221 * 798330580441 == PSI[-1]
+    assert not any(map(is_prime, PSI))
+
+
+def test_psi_13_has_no_certificate():
+    # it passes all 13 bases up to 41, which prove nothing at or above it
+    assert 1287836182261 * 2575672364521 == PSI_13
+    with pytest.raises(CertificateNotFound, match=f"^cannot certify {PSI_13} prime: "):
+        is_prime(PSI_13)
+
+
+def test_is_prime_matches_sympy_below_psi_13():
+    # 10^4 seeded n of every size below psi_13 (below 2^81), the psi_k, and
+    # the largest prime below psi_13
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    ns = [rng.randrange(2, 2 ** rng.randrange(2, PSI_13.bit_length())) for _ in range(10**4)]
+    ns += [*PSI, sympy.prevprime(PSI_13)]
+    wrong = [n for n in ns if is_prime(n) != sympy.isprime(n)]
+    assert not wrong and sum(map(sympy.isprime, ns)) > 500
 
 
 def test_kronecker_matches_the_reciprocity_oracle():

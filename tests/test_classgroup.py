@@ -195,6 +195,7 @@ class TestReductionOracles:
             return walk(*args)
 
         monkeypatch.setattr(forms, "_cycle", counted)
+        forms._principal_cycle.cache_clear()  # the principal class walks too
         rep = class_group(ring_of_integers(10000019))
         assert rep.h == 7 and len(calls) == 7
 
@@ -392,6 +393,7 @@ class TestCyclePeriodCap:
 
     def test_every_walk_is_capped(self, monkeypatch):
         monkeypatch.setattr(forms, "MAX_PERIOD", 15)
+        forms._principal_cycle.cache_clear()  # no cycle kept from under the real cap
         field = ring_of_integers(94)
         with pytest.raises(PeriodOverflow):
             class_group(field)

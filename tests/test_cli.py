@@ -390,6 +390,24 @@ class TestUnitsAndPell:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: period exceeds cap 100000\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["units", "--m", "1000000007"],
+        ["census", "--m", "1000000007", "--k", "1000"],
+        ["quad", "classgroup", "--m", "1000000007"],
+    ], ids=["units", "census", "classgroup"])
+    def test_period_cap_ends_every_walk(self, capsys, monkeypatch, argv):
+        # the one cap, MAX_PERIOD, under 12,352 the period of m = 10^9 + 7;
+        # no walk kept from under the real cap may answer instead
+        from quadrantal import forms, units
+
+        monkeypatch.setattr(forms, "MAX_PERIOD", 1000)
+        forms._principal_cycle.cache_clear()
+        units.fundamental_unit.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: period exceeds cap 1000\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["classgroup"], ["principal", "--ideal", "(2, 1+w)"]],
@@ -660,6 +678,26 @@ class TestFormatsAndExitCodes:
         assert code == 3
         code, _ = run_cli(capsys, "poly", "cyclotomic", "--p", "6")
         assert code == 3
+
+    @pytest.mark.parametrize("argv, err", [
+        (["quad", "split", "--m", "-1", "--q", "318665857834031151167461"],
+         "318665857834031151167461 is not prime"),
+        (["cyclo", "split", "--m", "5", "--q", "318665857834031151167461"],
+         "318665857834031151167461 is not prime"),
+        (["field", "trace-norm", "--minpoly", "x^2-1197495870662*x+318665857834031151167461",
+          "--element=-399165290221,1"],
+         "residual cofactor 318665857834031151167461 exceeds trial-division bound"),
+        (["quad", "split", "--m", "-1", "--q", "3317044064679887385961981"],
+         "cannot certify 3317044064679887385961981 prime: "
+         "Miller-Rabin to the bases 2..41 is exact below 3317044064679887385961981"),
+    ], ids=["quad-split", "cyclo-split", "field-trace-norm", "psi-13"])
+    def test_strong_pseudoprimes_exit_3(self, capsys, argv, err):
+        # psi_12 = 399165290221 * 798330580441 passes the bases up to 37
+        # and fails base 41; psi_13 passes every base and has no certificate
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
     def test_division_by_zero_polynomial_exits_3(self, capsys):
         code = main(["poly", "divrem", "--dividend", "x", "--divisor", "0"])

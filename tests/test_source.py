@@ -138,6 +138,33 @@ def test_euler_criterion_only_in_arith(name):
         pytest.fail(f"{name} calls pow with a modulus on lines {lines}")
 
 
+def _walk_calls(path):
+    """Lines of the calls of _cycle or _reduce, by name or attribute, in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("_cycle", "_reduce")]
+
+
+def test_units_walks_no_cycle_of_its_own():
+    # the principal rho-cycle has one owner, forms._principal_cycle: the
+    # fundamental unit and the continued fraction of w read its one walk
+    lines = _walk_calls(PACKAGE / "units.py")
+    if lines:
+        pytest.fail(f"units.py calls _cycle or _reduce on lines {lines}")
+
+
+def test_walk_rule_flags_a_walk_in_units(tmp_path):
+    # the rule run on a copy of the package whose units walks the cycle itself
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    lines = len((package / "units.py").read_text().splitlines())
+    with open(package / "units.py", "a") as f:
+        f.write("\n\ndef _period(field):\n"
+                "    return len(list(forms._cycle(field, *_reduce(field, 1, field.d & 1))))\n")
+    if _walk_calls(package / "units.py") != [lines + 4] * 2:
+        pytest.fail(f"the rule flags lines {_walk_calls(package / 'units.py')} on a copy with units._period added")
+
+
 # An inverse modulo m has one owner, polynomial's GF(p) kernel: pow(x, -1, m)
 # appears only in its Euclid, _gcd_mod, and in the CRT step of poly_gcd
 MODULAR_INVERSE_OWNERS = {"polynomial._gcd_mod", "polynomial.poly_gcd"}

@@ -5,8 +5,9 @@ import mpmath
 import pytest
 
 from quadrantal.arith import check_square_free, NotSquareFree
-from quadrantal import units
-from quadrantal.forms import _cycle, _generator, _reduce
+from quadrantal import forms, units
+from quadrantal.cli import main
+from quadrantal.forms import class_group
 from quadrantal.quadring import ring_of_integers, unit_inverse
 from quadrantal.units import (
     PeriodOverflow,
@@ -68,9 +69,11 @@ class TestTorsion:
             assert len(roots) == w
 
 
-def principal_form(field):
-    """(a, B) of the reduced form from (1) that both walks start from."""
-    return _reduce(field, 1, field.d & 1)
+def set_cap(monkeypatch, cap):
+    """forms.MAX_PERIOD = cap, with no walk kept from under another cap."""
+    monkeypatch.setattr(forms, "MAX_PERIOD", cap)
+    forms._principal_cycle.cache_clear()
+    fundamental_unit.cache_clear()
 
 
 class TestContinuedFraction:
@@ -88,22 +91,24 @@ class TestContinuedFraction:
         with pytest.raises(ValueError):
             continued_fraction_of_omega(ring_of_integers(-2))
 
-    def test_period_cap(self):
-        # the walk of w's period under a cap of 1 (its own cap is 10^6)
-        field = ring_of_integers(94)
+    def test_period_cap(self, monkeypatch):
+        # the walk of w's period under a cap of 1 (its cap is MAX_PERIOD)
+        set_cap(monkeypatch, 1)
         with pytest.raises(PeriodOverflow, match="period exceeds cap 1$"):
-            list(_cycle(field, *principal_form(field), 1))
+            continued_fraction_of_omega(ring_of_integers(94))
 
     @pytest.mark.parametrize("m", [2, 3, 5, 13, 94, 4729])
-    def test_period_cap_counts_cycle_forms(self, m):
+    def test_period_cap_counts_cycle_forms(self, m, monkeypatch):
         # the cap admits a period equal to it and refuses one form more; at
         # m = 5 the expansion has no pre-period, so no index is miscounted
         field = ring_of_integers(m)
-        quotients, period = continued_fraction_of_omega(field)
-        key = principal_form(field)
-        assert [t for _, _, t, _ in _cycle(field, *key, period)] == quotients[-period:]
+        expansion = continued_fraction_of_omega(field)
+        period = expansion[1]
+        set_cap(monkeypatch, period)
+        assert continued_fraction_of_omega(field) == expansion
+        set_cap(monkeypatch, period - 1)
         with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}$"):
-            list(_cycle(field, *key, period - 1))
+            continued_fraction_of_omega(field)
 
 
 class TestFundamentalUnit:
@@ -117,16 +122,17 @@ class TestFundamentalUnit:
         with pytest.raises(ValueError):
             fundamental_unit(ring_of_integers(-7))
 
-    def test_period_cap(self):
-        # the cap admits a period equal to it and refuses one step more: the
-        # unit's walk under a cap (its own cap is MAX_PERIOD)
+    def test_period_cap(self, monkeypatch):
+        # the cap admits a period equal to it and refuses one step more
         for m in (2, 3, 13, 94, 4729):
             field = ring_of_integers(m)
-            period = continued_fraction_of_omega(field)[1]
-            key = principal_form(field)
-            assert _generator(field, *key, list(_cycle(field, *key, period))) == fundamental_unit(field)
-            with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}"):
-                list(_cycle(field, *key, period - 1))
+            lam, period = fundamental_unit(field), continued_fraction_of_omega(field)[1]
+            set_cap(monkeypatch, period)
+            assert fundamental_unit(field) == lam
+            set_cap(monkeypatch, period - 1)
+            with pytest.raises(PeriodOverflow, match=f"period exceeds cap {period - 1}$"):
+                fundamental_unit(field)
+            monkeypatch.undo()
 
     def test_over_cap_period_fails_before_folding(self, monkeypatch):
         # the cycle is walked whole before its quotients are folded into lam
@@ -152,6 +158,47 @@ class TestFundamentalUnit:
             for a, b in units_up_to_height(m, height):
                 val = real_value(m, a, b)
                 assert not (1 + 1e-9 < val < lam_val - 1e-9), (m, a, b)
+
+
+class TestOneWalk:
+    """Each request walks the principal rho-cycle of m = 10^9 + 7 (period
+    12,352) once: the fundamental unit, the continued fraction of w and the
+    class group's principal class read one walk.  A per-class census walks
+    it twice, since its lattice-point sectors walk the class's cycle again."""
+
+    PERIOD = 12352
+
+    @pytest.fixture
+    def rho_steps(self, monkeypatch):
+        steps = [0]
+        rho = forms._rho
+
+        def counted(*args):
+            steps[0] += 1
+            return rho(*args)
+
+        monkeypatch.setattr(forms, "_rho", counted)
+        forms._principal_cycle.cache_clear()
+        fundamental_unit.cache_clear()
+        return steps
+
+    @pytest.mark.parametrize("argv, walks", [
+        (["units", "--m", "1000000007"], 1),
+        (["census", "--m", "1000000007", "--k", "1000"], 1),
+        (["census", "--m", "1000000007", "--k", "1000", "--per-class"], 2),
+        (["quad", "classgroup", "--m", "1000000007"], 1),
+    ], ids=["units", "census", "census-per-class", "classgroup"])
+    def test_request_walks(self, rho_steps, capsys, argv, walks):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert rho_steps[0] == walks * self.PERIOD
+
+    def test_class_group_then_unit_report_walk_once(self, rho_steps):
+        field = ring_of_integers(1000000007)
+        assert class_group(field).h == 1
+        unit_group_report(field)
+        assert continued_fraction_of_omega(field)[1] == self.PERIOD
+        assert rho_steps[0] == self.PERIOD
 
 
 class TestPell:

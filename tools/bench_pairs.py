@@ -33,6 +33,11 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   that nearest rank), so a percentile claim can be checked against the
   group that sets it;
 - every run's metrics, seed and order, and the kind each percentile fell on;
+- per workload, run and side, the host's speed as perfbench saw it: the
+  run record's reference_speed and the mean time of its reference kernel
+  (kernel_s), and per workload and side their medians over the runs
+  (drift), so that a reader can tell a slower program from a slower host
+  across BENCH files, where the same source can read 11% apart;
 - the machine details that perfbench recorded, and on both sides `wc -l`
   of src/quadrantal/*.py (source_lines) and the count of its parameter
   defaults, functions and methods but not lambdas (source_options), per
@@ -110,7 +115,21 @@ def run(tree: Path, seed: int) -> dict:
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "machine": records["compute"]["machine"],
             "job_ms": {workload: job_times(workload, record) for workload, record in records.items()},
-            "percentile_kinds": {workload: percentile_kinds(workload, record) for workload, record in records.items()}}
+            "percentile_kinds": {workload: percentile_kinds(workload, record) for workload, record in records.items()},
+            "drift": {workload: host_speed(record) for workload, record in records.items()}}
+
+
+def host_speed(record: dict) -> dict[str, float]:
+    """The host's speed over one run record: perfbench's reference_speed and
+    the mean time of the reference kernel that scales its jobs."""
+    return {"reference_speed": record["reference_speed"], "kernel_s": statistics.mean(record["kernel_s"])}
+
+
+def drift_medians(runs: list[dict], workload: str) -> dict[str, dict]:
+    """{side: the median over its runs of each host_speed value}."""
+    return {side: {key: statistics.median(r[side]["drift"][workload][key] for r in runs)
+                   for key in ("reference_speed", "kernel_s")}
+            for side in ("base", "change")}
 
 
 def job_kind(workload: str, label: str) -> str:
@@ -244,11 +263,13 @@ def main() -> int:
                            for workload in (w["name"] for w in spec["workloads"])},
         "percentile_kinds": {workload: kind_counts(runs, workload)
                              for workload in (w["name"] for w in spec["workloads"])},
+        "drift": {workload: drift_medians(runs, workload) for workload in (w["name"] for w in spec["workloads"])},
         "source_lines": lines,
         "source_options": options,
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"],
-                  "percentile_kinds": {side: r[side]["percentile_kinds"] for side in ("base", "change")}}
+                  "percentile_kinds": {side: r[side]["percentile_kinds"] for side in ("base", "change")},
+                  "drift": {side: r[side]["drift"] for side in ("base", "change")}}
                  for r in runs],
     }
     path = CHECKOUT / f"BENCH_{args.pr}.json"

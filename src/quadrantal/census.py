@@ -51,10 +51,10 @@ norm +-n N(I) up to units (Cohen GTM 138, 5.2 and 5.6; Buchmann and
 Vollmer, Binary Quadratic Forms).  In an imaginary field the class counts
 are r_f(n)/w for the reduced form f of I, points of the ellipse
 f(x, y) <= k.  In a real field they are the points of the sectors between
-successive minima of I, one sector per form of the rho-cycle of f, which
-tile alpha > 0 over one period.  The points come as runs of values of f
-along a line, so a class total Z_C(k) is a sum of run lengths, O(h sqrt(k))
-imaginary, and only per_class_counts writes the runs into rows of k + 1.
+successive minima of I, one per form of the rho-cycle of f (the report's
+ClassGroupReport.cycles), which tile alpha > 0 over one period.  The points
+come as runs of values of f along a line, so a class total Z_C(k) is a sum
+of run lengths, O(h sqrt(k)) imaginary; only per_class_counts writes rows.
 
 The cumulative count Z(k) = sum_{e <= k} chi_d(e) floor(k / e) comes from
 Dirichlet's hyperbola method (Apostol, Introduction to Analytic Number
@@ -65,7 +65,7 @@ per-class census builds.  Z(k) is compared against the asymptotic density
 sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
 normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2)
 error law without pretending to know its constant.  units.regulator_decimal
-still resolves here, through the package's one forwarder quadrantal._forward.
+and forms._cycle resolve here through the package's forwarder quadrantal._forward.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from operator import itemgetter
 
 from . import _forward
 from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
-from .forms import ClassGroupReport, _cosets, _cycle, _tabulate, class_group  # noqa: F401 (class_group, re-exported)
+from .forms import ClassGroupReport, _cosets, _tabulate, class_group  # noqa: F401 (class_group, re-exported)
 from .quadring import QuadraticField, torsion_order
 from .reals import nstr, pi_scaled
 from .reals import pi_decimal  # noqa: F401 (re-exported)
@@ -321,9 +321,8 @@ def sigma_theoretical(field: QuadraticField, precision: int = 30):
         return mpmath.mpf(str(sigma_decimal(field, precision)))
 
 
-# units.regulator_decimal, still importable from here (PEP 562): a census
-# imports units only for a real field's regulator (_sigma)
-__getattr__ = _forward(globals(), {"regulator_decimal": "units"})
+# still importable from here (PEP 562); units only loads for a real field's _sigma
+__getattr__ = _forward(globals(), {"regulator_decimal": "units", "_cycle": "forms"})
 
 
 @record
@@ -408,7 +407,7 @@ def _census(field, k, per_class, report, precision) -> CensusResult:
 
 def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     """counts[c][n] = ideals of norm exactly n in class c: the runs of lattice
-    points of each class's reduced form (_point_runs), written point by point
+    points of each class's reduced forms (_point_runs), written point by point
     into its row.  census_check sums only the run lengths and builds no row."""
     _check_report(field, report)
     if k < 1:
@@ -416,35 +415,35 @@ def per_class_counts(field: QuadraticField, k: int, report: ClassGroupReport):
     _check_table_size(report.h * (k + 1))
     pairs = torsion_order(field) // 2
     z = []
-    for form in map(report.reduced_form, range(report.h)):
+    for cycle in report.cycles():
         row = [0] * (k + 1)
-        for run in _point_runs(field, k, form):
+        for run in _point_runs(field, k, cycle):
             _run(row, *run)
         if pairs > 1:
             if any(n % pairs for n in row):
-                raise ArithmeticError(f"point counts of {form} are not multiples of w/2")
+                raise ArithmeticError(f"point counts of {cycle[0]} are not multiples of w/2")
             row = [n // pairs for n in row]
         z.append(row)
     return z
 
 
 def _class_totals(field: QuadraticField, k: int, report: ClassGroupReport) -> tuple:
-    """Z_C(k) of each class: the run lengths of its form's lattice points
+    """Z_C(k) of each class: the run lengths of its forms' lattice points
     (_point_runs) summed, in O(h sqrt(k)) imaginary, and divided by w/2."""
     pairs = torsion_order(field) // 2
     z = []
-    for form in map(report.reduced_form, range(report.h)):
-        total = sum(map(itemgetter(3), _point_runs(field, k, form)))
+    for cycle in report.cycles():
+        total = sum(map(itemgetter(3), _point_runs(field, k, cycle)))
         if total % pairs:
-            raise ArithmeticError(f"point counts of {form} are not multiples of w/2")
+            raise ArithmeticError(f"point counts of {cycle[0]} are not multiples of w/2")
         z.append(total // pairs)
     return tuple(z)
 
 
-def _point_runs(field: QuadraticField, k: int, form: tuple[int, int, int]):
-    """Yield the lattice points of the reduced form f = (a, B, C) of a class
-    with f <= k as runs (n, step, second, count): count >= 0 values of a
-    quadratic from n, first difference step, second difference second.
+def _point_runs(field: QuadraticField, k: int, cycle: list):
+    """Yield the points with f <= k of the class whose reduced forms f = (a, B, C) are
+    cycle, in walk order (ClassGroupReport.cycles), as runs (n, step, second, count):
+    count >= 0 values of a quadratic from n with first and second differences step, second.
 
     An ideal of norm n in the class of I^-1 is (alpha) I^-1 for the alpha in
     I of norm +-n N(I), one per class of associates, and N(x a + y tau) =
@@ -453,17 +452,18 @@ def _point_runs(field: QuadraticField, k: int, form: tuple[int, int, int]):
     the reduced form f of c: w/2 times over in the ellipse f(x, y) <= k, or
     once in the sectors of the rho-cycle of f in a real field.
 
-    A sector is x >= 1, 0 <= y < t x for a form (a, B, C) of the cycle of
-    step quotient t, far = f(1, t).  f is the norm form of I in the basis of
-    its successive minima mu, mu', and mu + t mu' is the minimum two steps on
-    (_generator), so over one period the sectors tile alpha > 0 modulo the
-    fundamental unit, with f > 0 on each.  f is concave in y (C < 0), so
+    A sector is x >= 1, 0 <= y < t x for a form (a, B, C) of the cycle, t =
+    (B + B')/(2a') the quotient of its rho-step to the next form (a', B', C')
+    and far = f(1, t).  f is the norm form of I in the basis of its successive
+    minima mu, mu', and mu + t mu' is the minimum two steps on (_generator),
+    so the sectors of one period tile alpha > 0 modulo the fundamental unit,
+    with f > 0 on each.  f is concave in y (C < 0), so
     f(x, y) <= k off the open interval from (B x - s) / (2|C|) to
     (B x + s) / (2|C|), s the root of d x^2 + 4 C k rounded up, and for every
     y if that is <= 0.  On the sector f >= min(a, far) x^2, which bounds x.
     """
     d = field.d
-    a, big_b, big_c = form
+    a, big_b, big_c = cycle[0]  # an imaginary class has one reduced form
     if d < 0:  # one of each pair (x, y), (-x, -y): y > 0, or y = 0 < x
         yield a, 3 * a, 2 * a, math.isqrt(k // a)  # a x^2 for x >= 1
         y = 1
@@ -476,13 +476,11 @@ def _point_runs(field: QuadraticField, k: int, form: tuple[int, int, int]):
             yield n, a * (2 * x + 1) + big_b * y, 2 * a, x_hi - x + 1
             y += 1
         return
-    cycle = list(_cycle(field, a, big_b))
-    for (a, big_b, t, _), (far, *_) in zip(cycle, cycle[2:] + cycle[:2]):
+    for (a, big_b, big_c), (a1, b1, _), (far, *_) in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
         low = min(a, far)
         if low > k:  # every point of the sector is above k
             continue
-        big_c = (big_b * big_b - d) // (4 * a)
-        width = -2 * big_c  # 2|C|
+        t, width = (big_b + b1) // (2 * a1), -2 * big_c  # 2|C|
         for x in range(1, math.isqrt(k // low) + 1):
             top = t * x
             disc = d * x * x + 4 * big_c * k

@@ -139,15 +139,15 @@ def is_principal(i: QuadIdeal):
     """A generator of I when I is principal, else None.
 
     I = c*I0 is principal when I0 reduces to (1): the reduced form is
-    (1, B, C) (imaginary), or (1) lies on the rho-cycle (real, walked once).
-    The quotients of the rho-steps from I0 to (1), kept as the one walk
-    takes them, fold into the integer pair of one generator of I0
-    (_generator), times c.  Among its associates the one returned has the
-    least y >= 0 in x + y*w, a positive norm before a negative one, then the
-    larger x; real fields only take the positive associates, and the whole
-    cycle of the reduced form (a, B) folds into a*lam, lam the fundamental
-    unit.  The certificate (gen) = I is checked.  A real rho-cycle of more
-    than MAX_PERIOD forms raises PeriodOverflow.
+    (1, B, C) (imaginary), or a step of the principal rho-cycle, walked once
+    per field (real, _principal_cycle).  The quotients of the rho-steps from
+    I0 to it, then round the cycle on to (1), fold into the integer pair of
+    one generator of I0 (_generator), times c.  Among its associates the one
+    returned has the least y >= 0 in x + y*w, a positive norm before a
+    negative one, then the larger x; real fields only take the positive
+    associates, and the whole cycle from (1) folds into lam, the fundamental
+    unit.  The certificate (gen) = I is checked.  A principal cycle of more
+    than MAX_PERIOD forms raises PeriodOverflow, whatever the class of I.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
@@ -163,13 +163,13 @@ def is_principal(i: QuadIdeal):
         alpha = _generator(field, a0, big_b0, steps)
         cands = [alpha * z for z in torsion_units(field)]
     else:
-        cycle = list(_cycle(field, a, big_b))
-        j = next((j for j, step in enumerate(cycle) if step[0] == 1), None)
+        cycle = _principal_cycle(field)
+        j = next((j for j, step in enumerate(cycle) if step[:2] == (a, big_b)), None)
         if j is None:
             return None
-        unit = _generator(field, a, big_b, cycle)  # a * lam
-        unit = field.integer(unit.a // a, unit.b // a)
-        cands = _balanced_associates(_generator(field, a0, big_b0, steps + cycle[:j]), a0, unit)
+        lam = _generator(field, *cycle[0][:2], cycle)
+        steps += cycle[j:] if j else ()  # the steps from (a, B) round to (1): none from (1)
+        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0, lam)
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     gen = field.integer(i.c * x.a, i.c * x.b)
     if principal_ideal(field, gen) != i:
@@ -206,9 +206,10 @@ class ClassGroupReport:
     factors.
 
     `forms` maps every reduced form (a, B) of discriminant d to the index of
-    its class: an imaginary class holds one (its Gauss-reduced form), a real
-    class the forms on one rho-cycle.  class_group fills it as it meets each
-    class, so locating an ideal or a form is one reduction and a lookup.
+    its class, class by class in walk order (cycles): an imaginary class
+    holds one (its Gauss-reduced form), a real class its rho-cycle, rho of
+    each form the next and of the last the first; locating an ideal or a
+    form is one reduction and a lookup.
     """
 
     field: QuadraticField
@@ -218,11 +219,12 @@ class ClassGroupReport:
     structure: tuple        # invariant factors d1 | d2 | ... (empty for h = 1)
     forms: dict             # (a, B) -> class; not compared, hashed or shown
 
-    def reduced_form(self, k: int) -> tuple[int, int, int]:
-        """(a, B, C): a reduced form of the primitive ideal of class k's
-        representative."""
-        a, big_b = _reduce(self.field, *_form(self.representatives[k]))
-        return a, big_b, (big_b * big_b - self.field.d) // (4 * a)
+    def cycles(self) -> list:
+        """Each class's reduced forms (a, B, C), by class index, in walk order."""
+        out = [[] for _ in range(self.h)]
+        for (a, big_b), k in self.forms.items():
+            out[k].append((a, big_b, (big_b * big_b - self.field.d) // (4 * a)))
+        return out
 
     def form_class(self, a: int, big_b: int) -> int:
         """Index of the class of the primitive ideal with form (a, B)."""

@@ -15,6 +15,7 @@ Poly, FieldElement); both refuse setting and deleting an attribute alike.
 
 from __future__ import annotations
 
+import math
 import operator
 
 # Trial-division bound shared by every factorization in the package.
@@ -60,7 +61,7 @@ PSI_13 = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the prime bases 2..41, exact below PSI_13;
-    at or above it a number that passes every base raises CertificateNotFound."""
+    at or above it a number that passes every base goes on to _pocklington."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % p == 0 for p in bases):
         return n in bases
@@ -76,8 +77,30 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= PSI_13:
+    return n < PSI_13 or _pocklington(n)
+
+
+def _pocklington(n: int) -> bool:
+    """n is prime if n - 1 = F R, F > sqrt(n), and each prime q | F has a base a < 1000 with
+    a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (Crandall and Pomerance, Prime Numbers, 4.1.2);
+    F is trial-divided, times R if is_prime proves it; a base with a^(n-1) != 1 proves n composite."""
+    factors, rest = _trial_divide(n - 1)
+    try:
+        if rest > 1 and is_prime(rest):
+            factors, rest = [*factors, (rest, 1)], 1
+    except CertificateNotFound:
+        pass
+    if ((n - 1) // rest) ** 2 <= n:
         raise CertificateNotFound(f"cannot certify {n} prime: Miller-Rabin to the bases 2..41 is exact below {PSI_13}")
+    for q, _ in factors:
+        for a in range(2, 1000):
+            x = pow(a, (n - 1) // q, n)
+            if pow(x, q, n) != 1:  # Fermat fails: n is composite
+                return False
+            if math.gcd(x - 1, n) == 1:
+                break
+        else:
+            raise CertificateNotFound(f"cannot certify {n} prime: no Pocklington witness for {q} below 1000")
     return True
 
 
@@ -88,11 +111,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
     A residual cofactor above FACTOR_BOUND**2 is accepted only when it is
     itself certified prime; otherwise FactorBoundExceeded is raised.
     """
-    n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    out = []
-    d = 2
+    out, n = _trial_divide(abs(n))
+    if n > FACTOR_BOUND**2 and not is_prime(n):
+        raise FactorBoundExceeded(f"residual cofactor {n} exceeds trial-division bound")
+    return out + [(n, 1)] * (n > 1)
+
+
+def _trial_divide(n: int) -> tuple[list[tuple[int, int]], int]:
+    """(prime, exponent) pairs of n > 0 by trial division to FACTOR_BOUND or sqrt(n), and the rest."""
+    out, d = [], 2
     while d * d <= n and d <= FACTOR_BOUND:
         if n % d == 0:
             e = 0
@@ -101,12 +130,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
-        if n <= FACTOR_BOUND**2 or is_prime(n):
-            out.append((n, 1))
-        else:
-            raise FactorBoundExceeded(f"residual cofactor {n} exceeds trial-division bound")
-    return out
+    return out, n
 
 
 def power(x, k: int, one, mul=operator.mul):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from quadrantal import quadring
+from quadrantal import integers, quadring
 from quadrantal.arith import (
     PI_BOUNDS,
     PI_DIGITS,
@@ -73,6 +73,42 @@ def test_is_prime_matches_sympy_below_psi_13():
     ns += [*PSI, sympy.prevprime(PSI_13)]
     wrong = [n for n in ns if is_prime(n) != sympy.isprime(n)]
     assert not wrong and sum(map(sympy.isprime, ns)) > 500
+
+
+def test_pocklington_certifies_above_psi_13():
+    # n - 1 = 2 q with q < psi_13 prime; 4 q' + 3 needs the recursion, its
+    # cofactor 2 q' + 1 is itself above psi_13; the last n - 1 has too little factored
+    n = 3317044064679887385962123
+    assert (n - 1) // 2 < PSI_13 and is_prime((n - 1) // 2) and is_prime(n)
+    q = 1658522032339943692983521
+    assert 2 * q + 1 >= PSI_13 and is_prime(4 * q + 3)
+    with pytest.raises(CertificateNotFound, match="^cannot certify 3317044064679887385962177 prime: "):
+        is_prime(3317044064679887385962177)
+
+
+def test_pocklington_fermat_test_refutes():
+    # 2 p + 1 = 3^2 * 7 * 421 * ... for a prime p below psi_13: n - 1 is
+    # factored, and base 2 fails Fermat
+    p = 3317044064679887385961813
+    assert is_prime(p) and (2 * p + 1) % 9 == 0
+    assert integers._pocklington(2 * p + 1) is False
+
+
+def test_is_prime_matches_sympy_above_psi_13():
+    # seeded n in [psi_13, 10^30), 20 of them primes: every True is prime,
+    # every False composite; the rest raise CertificateNotFound
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24)
+    ns = [rng.randrange(PSI_13, 10**30) for _ in range(300)]
+    ns += [sympy.nextprime(rng.randrange(PSI_13, 10**30)) for _ in range(20)]
+    verdicts = {}
+    for n in ns:
+        try:
+            verdicts[n] = is_prime(n)
+        except CertificateNotFound:
+            pass
+    assert all(v == sympy.isprime(n) for n, v in verdicts.items())
+    assert len(verdicts) > 300 and sum(verdicts.values()) > 5
 
 
 def test_kronecker_matches_the_reciprocity_oracle():

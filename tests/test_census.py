@@ -686,8 +686,9 @@ class TestRealPerClassSectors:
     def test_long_period_row_is_the_sieve(self):
         field, k = ring_of_integers(1000000007), 10**4
         report = class_group(field)
-        cycle = list(quadring._cycle(field, *report.reduced_form(0)[:2]))
-        assert report.h == 1 and len(cycle) == 12352 and max(t for *_, t, _ in cycle) == 63244
+        (cycle,) = report.cycles()  # the principal cycle in walk order: t = (B + B')/(2a')
+        quotients = [(big_b + b1) // (2 * a1) for (_, big_b, _), (a1, b1, _) in zip(cycle, cycle[1:] + cycle[:1])]
+        assert report.h == 1 and len(cycle) == 12352 and max(quotients) == 63244
         (row,) = per_class_counts(field, k, report)
         assert row == ideal_count_sieve(field, k).tolist()
 

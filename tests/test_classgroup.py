@@ -200,6 +200,7 @@ class TestReductionOracles:
         assert rep.h == 7 and len(calls) == 7
 
     def test_real_is_principal_walks_the_cycle_once(self, monkeypatch):
+        # every ideal reads the kept principal cycle: the first walks it, the later ones do not
         calls = []
         walk = forms._cycle
 
@@ -208,9 +209,9 @@ class TestReductionOracles:
             return walk(*args)
 
         monkeypatch.setattr(forms, "_cycle", counted)
+        forms._principal_cycle.cache_clear()
         field = ring_of_integers(94)  # h = 1, a principal rho-cycle of 16 forms
         for x in (field.integer(3, 1), field.integer(5, 2), field.integer(0, 1)):
-            calls.clear()
             ideal = principal_ideal(field, x)
             assert principal_ideal(field, is_principal(ideal)) == ideal
             assert len(calls) == 1, x
@@ -236,6 +237,18 @@ class TestReductionOracles:
             for a, big_b in forms._cosets(field)[0]:
                 cycle = list(forms._cycle(field, a, big_b))
                 assert forms._generator(field, a, big_b, cycle) == lam * field.integer(a), (field.m, a, big_b)
+                cycles += 1
+        assert cycles == 4574
+
+    def test_report_cycles_are_in_walk_order(self):
+        # every class cycle of square-free m in [2, 3000): rho of each form is the next, of the last the first
+        cycles = 0
+        for field in squarefree_fields(2, 2999):
+            r = math.isqrt(field.d)
+            for cycle in class_group(field).cycles():
+                for (a, big_b, big_c), nxt in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert big_b * big_b - 4 * a * big_c == field.d
+                    assert forms._rho(field, r, a, big_b)[:2] == nxt[:2], (field.m, a, big_b)
                 cycles += 1
         assert cycles == 4574
 
@@ -378,6 +391,23 @@ class TestGeneratorReference:
         assert gen is not None and gen == reference_generator(ideal)
 
 
+def test_real_generators_unchanged():
+    # sha256 prefix of is_principal on the prime factors of nine seeded
+    # ideals of every real square-free m < 1500, as written when each ideal
+    # walked its own class's rho-cycle
+    rng = random.Random(42)
+    digest, calls = hashlib.sha256(), 0
+    for field in squarefree_fields(2, 1499):
+        for _ in range(9):
+            n, x, y = rng.randint(2, 400), rng.randint(-50, 50), rng.randint(1, 5)
+            ideal = ideal_from_generators(field, [field.integer(n), field.integer(x, y)])
+            for p, _ in quadring.factor_ideal(ideal) if ideal != quadring.unit_ideal(field) else ():
+                gen = is_principal(p)
+                calls += 1
+                digest.update(f"{field.m} {p.a} {p.b} {p.c} {None if gen is None else (gen.a, gen.b)}\n".encode())
+    assert (calls, digest.hexdigest()[:16]) == (3948, "af4929e58a8fe86e")
+
+
 class TestCyclePeriodCap:
     def principal_cycle(self, field):
         return quadring._reduce(field, *quadring._form(quadring.unit_ideal(field)))[:2]
@@ -399,10 +429,11 @@ class TestCyclePeriodCap:
             class_group(field)
         with pytest.raises(PeriodOverflow):
             reduced_equivalent(principal_ideal(field, field.integer(3, 1)))
+        with pytest.raises(PeriodOverflow):  # a principal ideal reads the principal cycle
+            is_principal(principal_ideal(field, field.integer(3, 1)))
         monkeypatch.setattr(forms, "MAX_PERIOD", 2)
-        field = ring_of_integers(10)  # (2, w) is not principal; its cycle has 3 forms
-        with pytest.raises(PeriodOverflow):
-            is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)]))
+        field = ring_of_integers(10)  # (2, w) is not principal: its own cycle of 3 forms is not walked
+        assert is_principal(ideal_from_generators(field, [field.integer(2), field.integer(0, 1)])) is None
 
 
 def test_invariant_factors_of_diagonal_relations():

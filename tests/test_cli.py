@@ -699,6 +699,18 @@ class TestFormatsAndExitCodes:
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {err}\n"
 
+    @pytest.mark.parametrize("q, code", [("3317044064679887385962123", 0), ("3317044064679887385962177", 3)])
+    def test_primes_above_psi_13(self, capsys, q, code):
+        # Pocklington certifies the first (q - 1 = 2 * a prime below psi_13),
+        # not the second (q - 1 = 2^6 * 61 * 1151 * a composite above the trial bound)
+        assert main(["quad", "split", "--m", "-1", "--q", q]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and captured.err == (
+                f"error: cannot certify {q} prime: Miller-Rabin to the bases 2..41 is exact below 3317044064679887385961981\n")
+        else:
+            assert json.loads(captured.out)["type"] == "inert" and captured.err == ""
+
     def test_division_by_zero_polynomial_exits_3(self, capsys):
         code = main(["poly", "divrem", "--dividend", "x", "--divisor", "0"])
         captured = capsys.readouterr()

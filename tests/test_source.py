@@ -147,22 +147,39 @@ def _walk_calls(path):
 
 def test_units_walks_no_cycle_of_its_own():
     # the principal rho-cycle has one owner, forms._principal_cycle: the
-    # fundamental unit and the continued fraction of w read its one walk
-    lines = _walk_calls(PACKAGE / "units.py")
-    if lines:
-        pytest.fail(f"units.py calls _cycle or _reduce on lines {lines}")
+    # fundamental unit and the continued fraction of w read its one walk,
+    # and a census reads each class's cycle off the class group report
+    for name in ("units.py", "census.py"):
+        lines = _walk_calls(PACKAGE / name)
+        if lines:
+            pytest.fail(f"{name} calls _cycle or _reduce on lines {lines}")
+
+
+def _walk_calls_with(tmp_path, name, code):
+    """(line of the first added line, _walk_calls) on a copy of the package
+    with code appended to module `name` after two blank lines."""
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    lines = len((package / name).read_text().splitlines())
+    with open(package / name, "a") as f:
+        f.write("\n\n" + code)
+    return lines + 3, _walk_calls(package / name)
 
 
 def test_walk_rule_flags_a_walk_in_units(tmp_path):
     # the rule run on a copy of the package whose units walks the cycle itself
-    package = tmp_path / "quadrantal"
-    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
-    lines = len((package / "units.py").read_text().splitlines())
-    with open(package / "units.py", "a") as f:
-        f.write("\n\ndef _period(field):\n"
-                "    return len(list(forms._cycle(field, *_reduce(field, 1, field.d & 1))))\n")
-    if _walk_calls(package / "units.py") != [lines + 4] * 2:
-        pytest.fail(f"the rule flags lines {_walk_calls(package / 'units.py')} on a copy with units._period added")
+    first, flagged = _walk_calls_with(tmp_path, "units.py", "def _period(field):\n"
+                                      "    return len(list(forms._cycle(field, *_reduce(field, 1, field.d & 1))))\n")
+    if flagged != [first + 1] * 2:
+        pytest.fail(f"the rule flags lines {flagged} on a copy with units._period added")
+
+
+def test_walk_rule_flags_a_walk_in_census(tmp_path):
+    # the rule run on a copy of the package whose census walks a class's cycle itself
+    first, flagged = _walk_calls_with(tmp_path, "census.py", "def _sectors(field, a, big_b):\n"
+                                      "    return list(_cycle(field, a, big_b))\n")
+    if flagged != [first + 1]:
+        pytest.fail(f"the rule flags lines {flagged} on a copy with census._sectors added")
 
 
 # An inverse modulo m has one owner, polynomial's GF(p) kernel: pow(x, -1, m)

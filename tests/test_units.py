@@ -7,8 +7,8 @@ import pytest
 from quadrantal.arith import check_square_free, NotSquareFree
 from quadrantal import forms, units
 from quadrantal.cli import main
-from quadrantal.forms import class_group
-from quadrantal.quadring import ring_of_integers, unit_inverse
+from quadrantal.forms import class_group, is_principal
+from quadrantal.quadring import ring_of_integers, split_prime, unit_inverse
 from quadrantal.units import (
     PeriodOverflow,
     continued_fraction_of_omega,
@@ -162,9 +162,10 @@ class TestFundamentalUnit:
 
 class TestOneWalk:
     """Each request walks the principal rho-cycle of m = 10^9 + 7 (period
-    12,352) once: the fundamental unit, the continued fraction of w and the
-    class group's principal class read one walk.  A per-class census walks
-    it twice, since its lattice-point sectors walk the class's cycle again."""
+    12,352) once: the fundamental unit, the continued fraction of w, the
+    class group's principal class, principality and the lattice-point
+    sectors of a per-class census read one walk.  A per-class census of
+    m = 1000003 (h = 3) walks its three class cycles, 1,482 forms, once."""
 
     PERIOD = 12352
 
@@ -185,13 +186,25 @@ class TestOneWalk:
     @pytest.mark.parametrize("argv, walks", [
         (["units", "--m", "1000000007"], 1),
         (["census", "--m", "1000000007", "--k", "1000"], 1),
-        (["census", "--m", "1000000007", "--k", "1000", "--per-class"], 2),
+        (["census", "--m", "1000000007", "--k", "1000", "--per-class"], 1),
         (["quad", "classgroup", "--m", "1000000007"], 1),
     ], ids=["units", "census", "census-per-class", "classgroup"])
     def test_request_walks(self, rho_steps, capsys, argv, walks):
         assert main(argv) == 0
         capsys.readouterr()
         assert rho_steps[0] == walks * self.PERIOD
+
+    def test_per_class_census_of_three_classes_walks_each_once(self, rho_steps, capsys):
+        assert main(["census", "--m", "1000003", "--k", "1000", "--per-class"]) == 0
+        capsys.readouterr()
+        assert rho_steps[0] == 1482
+
+    def test_class_group_then_is_principal_walk_once(self, rho_steps):
+        field = ring_of_integers(1000000007)
+        assert class_group(field).h == 1
+        (prime, _), = split_prime(field, 2).factors
+        assert is_principal(prime) is not None
+        assert rho_steps[0] == self.PERIOD
 
     def test_class_group_then_unit_report_walk_once(self, rho_steps):
         field = ring_of_integers(1000000007)

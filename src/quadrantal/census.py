@@ -38,12 +38,13 @@ prime factor below p, as the product so far has no term at a multiple of p
 
 A block of a pass is one big-integer add (or copy) of two runs of lanes.
 A partial count lies in [0, d(n)], and d(n) <= 144 for the n <= MAX_TABLE
-prime to 6 (the least with d(n) > 255 is 929553625): no lane carries.  The
-spread writes the table into the 16-bit lanes of one bytearray, handed back
-as a memoryview of format "H": 2 bytes an entry and no object per entry.
-Only the spread can pass 255: from BYTE_LANES_BELOW = 1081080, the least n
-with d(n) > 255 (below it d(n) <= 240), it also translates the high bytes
-of c a(m) into the high bytes of the lanes.
+prime to 6 (the least with d(n) > 255 is 929553625): no lane carries.  Only
+the spread can pass 255, and not below BYTE_LANES_BELOW = 1081080, the least
+n with d(n) > 255 (below it a(n) <= d(n) <= 240).  So below it the spread
+writes the table into the byte lanes of one bytearray, handed back as a
+memoryview of format "B": 1 byte an entry and no object per entry.  From it
+on the lanes are 16-bit, format "H", and the spread also translates the high
+bytes of c a(m) into the high bytes of the lanes.
 
 Per-class counts are lattice points: ideal classes are reduced forms, and
 the ideals of norm n in the class of I^-1 correspond to the alpha in I of
@@ -119,7 +120,8 @@ def _sharing_tile():
 def ideal_count_sieve(field: QuadraticField, k: int) -> memoryview:
     """a[0..k] with a[n] = number of ideals of norm exactly n (a[0] = 0),
     by the Euler product on the rows of the n prime to 6 (_euler_product):
-    a memoryview of format "H", 2 bytes per entry (.tolist() for a list)."""
+    a memoryview of format "B", 1 byte per entry, for k < BYTE_LANES_BELOW,
+    else of format "H", 2 bytes per entry (.tolist() for a list)."""
     if k < 1:
         raise ValueError("cutoff must be at least 1")
     _check_table_size(k + 1)
@@ -243,11 +245,15 @@ def _multiply(rows: dict, norm: int, k: int, q: int, add: bool) -> None:
 
 
 def _spread(rows: dict, k: int, tile: bytes) -> memoryview:
-    """The table a(n), n <= k, in 16-bit native-order lanes from the rows:
-    a(2^a 3^b m) = c a(m) for m prime to 6, c = a(2^a) a(3^b), the low byte
-    of c a(m) by translate, and from BYTE_LANES_BELOW on its high byte too."""
-    out = bytearray(2 * (k + 1))
-    lo = sys.byteorder == "big"  # the offset of a lane's low byte
+    """The table a(n), n <= k, from the rows: a(2^a 3^b m) = c a(m) for m
+    prime to 6, c = a(2^a) a(3^b), the low byte of c a(m) by translate.
+    Below BYTE_LANES_BELOW every a(n) <= d(n) <= 240 fits a byte lane;
+    from it on the lanes are 16-bit native-order, and the high byte of
+    c a(m) is translated too."""
+    wide = k >= BYTE_LANES_BELOW
+    width = 1 + wide  # bytes a lane
+    out = bytearray(width * (k + 1))
+    lo = wide and sys.byteorder == "big"  # the offset of a lane's low byte
     two, three = (tile[p % len(tile)] - 1 for p in (2, 3))
     for a in range(k.bit_length()):
         for b in range(k.bit_length()):
@@ -256,10 +262,10 @@ def _spread(rows: dict, k: int, tile: bytes) -> memoryview:
                 break
             for r, row in rows.items() if c else ():
                 lanes = row[: (k // n + 6 - r) // 6]
-                out[2 * n * r + lo :: 12 * n] = lanes.translate(_planes(c)[0]) if c > 1 else lanes
-                if c > 1 and k >= BYTE_LANES_BELOW:
+                out[width * n * r + lo :: 6 * width * n] = lanes.translate(_planes(c)[0]) if c > 1 else lanes
+                if c > 1 and wide:
                     out[2 * n * r + 1 - lo :: 12 * n] = lanes.translate(_planes(c)[1])
-    return memoryview(out).cast("H")
+    return memoryview(out).cast("H") if wide else memoryview(out)
 
 
 def _local(chi: int, j: int) -> int:

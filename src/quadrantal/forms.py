@@ -97,6 +97,15 @@ def _principal_cycle(field: QuadraticField) -> tuple:
     return tuple(_cycle(field, *_reduce(field, 1, field.d & 1)))
 
 
+@functools.lru_cache(maxsize=1)  # beside _principal_cycle: the last field's only
+def _cycle_unit(field: QuadraticField) -> QuadInt:
+    """The generator folded once round the principal rho-cycle from (1), the
+    fundamental unit lam: is_principal balances by it, and
+    units.fundamental_unit checks it."""
+    cycle = _principal_cycle(field)
+    return _generator(field, *cycle[0][:2], cycle)
+
+
 def _generator(field: QuadraticField, a: int, big_b: int, steps) -> QuadInt:
     """alpha = a * psi_0 * ... * psi_(k-1), psi_i = (B_i + sqrt(d))/(2 a_i),
     for the k rho-steps (., ., t_i, s_i) of `steps` from the normalized form
@@ -145,9 +154,10 @@ def is_principal(i: QuadIdeal):
     one generator of I0 (_generator), times c.  Among its associates the one
     returned has the least y >= 0 in x + y*w, a positive norm before a
     negative one, then the larger x; real fields only take the positive
-    associates, and the whole cycle from (1) folds into lam, the fundamental
-    unit.  The certificate (gen) = I is checked.  A principal cycle of more
-    than MAX_PERIOD forms raises PeriodOverflow, whatever the class of I.
+    associates, and the whole cycle from (1) folds once per field into lam,
+    the fundamental unit (_cycle_unit).  The certificate (gen) = I is
+    checked.  A principal cycle of more than MAX_PERIOD forms raises
+    PeriodOverflow, whatever the class of I.
     """
     if i.is_zero():
         raise ValueError("the zero ideal has no generator")
@@ -167,9 +177,8 @@ def is_principal(i: QuadIdeal):
         j = next((j for j, step in enumerate(cycle) if step[:2] == (a, big_b)), None)
         if j is None:
             return None
-        lam = _generator(field, *cycle[0][:2], cycle)
         steps += cycle[j:] if j else ()  # the steps from (a, B) round to (1): none from (1)
-        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0, lam)
+        cands = _balanced_associates(_generator(field, a0, big_b0, steps), a0, _cycle_unit(field))
     x = min((x for x in cands if x.b >= 0), key=lambda x: (x.b, x.norm() < 0, -x.a))
     gen = field.integer(i.c * x.a, i.c * x.b)
     if principal_ideal(field, gen) != i:

@@ -16,7 +16,7 @@ import functools
 
 from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import record
-from .forms import _generator, _principal_cycle
+from .forms import _cycle_unit, _principal_cycle
 from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, torsion_units, unit_inverse
 from .reals import ln_unit, ln_unit_scaled, nstr
 
@@ -56,8 +56,7 @@ def fundamental_unit(field: QuadraticField) -> QuadInt:
     """
     if field.m < 0:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    cycle = _principal_cycle(field)  # walked whole before the fold: an over-cap period fails fast
-    lam = _generator(field, *cycle[0][:2], cycle)
+    lam = _cycle_unit(field)  # the cycle walked whole before the fold: an over-cap period fails fast
     if not lam.is_unit() or (lam - field.integer(1)).sign_real() <= 0:
         raise ArithmeticError(f"{lam} is not a unit above 1")
     return lam

@@ -744,17 +744,18 @@ class TestRealPerClassWideLanes:
 
 
 class TestTableTypes:
-    """The sieve is a memoryview of 16-bit lanes, whatever rows the kernel
-    packs it in; every per-class row is a list of ints."""
+    """The sieve is a memoryview of byte lanes below BYTE_LANES_BELOW and of
+    16-bit lanes from it on, whatever rows the kernel packs it in; every
+    per-class row is a list of ints."""
 
     def check(self, table):
         assert type(table) is list
         assert {type(a) for a in table} == {int}
 
     def test_sieve_in_byte_and_16_bit_lanes(self):
-        for k in (1000, census.BYTE_LANES_BELOW):
+        for k, lanes, width in ((1000, "B", 1), (census.BYTE_LANES_BELOW, "H", 2)):
             table = ideal_count_sieve(F2, k)
-            assert type(table) is memoryview and table.format == "H" and table.itemsize == 2
+            assert type(table) is memoryview and table.format == lanes and table.itemsize == width
             assert len(table) == k + 1
             self.check(table.tolist())
             assert {type(a) for a in table} == {int}
@@ -773,17 +774,19 @@ class TestTableTypes:
 
     @pytest.mark.parametrize("m", [2, -23])
     def test_sieve_peaks_under_4_bytes_an_entry(self, m):
-        # the table holds 2 bytes an entry and no object per entry; the
-        # rows and the translated lanes add under 1 more
-        field, k = ring_of_integers(m), 10**6
-        tracemalloc.start()
-        try:
-            table = ideal_count_sieve(field, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(table) == k + 1
-        assert peak < 4 * (k + 1), peak / (k + 1)
+        # the table holds 1 byte an entry below BYTE_LANES_BELOW and 2 from
+        # it on, and no object per entry; the rows and the translated lanes
+        # add under 1 more
+        field = ring_of_integers(m)
+        for k, limit in ((10**6, 2), (census.BYTE_LANES_BELOW, 4)):
+            tracemalloc.start()
+            try:
+                table = ideal_count_sieve(field, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(table) == k + 1
+            assert peak < limit * (k + 1), (k, peak / (k + 1))
 
     def test_per_class_rows(self, wide_real_rows):
         tables = [per_class_counts(f, 1000, class_group(f)) for f in (F5, F23, ring_of_integers(10))]

@@ -196,6 +196,7 @@ class TestReductionOracles:
 
         monkeypatch.setattr(forms, "_cycle", counted)
         forms._principal_cycle.cache_clear()  # the principal class walks too
+        forms._cycle_unit.cache_clear()
         rep = class_group(ring_of_integers(10000019))
         assert rep.h == 7 and len(calls) == 7
 
@@ -210,6 +211,7 @@ class TestReductionOracles:
 
         monkeypatch.setattr(forms, "_cycle", counted)
         forms._principal_cycle.cache_clear()
+        forms._cycle_unit.cache_clear()
         field = ring_of_integers(94)  # h = 1, a principal rho-cycle of 16 forms
         for x in (field.integer(3, 1), field.integer(5, 2), field.integer(0, 1)):
             ideal = principal_ideal(field, x)
@@ -424,6 +426,7 @@ class TestCyclePeriodCap:
     def test_every_walk_is_capped(self, monkeypatch):
         monkeypatch.setattr(forms, "MAX_PERIOD", 15)
         forms._principal_cycle.cache_clear()  # no cycle kept from under the real cap
+        forms._cycle_unit.cache_clear()
         field = ring_of_integers(94)
         with pytest.raises(PeriodOverflow):
             class_group(field)

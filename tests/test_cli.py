@@ -402,6 +402,7 @@ class TestUnitsAndPell:
 
         monkeypatch.setattr(forms, "MAX_PERIOD", 1000)
         forms._principal_cycle.cache_clear()
+        forms._cycle_unit.cache_clear()
         units.fundamental_unit.cache_clear()
         code = main(argv)
         captured = capsys.readouterr()

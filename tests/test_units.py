@@ -8,7 +8,7 @@ from quadrantal.arith import check_square_free, NotSquareFree
 from quadrantal import forms, units
 from quadrantal.cli import main
 from quadrantal.forms import class_group, is_principal
-from quadrantal.quadring import ring_of_integers, split_prime, unit_inverse
+from quadrantal.quadring import principal_ideal, ring_of_integers, split_prime, unit_inverse
 from quadrantal.units import (
     PeriodOverflow,
     continued_fraction_of_omega,
@@ -73,6 +73,7 @@ def set_cap(monkeypatch, cap):
     """forms.MAX_PERIOD = cap, with no walk kept from under another cap."""
     monkeypatch.setattr(forms, "MAX_PERIOD", cap)
     forms._principal_cycle.cache_clear()
+    forms._cycle_unit.cache_clear()
     fundamental_unit.cache_clear()
 
 
@@ -139,7 +140,7 @@ class TestFundamentalUnit:
         def fold(*args):
             raise AssertionError("the convergents were folded")
 
-        monkeypatch.setattr(units, "_generator", fold)
+        monkeypatch.setattr(forms, "_generator", fold)
         with pytest.raises(PeriodOverflow, match="period exceeds cap 100000"):
             fundamental_unit(ring_of_integers(1000000000039))
 
@@ -180,6 +181,7 @@ class TestOneWalk:
 
         monkeypatch.setattr(forms, "_rho", counted)
         forms._principal_cycle.cache_clear()
+        forms._cycle_unit.cache_clear()
         fundamental_unit.cache_clear()
         return steps
 
@@ -205,6 +207,21 @@ class TestOneWalk:
         (prime, _), = split_prime(field, 2).factors
         assert is_principal(prime) is not None
         assert rho_steps[0] == self.PERIOD
+
+    def test_unit_report_then_is_principal_fold_lam_once(self, rho_steps, monkeypatch):
+        # the whole cycle folds into lam once per field, not once per principal ideal
+        folds, fold = [0], forms._generator
+
+        def counted(field, a, big_b, steps):
+            folds[0] += steps is forms._principal_cycle(field)
+            return fold(field, a, big_b, steps)
+
+        monkeypatch.setattr(forms, "_generator", counted)
+        field = ring_of_integers(1000000007)
+        unit_group_report(field)
+        for x in (field.integer(3, 1), field.integer(5, 2), field.integer(0, 1)):
+            assert is_principal(principal_ideal(field, x)) is not None
+        assert folds[0] == 1
 
     def test_class_group_then_unit_report_walk_once(self, rho_steps):
         field = ring_of_integers(1000000007)

@@ -278,7 +278,7 @@ _LANES = int.from_bytes(bytes(b for x in range(256) for b in (x, 0)), "little")
 
 
 # c = a(2^a) a(3^b) <= 130 (a = 12, b = 9) for k <= MAX_TABLE: c x < 2^16
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=131)  # room for every c <= 130
 def _planes(c: int) -> tuple[bytes, bytes]:
     """Translate tables to the low and the high byte of c x, x = 0 .. 255:
     the even and the odd bytes of c * _LANES, whose lanes do not carry."""

@@ -134,16 +134,17 @@ def _trial_divide(n: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def power(x, k: int, one, mul=operator.mul):
-    """x**k for k >= 0 by square-and-multiply from `one`, squaring only while
-    bits of k remain: at most 2 k.bit_length() calls of mul."""
-    out = one
+    """x**k for k >= 0 by square-and-multiply, squaring only while bits of k
+    remain and starting from x at the lowest set bit: k = 0 returns `one`,
+    and k >= 1 makes at most 2 (k.bit_length() - 1) calls of mul."""
+    out = None
     while k:
         if k & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         k >>= 1
         if k:
             x = mul(x, x)
-    return out
+    return one if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,19 @@ degree is capped at MAX_DEGREE.  Traces, discriminants, field polynomials
 and composed polynomials all come from Newton power sums s_k = theta_1^k
 + ... + theta_n^k of the roots (Cohen, GTM 138, section 4.3); norms are
 Bareiss determinants of multiplication matrices; the signature comes from
-a Sturm sequence, which also fixes how many embeddings are real.  mpmath
-embeddings (60 digits by default) serve only primitive_element_shift when
-R_c is not squarefree, to order conjugates and separate alpha_i + c*beta_j.
-Tests check exact values against them; they never decide one.
+a Sturm sequence, which also fixes how many embeddings are real.
+composed_min_poly keeps its last 8 results and the power sums of the last
+8 polynomials it read, so a shift finds R_1 as the composed sum left it,
+and R_1's certificate also covers p and q.  mpmath embeddings (60 digits
+by default) serve only primitive_element_shift when R_c is not
+squarefree, to order conjugates and separate alpha_i + c*beta_j.  Tests
+check exact values against them; they never decide one.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import mul
 
 from .integers import CertificateNotFound, Frozen, factorize, power
@@ -121,9 +125,9 @@ def from_power_sums(s) -> list[int]:
     return b[::-1] + [1]
 
 
-def _sum_power_sums(sp, sq) -> list[int]:
-    """Power sums of all alpha_i + beta_j: sum_i C(k,i) s_i(alpha) s_(k-i)(beta)."""
-    return [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(len(sp))]
+@lru_cache(maxsize=8)  # p and q of the last compositions: a sum, a product and a shift share them
+def _power_sums(p: Poly, count: int) -> tuple[int, ...]:
+    return tuple(power_sums(p, count))
 
 
 def _columns(coeffs, f) -> list[list]:
@@ -233,12 +237,13 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        if isinstance(coeffs, Poly):
-            p = coeffs
-        else:
-            p = Poly(coeffs)
-        _, r = poly_divmod(p, self.minpoly)
-        return FieldElement(self, r)
+        """sum_k coeffs[k] theta^k, reduced from the top by theta^(i+n) =
+        -(f - x^n)(theta) theta^i, f the defining polynomial: no quotient."""
+        f, rem = self.minpoly.coeffs, list((coeffs if isinstance(coeffs, Poly) else Poly(coeffs)).coeffs)
+        for i in range(len(rem) - len(f), -1, -1):
+            if top := rem.pop():
+                rem[i:] = [r - top * a for r, a in zip(rem[i:], f)]
+        return FieldElement(self, Poly(rem))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, Poly())
@@ -265,7 +270,7 @@ class FieldElement(Frozen):
         object.__setattr__(self, "repr", rep)
 
     def _check(self, other: "FieldElement"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("elements live in different fields")
 
     def __eq__(self, other):
@@ -294,8 +299,7 @@ class FieldElement(Frozen):
 
     def __mul__(self, other):
         self._check(other)
-        _, r = poly_divmod(self.repr * other.repr, self.field.minpoly)
-        return FieldElement(self.field, r)
+        return self.field.element(self.repr * other.repr)
 
     def inverse(self) -> "FieldElement":
         """1/a = -(a^(n-1) + c_(n-1) a^(n-2) + ... + c_1)/c_0 by Cayley-Hamilton
@@ -366,7 +370,7 @@ class FieldElement(Frozen):
         f = self.field_polynomial()
         p = squarefree_part(f)
         s, r = divmod(f.degree, p.degree)
-        if r or p**s != f:
+        if r or (s > 1 and p**s != f):  # s = 1: f is squarefree and p is f
             raise ValueError(
                 "defining polynomial is reducible: field polynomial is not a power of the minimal one"
             )
@@ -430,19 +434,19 @@ def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
     return n, b
 
 
+@lru_cache(maxsize=8)  # the last compositions: a shift finds its R_1 as the sum left it
 def composed_min_poly(op: str, p: Poly, q: Poly) -> Poly:
     """Monic integer polynomial whose roots are all alpha_i + beta_j (op
     'sum') or alpha_i * beta_j (op 'product'), from the power sums of those
     roots: sum_i C(k,i) s_i(p) s_(k-i)(q) or s_k(p) s_k(q) (Bostan, Flajolet,
     Salvy and Schost 2006).  Degree deg(p)*deg(q), at most MAX_DEGREE; not
     necessarily irreducible."""
-    for f in (p, q):
-        if not (f.is_monic() and f.is_integral() and f.degree >= 1):
-            raise ValueError("composedMinPoly needs monic nonconstant integer polynomials")
+    if not all(f.is_monic() and f.is_integral() and f.degree >= 1 for f in (p, q)):
+        raise ValueError("composedMinPoly needs monic nonconstant integer polynomials")
     n = _composed_degree(p, q)
-    sp, sq = power_sums(p, n + 1), power_sums(q, n + 1)
+    sp, sq = _power_sums(p, n + 1), _power_sums(q, n + 1)
     if op == "sum":
-        s = _sum_power_sums(sp, sq)
+        s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
     elif op == "product":
         s = list(map(mul, sp, sq))
     else:
@@ -456,41 +460,48 @@ def primitive_element_shift(p: Poly, q: Poly) -> int:
     the conjugate ordering).
 
     The required inequalities alpha_i + c beta_j != alpha + c beta (j != 1)
-    hold when R_c, with roots all alpha_i + c beta_j, is squarefree; for
-    p == q, R_1 = F_2 Q^2 with F_2(x) = 2^n p(x/2), and c = 1 when F_2 is
-    prime to Q = prod_{i<j} (x - alpha_i - alpha_j); else numerically at
-    escalating precision.  deg(p)*deg(q) is at most MAX_DEGREE, and c at
-    most MAX_SHIFT (CertificateNotFound).
+    hold when R_c, the composed sum of p and c^m q(y/c) (m = deg q), is
+    squarefree; for p == q, R_1 = F_2 Q^2 with F_2(x) = 2^n p(x/2), and c =
+    1 when F_2 is prime to Q = prod_{i<j} (x - alpha_i - alpha_j); else
+    numerically at escalating precision.  deg(p)*deg(q) is at most
+    MAX_DEGREE, and c at most MAX_SHIFT (CertificateNotFound).
     """
+    # R_1 is the sum composed_min_poly keeps; a repeated alpha or beta repeats one of its roots
+    squarefree = (all(f.is_monic() and f.is_integral() and f.degree >= 1 for f in (p, q))
+                  and p.degree * q.degree <= MAX_DEGREE and is_squarefree(composed_min_poly("sum", p, q)))
     for name, f in (("p", p), ("q", q)):
         if not (f.is_monic() and f.is_integral() and f.degree >= 1):
             raise ValueError("need monic integer polynomials")
         # an irreducible polynomial is squarefree; a repeated root stalls the
         # numeric root finder, and a repeated beta defeats every shift c
-        if not is_squarefree(f):
+        if not (squarefree or is_squarefree(f)):
             raise ValueError(f"{name} has a repeated root")
     n = _composed_degree(p, q)
     if q.degree == 1:
         return 0
     NumberField._reject_integer_roots(p)
     NumberField._reject_integer_roots(q)
-    sp, sq, fields = power_sums(p, n + 1), power_sums(q, n + 1), None
+    fields = None
     # from c = 1: at c = 0, alpha + c*beta_j is the same for every j
     for c in range(1, MAX_SHIFT + 1):
-        # R_c from the power sums: s_k(c beta) = c^k s_k(beta)
-        s = _sum_power_sums(sp, [x * c**k for k, x in enumerate(sq)])
-        if is_squarefree(Poly(from_power_sums(s))):
+        # R_c, whose roots are the alpha_i + c beta_j; R_1's certificate was taken above
+        if squarefree if c == 1 else is_squarefree(composed_min_poly("sum", p, _roots_times(q, c))):
             return c
         if c == 1 and p == q:  # Q's power sums are (s_k(R_1) - 2^k s_k(p))/2
-            f2 = Poly([a << p.degree - i for i, a in enumerate(p.coeffs)])
+            s, sp = power_sums(composed_min_poly("sum", p, q), n + 1), _power_sums(p, n + 1)
             Q = Poly(from_power_sums([(s[k] - (sp[k] << k)) // 2 for k in range((n - p.degree) // 2 + 1)]))
-            if poly_gcd(f2, Q).degree == 0:
+            if poly_gcd(_roots_times(p, 2), Q).degree == 0:
                 return 1
         if not fields:  # p == q shares one field, so its conjugates are found once
             fields = (NumberField(p),) * 2 if p == q else (NumberField(p), NumberField(q))
         if _separation_certified(*fields, c):
             return c
     raise CertificateNotFound(f"no admissible shift found up to {MAX_SHIFT}; inputs degenerate?")
+
+
+def _roots_times(f: Poly, c: int) -> Poly:
+    """c^m f(x/c), m = deg f: monic and integral for such an f, with roots c times its roots."""
+    return Poly([a * c ** (f.degree - k) for k, a in enumerate(f.coeffs)])
 
 
 def _composed_degree(p: Poly, q: Poly) -> int:

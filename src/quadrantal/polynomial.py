@@ -230,29 +230,28 @@ def poly_divmod(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
     dividend = q*divisor + r with r = 0 or deg r < deg divisor.  A monic
     divisor (a minimal polynomial) takes each quotient coefficient as the
-    top remainder coefficient, with no exact_div.
+    top remainder coefficient, with no exact_div; each quotient coefficient
+    is kept in the place of the top coefficient that it clears.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("polynomial division by zero polynomial")
     d = divisor.degree
     if dividend.degree < d:
         return Poly(), dividend
-    q = [0] * (dividend.degree - d + 1)
     rem = list(dividend.coeffs)
     lead, low = divisor.coeffs[-1], divisor.coeffs[:-1]
     for i in range(len(rem) - 1 - d, -1, -1):
-        f = rem[i + d] if lead == 1 else exact_div(rem[i + d], lead)
+        f = rem[i + d] = rem[i + d] if lead == 1 else exact_div(rem[i + d], lead)
         if f:
-            q[i] = f
             rem[i : i + d] = [r - f * b for r, b in zip(rem[i : i + d], low)]
-    return Poly(q), Poly(rem[:d])
+    return Poly(rem[d:]), Poly(rem[:d])
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over GF(p), by Euclid, of the int lists a and b (constant
-    term first), b nonzero mod p."""
+    term first), b nonzero mod p or a monic."""
     a, b = [c % p for c in a], [c % p for c in b]
-    while not b[-1]:
+    while b and not b[-1]:
         b.pop()
     while b:
         inv, db = pow(b[-1], -1, p), len(b) - 1
@@ -291,7 +290,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if a.is_zero() and b.is_zero():
             raise ValueError("gcd(0, 0) is undefined")
         return (a or b).monic()
-    big_a, big_b = _primitive(a.coeffs), _primitive(b.coeffs)
+    # a monic integer a has gamma = 1 and a monic gcd: b's content only raises the degree mod a prime dividing it
+    plain = a.is_monic() and a.is_integral() and b.is_integral()
+    big_a, big_b = (list(f.coeffs) if plain else _primitive(f.coeffs) for f in (a, b))
     gamma = math.gcd(big_a[-1], big_b[-1])
     p, least, image, m = SQUAREFREE_PRIME + 2, len(big_a) + len(big_b), None, 1
     while True:

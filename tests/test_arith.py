@@ -155,11 +155,13 @@ def test_power_squares_only_while_bits_remain():
         calls.append((a, b))
         return a * b
 
-    for k in range(1, 300):
+    for k in range(300):
         calls.clear()
         assert power(3, k, 1, mul) == 3**k
-        # k.bit_length() - 1 squarings and one product per set bit
-        assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
+        # k.bit_length() - 1 squarings and one product per set bit after the
+        # lowest, which starts the result: never a product with the unit 1
+        assert len(calls) == max(0, k.bit_length() - 1 + bin(k).count("1") - 1), k
+        assert all(1 not in pair for pair in calls), k
 
 
 def _primes_over(m):

@@ -1110,6 +1110,25 @@ def test_benchmark_census_jobs_pass_its_oracle(seed, monkeypatch):
     assert not failed
 
 
+@pytest.mark.parametrize("seed", [1, 3, 10])
+def test_benchmark_numberfield_jobs_pass_its_oracle(seed, monkeypatch):
+    # round 0 of the benchmark's number-field jobs, in process, through its
+    # own runner and oracle: the sum, the product and the shift run in the
+    # order that lets the shift read R_1 off the kept sum, and seeds 3 and
+    # 10 hold the pair (f, f(-x)) whose R_1 has a double root
+    oracles = load_perfbench("oracles", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch, oracles=oracles)
+    jobs = load_perfbench("jobs", monkeypatch)
+    specs = [s for s in workloads.numberfield_jobs(seed) if s["round"] == 0]
+    failed = []
+    for spec in specs:
+        result = jobs.run_numberfield(spec, jobs.prepare_numberfield(spec))
+        problems = oracles.check_numberfield(spec, result)
+        if problems:
+            failed.append((spec["label"], spec["f"], spec["g"], problems))
+    assert len(specs) == 17 and not failed
+
+
 # What `python -m quadrantal.cli` runs (runpy._run_module_as_main); at exit,
 # the last line of stderr is the number of module objects made from cli.py
 # (one per compile of it), then every module in sys.modules.  The probe

@@ -404,6 +404,42 @@ class TestShiftCertificates:
         assert primitive_element_shift(P(2, 2, 1), P(-2, 2, 1)) == 1
         assert built == [] and separations == []
 
+    # each pair below is used by one test only, so that no earlier test has
+    # left its compositions kept
+
+    def calls_of(self, monkeypatch, module, name):
+        calls, original = [], getattr(module, name)
+
+        def spied(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spied)
+        return calls
+
+    def test_shift_after_the_sum_builds_no_r1(self, monkeypatch):
+        f, g = P(3, 3, 0, 1), P(5, 5, 1)
+        assert is_squarefree(composed_min_poly("sum", f, g))
+        built = self.calls_of(monkeypatch, numberfield, "from_power_sums")
+        assert primitive_element_shift(f, g) == 1
+        assert built == []
+
+    def test_shift_after_the_sum_runs_only_the_gcd_of_r1(self, monkeypatch):
+        # R_1's certificate covers p and q: no gcd of p or of q with its derivative
+        f, g = P(7, 0, 7, 1), P(3, 6, 1)
+        r1 = composed_min_poly("sum", f, g)
+        gcds = self.calls_of(monkeypatch, polynomial, "_gcd_mod")
+        assert primitive_element_shift(f, g) == 1
+        assert [a for a, _, _ in gcds] == [list(r1.coeffs)]
+
+    def test_power_sums_once_across_sum_product_and_shift(self, monkeypatch):
+        f, g = P(2, 4, 2, 0, 1), P(7, 7, 1)
+        sums = self.calls_of(monkeypatch, numberfield, "power_sums")
+        composed_min_poly("sum", f, g)
+        composed_min_poly("product", f, g)
+        assert primitive_element_shift(f, g) == 1
+        assert sums == [(f, 9), (g, 9)]
+
 
 class TestFieldConstruction:
     def test_rational_root_rejected(self):

@@ -481,6 +481,60 @@ def test_guard_rule_flags_a_class_of_its_own(tmp_path):
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with polynomial._Pair added")
 
 
+def _unbounded_caches(package):
+    """module:line of each functools cache of the package without an int
+    maxsize: a functools.cache, a bare lru_cache, or an lru_cache call whose
+    maxsize, by keyword or first argument, is not an int literal."""
+    def bounded(call):
+        size = next((k.value for k in call.keywords if k.arg == "maxsize"), call.args[0] if call.args else None)
+        return isinstance(size, ast.Constant) and type(size.value) is int
+
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # a name stands for functools' own only where `from functools import` binds it
+        imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools" for a in node.names}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = imported.get(node.id)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                name = node.attr
+            else:
+                continue
+            if name == "cache" or (name == "lru_cache" and not (id(node) in calls and bounded(calls[id(node)]))):
+                out.add(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_every_cache_is_bounded():
+    # a cache keyed by its inputs grows with every request a long-lived
+    # caller makes: each one holds at most an int maxsize of entries
+    unbounded = _unbounded_caches(PACKAGE)
+    if unbounded:
+        pytest.fail(f"caches without an int maxsize: {sorted(unbounded)}")
+
+
+def test_cache_rule_flags_an_unbounded_cache(tmp_path):
+    # the rule run on a copy of the package with one cache of each unbounded
+    # kind, one bounded cache and a plain variable named cache
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    lines = len((package / "arith.py").read_text().splitlines())
+    with open(package / "arith.py", "a") as f:
+        f.write("\n\nfrom functools import cache as memo, lru_cache\n"
+                "\n\n@functools.lru_cache(maxsize=None)\ndef _a(n):\n    return n\n"
+                "\n\n@lru_cache\ndef _b(n):\n    return n\n"
+                "\n\n@memo\ndef _c(n):\n    return n\n"
+                "\n\n_d = lru_cache(None)(abs)\n"
+                "\n\n@functools.lru_cache(8)\ndef _e(cache):\n    return cache\n"
+                "\n\n_f = functools.cache(abs)\n")
+    flagged = _unbounded_caches(package)
+    if flagged != {f"arith:{lines + k}" for k in (6, 11, 16, 21, 29)}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with five unbounded caches added")
+
+
 # one value of each class on the Frozen base
 VALUES = {
     "QuadraticField": lambda: quadrantal.QuadraticField(-5),

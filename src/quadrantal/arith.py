@@ -19,7 +19,7 @@ import math
 from . import _forward
 from .integers import (  # noqa: F401 (re-exported)
     FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, PSI_13, CertificateNotFound, FactorBoundExceeded,
-    Frozen, NotSquareFree, PeriodOverflow, SquareFreeUnverified, factorize, is_prime, power, record,
+    Frozen, NotSquareFree, PeriodOverflow, SquareFreeUnverified, _remove, factorize, is_prime, power, record,
 )
 
 
@@ -63,8 +63,8 @@ def check_square_free(m: int) -> None:
     d = 2
     while d * d <= n and d <= FACTOR_BOUND:
         if n % d == 0:
-            n //= d
-            if n % d == 0:
+            e, n = _remove(n, d)
+            if e > 1:
                 raise NotSquareFree(f"{m} is divisible by {d}**2")
         d += 1 if d == 2 else 2
     if n > 1 and n > FACTOR_BOUND:
@@ -115,10 +115,7 @@ def sqrt_mod(a: int, q: int) -> int:
         x = pow(a, (q + 1) // 4, q)
         return min(x, q - x)
     # Tonelli-Shanks
-    s, d = 0, q - 1
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _remove(q - 1, 2)
     z = 2
     while kronecker(z, q) == 1:
         z += 1

@@ -12,7 +12,7 @@ impure combinations the classical definitions do not name.
 
 from __future__ import annotations
 
-from .integers import factorize, is_prime, record
+from .integers import _remove, factorize, is_prime, record
 
 
 def euler_phi(m: int) -> int:
@@ -94,11 +94,7 @@ def split_prime_cyclotomic(m: int, q: int) -> CycloSplitting:
         raise ValueError("cyclotomic modulus must be at least 3")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    k = 0
-    n = m
-    while n % q == 0:
-        n //= q
-        k += 1
+    k, n = _remove(m, q)
     e = euler_phi(q**k) if k else 1
     if n == 1:
         f = g = 1

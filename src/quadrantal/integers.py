@@ -6,11 +6,12 @@ takes from the rational integers, so a poly, field or cyclo request compiles
 none of the quadratic-residue code in quadrantal.arith, which re-exports
 every name here.  Everything is exact, in Python ints.  Factorization is
 honest trial division up to a fixed bound; inputs that cannot be certified
-within the bound raise instead of guessing.  `power` is the one
-square-and-multiply of the package, for elements, polynomials and ideals
-alike.  `record` makes the frozen report classes, and `Frozen` is the one
-slotted base of the value classes (QuadraticField, QuadInt, QuadIdeal,
-Poly, FieldElement); both refuse setting and deleting an attribute alike.
+within the bound raise instead of guessing.  `_remove` is the one
+valuation loop, v_q(n), and `power` the one square-and-multiply of the
+package, for elements, polynomials and ideals alike.  `record` makes the
+frozen report classes, and `Frozen` is the one slotted base of the value
+classes (QuadraticField, QuadInt, QuadIdeal, Poly, FieldElement); both
+refuse setting and deleting an attribute alike.
 """
 
 from __future__ import annotations
@@ -124,13 +125,18 @@ def _trial_divide(n: int) -> tuple[list[tuple[int, int]], int]:
     out, d = [], 2
     while d * d <= n and d <= FACTOR_BOUND:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
+            e, n = _remove(n, d)
             out.append((d, e))
         d += 1 if d == 2 else 2
     return out, n
+
+
+def _remove(n: int, q: int) -> tuple[int, int]:
+    """(v, n // q**v) for v the exponent of q > 1 in n != 0: the one valuation loop."""
+    v = 0
+    while n % q == 0:
+        n, v = n // q, v + 1
+    return v, n
 
 
 def power(x, k: int, one, mul=operator.mul):

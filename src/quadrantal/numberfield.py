@@ -26,11 +26,11 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from .integers import CertificateNotFound, Frozen, factorize, power
+from .integers import CertificateNotFound, Frozen, _remove, factorize, power
 from .polynomial import (
     Poly,
+    _primitive,
     coefficient,
-    content_and_primitive_part,
     exact_div,
     is_squarefree,
     poly_divmod,
@@ -166,17 +166,24 @@ class NumberField:
     @staticmethod
     def _reject_integer_roots(p: Poly):
         """A rational root of a monic integer polynomial is an integer
-        dividing a0; try every such divisor, built from factorize(a0), in
-        ascending order, each before its negative, so the root reported is
-        the least in absolute value, positive first."""
+        dividing a0.  Those of x^2 + b x + a0 can only be (-b +- s)/2, s =
+        isqrt(b^2 - 4 a0), so their absolute values are the divisors tried;
+        a higher degree tries every divisor of a0, built from factorize(a0).
+        They are tried in ascending order, each before its negative, so the
+        root reported is the least in absolute value, positive first."""
         if p.degree == 1:
             return
         a0 = p.coeffs[0]
         if a0 == 0:
             raise ValueError("defining polynomial is divisible by x")
-        divisors = [1]
-        for q, e in factorize(a0):
-            divisors = [d * q**i for d in divisors for i in range(e + 1)]
+        if p.degree == 2:
+            b = p.coeffs[1]
+            s = math.isqrt(max(b * b - 4 * a0, 0))
+            divisors = [abs(s - b) // 2, abs(s + b) // 2]
+        else:
+            divisors = [1]
+            for q, e in factorize(a0):
+                divisors = [d * q**i for d in divisors for i in range(e + 1)]
         for d in sorted(divisors):
             for r in (d, -d):
                 if p(r) == 0:
@@ -227,8 +234,7 @@ class NumberField:
             r = poly_divmod(seq[-2], seq[-1])[1]
             if r.is_zero():
                 break
-            den = math.lcm(*(c.denominator for c in r.coeffs))
-            seq.append(content_and_primitive_part(r.scale(-den))[1])
+            seq.append(-Poly(_primitive(r.coeffs)))
         plus = [1 if p.coeffs[-1] > 0 else -1 for p in seq]
         minus = [s if p.degree % 2 == 0 else -s for s, p in zip(plus, seq)]
         r1 = _sign_changes(minus) - _sign_changes(plus)
@@ -420,13 +426,7 @@ def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
     d = p.degree
     n = 1
     for q, _ in factorize(math.lcm(*(c.denominator for c in p.coeffs))):
-        e = 0
-        for k in range(1, d + 1):
-            den, v = p.coeffs[d - k].denominator, 0
-            while den % q == 0:
-                den //= q
-                v += 1
-            e = max(e, -(-v // k))
+        e = max(-(-_remove(p.coeffs[d - k].denominator, q)[0] // k) for k in range(1, d + 1))
         n *= q**e
     b = a.field.rational(n) * a
     if not b.is_algebraic_integer():

@@ -77,21 +77,22 @@ def _ratio_text(p: int, q: int) -> str:
 # fixed point: pi and the logarithm of a unit
 # ---------------------------------------------------------------------------
 
-def _arctan_inverse(x: int, one: int) -> int:
-    """atan(1/x) in fixed point with unit `one`, each term truncated."""
+def _arctan_inverse(x: int, one: int, sign: int) -> int:
+    """atan(1/x) for sign = -1 and atanh(1/x) for sign = 1: the sum of sign^k / ((2k + 1) x^(2k + 1))
+    in fixed point with unit `one`, each term truncated."""
     term = total = one // x
-    x2, n = x * x, 1
+    x2, n, s = x * x, 1, 1
     while term:
         term //= x2
-        n += 2
-        total += -(term // n) if n % 4 == 3 else term // n
+        n, s = n + 2, s * sign
+        total += s * (term // n)
     return total
 
 
 def _machin(one: int) -> int:
     """pi in fixed point with unit `one` by Machin's formula
     pi = 16 atan(1/5) - 4 atan(1/239), within a few units."""
-    return 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
+    return 16 * _arctan_inverse(5, one, -1) - 4 * _arctan_inverse(239, one, -1)
 
 
 def pi_scaled(places: int) -> int:
@@ -99,24 +100,13 @@ def pi_scaled(places: int) -> int:
     return _machin(10 ** (places + 10)) // 10**10
 
 
-def _atanh_inverse(x: int, one: int) -> int:
-    """atanh(1/x) = sum of 1/((2k + 1) x^(2k + 1)) in fixed point with unit
-    `one`, each term truncated."""
-    term = total = one // x
-    x2, n = x * x, 1
-    while term:
-        term //= x2
-        n += 2
-        total += term // n
-    return total
-
-
 @lru_cache(maxsize=8)
 def _ln2(bits: int) -> int:
     """ln 2 * 2^bits, truncated: 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749)
     with 16 guard bits, kept per working precision."""
     one = 1 << (bits + 16)
-    return (18 * _atanh_inverse(26, one) - 2 * _atanh_inverse(4801, one) + 8 * _atanh_inverse(8749, one)) >> 16
+    return (18 * _arctan_inverse(26, one, 1) - 2 * _arctan_inverse(4801, one, 1)
+            + 8 * _arctan_inverse(8749, one, 1)) >> 16
 
 
 def ln_unit_scaled(u: int, v: int, m: int, places: int) -> int:

@@ -685,20 +685,31 @@ class TestFormatsAndExitCodes:
          "318665857834031151167461 is not prime"),
         (["cyclo", "split", "--m", "5", "--q", "318665857834031151167461"],
          "318665857834031151167461 is not prime"),
+        (["field", "trace-norm", "--minpoly", "x^3-318665857834031151167461", "--element", "0,1"],
+         "residual cofactor 318665857834031151167461 exceeds trial-division bound"),
         (["field", "trace-norm", "--minpoly", "x^2-1197495870662*x+318665857834031151167461",
           "--element=-399165290221,1"],
-         "residual cofactor 318665857834031151167461 exceeds trial-division bound"),
+         "defining polynomial has rational root 399165290221"),
         (["quad", "split", "--m", "-1", "--q", "3317044064679887385961981"],
          "cannot certify 3317044064679887385961981 prime: "
          "Miller-Rabin to the bases 2..41 is exact below 3317044064679887385961981"),
-    ], ids=["quad-split", "cyclo-split", "field-trace-norm", "psi-13"])
+    ], ids=["quad-split", "cyclo-split", "field-trace-norm", "field-quadratic-root", "psi-13"])
     def test_strong_pseudoprimes_exit_3(self, capsys, argv, err):
         # psi_12 = 399165290221 * 798330580441 passes the bases up to 37
-        # and fails base 41; psi_13 passes every base and has no certificate
+        # and fails base 41; psi_13 passes every base and has no certificate.
+        # A cubic's rational roots come from factorize, which cannot split
+        # psi_12; a quadratic's come from its discriminant, which names the root
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {err}\n"
+
+    def test_quadratic_with_unfactorable_constant_term_exits_0(self, capsys):
+        # a0 = -1000003 * 1000033 is beyond trial division, but b^2 - 4 a0 is no square
+        code = main(["field", "trace-norm", "--minpoly", "x^2 - 1000036000099", "--element", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out) == {"trace": "0", "norm": "-1000036000099"}
 
     @pytest.mark.parametrize("q, code", [("3317044064679887385962123", 0), ("3317044064679887385962177", 3)])
     def test_primes_above_psi_13(self, capsys, q, code):

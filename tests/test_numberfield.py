@@ -459,9 +459,26 @@ class TestFieldConstruction:
             NumberField(P(-(10**20), 0, 1))
 
     def test_unfactorable_constant_term_rejected(self):
-        # two primes above the trial-division bound
+        # two primes above the trial-division bound: a cubic's rational roots
+        # are the divisors of a0, which factorize cannot find
         with pytest.raises(FactorBoundExceeded):
-            NumberField(P(1000003 * 1000033, 0, 1))
+            NumberField(P(1000003 * 1000033, 0, 0, 1))
+
+    def test_unfactorable_constant_term_of_a_quadratic_accepted(self):
+        # a quadratic's rational roots come from its discriminant, not from a0
+        field = NumberField(P(1000003 * 1000033, 0, 1))
+        assert field.theta().trace_and_norm() == (0, 1000003 * 1000033)
+        with pytest.raises(ValueError, match="rational root 1000003$"):
+            NumberField(P(1000003 * 1000033, -(1000003 + 1000033), 1))
+
+    def test_quadratic_names_its_least_root(self):
+        # the root the divisor search named: the least |r|, positive first
+        rng = random.Random(1)
+        for _ in range(1000):
+            r, s = rng.randint(-999, 999) or 1, rng.randint(-999, 999) or 1
+            least = min((r, s), key=lambda t: (abs(t), t < 0))
+            with pytest.raises(ValueError, match=f"rational root {least}$"):
+                NumberField(P(r * s, -(r + s), 1))
 
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The integer fixed-point core of quadrantal.reals against the decimal core
 it replaced (tests/oracles.py), which stays as the reference."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import decimal_ln_unit, decimal_nstr, decimal_pi, decimal_sigma
 from quadrantal import reals
 from quadrantal.census import _sigma, sigma_decimal
+from quadrantal.integers import power
 from quadrantal.quadring import ring_of_integers, torsion_order
 from quadrantal.units import fundamental_unit
 
@@ -90,6 +92,26 @@ def test_pi_scaled_and_pi_decimal_match_machin():
     assert reals.pi_scaled(100) == reals.PI_DIGITS
     for digits in (30, 45, 1010):
         assert reals.pi_decimal(digits) == decimal_pi(digits)
+
+
+def _half_mul(x, y):
+    """((a + b sqrt 5)/2) ((c + d sqrt 5)/2), each side and the product as (a, b)."""
+    (a, b), (c, d) = x, y
+    return (a * c + 5 * b * d) // 2, (a * d + b * c) // 2
+
+
+def test_fixed_point_values_before_rounding_unchanged():
+    # the ints that nstr rounds, pinned as written when atan and atanh had a
+    # series each: the printed sweeps see them only rounded.  Machin's sum
+    # keeps its guard digits, where a term's truncation still shows
+    phi = (*power((1, 1), 23921, (2, 0), _half_mul), 5)  # ((1 + sqrt 5)/2)^23921, 5,000 digits
+    values = [reals.pi_scaled(p) for p in (30, 100, 1000)]
+    values += [reals._machin(10 ** (p + 10)) for p in (30, 100, 1000)]
+    values += [reals._ln2(b) for b in (64, 300, 3400)]
+    values += [reals.ln_unit_scaled(*unit, places) for unit in ((1, 1, 5), (3, 2, 2), phi) for places in (60, 1010)]
+    assert 10**4999 <= phi[0] < 10**5000
+    digest = hashlib.sha256("\n".join(map(hex, values)).encode()).hexdigest()
+    assert digest == "13288560a775256577301ba60daaf6463746e84c17f67e0111058f1177a62da9"
 
 
 @pytest.mark.parametrize("precision", [30, 200])

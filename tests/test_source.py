@@ -187,19 +187,25 @@ def test_walk_rule_flags_a_walk_in_census(tmp_path):
 MODULAR_INVERSE_OWNERS = {"polynomial._gcd_mod", "polynomial.poly_gcd"}
 
 
-def _modular_inverses(package):
-    """module.function, the innermost enclosing function, of each
-    pow(x, -1, m) in the package."""
+def _functions_with(package, found):
+    """module.function, the innermost enclosing function, of each node of
+    the package for which found(node) holds."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "pow"
-                    and len(child.args) == 3 and ast.unparse(child.args[1]) == "-1"):
+            if found(child):
                 yield function
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
             yield from walk(child, inner)
 
     return {f"{path.stem}.{function}" for path in sorted(package.glob("*.py"))
             for function in walk(ast.parse(path.read_text(), filename=str(path)), None)}
+
+
+def _modular_inverses(package):
+    """module.function of each pow(x, -1, m) in the package."""
+    return _functions_with(package, lambda node: (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+        and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1"))
 
 
 def test_modular_inverses_only_in_the_gcd_kernel():
@@ -217,6 +223,41 @@ def test_inverse_rule_flags_an_inverse_elsewhere(tmp_path):
     flagged = _modular_inverses(package) - MODULAR_INVERSE_OWNERS
     if flagged != {"numberfield._inverse_mod"}:
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with numberfield._inverse_mod added")
+
+
+# The valuation v_q(n) has one owner, integers._remove: no other while loop
+# of the package is `while a % b == 0`.  multiplicative_order's
+# `while f % p == 0 and ...` is an order search, not a valuation.
+VALUATION_OWNERS = {"integers._remove"}
+
+
+def _valuation_loops(package):
+    """module.function of each `while a % b == 0` loop in the package."""
+    def valuation(node):
+        test = node.test if isinstance(node, ast.While) else None
+        return (isinstance(test, ast.Compare) and isinstance(test.left, ast.BinOp)
+                and isinstance(test.left.op, ast.Mod) and [type(op) for op in test.ops] == [ast.Eq]
+                and ast.unparse(test.comparators[0]) == "0")
+
+    return _functions_with(package, valuation)
+
+
+def test_one_valuation_loop():
+    outside = _valuation_loops(PACKAGE) - VALUATION_OWNERS
+    if outside:
+        pytest.fail(f"while a % b == 0 outside integers._remove: {sorted(outside)}")
+
+
+def test_valuation_rule_flags_a_loop_elsewhere(tmp_path):
+    # the rule run on a copy of the package whose cyclotomic finds v_q(m) itself
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "cyclotomic.py", "a") as f:
+        f.write("\n\ndef _valuation(m, q):\n    k = 0\n    while m % q == 0:\n        m, k = m // q, k + 1\n"
+                "    return k\n")
+    flagged = _valuation_loops(package) - VALUATION_OWNERS
+    if flagged != {"cyclotomic._valuation"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with cyclotomic._valuation added")
 
 
 def test_traced_names_resolve():

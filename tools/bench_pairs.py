@@ -38,6 +38,12 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   (kernel_s), and per workload and side their medians over the runs
   (drift), so that a reader can tell a slower program from a slower host
   across BENCH files, where the same source can read 11% apart;
+- per workload and run, beside the scaled metrics, <workload>.wall_jobs_per_s:
+  the jobs_per_s of the run's wall times, which no kernel scaled, as
+  perfbench prints it (passed jobs over their summed latency_s, a failed
+  job at its cap), and under drift each side's median of it, so that a
+  reader can see whether the reference-speed scaling or the program moved
+  a pair;
 - the machine details that perfbench recorded, and on both sides `wc -l`
   of src/quadrantal/*.py (source_lines) and the count of its parameter
   defaults, functions and methods but not lambdas (source_options), per
@@ -112,7 +118,9 @@ def run(tree: Path, seed: int) -> dict:
         raise SystemExit(f"perfbench reported wrong results in {tree} (seed {seed})")
     records = {workload: json.loads((tree / ".bench_run" / f"{workload}-seed{seed}-trace0.json").read_text())
                for workload in perfbench.workloads.WORKLOADS}
-    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics |= {f"{workload}.wall_jobs_per_s": wall_jobs_per_s(record) for workload, record in records.items()}
+    return {"metrics": metrics,
             "machine": records["compute"]["machine"],
             "job_ms": {workload: job_times(workload, record) for workload, record in records.items()},
             "percentile_kinds": {workload: percentile_kinds(workload, record) for workload, record in records.items()},
@@ -125,10 +133,20 @@ def host_speed(record: dict) -> dict[str, float]:
     return {"reference_speed": record["reference_speed"], "kernel_s": statistics.mean(record["kernel_s"])}
 
 
+def wall_jobs_per_s(record: dict) -> float:
+    """jobs_per_s of one run record's wall times, as perfbench prints its
+    wall_jobs_per_s: every kernel at its reference time, so no time is scaled."""
+    passed = sum(job["status"] == "passed" for job in record["jobs"])
+    return passed / sum(perfbench.scaled_latencies(record["jobs"], perfbench.unscaled(record)))
+
+
 def drift_medians(runs: list[dict], workload: str) -> dict[str, dict]:
-    """{side: the median over its runs of each host_speed value}."""
-    return {side: {key: statistics.median(r[side]["drift"][workload][key] for r in runs)
-                   for key in ("reference_speed", "kernel_s")}
+    """{side: the median over its runs of each host_speed value and of the
+    workload's wall_jobs_per_s}."""
+    wall = f"{workload}.wall_jobs_per_s"
+    return {side: {**{key: statistics.median(r[side]["drift"][workload][key] for r in runs)
+                      for key in ("reference_speed", "kernel_s")},
+                   "wall_jobs_per_s": statistics.median(r[side]["metrics"][wall] for r in runs)}
             for side in ("base", "change")}
 
 

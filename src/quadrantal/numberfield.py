@@ -4,7 +4,8 @@ Elements are residue polynomials of degree < n; all arithmetic reduces
 modulo the defining polynomial and stays exact.  Coefficients, traces,
 norms and discriminants are ints when integral and Fractions otherwise
 (`polynomial.coefficient`).  The invariants run on int lists: with D the
-lcm of an element's denominators, Tr(a) = Tr(Da)/D, N(a) = N(Da)/D^n and
+lcm of an element's denominators (`polynomial._cleared`, the one place a
+denominator is cleared), Tr(a) = Tr(Da)/D, N(a) = N(Da)/D^n and
 chi_a(x) = D^-n chi_Da(Dx), so every kernel sees an algebraic integer;
 a Poly is built only for a polynomial result or a squarefree test.  The
 degree is capped at MAX_DEGREE.  Traces, discriminants, field polynomials
@@ -29,6 +30,7 @@ from operator import mul
 from .integers import CertificateNotFound, Frozen, _remove, factorize, power
 from .polynomial import (
     Poly,
+    _cleared,
     _primitive,
     coefficient,
     exact_div,
@@ -43,6 +45,8 @@ EMBEDDING_DPS = 60
 MAX_DEGREE = 400
 # the shifts c tried by primitive_element_shift
 MAX_SHIFT = 1000
+# the divisors of a0 a defining polynomial of degree 3 or more may have: each is tried as a root
+MAX_DIVISORS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +56,8 @@ MAX_SHIFT = 1000
 def mat_det(m):
     """Exact determinant (int or Fraction): each row is scaled to integers
     by the lcm of its denominators for `_int_det`."""
-    rows = [[coefficient(x) for x in row] for row in m]
-    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return exact_div(_int_det([[int(x * d) for x in row] for row, d in zip(rows, dens)]), math.prod(dens))
+    cleared = [_cleared([coefficient(x) for x in row]) for row in m]
+    return exact_div(_int_det([b for _, b in cleared]), math.prod(d for d, _ in cleared))
 
 
 def _int_det(a) -> int:
@@ -148,8 +151,9 @@ class NumberField:
     """Q(theta) for theta a root of a monic irreducible integer polynomial.
 
     Irreducibility is an assumed precondition, not certified: only a
-    rational root (an integer dividing a0) is rejected.  The degree is at
-    most MAX_DEGREE (ValueError above it).
+    rational root (an integer dividing a0) is rejected, and from degree 3 on
+    a0 may have at most MAX_DIVISORS divisors (CertificateNotFound).  The
+    degree is at most MAX_DEGREE (ValueError above it).
     """
 
     def __init__(self, minpoly: Poly):
@@ -168,7 +172,8 @@ class NumberField:
         """A rational root of a monic integer polynomial is an integer
         dividing a0.  Those of x^2 + b x + a0 can only be (-b +- s)/2, s =
         isqrt(b^2 - 4 a0), so their absolute values are the divisors tried;
-        a higher degree tries every divisor of a0, built from factorize(a0).
+        a higher degree tries every divisor of a0, built from factorize(a0),
+        when there are at most MAX_DIVISORS of them (CertificateNotFound).
         They are tried in ascending order, each before its negative, so the
         root reported is the least in absolute value, positive first."""
         if p.degree == 1:
@@ -181,8 +186,12 @@ class NumberField:
             s = math.isqrt(max(b * b - 4 * a0, 0))
             divisors = [abs(s - b) // 2, abs(s + b) // 2]
         else:
+            factors = factorize(a0)
+            if (count := math.prod(e + 1 for _, e in factors)) > MAX_DIVISORS:
+                raise CertificateNotFound(
+                    f"constant term has {count} divisors to try as roots, over the cap {MAX_DIVISORS}")
             divisors = [1]
-            for q, e in factorize(a0):
+            for q, e in factors:
                 divisors = [d * q**i for d in divisors for i in range(e + 1)]
         for d in sorted(divisors):
             for r in (d, -d):
@@ -334,13 +343,6 @@ class FieldElement(Frozen):
 
     # -- invariants ----------------------------------------------------------
 
-    def _cleared(self) -> tuple[int, list[int]]:
-        """(D, the int coefficients of the algebraic integer D*self), D the
-        lcm of the denominators."""
-        cs = self.repr.coeffs
-        d = math.lcm(*(c.denominator for c in cs))
-        return d, (list(cs) if d == 1 else [int(c * d) for c in cs])
-
     def trace_and_norm(self):
         """(trace, norm), computed independently."""
         return self.trace(), self.norm()
@@ -348,20 +350,20 @@ class FieldElement(Frozen):
     def trace(self):
         """Tr(a) = Tr(Da)/D, Tr(sum_k c_k theta^k) = sum_k c_k s_k with s_k
         the field's power sums."""
-        d, b = self._cleared()
+        d, b = _cleared(self.repr.coeffs)
         return exact_div(sum(map(mul, b, self.field._power_sums)), d)
 
     def norm(self):
         """N(a) = N(Da)/D^n, N(Da) the Bareiss determinant of the
         multiplication matrix of Da, taken on its columns (det M^T = det M)."""
-        d, b = self._cleared()
+        d, b = _cleared(self.repr.coeffs)
         return exact_div(_int_det(_columns(b, self.field.minpoly.coeffs)), d**self.field.degree)
 
     def field_polynomial(self) -> Poly:
         """prod_i (x - a(theta_i)), a power of the minimal polynomial, as
         D^-n chi_Da(Dx): Newton's identities on Tr((Da)^k) = ((M^T)^k s)[0],
         M the multiplication matrix of Da and s the field's power sums."""
-        d, b = self._cleared()
+        d, b = _cleared(self.repr.coeffs)
         n, s = self.field.degree, self.field._power_sums
         cols = _columns(b, self.field.minpoly.coeffs)
         w, traces = s[:n], [n]
@@ -405,7 +407,7 @@ def tuple_discriminant(elements):
     for e in elements:
         if e.field != field:
             raise ValueError("elements live in different fields")
-        d, b = e._cleared()
+        d, b = _cleared(e.repr.coeffs)
         rows.append(b + [0] * (n - len(b)))
         scale *= d
     return exact_div(_int_det(rows) ** 2 * _int_det([s[k:k + n] for k in range(n)]), scale**2)
@@ -425,7 +427,7 @@ def denominator_clearing(a: FieldElement) -> tuple[int, FieldElement]:
     p = a.minimal_polynomial()
     d = p.degree
     n = 1
-    for q, _ in factorize(math.lcm(*(c.denominator for c in p.coeffs))):
+    for q, _ in factorize(_cleared(p.coeffs)[0]):
         e = max(-(-_remove(p.coeffs[d - k].denominator, q)[0] // k) for k in range(1, d + 1))
         n *= q**e
     b = a.field.rational(n) * a
@@ -445,8 +447,14 @@ def composed_min_poly(op: str, p: Poly, q: Poly) -> Poly:
         raise ValueError("composedMinPoly needs monic nonconstant integer polynomials")
     n = _composed_degree(p, q)
     sp, sq = _power_sums(p, n + 1), _power_sums(q, n + 1)
-    if op == "sum":
-        s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    if op == "sum":  # row k of the binomials as running products C(k, i + 1) = C(k, i) (k - i)/(i + 1)
+        s = []
+        for k in range(n + 1):
+            c, acc = 1, 0
+            for i in range(k + 1):
+                acc += c * sp[i] * sq[k - i]
+                c = c * (k - i) // (i + 1)
+            s.append(acc)
     elif op == "product":
         s = list(map(mul, sp, sq))
     else:

@@ -268,12 +268,17 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+def _cleared(cs) -> tuple[int, list[int]]:
+    """(D, [D c for c in cs]) for ints and Fractions cs, D the lcm of their denominators."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return d, (list(cs) if d == 1 else [int(c * d) for c in cs])
+
+
 def _primitive(cs) -> list[int]:
     """The ints and Fractions cs cleared of denominators and content."""
-    den = math.lcm(*[c.denominator for c in cs])
-    cs = [int(c * den) for c in cs] if den > 1 else cs
+    cs = _cleared(cs)[1]
     g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else list(cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 _ONE = Poly([1])  # the gcd of coprime inputs, built once
@@ -329,8 +334,7 @@ def content_and_primitive_part(p: Poly) -> tuple[int, Poly]:
         raise ValueError("content of the zero polynomial is undefined")
     if not p.is_integral():
         raise ValueError("content requires integer coefficients")
-    g = math.gcd(*(int(c) for c in p.coeffs))
-    return g, Poly([int(c) // g for c in p.coeffs])
+    return math.gcd(*p.coeffs), Poly(_primitive(p.coeffs))
 
 
 def eisenstein_witness(p: Poly):

@@ -9,9 +9,9 @@ prints: `pi_scaled` from Machin's formula, square roots from math.isqrt,
 and `ln_unit_scaled`, the logarithm of a real quadratic unit, as
 e ln 2 + ln f for 2^e f with 1 <= f < 2, f taken down by square roots
 before an atanh series, and ln 2 from a Machin-like atanh formula (Brent,
-Fast multiple-precision evaluation of elementary functions, JACM 1976).
-`nstr` writes an (int, decimal exponent) pair, or a Decimal, as
-mpmath.nstr writes a float.
+Fast multiple-precision evaluation of elementary functions, JACM 1976),
+every series one truncated loop, `_series`.  `nstr` writes an (int,
+decimal exponent) pair, or a Decimal, as mpmath.nstr writes a float.
 
 `floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
 root at each rational bound of x, and with the stored pi bounds it
@@ -77,16 +77,20 @@ def _ratio_text(p: int, q: int) -> str:
 # fixed point: pi and the logarithm of a unit
 # ---------------------------------------------------------------------------
 
-def _arctan_inverse(x: int, one: int, sign: int) -> int:
-    """atan(1/x) for sign = -1 and atanh(1/x) for sign = 1: the sum of sign^k / ((2k + 1) x^(2k + 1))
-    in fixed point with unit `one`, each term truncated."""
-    term = total = one // x
-    x2, n, s = x * x, 1, 1
+def _series(term: int, num: int, den: int, sign: int) -> int:
+    """sum_k sign^k t_k // (2k + 1), t_0 = term and t_(k+1) = t_k num // den: atan(y) (sign -1) or atanh(y)
+    (sign 1) in fixed point with unit `one` when term = y one and num / den = y^2, each term truncated."""
+    total, n, s = term, 1, 1
     while term:
-        term //= x2
+        term = term * num // den
         n, s = n + 2, s * sign
         total += s * (term // n)
     return total
+
+
+def _arctan_inverse(x: int, one: int, sign: int) -> int:
+    """atan(1/x) for sign = -1 and atanh(1/x) for sign = 1 in fixed point with unit `one`."""
+    return _series(one // x, 1, x * x, sign)
 
 
 def _machin(one: int) -> int:
@@ -131,12 +135,7 @@ def ln_unit_scaled(u: int, v: int, m: int, places: int) -> int:
     for _ in range(roots):
         f = math.isqrt(f << bits)
     z = ((f - one) << bits) // (f + one)
-    z2, term, total, k = z * z >> bits, z, z, 1
-    while term:
-        term = term * z2 >> bits
-        k += 2
-        total += term // k
-    ln = (n + s - bits - 1) * _ln2(bits) + (total << (roots + 1))
+    ln = (n + s - bits - 1) * _ln2(bits) + (_series(z, z * z >> bits, one, 1) << (roots + 1))
     return ln * 10**places >> bits
 
 

@@ -711,6 +711,23 @@ class TestFormatsAndExitCodes:
         assert code == 0 and captured.err == ""
         assert json.loads(captured.out) == {"trace": "0", "norm": "-1000036000099"}
 
+    def test_rational_root_search_at_the_divisor_cap_exits_0(self, capsys):
+        # x^3 + the product of the first 18 primes: 2^18 divisors of a0, the cap, each tried as a root
+        code = main(["field", "trace-norm", "--minpoly", "x^3 + 117288381359406970983270", "--element", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == '{\n  "trace": "0",\n  "norm": "-117288381359406970983270"\n}\n'
+
+    def test_rational_root_search_over_the_divisor_cap_exits_3(self, capsys):
+        # one more prime, 67: the 2^19 divisors are counted from the factorization, never built
+        start = time.perf_counter()
+        code = main(["field", "trace-norm", "--minpoly", f"x^3 + {117288381359406970983270 * 67}", "--element", "0,1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: constant term has 524288 divisors to try as roots, over the cap 262144\n"
+        assert elapsed < 0.1
+
     @pytest.mark.parametrize("q, code", [("3317044064679887385962123", 0), ("3317044064679887385962177", 3)])
     def test_primes_above_psi_13(self, capsys, q, code):
         # Pocklington certifies the first (q - 1 = 2 * a prime below psi_13),

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import mpmath
 import pytest
 
 from quadrantal import numberfield, polynomial
-from quadrantal.arith import FactorBoundExceeded
+from quadrantal.arith import CertificateNotFound, FactorBoundExceeded
 from quadrantal.numberfield import (
     MAX_DEGREE,
     NumberField,
@@ -295,6 +296,16 @@ class TestComposedMinPoly:
                             val = val * x + c
                         assert abs(val) < mpmath.mpf(10) ** -20
 
+    @pytest.mark.parametrize("dp, dq", [(4, 5), (2, 10), (20, 20)])
+    def test_sum_matches_the_binomial_formula(self, dp, dq):
+        # running binomials give the power sums math.comb gives, at composed degree 20 and 400
+        rng = random.Random(dp * dq)
+        p, q = (Poly([rng.randint(-9, 9) for _ in range(d)] + [1]) for d in (dp, dq))
+        n = dp * dq
+        sp, sq = numberfield.power_sums(p, n + 1), numberfield.power_sums(q, n + 1)
+        s = [sum(math.comb(k, i) * sp[i] * sq[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        assert composed_min_poly("sum", p, q) == Poly(numberfield.from_power_sums(s))
+
 
 class TestPrimitiveElement:
     def test_sqrt2_cbrt3(self):
@@ -483,6 +494,11 @@ class TestFieldConstruction:
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):
             NumberField(P(1, 0, 2))
+
+    def test_divisor_cap(self):
+        # x^3 + the product of the first 19 primes: 2^19 divisors of a0 to try, over the cap
+        with pytest.raises(CertificateNotFound, match=f"has {2**19} divisors to try as roots, over the cap {2**18}$"):
+            NumberField(P(117288381359406970983270 * 67, 0, 0, 1))
 
     def test_degree_cap(self):
         cap = Poly([2] + [0] * (MAX_DEGREE - 1) + [1])  # x^400 + 2

@@ -260,6 +260,35 @@ def test_valuation_rule_flags_a_loop_elsewhere(tmp_path):
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with cyclotomic._valuation added")
 
 
+# A denominator is cleared in one place, polynomial._cleared: no other
+# math.lcm of the package reads a `.denominator`.
+DENOMINATOR_OWNERS = {"polynomial._cleared"}
+
+
+def _denominator_lcms(package):
+    """module.function of each math.lcm call whose arguments read .denominator."""
+    return _functions_with(package, lambda node: (
+        isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.lcm", "lcm")
+        and any(isinstance(n, ast.Attribute) and n.attr == "denominator" for a in node.args for n in ast.walk(a))))
+
+
+def test_one_denominator_clearing():
+    outside = _denominator_lcms(PACKAGE) - DENOMINATOR_OWNERS
+    if outside:
+        pytest.fail(f"an lcm of denominators outside polynomial._cleared: {sorted(outside)}")
+
+
+def test_denominator_rule_flags_an_lcm_elsewhere(tmp_path):
+    # the rule run on a copy of the package whose numberfield clears a denominator itself
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "numberfield.py", "a") as f:
+        f.write("\n\ndef _common_denominator(cs):\n    return math.lcm(*(c.denominator for c in cs))\n")
+    flagged = _denominator_lcms(package) - DENOMINATOR_OWNERS
+    if flagged != {"numberfield._common_denominator"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with numberfield._common_denominator added")
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names in install(); a name the
     # package no longer has would crash its traced run, not this suite

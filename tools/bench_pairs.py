@@ -20,8 +20,9 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   (ref_ms, scaled as perfbench/run.py scales it) and its quartiles, over the
   jobs of every run of that side, so that a kind's change can be read
   against its spread: the template of a cli request; the family of a compute job,
-  with class groups split into imaginary and real fields and the census into
-  the sieve and per-class kinds.  Beside them, base_total_ms and
+  with class groups split into imaginary and real fields, the census into
+  the sieve and per-class kinds and the number fields of degree 2
+  (eisenstein2, the only jobs whose shift can reach mpmath) from the rest.  Beside them, base_total_ms and
   change_total_ms: the median over the runs of a side of the kind's summed
   ref_ms in each run, the kind's share of a run even where a few slow jobs
   skew it (h = 16 and 24 class groups, Phi_11), which a median job time
@@ -157,7 +158,10 @@ def job_kind(workload: str, label: str) -> str:
     if label.startswith("m="):
         return "classgroup_imaginary" if label.startswith("m=-") else "classgroup_real"
     first = label.split()[0]
-    return f"census_{first}" if first in ("sieve", "perclass") else "numberfield"
+    if first in ("sieve", "perclass"):
+        return f"census_{first}"
+    # only an eisenstein2 job's shift reaches _separation_certified and mpmath
+    return "numberfield_eisenstein2" if label == "eisenstein2" else "numberfield"
 
 
 def job_times(workload: str, record: dict) -> dict[str, list[float]]:

@@ -11,7 +11,8 @@ that needs only polynomials never imports the quadratic-ring layer.
 and census; the value classes are immutable through integers.Frozen.
 `mpmath` is imported only by the number-field embeddings and by the two
 functions that return mpmath values (units.regulator_mp,
-census.sigma_theoretical); printed decimals are integer fixed point
+census.sigma_theoretical), and `decimal` by none: every printed real is an int
+scaled by a power of ten and every rational bound an int pair
 (quadrantal.reals).
 """
 

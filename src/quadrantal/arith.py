@@ -18,8 +18,8 @@ import math
 
 from . import _forward
 from .integers import (  # noqa: F401 (re-exported)
-    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, PSI_13, CertificateNotFound, FactorBoundExceeded,
-    Frozen, NotSquareFree, PeriodOverflow, SquareFreeUnverified, _remove, factorize, is_prime, power, record,
+    FACTOR_BOUND, MAX_PERIOD, MAX_PRECISION, MAX_TABLE, PSI_13, CertificateNotFound, FactorBoundExceeded, Frozen,
+    NotSquareFree, PeriodOverflow, SquareFreeUnverified, _remove, _trial_divide, factorize, is_prime, power, record,
 )
 
 
@@ -50,24 +50,19 @@ def primes_up_to(n: int) -> list[int]:
 def check_square_free(m: int) -> None:
     """Certify that m is square-free, or raise.
 
-    Trial division up to FACTOR_BOUND; a residual cofactor r with all prime
-    factors > FACTOR_BOUND is square-free iff it is not a perfect square,
-    provided r <= FACTOR_BOUND**3 (at most two prime factors).  Beyond that
-    we refuse to guess and raise SquareFreeUnverified.
+    Trial division up to FACTOR_BOUND (integers._trial_divide); a residual
+    cofactor r with all prime factors > FACTOR_BOUND is square-free iff it
+    is not a perfect square, provided r <= FACTOR_BOUND**3 (at most two
+    prime factors).  Beyond that we refuse to guess and raise
+    SquareFreeUnverified.
     """
-    n = abs(m)
-    if n == 0:
+    if m == 0:
         raise NotSquareFree("0 is not square-free")
-    if n == 1:
-        return
-    d = 2
-    while d * d <= n and d <= FACTOR_BOUND:
-        if n % d == 0:
-            e, n = _remove(n, d)
-            if e > 1:
-                raise NotSquareFree(f"{m} is divisible by {d}**2")
-        d += 1 if d == 2 else 2
-    if n > 1 and n > FACTOR_BOUND:
+    factors, n = _trial_divide(abs(m))
+    for d, e in factors:
+        if e > 1:
+            raise NotSquareFree(f"{m} is divisible by {d}**2")
+    if n > FACTOR_BOUND:
         r = math.isqrt(n)
         if r * r == n:
             raise NotSquareFree(f"{m} has square factor {r}**2")
@@ -138,4 +133,4 @@ def sqrt_mod(a: int, q: int) -> int:
 
 # the names that moved to reals, resolved on first use (PEP 562)
 __getattr__ = _forward(globals(), dict.fromkeys(
-    "PI_DIGITS PI_BOUNDS PI_LO floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr".split(), "reals"))
+    "PI_DIGITS floor_of_root_quotient _arctan_inverse nstr".split(), "reals"))

@@ -65,8 +65,8 @@ class group's coset walk (forms._cosets), whose h x h table only a
 per-class census builds.  Z(k) is compared against the asymptotic density
 sigma * h with sigma = 2^(r+1) pi^s rho / (w sqrt|d|); the reported
 normalized deviation |Z(k)/k - sigma*h| * sqrt(k) tracks the k^(-1/2)
-error law without pretending to know its constant.  units.regulator_decimal
-and forms._cycle resolve here through the package's forwarder quadrantal._forward.
+error law without pretending to know its constant.  forms._cycle resolves
+here through the package's forwarder quadrantal._forward.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .arith import MAX_TABLE, kronecker, odd_sieve, primes_up_to, record
 from .forms import ClassGroupReport, _cosets, _tabulate, class_group  # noqa: F401 (class_group, re-exported)
 from .quadring import QuadraticField, torsion_order
 from .reals import nstr, pi_scaled
-from .reals import pi_decimal  # noqa: F401 (re-exported)
 
 BLOCK = 1 << 14  # lanes of a row per block of a strided pass
 BYTE_LANES_BELOW = 1081080  # the least n with d(n) > 255; d(n) <= 240 below it
@@ -310,25 +309,18 @@ def _sigma(field: QuadraticField, precision: int) -> tuple[int, int]:
     return sigma, places
 
 
-def sigma_decimal(field: QuadraticField, precision: int = 30):
-    """The per-class ideal density to precision + 15 digits as a Decimal:
-    _sigma rounded once (half even), with its real-field cross-check."""
-    from decimal import Context, Decimal
-
-    sigma, places = _sigma(field, precision)
-    return Decimal(sigma).scaleb(-places, Context(prec=precision + 15))
-
-
 def sigma_theoretical(field: QuadraticField, precision: int = 30):
-    """sigma_decimal as an mpmath value at precision + 15 digits."""
+    """The per-class ideal density as an mpmath value at precision + 15
+    digits: _sigma, with its real-field cross-check."""
     import mpmath
 
+    sigma, places = _sigma(field, precision)
     with mpmath.workdps(precision + 15):
-        return mpmath.mpf(str(sigma_decimal(field, precision)))
+        return mpmath.mpf(sigma) / 10**places
 
 
-# still importable from here (PEP 562); units only loads for a real field's _sigma
-__getattr__ = _forward(globals(), {"regulator_decimal": "units", "_cycle": "forms"})
+# still importable from here (PEP 562)
+__getattr__ = _forward(globals(), {"_cycle": "forms"})
 
 
 @record

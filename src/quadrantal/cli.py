@@ -26,9 +26,9 @@ importable from here through quadrantal._forward; a request imports only
 its own, and it only the layers it uses.  A census builds no ideal table:
 Z(k) and the --csv marks are hyperbola sums on one tile of chi_d.  The
 decimals of census, units and quad minkowski come from quadrantal.reals,
-in integer fixed point: of them only quad minkowski, whose upper bound is
-a Fraction, loads `fractions` (and with it `decimal`).  `mpmath` is loaded
-only where a number-field embedding is computed.
+in integer fixed point, and the Minkowski upper bound is an int pair, so
+none of them loads `decimal` or `fractions`.  `mpmath` is loaded only where
+a number-field embedding is computed.
 
 QUADRANTAL_PRECISION sets the digits of the units regulator (default 50)
 and of the census densities (default 30): minimum 30, maximum 1000.  No

@@ -550,5 +550,5 @@ def _compose(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int]
 __getattr__ = _forward(globals(), {name: home for home, names in {
     "forms": """_normalize _rho _reduce _cycle _generator _class_forms reduced_equivalent
         is_principal _balanced_associates ClassGroupReport _invariant_factors class_group""",
-    "reals": """PI_BOUNDS PI_LO floor_of_root_quotient nstr pi_decimal MinkowskiBound minkowski_floor
+    "reals": """floor_of_root_quotient nstr MinkowskiBound minkowski_floor
         minkowski_bound"""}.items() for name in names.split()})

@@ -11,17 +11,15 @@ e ln 2 + ln f for 2^e f with 1 <= f < 2, f taken down by square roots
 before an atanh series, and ln 2 from a Machin-like atanh formula (Brent,
 Fast multiple-precision evaluation of elementary functions, JACM 1976),
 every series one truncated loop, `_series`.  `nstr` writes an (int,
-decimal exponent) pair, or a Decimal, as mpmath.nstr writes a float.
+decimal exponent) pair as mpmath.nstr writes a float.
 
+A rational bound is a (numerator, denominator) pair of ints.
 `floor_of_root_quotient` pins floor(mult*sqrt(n)/x) from one integer square
-root at each rational bound of x, and with the stored pi bounds it
-certifies the Minkowski floor of an imaginary quadratic field.  The Decimal
-and Fraction names (pi_decimal, ln_unit, PI_BOUNDS, PI_LO) are adapters
-that import `decimal` or `fractions` only when called or first read
-(PEP 562), so of the requests that print reals only `quad minkowski`,
-whose upper bound is a Fraction, loads either.  A split or a factorization never needs any of
-this, so arith and quadring leave it here, and their old names for it
-still resolve.
+root at each bound of x, and with the stored pi bounds it certifies the
+Minkowski floor of an imaginary quadratic field, whose printed upper bound
+is such a pair in lowest terms; so no request that prints a real loads
+`decimal` or `fractions`.  A split or a factorization never needs any of this, so arith
+and quadring leave it here, and their old names for it still resolve.
 """
 
 from __future__ import annotations
@@ -33,37 +31,25 @@ from .arith import CertificateNotFound, record
 
 # pi to 100 decimals, truncated.  The pi bounds PI_DIGITS/10^100 and
 # (PI_DIGITS + 1)/10^100 pin the Minkowski floor of 2 sqrt|d| / pi unless
-# the quotient is within a relative 10**-100 of an integer; PI_LO, the
+# the quotient is within a relative 10**-100 of an integer; _PI_LO, the
 # 11-decimal truncation, divides the printed upper bound.
 PI_DIGITS = 31415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679
 _PI_BOUNDS = ((PI_DIGITS, 10**100), (PI_DIGITS + 1, 10**100))  # (numerator, denominator)
 _PI_LO = (PI_DIGITS // 10**89, 10**11)
 
 
-def __getattr__(name):
-    """PI_BOUNDS and PI_LO as Fractions, made on first read (PEP 562)."""
-    if name not in ("PI_BOUNDS", "PI_LO"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
-    globals().update(PI_BOUNDS=tuple(Fraction(*b) for b in _PI_BOUNDS), PI_LO=Fraction(*_PI_LO))
-    return globals()[name]
-
-
 def floor_of_root_quotient(mult: int, n: int, den_lo, den_hi) -> int:
     """Exact floor(mult*sqrt(n)/x) for mult, n >= 0, given rational bounds
-    0 < den_lo < x < den_hi, each a Fraction or a (numerator, denominator)
-    pair.
+    0 < den_lo < x < den_hi, each a (numerator, denominator) pair.
 
     floor(mult*sqrt(n)/(p/q)) = isqrt(mult^2 q^2 n) // p exactly, so the
     floors at the two bounds pin the answer when they agree; otherwise
     CertificateNotFound is raised.
     """
-    hi_pq, lo_pq = (b if isinstance(b, tuple) else (b.numerator, b.denominator) for b in (den_hi, den_lo))
-    lo, hi = (math.isqrt(mult * mult * q * q * n) // p for p, q in (hi_pq, lo_pq))
+    lo, hi = (math.isqrt(mult * mult * q * q * n) // p for p, q in (den_hi, den_lo))
     if lo != hi:
         raise CertificateNotFound(
-            f"floor of {mult}*sqrt({n})/x is {lo} at x = {_ratio_text(*hi_pq)} but {hi} at x = {_ratio_text(*lo_pq)}")
+            f"floor of {mult}*sqrt({n})/x is {lo} at x = {_ratio_text(*den_hi)} but {hi} at x = {_ratio_text(*den_lo)}")
     return lo
 
 
@@ -147,11 +133,8 @@ def nstr(x, n: int) -> str:
     """x to n significant digits as mpmath.nstr(x, n) writes it: rounded
     half up, in fixed point when min(-(n // 3), -5) < exponent < n, with
     trailing zeros stripped but one kept after the point, and otherwise
-    with an exponent e+N or e-N.  x is a pair (mantissa, exponent) standing
-    for mantissa * 10^exponent, or a Decimal, read exactly off its digits."""
-    if not isinstance(x, tuple):
-        sign, digits, exponent = x.as_tuple()
-        x = (-1 if sign else 1) * int("".join(map(str, digits))), exponent
+    with an exponent e+N or e-N.  x is a pair (mantissa, exponent) of ints
+    standing for mantissa * 10^exponent."""
     mantissa, exponent = x
     if not mantissa:
         return "0.0"
@@ -180,41 +163,19 @@ def nstr(x, n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the Decimal adapters
-# ---------------------------------------------------------------------------
-
-def pi_decimal(digits: int):
-    """pi to `digits` significant digits as a Decimal, from Machin's formula
-    in integers with ten guard digits."""
-    from decimal import Context, Decimal
-
-    return Decimal(_machin(10 ** (digits + 10))).scaleb(-(digits + 10), Context(prec=digits))
-
-
-def ln_unit(u: int, v: int, m: int, digits: int):
-    """ln((u + v sqrt(m))/2) to `digits` significant digits as a Decimal, for
-    u, v >= 0 and m > 0 with (u + v sqrt(m))/2 >= 1: ln_unit_scaled with ten
-    guard digits, rounded once (half even)."""
-    from decimal import Context, Decimal
-
-    places = digits + 10
-    return Decimal(ln_unit_scaled(u, v, m, places)).scaleb(-places, Context(prec=digits))
-
-
-# ---------------------------------------------------------------------------
 # the Minkowski bound of a quadratic field
 # ---------------------------------------------------------------------------
 
 @record
 class MinkowskiBound:
-    floor: int          # largest integer norm the bound admits
-    upper: Fraction     # certified rational upper bound for the constant
+    floor: int                # largest integer norm the bound admits
+    upper: tuple[int, int]    # certified upper bound for the constant, in lowest terms
     decimal: str
 
     def to_json_dict(self):
         return {
             "floor": str(self.floor),
-            "upper_bound": f"{self.upper.numerator}/{self.upper.denominator}",
+            "upper_bound": "{}/{}".format(*self.upper),
             "decimal": self.decimal,
         }
 
@@ -229,16 +190,16 @@ def minkowski_floor(field) -> int:
 
 def minkowski_bound(field) -> MinkowskiBound:
     """(n!/n^n)(4/pi)^s sqrt|d| for n = 2: sqrt|d|/2 (real), 2 sqrt|d|/pi
-    (imaginary).  The integer floor is certified with exact pi bounds, and
-    the 30-digit decimal is written from 50 places."""
-    from fractions import Fraction
-
+    (imaginary).  The integer floor is certified with exact pi bounds, the
+    upper bound is hi/2 or 2 hi/_PI_LO for sqrt|d| < hi = (isqrt(|d| 10^80) + 1)/10^40,
+    and the 30-digit decimal is written from 50 places."""
     ad = abs(field.d)
-    hi = Fraction(math.isqrt(ad * 10**80) + 1, 10**40)
+    hi = math.isqrt(ad * 10**80) + 1
     places = 50
     root = math.isqrt(ad * 100**places)  # sqrt|d| 10^places, truncated
     if field.m > 0:
-        upper, value = hi / 2, root // 2
+        p, q, value = hi, 2 * 10**40, root // 2
     else:
-        upper, value = 2 * hi / Fraction(*_PI_LO), 2 * root * 10**places // pi_scaled(places)
-    return MinkowskiBound(minkowski_floor(field), upper, nstr((value, -places), 30))
+        p, q, value = 2 * hi * _PI_LO[1], 10**40 * _PI_LO[0], 2 * root * 10**places // pi_scaled(places)
+    g = math.gcd(p, q)
+    return MinkowskiBound(minkowski_floor(field), (p // g, q // g), nstr((value, -places), 30))

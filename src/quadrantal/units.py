@@ -8,6 +8,8 @@ MAX_PERIOD forms: its quotients are the period of w, and the generator
 carried once round it, as a pair of integer convergents, is lam.  So
 half-integer units like (1+sqrt(5))/2 appear directly in the integral basis.
 Pell's four equations x^2 - m y^2 = +-1, +-4 are solved from the powers of lam.
+The regulator log(lam) is reals.ln_unit_scaled, an int scaled by a power of
+ten: nstr prints it, and regulator_mp hands it to mpmath.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .arith import MAX_PERIOD, PeriodOverflow  # noqa: F401 (re-exported)
 from .arith import record
 from .forms import _cycle_unit, _principal_cycle
 from .quadring import QuadInt, QuadraticField, torsion_generator, torsion_order, torsion_units, unit_inverse
-from .reals import ln_unit, ln_unit_scaled, nstr
+from .reals import ln_unit_scaled, nstr
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +140,15 @@ def regulator_scaled(field: QuadraticField, places: int) -> int:
     return ln_unit_scaled(*fundamental_unit(field).double_coords(), field.m, places)
 
 
-def regulator_decimal(field: QuadraticField, digits: int = 50):
-    """log(lam) to `digits` significant digits as a Decimal (1 when the rank is 0)."""
-    if field.m < 0:
-        from decimal import Decimal
-
-        return Decimal(1)
-    return ln_unit(*fundamental_unit(field).double_coords(), field.m, digits)
-
-
 def regulator_mp(field: QuadraticField, dps: int = 50):
-    """regulator_decimal at dps + 10 digits as an mpmath value."""
+    """log(lam) as an mpmath value at dps + 10 digits, from regulator_scaled
+    with twenty more places (1 when the rank is 0)."""
     import mpmath
 
     with mpmath.workdps(dps + 10):
-        return mpmath.mpf(str(regulator_decimal(field, dps + 10)))
+        if field.m < 0:
+            return mpmath.mpf(1)
+        return mpmath.mpf(regulator_scaled(field, dps + 20)) / 10 ** (dps + 20)
 
 
 def unit_group_report(field: QuadraticField, precision: int = 50) -> UnitGroupReport:

@@ -237,8 +237,8 @@ def decimal_pi(digits: int):
 
 def decimal_sigma(m, d, w, unit, precision=30):
     """The per-class density 2^(r+1) pi^s rho / (w sqrt|d|) at precision + 15
-    digits as sigma_decimal computed it; unit is the (u, v) of the
-    fundamental unit of a real field, None for an imaginary one."""
+    digits; unit is the (u, v) of the fundamental unit of a real field, None
+    for an imaginary one."""
     from decimal import Context, Decimal, localcontext
 
     digits = precision + 15

@@ -1,7 +1,6 @@
 import functools
 import operator
 import random
-from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -9,9 +8,7 @@ import pytest
 
 from quadrantal import integers, quadring
 from quadrantal.arith import (
-    PI_BOUNDS,
     PI_DIGITS,
-    PI_LO,
     PSI_13,
     CertificateNotFound,
     NotSquareFree,
@@ -19,9 +16,7 @@ from quadrantal.arith import (
     floor_of_root_quotient,
     is_prime,
     kronecker,
-    ln_unit,
     nstr,
-    pi_decimal,
     power,
     primes_up_to,
     record,
@@ -29,6 +24,7 @@ from quadrantal.arith import (
 from quadrantal.numberfield import NumberField
 from quadrantal.polynomial import Poly
 from quadrantal.quadring import ideal_pow, ideal_product, ring_of_integers, split_prime, unit_ideal
+from quadrantal.reals import _PI_BOUNDS, _PI_LO, ln_unit_scaled, pi_scaled
 
 import oracles
 from test_classgroup import squarefree_fields
@@ -198,12 +194,11 @@ def test_ideal_pow_makes_logarithmically_many_products(m, monkeypatch):
 # -- exact floors of sqrt quotients ---------------------------------------------
 
 def test_stored_pi_digits_bracket_pi():
-    lo, hi = PI_BOUNDS
-    assert len(str(PI_DIGITS)) == 101 and hi - lo == Fraction(1, 10**100)
-    with mpmath.workdps(100):
-        assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.pi
-        assert mpmath.pi < mpmath.mpf(hi.numerator) / hi.denominator
-    assert PI_LO == Fraction(314159265358, 10**11)
+    (lo, den), (hi, den_hi) = _PI_BOUNDS
+    assert len(str(PI_DIGITS)) == 101 and den == den_hi == 10**100 and hi - lo == 1
+    with mpmath.workdps(110):
+        assert mpmath.mpf(lo) / den < mpmath.pi < mpmath.mpf(hi) / den
+    assert _PI_LO == (314159265358, 10**11)
 
 
 def _disc(m):
@@ -222,7 +217,7 @@ def test_minkowski_floors_match_mpmath_on_small_fields():
         except NotSquareFree:
             continue
         n = -_disc(m)
-        assert floor_of_root_quotient(2, n, *PI_BOUNDS) == _mp_minkowski_floor(n), m
+        assert floor_of_root_quotient(2, n, *_PI_BOUNDS) == _mp_minkowski_floor(n), m
 
 
 def test_minkowski_floors_match_mpmath_on_large_fields():
@@ -230,21 +225,21 @@ def test_minkowski_floors_match_mpmath_on_large_fields():
     for _ in range(50):
         m = -rng.randrange(10**6, 10**23)
         n = -_disc(m)
-        assert floor_of_root_quotient(2, n, *PI_BOUNDS) == _mp_minkowski_floor(n), m
+        assert floor_of_root_quotient(2, n, *_PI_BOUNDS) == _mp_minkowski_floor(n), m
 
 
 def test_unpinned_floor_names_its_bounds():
     # floor(2/x) is 0 at x = 3 but 2 at x = 1
     with pytest.raises(CertificateNotFound, match="is 0 at x = 3 but 2 at x = 1"):
-        floor_of_root_quotient(1, 4, Fraction(1), Fraction(3))
+        floor_of_root_quotient(1, 4, (1, 1), (3, 1))
 
 
 # -- the decimal core -------------------------------------------------------------
 
-def test_pi_decimal_pins_the_stored_digits():
-    assert int(pi_decimal(110).scaleb(100, Context(prec=120))) == PI_DIGITS
+def test_pi_scaled_pins_the_stored_digits():
+    assert pi_scaled(110) // 10**10 == PI_DIGITS
     with mpmath.workdps(1100):
-        assert nstr(pi_decimal(1010), 1000) == mpmath.nstr(mpmath.pi, 1000)
+        assert nstr((pi_scaled(1010), -1010), 1000) == mpmath.nstr(mpmath.pi, 1000)
 
 
 def test_nstr_matches_mpmath():
@@ -253,26 +248,27 @@ def test_nstr_matches_mpmath():
     rng = random.Random(18)
     for _ in range(3000):
         n = rng.choice((1, 2, 3, 5, 10, 30, 50))
-        digits = rng.randrange(10 ** (n + 4), 10 ** (n + 30))
-        text = f"{rng.choice('+-')}{digits}e{rng.randint(-n - 40, 30)}"
+        mantissa = rng.choice((1, -1)) * rng.randrange(10 ** (n + 4), 10 ** (n + 30))
+        exponent = rng.randint(-n - 40, 30)
         with mpmath.workdps(n + 40):
-            expected = mpmath.nstr(mpmath.mpf(text), n)
-        assert nstr(Decimal(text), n) == expected, (text, n)
-    for value, n, expected in (("0", 30, "0.0"), ("1", 30, "1.0"), ("9.99999", 3, "10.0"),
-                               ("999.99", 3, "1.0e+3"), ("0.0000123456", 10, "1.23456e-5")):
-        assert nstr(Decimal(value), n) == expected
+            expected = mpmath.nstr(mpmath.mpf(f"{mantissa}e{exponent}"), n)
+        assert nstr((mantissa, exponent), n) == expected, (mantissa, exponent, n)
+    for pair, value, n, expected in (((0, 0), "0", 30, "0.0"), ((1, 0), "1", 30, "1.0"),
+                                     ((999999, -5), "9.99999", 3, "10.0"), ((99999, -2), "999.99", 3, "1.0e+3"),
+                                     ((123456, -10), "0.0000123456", 10, "1.23456e-5")):
+        assert nstr(pair, n) == expected
         with mpmath.workdps(50):
             assert mpmath.nstr(mpmath.mpf(value), n) == expected
 
 
 def test_ln_unit_at_one_the_golden_ratio_and_a_shifted_power():
     # u and v of (1 + sqrt 2)^5000 have about 7,650 bits, shifted down by
-    # about 7,300 before they become Decimals
-    assert ln_unit(2, 0, 5, 30) == 0
+    # about 7,300 before the logarithm; printed from ten guard places
+    assert abs(ln_unit_scaled(2, 0, 5, 40)) <= 2
     u, v = (ring_of_integers(2).integer(1, 1) ** 5000).double_coords()
     with mpmath.workdps(60):
-        assert str(ln_unit(1, 1, 5, 40)) == mpmath.nstr(mpmath.log(mpmath.phi), 40)
-        assert str(ln_unit(u, v, 2, 40)) == mpmath.nstr(5000 * mpmath.log(1 + mpmath.sqrt(2)), 40)
+        assert nstr((ln_unit_scaled(1, 1, 5, 50), -50), 40) == mpmath.nstr(mpmath.log(mpmath.phi), 40)
+        assert nstr((ln_unit_scaled(u, v, 2, 50), -50), 40) == mpmath.nstr(5000 * mpmath.log(1 + mpmath.sqrt(2)), 40)
 
 
 @record

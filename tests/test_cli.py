@@ -1326,13 +1326,6 @@ class TestStartup:
         assert got == code
         assert {"argparse", "quadrantal.cli_args"} <= loaded
 
-    def test_printed_decimal_loads_decimal(self):
-        # the probe does see decimal and fractions where they load: the
-        # Minkowski bound's upper bound is a Fraction, and fractions imports decimal
-        code, loaded = imported_modules("quad", "minkowski", "--m", "-23")
-        assert code == 0
-        assert {"decimal", "fractions", "quadrantal.reals"} <= loaded
-
     @pytest.mark.parametrize("argv", [
         ["census", "--m", "-5", "--k", "300"],
         ["census", "--m", "10", "--k", "300"],
@@ -1344,10 +1337,13 @@ class TestStartup:
         ["quad", "classgroup", "--m", "-23", "--verify"],
         ["quad", "classgroup", "--m", "79"],
         ["quad", "principal", "--m", "10", "--ideal", "(2, w)"],
+        ["quad", "minkowski", "--m", "-23"],
+        ["quad", "minkowski", "--m", "10"],
     ], ids=lambda argv: "-".join(argv[:3]))
     def test_printed_reals_load_no_decimal_or_fractions(self, argv, tmp_path):
         # regulators, densities and deviations are integer fixed point in
-        # reals, and an imaginary census (rho = 1) loads no unit layer
+        # reals, the Minkowski upper bound is an int pair, and an imaginary
+        # census (rho = 1) loads no unit layer
         code, loaded = imported_modules(*(a.format(tmp=tmp_path) for a in argv))
         assert code == 0
         assert "quadrantal.reals" in loaded

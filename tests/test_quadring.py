@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -414,7 +415,8 @@ class TestMinkowski:
     def test_upper_bound_is_certified(self):
         for field in (F2, F5, F23):
             mb = minkowski_bound(field)
-            assert mb.floor <= mb.upper < mb.floor + 1
+            p, q = mb.upper
+            assert mb.floor * q <= p < (mb.floor + 1) * q and math.gcd(p, q) == 1
 
     def test_decimal_rendering(self):
         assert minkowski_bound(F5).decimal.startswith("2.8470")

@@ -3,10 +3,7 @@ it replaced (tests/oracles.py), which stays as the reference."""
 
 import hashlib
 import random
-import subprocess
-import sys
 from decimal import Context, Decimal
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import decimal_ln_unit, decimal_nstr, decimal_pi, decimal_sigma
 from quadrantal import reals
-from quadrantal.census import _sigma, sigma_decimal
+from quadrantal.census import _sigma
 from quadrantal.integers import power
 from quadrantal.quadring import ring_of_integers, torsion_order
 from quadrantal.units import fundamental_unit
@@ -50,12 +47,11 @@ def test_nstr_of_a_pair_matches_the_decimal_nstr(value):
     pair, dec = _pair_and_decimal(mantissa, exponent)
     expected = decimal_nstr(dec, n)
     assert reals.nstr(pair, n) == expected
-    assert reals.nstr(dec, n) == expected
 
 
 def test_nstr_of_zero_and_of_trailing_zeros():
-    assert reals.nstr((0, -40), 30) == reals.nstr(Decimal("0E-40"), 30) == "0.0"
-    assert reals.nstr(Decimal("1.500"), 3) == decimal_nstr(Decimal("1.500"), 3) == "1.5"
+    assert reals.nstr((0, -40), 30) == decimal_nstr(Decimal("0E-40"), 30) == "0.0"
+    assert reals.nstr((1500, -3), 3) == decimal_nstr(Decimal("1.500"), 3) == "1.5"
 
 
 def _units():
@@ -73,12 +69,13 @@ def _units():
 
 @pytest.mark.parametrize("digits", [30, 60, 200, 1000])
 def test_ln_unit_matches_decimal_ln(digits):
-    # the reference at 20 more digits, rounded once: equal unless the true
-    # value sat within 10^-20 units of a rounding boundary
+    # ln_unit_scaled with ten guard places, printed, against the reference
+    # at 20 more digits, printed: equal unless the true value sat within
+    # 10^-9 units of a rounding boundary
     units = _units() if digits <= 200 else [(2, 2, 2), (16, 6, 7)]  # 1 + sqrt 2, 8 + 3 sqrt 7
     for u, v, m in units:
-        expected = Context(prec=digits).plus(decimal_ln_unit(u, v, m, digits + 20))
-        assert reals.ln_unit(u, v, m, digits) == expected, (u, v, m)
+        expected = decimal_nstr(decimal_ln_unit(u, v, m, digits + 20), digits)
+        assert reals.nstr((reals.ln_unit_scaled(u, v, m, digits + 10), -digits - 10), digits) == expected, (u, v, m)
 
 
 def test_ln_unit_scaled_is_within_two_units():
@@ -88,10 +85,13 @@ def test_ln_unit_scaled_is_within_two_units():
             assert abs(reals.ln_unit_scaled(u, v, m, places) - exact) <= 2, (m, places)
 
 
-def test_pi_scaled_and_pi_decimal_match_machin():
+def test_pi_scaled_matches_machin():
     assert reals.pi_scaled(100) == reals.PI_DIGITS
-    for digits in (30, 45, 1010):
-        assert reals.pi_decimal(digits) == decimal_pi(digits)
+    for places in (30, 45, 1010):
+        exact = decimal_pi(places + 11).scaleb(places, Context(prec=places + 11))  # pi 10^places, ten more digits
+        assert abs(reals.pi_scaled(places) - exact) < 1, places
+        digits = places - 9
+        assert reals.nstr((reals.pi_scaled(places), -places), digits) == decimal_nstr(decimal_pi(digits), digits)
 
 
 def _half_mul(x, y):
@@ -120,11 +120,11 @@ def test_sigma_matches_the_decimal_sigma(m, precision):
     field = ring_of_integers(m)
     unit = fundamental_unit(field).double_coords() if m > 0 else None
     expected = decimal_sigma(m, field.d, torsion_order(field), unit, precision)
-    got = sigma_decimal(field, precision)
+    sigma, places = _sigma(field, precision)
+    got = Decimal(sigma).scaleb(-places, Context(prec=precision + 15))
     # both at precision + 15 digits: equal to a unit or two in the last place,
     # and the same when printed
     assert abs(got - expected) <= 2 * Decimal(1).scaleb(expected.adjusted() - precision - 14)
-    sigma, places = _sigma(field, precision)
     assert reals.nstr((sigma, -places), precision) == decimal_nstr(expected, precision)
 
 
@@ -136,17 +136,7 @@ def test_real_sigma_cross_check_raises(monkeypatch):
         _sigma(ring_of_integers(10), 30)
 
 
-def test_floor_of_root_quotient_takes_pairs_and_fractions():
+def test_floor_of_root_quotient_takes_pairs():
     assert reals.floor_of_root_quotient(2, 23, *reals._PI_BOUNDS) == 3
-    assert reals.floor_of_root_quotient(2, 23, *reals.PI_BOUNDS) == 3
     with pytest.raises(reals.CertificateNotFound, match="is 0 at x = 3 but 2 at x = 1"):
         reals.floor_of_root_quotient(1, 4, (2, 2), (6, 2))
-
-
-def test_fraction_names_are_made_on_first_read():
-    probe = ("import sys; from quadrantal import reals; before = 'fractions' in sys.modules; "
-             "lo = reals.PI_LO; print(before, 'fractions' in sys.modules, lo)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "True", str(Fraction(314159265358, 10**11))]
-    with pytest.raises(AttributeError):
-        reals.NoSuchName

@@ -65,14 +65,11 @@ MPMATH_FUNCTIONS = {
 }
 
 
-# decimal and fractions (which imports decimal and numbers) are imported
-# only inside these: the adapters that hand the integer fixed-point core's
-# values out as Decimals and Fractions, the Minkowski bound's Fraction,
-# polynomial's first coefficient off the integers, and annotations
-DECIMAL_FUNCTIONS = {
-    "reals.py": {"__getattr__", "pi_decimal", "ln_unit", "minkowski_bound"},
-    "units.py": {"regulator_decimal"},
-    "census.py": {"sigma_decimal"},
+# Every real of the package is an int scaled by a power of ten and every
+# rational bound an int pair, so decimal is imported nowhere, and fractions
+# (which imports decimal and numbers) only inside these: polynomial's first
+# coefficient off the integers, and annotations
+FRACTIONS_FUNCTIONS = {
     "polynomial.py": {"_fraction"},
     "cli_poly.py": {"TYPE_CHECKING"},
 }
@@ -114,16 +111,32 @@ def test_no_dataclasses_and_mpmath_only_in_its_functions(path):
         pytest.fail(f"{path.name} imports mpmath outside its functions: {bad}")
 
 
+def _number_type_imports(path):
+    """(module, enclosing function) of each import of decimal in the file at
+    path, and of each import of fractions outside FRACTIONS_FUNCTIONS."""
+    allowed = FRACTIONS_FUNCTIONS.get(path.name, set())
+    return [(name, fn) for name, fn in _imports(ast.parse(path.read_text(), filename=str(path)))
+            if name.split(".")[0] == "decimal" or (name.split(".")[0] == "fractions" and fn not in allowed)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_decimal_and_fractions_only_in_their_adapters(path):
-    # the printed reals are integer fixed point: a census, units, pell or
-    # class-group request imports neither decimal nor fractions
-    tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = DECIMAL_FUNCTIONS.get(path.name, set())
-    bad = [(name, fn) for name, fn in _imports(tree)
-           if name.split(".")[0] in ("decimal", "fractions") and fn not in allowed]
+    # the printed reals are integer fixed point: a census, units, pell,
+    # class-group or Minkowski request imports neither decimal nor fractions
+    bad = _number_type_imports(path)
     if bad:
-        pytest.fail(f"{path.name} imports decimal or fractions outside its adapters: {bad}")
+        pytest.fail(f"{path.name} imports decimal, or fractions outside its adapters: {bad}")
+
+
+def test_decimal_rule_flags_an_import_in_units(tmp_path):
+    # the rule run on a copy of the package whose units imports Decimal
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "units.py", "a") as f:
+        f.write("\n\nfrom decimal import Decimal\n")
+    flagged = _number_type_imports(package / "units.py")
+    if flagged != [("decimal", None)]:
+        pytest.fail(f"the rule flags {flagged} on a copy with `from decimal import Decimal` in units")
 
 
 @pytest.mark.parametrize("name", ["census.py", "forms.py", "quadring.py"])
@@ -258,6 +271,36 @@ def test_valuation_rule_flags_a_loop_elsewhere(tmp_path):
     flagged = _valuation_loops(package) - VALUATION_OWNERS
     if flagged != {"cyclotomic._valuation"}:
         pytest.fail(f"the rule flags {sorted(flagged)} on a copy with cyclotomic._valuation added")
+
+
+# Trial division has one owner, integers._trial_divide: no other statement
+# of the package steps a divisor by `d += 1 if d == 2 else 2`.
+TRIAL_DIVISION_OWNERS = {"integers._trial_divide"}
+
+
+def _trial_division_loops(package):
+    """module.function of each `d += 1 if d == 2 else 2` step in the package."""
+    return _functions_with(package, lambda node: (
+        isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and isinstance(node.value, ast.IfExp)
+        and ast.unparse(node.value) == f"1 if {ast.unparse(node.target)} == 2 else 2"))
+
+
+def test_one_trial_division_loop():
+    outside = _trial_division_loops(PACKAGE) - TRIAL_DIVISION_OWNERS
+    if outside:
+        pytest.fail(f"a trial-division step outside integers._trial_divide: {sorted(outside)}")
+
+
+def test_trial_division_rule_flags_a_loop_elsewhere(tmp_path):
+    # the rule run on a copy of the package whose cyclotomic finds a least prime factor itself
+    package = tmp_path / "quadrantal"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "cyclotomic.py", "a") as f:
+        f.write("\n\ndef _least_factor(n):\n    d = 2\n    while n % d:\n        d += 1 if d == 2 else 2\n"
+                "    return d\n")
+    flagged = _trial_division_loops(package) - TRIAL_DIVISION_OWNERS
+    if flagged != {"cyclotomic._least_factor"}:
+        pytest.fail(f"the rule flags {sorted(flagged)} on a copy with cyclotomic._least_factor added")
 
 
 # A denominator is cleared in one place, polynomial._cleared: no other
@@ -469,9 +512,8 @@ def test_option_rule_flags_an_unused_default(tmp_path):
 
 
 # A moved name resolves through the package's one forwarder: every module
-# __getattr__ is `__getattr__ = _forward(...)`, save reals' lazy PI_BOUNDS
-# and PI_LO, which are values made on first read, not forwards
-OWN_GETATTR = {"reals"}
+# __getattr__ is `__getattr__ = _forward(...)`
+OWN_GETATTR = set()
 FORWARDING = ("quadrantal", "quadrantal.arith", "quadrantal.quadring", "quadrantal.cli", "quadrantal.census")
 
 
@@ -650,14 +692,15 @@ def test_values_copy_and_pickle(name):
 # The names each module held when the form layer moved out of quadring and
 # the handlers out of cli, and arith's before its decimal core moved to
 # reals (functions, classes, constants and the names they import from other
-# quadrantal modules); every one still resolves there.
+# quadrantal modules); every one still resolves there, save the Decimal and
+# Fraction adapters of the printed reals, which are gone.
 PINNED = {
-    "arith": """FACTOR_BOUND MAX_TABLE MAX_PRECISION PI_DIGITS PI_BOUNDS PI_LO FactorBoundExceeded
+    "arith": """FACTOR_BOUND MAX_TABLE MAX_PRECISION PI_DIGITS FactorBoundExceeded
         NotSquareFree SquareFreeUnverified PeriodOverflow CertificateNotFound MAX_PERIOD is_prime
         odd_sieve primes_up_to factorize check_square_free xgcd kronecker sqrt_mod power
-        floor_of_root_quotient _arctan_inverse pi_decimal ln_unit nstr record""",
-    "quadring": """MAX_PERIOD PI_BOUNDS PI_LO PeriodOverflow check_square_free factorize
-        floor_of_root_quotient is_prime kronecker nstr pi_decimal power primes_up_to record sqrt_mod
+        floor_of_root_quotient _arctan_inverse nstr record""",
+    "quadring": """MAX_PERIOD PeriodOverflow check_square_free factorize
+        floor_of_root_quotient is_prime kronecker nstr power primes_up_to record sqrt_mod
         xgcd QuadraticField ring_of_integers QuadInt unit_inverse QuadIdeal zero_ideal unit_ideal
         ideal_from_generators principal_ideal ideal_product ideal_gcd ideal_divides_and_quotient
         ideal_pow SplittingReport splitting_kind prime_form split_prime factor_ideal _form _form_b
@@ -669,11 +712,11 @@ PINNED = {
         _field_from_args cmd_field cmd_quad _verify_class_group _is_associative cmd_units cmd_pell
         cmd_cyclo cmd_census _TEXT _INT _FLAG _FORMAT _IDEAL_PAIR COMMANDS build_parser
         _add_actions _add_options _HANDLERS main""",
-    "census": """MAX_TABLE kronecker nstr odd_sieve pi_decimal primes_up_to record
-        ClassGroupReport QuadraticField _cycle class_group regulator_decimal torsion_order BLOCK
+    "census": """MAX_TABLE kronecker nstr odd_sieve primes_up_to record
+        ClassGroupReport QuadraticField _cycle class_group torsion_order BLOCK
         BYTE_LANES_BELOW _NEGATE _check_report _check_table_size ideal_count_sieve _chi_tile _tile
         _ideal_total _hyperbola _euler_product _chi_row _multiply _spread _local _LANES _planes
-        sigma_decimal sigma_theoretical CensusResult census_check _census per_class_counts
+        sigma_theoretical CensusResult census_check _census per_class_counts
         _class_totals _point_runs _run checkpoint_ratios""",
 }
 

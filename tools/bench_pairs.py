@@ -46,9 +46,12 @@ fail.  Writes BENCH_<N>.json at the root of the checkout with:
   reader can see whether the reference-speed scaling or the program moved
   a pair;
 - the machine details that perfbench recorded, and on both sides `wc -l`
-  of src/quadrantal/*.py (source_lines) and the count of its parameter
-  defaults, functions and methods but not lambdas (source_options), per
-  module and in total.
+  of src/quadrantal/*.py (source_lines), its code lines: the distinct line
+  numbers of each module's bytecode, every nested function and class
+  included, as tools/compile_map.py counts them, so that docstring and
+  comment edits do not move it (source_code_lines), and the count of its
+  parameter defaults, functions and methods but not lambdas
+  (source_options), per module and in total.
 
 Both sides run with PYTHONDONTWRITEBYTECODE=1 and from copies that hold no
 __pycache__ (it is ignored), so neither side starts from cached bytecode.
@@ -77,6 +80,7 @@ SECONDS = 30
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 sys.path.insert(0, str(CHECKOUT / "perfbench"))
 import run as perfbench  # noqa: E402  (its job-time scaling)
+from compile_map import code_lines  # noqa: E402  (this directory)
 
 
 def git(*args: str) -> str:
@@ -211,6 +215,13 @@ def source_lines(tree: Path) -> dict[str, int]:
     return {**lines, "total": sum(lines.values())}
 
 
+def source_code_lines(tree: Path) -> dict[str, int]:
+    """The lines of each module that carry bytecode."""
+    paths = sorted((tree / "src" / "quadrantal").glob("*.py"))
+    lines = {f"src/quadrantal/{p.name}": len(code_lines(str(p))) for p in paths}
+    return {**lines, "total": sum(lines.values())}
+
+
 def source_options(tree: Path) -> dict[str, int]:
     """The parameter defaults of the functions and methods of each module."""
     options = {}
@@ -259,6 +270,7 @@ def main() -> int:
                 print(f"seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), file=sys.stderr, flush=True)
             runs.append(pair)
         lines = {side: source_lines(tree) for side, tree in trees.items()}
+        code = {side: source_code_lines(tree) for side, tree in trees.items()}
         options = {side: source_options(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(build, ignore_errors=True)
@@ -287,6 +299,7 @@ def main() -> int:
                              for workload in (w["name"] for w in spec["workloads"])},
         "drift": {workload: drift_medians(runs, workload) for workload in (w["name"] for w in spec["workloads"])},
         "source_lines": lines,
+        "source_code_lines": code,
         "source_options": options,
         "runs": [{"seed": r["seed"], "first": r["first"], "base": r["base"]["metrics"],
                   "change": r["change"]["metrics"],
